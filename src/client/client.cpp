@@ -23,7 +23,7 @@ Client::Client(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
                            : std::make_shared<RemotePtrCache>(64 * 1024)),
       resp_region_(static_cast<std::size_t>(cfg_.max_shard_connections) *
                    cfg_.window * cfg_.resp_slot_bytes) {
-  resp_mr_ = fabric_.node(node_).register_memory(resp_region_);
+  resp_mr_ = fabric_.node(node_).register_memory(resp_region_.bytes());
   resp_mr_->set_write_hook(
       guard([this](std::uint64_t offset, std::uint32_t) { on_response_write(offset); }));
   for (std::uint32_t i = 0; i < cfg_.max_shard_connections; ++i) free_blocks_.push_back(i);
@@ -394,11 +394,8 @@ void Client::drop_connection(ShardId shard) {
     }
   }
   // Scrub the response ring so a later connection reusing this block never
-  // sees a stale landed frame.
-  for (std::uint32_t s = 0; s < cfg_.window; ++s) {
-    auto span = resp_slot(conn.resp_block, s);
-    std::fill(span.begin(), span.end(), std::byte{0});
-  }
+  // sees a stale landed frame; its pages go back to the kernel.
+  resp_region_.zero(static_cast<std::size_t>(conn.resp_block) * block_stride(), block_stride());
   free_blocks_.push_back(conn.resp_block);
   block_to_shard_.erase(conn.resp_block);
   conns_.erase(it);

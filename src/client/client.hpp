@@ -25,6 +25,7 @@
 #include "common/histogram.hpp"
 #include "core/lockfree_cache.hpp"
 #include "fabric/fabric.hpp"
+#include "fabric/registered_buffer.hpp"
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
 #include "sim/actor.hpp"
@@ -242,6 +243,11 @@ class Client : public sim::Actor {
   [[nodiscard]] ClientStats& mutable_stats() noexcept { return stats_; }
   [[nodiscard]] RemotePtrCache& pointer_cache() noexcept { return *cache_; }
   [[nodiscard]] const ClientConfig& config() const noexcept { return cfg_; }
+  /// The registered response region: one block of `window` slots per
+  /// shard connection, max_shard_connections blocks.
+  [[nodiscard]] const fabric::MemoryRegion& response_region() const noexcept {
+    return *resp_mr_;
+  }
   [[nodiscard]] fabric::Fabric& fabric() noexcept { return fabric_; }
   [[nodiscard]] std::uint64_t routing_epoch() const { return current_epoch(); }
   [[nodiscard]] std::vector<ShardId> shard_list() const {
@@ -334,7 +340,7 @@ class Client : public sim::Actor {
   /// Last epoch the cache-wide stale sweep ran under (see get()).
   std::uint64_t last_swept_epoch_ = 0;
 
-  std::vector<std::byte> resp_region_;
+  fabric::RegisteredBuffer resp_region_;
   fabric::MemoryRegion* resp_mr_;
   std::vector<std::uint32_t> free_blocks_;
   std::map<ShardId, std::unique_ptr<Conn>> conns_;

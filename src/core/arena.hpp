@@ -12,9 +12,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/item.hpp"
+#include "fabric/registered_buffer.hpp"
 
 namespace hydra::core {
 
@@ -42,7 +42,7 @@ class Arena {
   }
 
   /// The whole arena, for memory-region registration.
-  [[nodiscard]] std::span<std::byte> bytes() noexcept { return memory_; }
+  [[nodiscard]] std::span<std::byte> bytes() noexcept { return memory_.bytes(); }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return memory_.size(); }
   [[nodiscard]] std::size_t bytes_in_use() const noexcept { return in_use_; }
@@ -54,7 +54,7 @@ class Arena {
   static std::size_t class_size(int cls) noexcept { return kMinClass << cls; }
 
  private:
-  std::vector<std::byte> memory_;
+  fabric::RegisteredBuffer memory_;  ///< demand-zero: untouched bytes cost no RAM
   std::size_t bump_ = 0;
   std::size_t in_use_ = 0;
   std::uint64_t allocations_ = 0;

@@ -16,7 +16,7 @@ SecondaryShard::SecondaryShard(sim::Scheduler& sched, fabric::Fabric& fabric,
       store_(std::make_unique<core::KVStore>(cfg.store)),
       ring_(cfg.ring_bytes),
       cursor_{cfg.ring_bytes, 0} {
-  ring_mr_ = fabric_.node(node_).register_memory(ring_);
+  ring_mr_ = fabric_.node(node_).register_memory(ring_.bytes());
   ring_mr_->set_write_hook(guard([this](std::uint64_t, std::uint32_t) { on_ring_write(); }));
 }
 
@@ -29,16 +29,16 @@ void SecondaryShard::attach_primary(fabric::QueuePair* qp_to_primary,
 fabric::MemoryRegion* SecondaryShard::promo_slab(std::uint32_t slot_bytes,
                                                  std::uint32_t slots) {
   if (promo_mr_ == nullptr) {
-    promo_.assign(static_cast<std::size_t>(slot_bytes) * slots, std::byte{0});
-    promo_mr_ = fabric_.node(node_).register_memory(promo_);
+    promo_ = fabric::RegisteredBuffer(static_cast<std::size_t>(slot_bytes) * slots);
+    promo_mr_ = fabric_.node(node_).register_memory(promo_.bytes());
   }
   return promo_mr_;
 }
 
 fabric::MemoryRegion* SecondaryShard::failover_arena() {
   if (arena_mr_ == nullptr) {
-    arena_.assign(kFailoverArenaBytes, std::byte{0});
-    arena_mr_ = fabric_.node(node_).register_memory(arena_);
+    arena_ = fabric::RegisteredBuffer(kFailoverArenaBytes);
+    arena_mr_ = fabric_.node(node_).register_memory(arena_.bytes());
     arena_mr_->set_write_hook(
         guard([this](std::uint64_t, std::uint32_t) { note_liveness(); }));
   }
@@ -112,8 +112,8 @@ void SecondaryShard::reset_stream() {
   // Promoted copies belong to the old primary's promotion set; zero the
   // slab so a stale client pointer can never validate against them (the
   // guardian word is gone along with everything else).
-  std::fill(promo_.begin(), promo_.end(), std::byte{0});
-  std::fill(ring_.begin(), ring_.end(), std::byte{0});
+  promo_.zero(0, promo_.size());
+  ring_.zero(0, ring_.size());
   cursor_ = RingCursor{cfg_.ring_bytes, 0};
   applied_seq_ = 0;
   first_failed_seq_ = 0;
@@ -129,7 +129,7 @@ void SecondaryShard::reset_stream() {
   }
   // New primary, fresh suspicion epoch: clear the pulse/ballot words and
   // resume deadline ticking.
-  std::fill(arena_.begin(), arena_.end(), std::byte{0});
+  arena_.zero(0, arena_.size());
   last_signal_ = now();
   suspected_ = false;
   arm_suspicion_tick();

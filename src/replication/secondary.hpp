@@ -16,6 +16,7 @@
 
 #include "core/store.hpp"
 #include "fabric/fabric.hpp"
+#include "fabric/registered_buffer.hpp"
 #include "proto/messages.hpp"
 #include "replication/ring_log.hpp"
 #include "sim/actor.hpp"
@@ -112,13 +113,13 @@ class SecondaryShard : public sim::Actor {
   NodeId node_;
   SecondaryConfig cfg_;
   std::unique_ptr<core::KVStore> store_;
-  std::vector<std::byte> ring_;
+  fabric::RegisteredBuffer ring_;
   fabric::MemoryRegion* ring_mr_;
   /// Hot-key promo slab; empty/null until promo_slab() is first called.
-  std::vector<std::byte> promo_;
+  fabric::RegisteredBuffer promo_;
   fabric::MemoryRegion* promo_mr_ = nullptr;
   /// Fast-failover arena; empty/null until failover_arena() is first called.
-  std::vector<std::byte> arena_;
+  fabric::RegisteredBuffer arena_;
   fabric::MemoryRegion* arena_mr_ = nullptr;
   RingCursor cursor_;
 

@@ -19,7 +19,7 @@ PipelinedShard::PipelinedShard(sim::Scheduler& sched, fabric::Fabric& fabric,
       dispatcher_busy_(static_cast<std::size_t>(dispatchers), false),
       worker_busy_(static_cast<std::size_t>(workers), false) {
   arena_mr_ = fabric_.node(node_).register_memory(store_->arena().bytes());
-  msg_mr_ = fabric_.node(node_).register_memory(msg_region_);
+  msg_mr_ = fabric_.node(node_).register_memory(msg_region_.bytes());
   msg_mr_->set_write_hook(
       guard([this](std::uint64_t offset, std::uint32_t) { on_request_write(offset); }));
 }

@@ -16,6 +16,7 @@
 
 #include "core/store.hpp"
 #include "fabric/fabric.hpp"
+#include "fabric/registered_buffer.hpp"
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
 #include "server/config.hpp"
@@ -69,7 +70,7 @@ class PipelinedShard : public sim::Actor {
   ShardConfig cfg_;
   std::unique_ptr<core::KVStore> store_;
   fabric::MemoryRegion* arena_mr_;
-  std::vector<std::byte> msg_region_;
+  fabric::RegisteredBuffer msg_region_;
   fabric::MemoryRegion* msg_mr_;
 
   std::vector<Connection> conns_;

@@ -26,7 +26,7 @@ Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
                   cfg.msg_slot_bytes) {
   // One region spans every item: this is what remote pointers point into.
   arena_mr_ = fabric_.node(node_).register_memory(store_->arena().bytes());
-  msg_mr_ = fabric_.node(node_).register_memory(msg_region_);
+  msg_mr_ = fabric_.node(node_).register_memory(msg_region_.bytes());
   msg_mr_->set_write_hook(
       guard([this](std::uint64_t offset, std::uint32_t) { on_request_write(offset); }));
   if (cfg_.txn_lock_words > 0) {
@@ -34,8 +34,8 @@ Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
     // the seed's registrations, keeping rkey assignment (and therefore
     // chaos histories) byte-identical. Words start zero = unlocked, which
     // also means a promoted primary's arena never inherits a held lock.
-    lock_region_.resize(static_cast<std::size_t>(cfg_.txn_lock_words) * 8);
-    lock_mr_ = fabric_.node(node_).register_memory(lock_region_);
+    lock_region_ = fabric::RegisteredBuffer(static_cast<std::size_t>(cfg_.txn_lock_words) * 8);
+    lock_mr_ = fabric_.node(node_).register_memory(lock_region_.bytes());
   }
   if (cfg_.hotkey_top_k > 0) {
     // Hot-key plane (DESIGN.md §12). The tracker is the only allocation;
@@ -51,9 +51,9 @@ Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
     // index so index-off runs perform exactly the seed's registrations --
     // rkey assignment and event histories stay byte-identical (same
     // contract as txn_lock_words above).
-    leaf_region_.resize(static_cast<std::size_t>(cfg_.scan_mirror_pages) *
-                        cfg_.scan_mirror_page_bytes);
-    leaf_mr_ = fabric_.node(node_).register_memory(leaf_region_);
+    leaf_region_ = fabric::RegisteredBuffer(static_cast<std::size_t>(cfg_.scan_mirror_pages) *
+                                            cfg_.scan_mirror_page_bytes);
+    leaf_mr_ = fabric_.node(node_).register_memory(leaf_region_.bytes());
     mirror_slots_.resize(cfg_.scan_mirror_pages);
   }
 }
@@ -150,7 +150,7 @@ Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp) {
     Connection& c = conns_[idx];
     c.qp = qp;
     c.closed = false;
-    std::fill(c.ring->begin(), c.ring->end(), std::byte{0});
+    c.ring.zero(0, c.ring.size());
     dirty_.reactivate(idx);
   } else {
     idx = static_cast<std::uint32_t>(conns_.size());
@@ -158,14 +158,14 @@ Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp) {
     conn.qp = qp;
     conn.mux = true;
     conn.ring_slots = std::max<std::uint32_t>(1, cfg_.mux_ring_slots);
-    conn.ring = std::make_unique<std::vector<std::byte>>(
-        static_cast<std::size_t>(conn.ring_slots) * cfg_.msg_slot_bytes);
+    conn.ring = fabric::RegisteredBuffer(static_cast<std::size_t>(conn.ring_slots) *
+                                         cfg_.msg_slot_bytes);
     conns_.push_back(std::move(conn));
     dirty_.add_endpoint();
   }
   ++live_mux_groups_;
   Connection& c = conns_[idx];
-  c.ring_mr = fabric_.node(node_).register_memory(*c.ring);
+  c.ring_mr = fabric_.node(node_).register_memory(c.ring.bytes());
   c.ring_mr->set_write_hook(guard([this, idx](std::uint64_t, std::uint32_t) {
     if (dirty_.mark(idx)) wake();
   }));
@@ -315,7 +315,8 @@ void Shard::sweep_connection(std::uint32_t idx) {
         // Torn or garbage bytes: scrub the whole slot so the ring does not
         // wedge on a head word that lies about its size.
         ++stats_.malformed;
-        std::fill(span.begin(), span.end(), std::byte{0});
+        msg_region_.zero(static_cast<std::size_t>(span.data() - msg_region_.data()),
+                         span.size());
         continue;
       case proto::FrameState::kReady:
         break;
@@ -351,7 +352,7 @@ void Shard::sweep_mux_group(std::uint32_t idx) {
         continue;
       case proto::FrameState::kMalformed:
         ++stats_.malformed;
-        std::fill(span.begin(), span.end(), std::byte{0});
+        conn.ring.zero(proto::ring_slot_offset(slot, cfg_.msg_slot_bytes), span.size());
         continue;
       case proto::FrameState::kReady:
         break;
@@ -1162,7 +1163,6 @@ void Shard::demote_all(std::uint64_t reason) {
 
 void Shard::retire_promotion(const std::shared_ptr<Promotion>& p, std::uint64_t reason) {
   if (p->retired) return;
-  const bool advertised = p->live && !p->targets.empty();
   p->retired = true;
   p->live = false;
   ++stats_.hotkey_demotions;
@@ -1170,14 +1170,17 @@ void Shard::retire_promotion(const std::shared_ptr<Promotion>& p, std::uint64_t 
     fabric_.obs()->trace(now(), node_, obs::TraceKind::kHotKeyDemoted, cfg_.id, p->key_hash,
                          reason);
   }
-  if (advertised) {
+  if (!p->targets.empty()) {
     // Clients keep the advertisement until their lease expires, so the
     // copies must fail closed before the slot can be reused -- otherwise a
     // post-demotion write finds no promotion to invalidate and acks while a
-    // follower still serves the superseded value. The promotion stays in
-    // promotions_ (dying, never advertised again) until the last kill
-    // drains through promotion_op_done, so a racing write can still find it
-    // and join the kill barrier.
+    // follower still serves the superseded value. That holds for copies
+    // never advertised too (still in flight, or aborted): a copy lands
+    // alive, and clients may hold an older advertisement of the same key
+    // for the same slot. Kills ride the copies' QPs, so they land after
+    // them. The promotion stays in promotions_ (dying, never advertised
+    // again) until the last kill drains through promotion_op_done, so a
+    // racing write can still find it and join the kill barrier.
     post_promotion_kills(p, [] {});
     return;
   }
@@ -1195,7 +1198,6 @@ std::shared_ptr<Shard::Promotion> Shard::take_promotion_for_write(const std::str
     // completion orders after the in-flight one on the same QP.
     return p->targets.empty() ? nullptr : p;
   }
-  const bool was_live = p->live;
   p->retired = true;
   p->live = false;
   ++stats_.hotkey_demotions;
@@ -1203,13 +1205,13 @@ std::shared_ptr<Shard::Promotion> Shard::take_promotion_for_write(const std::str
     fabric_.obs()->trace(now(), node_, obs::TraceKind::kHotKeyDemoted, cfg_.id, p->key_hash,
                          /*reason=*/0);
   }
-  if (!was_live || p->targets.empty()) {
-    // Never advertised (copy still in flight or aborted): no client can
-    // hold a pointer to the copies, so no kill gates the ack. The slot
-    // frees when the last in-flight copy lands.
+  if (p->targets.empty()) {
     if (p->pending == 0) release_promo_slot(p);
     return nullptr;
   }
+  // Live or not, a copy may sit alive in a slot some client holds an
+  // advertisement for (an earlier promotion of this key used the same
+  // slot), so its kill gates the ack either way.
   return p;  // caller posts guardian kills before acking
 }
 

@@ -22,6 +22,7 @@
 
 #include "core/store.hpp"
 #include "fabric/fabric.hpp"
+#include "fabric/registered_buffer.hpp"
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
 #include "replication/primary.hpp"
@@ -224,7 +225,7 @@ class Shard : public sim::Actor {
     bool mux = false;
     bool closed = false;
     std::uint32_t ring_slots = 0;
-    std::unique_ptr<std::vector<std::byte>> ring;  ///< heap: stable across conns_ growth
+    fabric::RegisteredBuffer ring;  ///< its bytes stay put when conns_ grows
     fabric::MemoryRegion* ring_mr = nullptr;
   };
 
@@ -261,7 +262,7 @@ class Shard : public sim::Actor {
   }
   [[nodiscard]] std::span<std::byte> mux_slot_span(Connection& conn,
                                                    std::uint32_t slot) noexcept {
-    return {conn.ring->data() + proto::ring_slot_offset(slot, cfg_.msg_slot_bytes),
+    return {conn.ring.data() + proto::ring_slot_offset(slot, cfg_.msg_slot_bytes),
             cfg_.msg_slot_bytes};
   }
 
@@ -332,7 +333,8 @@ class Shard : public sim::Actor {
   /// `reason` follows kHotKeyDemoted's b argument.
   void demote_all(std::uint64_t reason);
   /// Write-path demotion: retires `key`'s promotion and returns it when
-  /// guardian kills must gate the ack (it was live); nullptr otherwise.
+  /// guardian kills must gate the ack (it posted copies, live or not);
+  /// nullptr otherwise.
   std::shared_ptr<Promotion> take_promotion_for_write(const std::string& key);
   /// Posts one guardian-kill write per recorded target; `settle` fires once
   /// per target (success, peer death, or retry exhaustion) -- the ack
@@ -353,12 +355,12 @@ class Shard : public sim::Actor {
   std::unique_ptr<core::KVStore> store_;
   fabric::MemoryRegion* arena_mr_;
 
-  std::vector<std::byte> msg_region_;
+  fabric::RegisteredBuffer msg_region_;
   fabric::MemoryRegion* msg_mr_;
 
   /// 2PL lock words clients CAS one-sidedly; registered only when
   /// cfg_.txn_lock_words > 0 so txn-off runs keep the seed's rkey sequence.
-  std::vector<std::byte> lock_region_;
+  fabric::RegisteredBuffer lock_region_;
   fabric::MemoryRegion* lock_mr_ = nullptr;
   EpochFn epoch_source_;
 
@@ -372,7 +374,7 @@ class Shard : public sim::Actor {
     std::uint64_t epoch = 0;
     bool used = false;
   };
-  std::vector<std::byte> leaf_region_;
+  fabric::RegisteredBuffer leaf_region_;
   fabric::MemoryRegion* leaf_mr_ = nullptr;
   std::vector<MirrorSlot> mirror_slots_;
   std::map<std::uint64_t, std::uint32_t> mirror_slot_of_;  ///< leaf id -> slot

@@ -1,11 +1,10 @@
-// Unit tests for hydra_common: hashing, RNG, key generators, histogram, ring.
+// Unit tests for hydra_common: hashing, RNG, key generators, histogram.
 #include <algorithm>
 #include <cmath>
 #include <map>
 #include <numeric>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "common/histogram.hpp"
 #include "common/keygen.hpp"
 #include "common/rng.hpp"
-#include "common/spsc_ring.hpp"
 #include "common/types.hpp"
 
 namespace hydra {
@@ -496,56 +494,6 @@ TEST(Histogram, MergeDisjointRangesPreservesTails) {
   // p25 is in the low cluster, p75 in the high one; log-bucket error ~6%.
   EXPECT_NEAR(static_cast<double>(lo.percentile(25)), 100.0, 7.0);
   EXPECT_NEAR(static_cast<double>(lo.percentile(75)), 1'000'000.0, 70'000.0);
-}
-
-// ---------------------------------------------------------------- spsc ring
-
-TEST(SpscRing, PushPopSingleThread) {
-  SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // full
-  for (int i = 0; i < 4; ++i) {
-    auto v = ring.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRing, WrapsAround) {
-  SpscRing<int> ring(2);
-  for (int round = 0; round < 100; ++round) {
-    ASSERT_TRUE(ring.try_push(round));
-    auto v = ring.try_pop();
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(*v, round);
-  }
-}
-
-TEST(SpscRing, TwoThreadStress) {
-  SpscRing<std::uint64_t> ring(64);
-  constexpr std::uint64_t kN = 200000;
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kN;) {
-      if (ring.try_push(i)) ++i;
-    }
-  });
-  std::uint64_t expected = 0;
-  while (expected < kN) {
-    if (auto v = ring.try_pop()) {
-      ASSERT_EQ(*v, expected);
-      ++expected;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
 }
 
 // ---------------------------------------------------------------- status

@@ -1,14 +1,21 @@
 // Unit tests for the simulated RDMA fabric: memory registration, one-sided
-// Write/Read semantics, in-order delivery, Send/Recv, protection, failures
-// and the TCP model.
+// Write/Read semantics, in-order delivery, Send/Recv, protection, failures,
+// the TCP model and the demand-zero buffers registered regions live in.
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fabric/fabric.hpp"
+#include "fabric/registered_buffer.hpp"
+#include "resident.hpp"
 #include "sim/scheduler.hpp"
 
 namespace hydra::fabric {
@@ -678,6 +685,101 @@ TEST_F(FabricTest, SameNodeLoopbackWorks) {
   // Loopback still burns the shared NIC: both tx and rx engines were used.
   EXPECT_GT(a.node->nic().tx_ops, 0u);
   EXPECT_GT(a.node->nic().rx_ops, 0u);
+}
+
+// ------------------------------------------------------ registered buffer
+
+const std::size_t kPage = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+
+std::size_t resident(const RegisteredBuffer& buf) {
+  return test::resident_pages(buf.data(), buf.size());
+}
+
+bool all_equal(const RegisteredBuffer& buf, std::size_t from, std::size_t to, std::byte v) {
+  return std::all_of(buf.data() + from, buf.data() + to, [v](std::byte b) { return b == v; });
+}
+
+TEST(RegisteredBuffer, ReadsZeroOnCreationWithNothingResident) {
+  RegisteredBuffer buf(3 * kPage + 100);
+  ASSERT_EQ(buf.size(), 3 * kPage + 100);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % kPage, 0u);
+  EXPECT_EQ(resident(buf), 0u) << "the mapping must be demand-zero, not pre-faulted";
+  EXPECT_TRUE(all_equal(buf, 0, buf.size(), std::byte{0}));
+
+  RegisteredBuffer empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.bytes().empty());
+  empty.zero(0, 0);
+}
+
+TEST(RegisteredBuffer, ZeroOfWholePagesReleasesThemAndKeepsNeighbours) {
+  RegisteredBuffer buf(8 * kPage);
+  std::memset(buf.data(), 0xab, buf.size());
+  ASSERT_EQ(resident(buf), 8u);
+
+  buf.zero(2 * kPage, 3 * kPage);
+  EXPECT_TRUE(all_equal(buf, 0, 2 * kPage, std::byte{0xab}));
+  EXPECT_TRUE(all_equal(buf, 2 * kPage, 5 * kPage, std::byte{0}));
+  EXPECT_TRUE(all_equal(buf, 5 * kPage, 8 * kPage, std::byte{0xab}));
+  // Reading the dropped pages maps the shared zero page, which mincore
+  // counts; so drop them again before counting.
+  buf.zero(2 * kPage, 3 * kPage);
+  EXPECT_EQ(test::resident_pages(buf.data() + 2 * kPage, 3 * kPage), 0u);
+  EXPECT_EQ(resident(buf), 5u);
+}
+
+TEST(RegisteredBuffer, ZeroOfUnalignedRangeWritesOnlyItsEdges) {
+  RegisteredBuffer buf(8 * kPage);
+  std::memset(buf.data(), 0xab, buf.size());
+
+  // [100, 3 pages + 100): whole pages 1 and 2 drop, pages 0 and 3 keep
+  // their bytes outside the range.
+  buf.zero(100, 3 * kPage);
+  EXPECT_EQ(test::resident_pages(buf.data() + kPage, 2 * kPage), 0u);
+  EXPECT_EQ(resident(buf), 6u);
+  EXPECT_TRUE(all_equal(buf, 0, 100, std::byte{0xab}));
+  EXPECT_TRUE(all_equal(buf, 100, 3 * kPage + 100, std::byte{0}));
+  EXPECT_TRUE(all_equal(buf, 3 * kPage + 100, buf.size(), std::byte{0xab}));
+
+  // A range inside one page is a plain memset.
+  buf.zero(6 * kPage + 10, 20);
+  EXPECT_TRUE(all_equal(buf, 6 * kPage, 6 * kPage + 10, std::byte{0xab}));
+  EXPECT_TRUE(all_equal(buf, 6 * kPage + 10, 6 * kPage + 30, std::byte{0}));
+  EXPECT_TRUE(all_equal(buf, 6 * kPage + 30, buf.size(), std::byte{0xab}));
+
+  // The tail up to an unaligned end.
+  RegisteredBuffer odd(2 * kPage + 7);
+  std::memset(odd.data(), 0xcd, odd.size());
+  odd.zero(kPage - 1, kPage + 8);
+  EXPECT_TRUE(all_equal(odd, 0, kPage - 1, std::byte{0xcd}));
+  EXPECT_TRUE(all_equal(odd, kPage - 1, odd.size(), std::byte{0}));
+}
+
+TEST(RegisteredBuffer, ZeroRejectsRangesPastTheEnd) {
+  RegisteredBuffer buf(kPage);
+  EXPECT_THROW(buf.zero(kPage - 1, 2), std::out_of_range);
+  EXPECT_THROW(buf.zero(kPage + 1, 0), std::out_of_range);
+  buf.zero(kPage, 0);
+}
+
+TEST(RegisteredBuffer, MoveKeepsTheBytesWhereTheyAre) {
+  RegisteredBuffer a(2 * kPage);
+  a.data()[5] = std::byte{7};
+  std::byte* const where = a.data();
+  RegisteredBuffer b(std::move(a));
+  EXPECT_EQ(b.data(), where);
+  EXPECT_EQ(b.data()[5], std::byte{7});
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move): moved-from is empty
+  a = std::move(b);
+  EXPECT_EQ(a.data(), where);
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(RegisteredBufferDeathTest, WriteOneBytePastTheEndDies) {
+  // The guard page stands where heap redzones used to catch overruns.
+  RegisteredBuffer buf(RegisteredBuffer::kGuardMinBytes);
+  volatile std::byte* bytes = buf.data();
+  EXPECT_DEATH(bytes[buf.size()] = std::byte{1}, "");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // invalidation, epoch-bump demotion, the client pointer-cache epoch sweep,
 // and the hotkey chaos families.
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 
 #include "chaos/hotkey_chaos.hpp"
 #include "common/hash.hpp"
+#include "core/item.hpp"
 #include "hydradb/hydra_cluster.hpp"
 #include "obs/plane.hpp"
 #include "server/hotkey.hpp"
@@ -155,6 +157,103 @@ TEST(HotKeyPlane, WriteInvalidatesCopiesBeforeAck) {
   }
   EXPECT_GT(cluster.shard(owner)->stats().hotkey_invalidations, 0u)
       << "writes never found a live promotion to invalidate";
+}
+
+// A promotion retired before it went live -- its copies still in flight, or
+// aborted because a completion failed -- used to skip the guardian kills.
+// Its copy then sat alive in a slab slot that clients still held an older
+// advertisement for (the same key in the same slot: free slots are reused
+// last-in first-out), and a one-sided read returned the value an acked
+// write had replaced. Every retirement must kill every posted copy.
+enum class RetireBy { kWriteDuringCopy, kCopyAbort };
+
+void expect_no_stale_copy_after_ack(RetireBy retire) {
+  auto opts = hot_opts();
+  opts.shard_template.hotkey_top_k = 1;  // one slab slot: reuse is certain
+  db::HydraCluster cluster(opts);
+  ASSERT_EQ(cluster.put("hot", "v0"), Status::kOk);
+  const ShardId owner = cluster.owner_of("hot");
+  auto* reader = cluster.clients()[1];
+  const std::uint64_t h = hash_key("hot");
+
+  // 1. Promote; the reader caches the advertisement of slot 0.
+  client::CachedPtr advert;
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(cluster.get("hot", i % 2).has_value());
+    if (reader->pointer_cache().get(h, &advert) && advert.replica_count > 0) break;
+  }
+  ASSERT_GT(advert.replica_count, 0u) << "plane never advertised the key";
+
+  // 2. The key cools off: the demotion kills the copies and frees the slot.
+  //    The reader stays idle, so it keeps the old advertisement.
+  const auto demotions = cluster.shard(owner)->stats().hotkey_demotions;
+  cluster.run_for(2 * kMillisecond);
+  ASSERT_GT(cluster.shard(owner)->stats().hotkey_demotions, demotions);
+
+  // 3. Every copy of the next promotion lands in full, but its completion
+  //    is lost: the initiator learns of a failure only after the retry
+  //    timeout, so the promotion never goes live.
+  int copies_faulted = 0;
+  cluster.fabric().set_write_fault_hook(
+      [&](NodeId, NodeId dst, const fabric::RemoteAddr& addr, std::uint32_t size) {
+        for (std::uint32_t r = 0; r < advert.replica_count; ++r) {
+          const auto& rp = advert.replicas[r];
+          if (size > sizeof(std::uint64_t) && dst == rp.node && addr.rkey == rp.rkey) {
+            ++copies_faulted;
+            return fabric::WriteFault{fabric::WriteFault::Kind::kTorn, size};
+          }
+        }
+        return fabric::WriteFault{};
+      });
+
+  // 4. Re-heat through the message path (which is what the tracker counts)
+  //    until the slot is claimed again and the copies are posted.
+  auto* writer = cluster.clients()[0];
+  for (int i = 0; i < 600 && copies_faulted == 0; ++i) {
+    writer->pointer_cache().erase(h);
+    ASSERT_TRUE(cluster.get("hot", 0).has_value());
+  }
+  ASSERT_GT(copies_faulted, 0) << "the key was never promoted again";
+  if (retire == RetireBy::kCopyAbort) {
+    cluster.run_for(2 * kMillisecond);  // the lost completions surface
+  }
+
+  // 5. Overwrite. Once the ack is back no copy may serve the old value.
+  ASSERT_EQ(cluster.put("hot", "v1", 0), Status::kOk);
+  auto check_copies = [&](const char* when) {
+    for (std::uint32_t r = 0; r < advert.replica_count; ++r) {
+      const auto& rp = advert.replicas[r];
+      const fabric::MemoryRegion* mr = cluster.fabric().node(rp.node).find_region(rp.rkey);
+      ASSERT_NE(mr, nullptr);
+      std::vector<std::byte> bytes(rp.total_len);
+      std::memcpy(bytes.data(), mr->base() + rp.offset, bytes.size());
+      if (core::validate_item(bytes.data(), bytes.size(), "hot") ==
+          core::ItemValidity::kValid) {
+        EXPECT_EQ(core::ItemView(bytes.data()).value(), "v1")
+            << when << ": a live copy on node " << rp.node
+            << " still serves a value an acked write replaced";
+      }
+    }
+  };
+  check_copies("right after the ack");
+  cluster.run_for(2 * kMillisecond);
+  check_copies("after every completion drained");
+  cluster.fabric().set_write_fault_hook(nullptr);
+
+  // The reader's own GETs, whichever copy its round-robin picks.
+  for (int i = 0; i < 6; ++i) {
+    auto got = cluster.get("hot", 1);
+    ASSERT_TRUE(got.has_value()) << i;
+    EXPECT_EQ(*got, "v1") << "stale replica read after write ack, GET " << i;
+  }
+}
+
+TEST(HotKeyPlane, WriteDuringCopyKillsTheCopyBeforeAck) {
+  expect_no_stale_copy_after_ack(RetireBy::kWriteDuringCopy);
+}
+
+TEST(HotKeyPlane, AbortedCopyIsKilledBeforeTheSlotIsReused) {
+  expect_no_stale_copy_after_ack(RetireBy::kCopyAbort);
 }
 
 TEST(HotKeyPlane, FailoverEpochBumpDemotesAndNeverServesStale) {

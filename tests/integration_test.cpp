@@ -3,6 +3,7 @@
 // pointer caching, guardian invalidation, leases, pointer sharing, server
 // mode variants, replication and the YCSB runner.
 #include <set>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -256,6 +257,75 @@ TEST(Integration, DeterministicAcrossIdenticalRuns) {
                            cluster.fabric().stats().rdma_reads);
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// Every client, shard and fabric counter of a cluster, one line each.
+std::string stats_fingerprint(db::HydraCluster& cluster) {
+  std::ostringstream out;
+  auto hist = [&out](const LatencyHistogram& h) {
+    out << " [" << h.count() << ' ' << h.min() << ' ' << h.percentile(50) << ' '
+        << h.percentile(99) << ' ' << h.max() << ']';
+  };
+  for (const auto* c : cluster.clients()) {
+    const auto& s = c->stats();
+    out << "client " << s.gets << ' ' << s.puts << ' ' << s.removes << ' ' << s.ptr_hits << ' '
+        << s.invalid_hits << ' ' << s.ptr_misses << ' ' << s.replica_hits << ' '
+        << s.epoch_invalidations << ' ' << s.stale_evicted << ' ' << s.wrong_owner_redirects
+        << ' ' << s.renews_sent << ' ' << s.timeouts << ' ' << s.retries << ' ' << s.failures
+        << ' ' << s.max_in_flight << ' ' << s.ooo_responses << ' ' << s.scans << ' '
+        << s.scan_batches << ' ' << s.scan_entries << ' ' << s.scan_leaf_reads << ' '
+        << s.scan_leaf_fallbacks << ' ' << s.scan_restarts;
+    hist(s.get_latency);
+    hist(s.put_latency);
+    hist(s.scan_latency);
+    out << '\n';
+  }
+  for (ShardId id = 0; id < cluster.shard_count(); ++id) {
+    const auto& s = cluster.shard(id)->stats();
+    out << "shard " << s.gets << ' ' << s.puts << ' ' << s.removes << ' ' << s.renews << ' '
+        << s.malformed << ' ' << s.wrong_owner << ' ' << s.forwarded << ' ' << s.responses
+        << ' ' << s.batched_responses << ' ' << s.mux_requests << ' ' << s.txn_commits << ' '
+        << s.txn_conflicts << ' ' << s.hotkey_promotions << ' ' << s.hotkey_demotions << ' '
+        << s.hotkey_invalidations << ' ' << s.hotkey_advertised << ' ' << s.scans << ' '
+        << s.scan_entries << ' ' << s.scan_token_rejects << ' ' << s.scan_leaf_refreshes << ' '
+        << s.scan_leaf_oversize << ' ' << s.busy_time << '\n';
+  }
+  const auto& f = cluster.fabric().stats();
+  out << "fabric " << f.rdma_writes << ' ' << f.rdma_reads << ' ' << f.sends << ' '
+      << f.rdma_atomics << ' ' << f.protection_errors << ' ' << f.qp_connects << '\n';
+  out << "now " << cluster.scheduler().now() << '\n';
+  return out.str();
+}
+
+// Registered memory starts as fresh zero pages, but a later change could
+// hand a cluster bytes a torn-down one left behind (buffer reuse, a pool,
+// the allocator's free lists). Results must not depend on them: two seeded
+// clusters built, run and destroyed one after the other in this process
+// must count everything identically. Scans with one-sided leaf reads and
+// replication are on, so every region kind is in play.
+TEST(Integration, SeededClusterRepeatsExactlyInOneProcess) {
+  auto run_once = [] {
+    auto opts = small_options();
+    opts.replicas = 1;
+    opts.ordered_index = true;
+    opts.client_template.scan_batch = 8;
+    db::HydraCluster cluster(opts);
+    ycsb::WorkloadSpec spec;
+    spec.get_fraction = 0.6;
+    spec.scan_fraction = 0.3;
+    spec.max_scan_len = 32;
+    spec.record_count = 1000;
+    spec.operations = 4000;
+    spec.seed = 7;
+    const auto r = ycsb::run_workload(cluster, spec);
+    EXPECT_EQ(r.failures, 0u);
+    EXPECT_GT(r.scans, 0u);
+    EXPECT_GT(r.scan_leaf_reads, 0u) << "the one-sided leaf path never ran";
+    return stats_fingerprint(cluster);
+  };
+  const std::string first = run_once();
+  const std::string second = run_once();
+  EXPECT_EQ(first, second);
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 // integration suite exercises only indirectly: connection admission,
 // malformed traffic, slot framing limits, background GC scheduling, client
 // retry/timeout bookkeeping, lease-renew refresh and stats accounting.
+#include <algorithm>
+#include <map>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,7 @@
 #include "fabric/fabric.hpp"
 #include "hydradb/hydra_cluster.hpp"
 #include "proto/frame.hpp"
+#include "resident.hpp"
 #include "server/shard.hpp"
 
 namespace hydra {
@@ -250,6 +255,80 @@ db::ClusterOptions tiny() {
   opts.enable_swat = false;
   opts.shard_template.store.arena_bytes = 8 << 20;
   return opts;
+}
+
+// The response region is sized for every connection a client may open --
+// by default 128 blocks x 8 slots x 16 KiB = 16 MiB, 4096 pages -- but it
+// is demand-zero: only the pages responses land in become resident, and
+// dropping a connection hands its block's pages back.
+TEST(ClientUnit, ResponseRegionHoldsOnlyThePagesResponsesTouched) {
+  auto opts = tiny();
+  opts.shards_per_node = 3;
+  db::HydraCluster cluster(opts);
+  auto* c = cluster.clients()[0];
+  const client::ClientConfig defaults;
+  ASSERT_EQ(c->config().window, defaults.window);
+  ASSERT_EQ(c->config().resp_slot_bytes, defaults.resp_slot_bytes);
+  ASSERT_EQ(c->config().max_shard_connections, defaults.max_shard_connections);
+
+  // Enough concurrent puts per shard to fill every slot of its ring.
+  std::map<ShardId, std::vector<std::string>> keys;
+  auto covered = [&keys] {
+    return keys.size() == 3 && std::all_of(keys.begin(), keys.end(), [](const auto& kv) {
+             return kv.second.size() == 16;
+           });
+  };
+  for (std::uint64_t i = 0; !covered(); ++i) {
+    ASSERT_LT(i, 10'000u) << "keys never covered all three shards";
+    std::string key = format_key(i);
+    auto& list = keys[cluster.owner_of(key)];
+    if (list.size() < 16) list.push_back(std::move(key));
+  }
+  int completed = 0;
+  for (const auto& [shard, list] : keys) {
+    for (const auto& key : list) {
+      c->put(key, "v", [&](Status s) {
+        EXPECT_EQ(s, Status::kOk);
+        ++completed;
+      });
+    }
+  }
+  cluster.run_for(50 * kMillisecond);
+  ASSERT_EQ(completed, 48);
+
+  const auto& region = c->response_region();
+  const std::size_t stride =
+      static_cast<std::size_t>(defaults.window) * defaults.resp_slot_bytes;
+  ASSERT_EQ(region.length(), stride * defaults.max_shard_connections);
+  auto resident_per_block = [&] {
+    std::vector<std::size_t> pages(defaults.max_shard_connections);
+    for (std::size_t b = 0; b < pages.size(); ++b) {
+      pages[b] = test::resident_pages(region.base() + b * stride, stride);
+    }
+    return pages;
+  };
+  const auto before = resident_per_block();
+  const std::size_t total = std::accumulate(before.begin(), before.end(), std::size_t{0});
+  // A put's response frame is far below a page: each used slot holds at
+  // most its first page.
+  constexpr std::size_t kPagesPerSlot = 1;
+  EXPECT_LE(total, 3 * defaults.window * kPagesPerSlot)
+      << "response pages were faulted in that no response touched";
+  EXPECT_GE(total, 3u);
+  EXPECT_EQ(std::count_if(before.begin(), before.end(), [](std::size_t p) { return p > 0; }),
+            3);
+
+  c->invalidate_connection(keys.begin()->first);
+  const auto after = resident_per_block();
+  int released = 0;
+  for (std::size_t b = 0; b < before.size(); ++b) {
+    if (before[b] > 0 && after[b] == 0) {
+      ++released;
+    } else {
+      EXPECT_EQ(after[b], before[b]) << "block " << b;
+    }
+  }
+  EXPECT_EQ(released, 1) << "the dropped connection's block must leave RAM";
 }
 
 TEST(ClientUnit, ResolverlessClientFailsFast) {
