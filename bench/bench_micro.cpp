@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,32 @@ void BM_StorePutGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StorePutGet);
+
+// Bulk load of fresh keys, the set-up phase of every benchmark: each op
+// stores a key the store has not seen. Arg 0 loads through put (an upsert
+// that probes once, then inserts), arg 1 through insert.
+void BM_StoreLoadFresh(benchmark::State& state) {
+  constexpr std::uint64_t kKeys = 100000;
+  const bool via_insert = state.range(0) != 0;
+  std::vector<std::string> keys;
+  keys.reserve(kKeys);
+  for (std::uint64_t i = 0; i < kKeys; ++i) keys.push_back(format_key(i));
+  const std::string value = synth_value(0, 32);
+  auto store = std::make_unique<core::KVStore>();
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    if (i == kKeys) {
+      state.PauseTiming();
+      store = std::make_unique<core::KVStore>();
+      i = 0;
+      state.ResumeTiming();
+    }
+    const std::string& key = keys[i++];
+    benchmark::DoNotOptimize(via_insert ? store->insert(key, value, 0) : store->put(key, value, 0));
+  }
+  state.SetLabel(via_insert ? "insert" : "put");
+}
+BENCHMARK(BM_StoreLoadFresh)->Arg(0)->Arg(1);
 
 void BM_LockFreeCacheGet(benchmark::State& state) {
   core::LockFreeCache<proto::RemotePtr> cache(64 * 1024);

@@ -15,8 +15,9 @@ Arena::Arena(std::size_t capacity) : memory_(align8(capacity)) {
 
 int Arena::class_for(std::size_t size) noexcept {
   if (size <= kMinClass) return 0;
-  const int bits = std::bit_width(size - 1);  // ceil(log2(size))
-  return bits - 6;                            // 64 = 2^6
+  if (size <= kMaxExactClass) return static_cast<int>((size - 1) / kMinClass);
+  // ceil(log2(size)) - log2(2 KiB) power-of-two classes past the exact ones.
+  return kNumExactClasses + std::bit_width(size - 1) - std::bit_width(kMaxExactClass);
 }
 
 std::uint64_t Arena::allocate(std::size_t size) {
@@ -35,12 +36,16 @@ std::uint64_t Arena::allocate(std::size_t size) {
     std::memcpy(&next, at(offset), sizeof(next));
     free_heads_[static_cast<std::size_t>(cls)] = next;
   } else {
-    if (bump_ + block > memory_.size()) {
+    // Bump blocks are 8-byte multiples, so every block stays 8-byte aligned;
+    // a cache-line block skips up to 56 bytes, which are never handed out.
+    const std::size_t start =
+        block == kCacheLine ? (bump_ + kCacheLine - 1) & ~(kCacheLine - 1) : bump_;
+    if (start + block > memory_.size()) {
       ++failed_;
       return kNullOffset;
     }
-    offset = bump_;
-    bump_ += block;
+    offset = start;
+    bump_ = start + block;
   }
   in_use_ += block;
   ++allocations_;

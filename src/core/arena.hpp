@@ -3,12 +3,14 @@
 // Each shard owns one contiguous memory arena that is registered with the
 // fabric as a single memory region, which is what makes every item in it
 // addressable by client RDMA Reads (remote pointer = rkey + 48-bit offset).
-// Allocation is slab-style: sizes round up to power-of-two classes with an
-// intrusive freelist per class, so allocate/free are O(1) and freed blocks
-// are reused without external fragmentation growth.
+// Allocation is slab-style with an intrusive LIFO freelist per size class,
+// so allocate/free are O(1) and freed blocks are reused without external
+// fragmentation growth. Classes step by 8 bytes up to 1 KiB, so an item
+// takes exactly its own (8-byte padded) size, then double up to 8 MiB.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -20,10 +22,18 @@ namespace hydra::core {
 
 class Arena {
  public:
-  /// Smallest size class; also the alignment of every allocation.
-  static constexpr std::size_t kMinClass = 64;
+  /// Smallest size class and the step between exact-fit classes; also the
+  /// alignment of every block (item headers and guardians are u64 words).
+  static constexpr std::size_t kMinClass = 8;
+  /// Largest exact-fit class; above it classes are powers of two.
+  static constexpr std::size_t kMaxExactClass = 1024;
   static constexpr std::size_t kMaxClass = 8 * 1024 * 1024;
-  static constexpr int kNumClasses = 18;  // 64 B .. 8 MiB
+  /// Blocks of exactly this size (the compact table's overflow buckets) are
+  /// aligned to it, so each one is a single cache line.
+  static constexpr std::size_t kCacheLine = 64;
+  static constexpr int kNumExactClasses = kMaxExactClass / kMinClass;  // 8 B .. 1 KiB
+  static constexpr int kNumClasses =                                   // 2 KiB .. 8 MiB
+      kNumExactClasses + std::bit_width(kMaxClass / (2 * kMaxExactClass));
 
   explicit Arena(std::size_t capacity);
 
@@ -51,7 +61,10 @@ class Arena {
 
   /// Size-class index for an allocation size (exposed for tests/benches).
   static int class_for(std::size_t size) noexcept;
-  static std::size_t class_size(int cls) noexcept { return kMinClass << cls; }
+  static std::size_t class_size(int cls) noexcept {
+    return cls < kNumExactClasses ? (static_cast<std::size_t>(cls) + 1) * kMinClass
+                                  : (2 * kMaxExactClass) << (cls - kNumExactClasses);
+  }
 
  private:
   fabric::RegisteredBuffer memory_;  ///< demand-zero: untouched bytes cost no RAM

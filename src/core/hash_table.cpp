@@ -21,103 +21,91 @@ std::string_view CompactHashTable::key_at(std::uint64_t item_offset) const noexc
   return ItemView(const_cast<std::byte*>(arena_.at(item_offset))).key();
 }
 
-bool CompactHashTable::locate(std::uint64_t hash, std::string_view key,
-                              Bucket** bucket, int* slot) const {
-  const std::uint16_t sig = key_signature(hash);
-  const Bucket* b = root_for(hash);
-  while (true) {
-    ++cacheline_reads_;
-    const std::uint8_t occ = occupancy(*b);
-    for (int i = 0; i < kSlotsPerBucket; ++i) {
-      if ((occ & (1u << i)) == 0) continue;
-      const std::uint64_t s = b->slots[i];
-      if (slot_sig(s) != sig) continue;
-      if (key_at(slot_offset(s)) == key) {
-        *bucket = const_cast<Bucket*>(b);
-        *slot = i;
-        return true;
-      }
-    }
-    const std::uint64_t next = overflow_of(*b);
-    if (next == kNoOverflow) return false;
-    b = overflow_bucket(next);
-  }
-}
-
-std::uint64_t CompactHashTable::find(std::uint64_t hash, std::string_view key) const {
-  ++lookups_;
-  Bucket* b = nullptr;
-  int slot = 0;
-  if (!locate(hash, key, &b, &slot)) return kNullOffset;
-  return slot_offset(b->slots[slot]);
-}
-
-CompactHashTable::InsertResult CompactHashTable::insert(std::uint64_t hash,
-                                                        std::string_view key,
-                                                        std::uint64_t item_offset) {
+CompactHashTable::Probe CompactHashTable::probe(std::uint64_t hash,
+                                                std::string_view key) const {
   ++lookups_;
   const std::uint16_t sig = key_signature(hash);
-  Bucket* b = root_for(hash);
-  Bucket* free_bucket = nullptr;
-  int free_slot = -1;
-  Bucket* last = b;
+  Probe p;
+  auto* b = const_cast<Bucket*>(root_for(hash));
   while (true) {
     ++cacheline_reads_;
     const std::uint8_t occ = occupancy(*b);
     for (int i = 0; i < kSlotsPerBucket; ++i) {
       if ((occ & (1u << i)) == 0) {
-        if (free_bucket == nullptr) {
-          free_bucket = b;
-          free_slot = i;
+        if (p.bucket_ == nullptr) {
+          p.bucket_ = b;
+          p.slot_ = i;
         }
         continue;
       }
       const std::uint64_t s = b->slots[i];
       if (slot_sig(s) == sig && key_at(slot_offset(s)) == key) {
-        return InsertResult::kDuplicate;
+        p.bucket_ = b;
+        p.slot_ = i;
+        p.found_ = true;
+        return p;
       }
     }
     const std::uint64_t next = overflow_of(*b);
     if (next == kNoOverflow) break;
-    last = b = overflow_bucket(next);
+    b = overflow_bucket(next);
   }
+  p.tail_ = b;
+  return p;
+}
 
-  if (free_bucket == nullptr) {
+std::uint64_t CompactHashTable::find(std::uint64_t hash, std::string_view key) const {
+  const Probe p = probe(hash, key);
+  return p.found_ ? offset_at(p) : kNullOffset;
+}
+
+CompactHashTable::InsertResult CompactHashTable::insert(std::uint64_t hash,
+                                                        std::string_view key,
+                                                        std::uint64_t item_offset) {
+  const Probe p = probe(hash, key);
+  if (p.found_) return InsertResult::kDuplicate;
+  return insert_at(p, hash, item_offset);
+}
+
+CompactHashTable::InsertResult CompactHashTable::insert_at(const Probe& p, std::uint64_t hash,
+                                                           std::uint64_t item_offset) {
+  Bucket* bucket = p.bucket_;
+  int slot = p.slot_;
+  if (bucket == nullptr) {
     const std::uint64_t off = arena_.allocate(sizeof(Bucket));
     if (off == kNullOffset) return InsertResult::kNoMemory;
-    Bucket* fresh = overflow_bucket(off);
-    fresh->header = kEmptyHeader;
-    std::memset(fresh->slots, 0, sizeof(fresh->slots));
-    set_overflow(*last, off);
+    bucket = overflow_bucket(off);
+    bucket->header = kEmptyHeader;
+    std::memset(bucket->slots, 0, sizeof(bucket->slots));
+    set_overflow(*p.tail_, off);
     ++overflow_buckets_;
-    free_bucket = fresh;
-    free_slot = 0;
+    slot = 0;
   }
-  free_bucket->slots[free_slot] = encode_slot(sig, item_offset);
-  set_occupancy_bit(*free_bucket, free_slot, true);
+  bucket->slots[slot] = encode_slot(key_signature(hash), item_offset);
+  set_occupancy_bit(*bucket, slot, true);
   ++size_;
   return InsertResult::kInserted;
 }
 
 std::uint64_t CompactHashTable::replace(std::uint64_t hash, std::string_view key,
                                         std::uint64_t new_offset) {
-  ++lookups_;
-  Bucket* b = nullptr;
-  int slot = 0;
-  if (!locate(hash, key, &b, &slot)) return kNullOffset;
-  const std::uint64_t old = slot_offset(b->slots[slot]);
-  b->slots[slot] = encode_slot(key_signature(hash), new_offset);
+  const Probe p = probe(hash, key);
+  return p.found_ ? replace_at(p, hash, new_offset) : kNullOffset;
+}
+
+std::uint64_t CompactHashTable::replace_at(const Probe& p, std::uint64_t hash,
+                                           std::uint64_t new_offset) noexcept {
+  const std::uint64_t old = offset_at(p);
+  p.bucket_->slots[p.slot_] = encode_slot(key_signature(hash), new_offset);
   return old;
 }
 
 std::uint64_t CompactHashTable::erase(std::uint64_t hash, std::string_view key) {
-  ++lookups_;
-  Bucket* b = nullptr;
-  int slot = 0;
-  if (!locate(hash, key, &b, &slot)) return kNullOffset;
-  const std::uint64_t old = slot_offset(b->slots[slot]);
-  set_occupancy_bit(*b, slot, false);
-  b->slots[slot] = 0;
+  const Probe p = probe(hash, key);
+  if (!p.found_) return kNullOffset;
+  const std::uint64_t old = offset_at(p);
+  set_occupancy_bit(*p.bucket_, p.slot_, false);
+  p.bucket_->slots[p.slot_] = 0;
   --size_;
   compact_chain(root_for(hash));
   return old;

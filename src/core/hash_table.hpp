@@ -19,8 +19,26 @@
 namespace hydra::core {
 
 class CompactHashTable {
+  struct Bucket;
+
  public:
   static constexpr int kSlotsPerBucket = 7;
+
+  /// One walk of a key's chain: the slot holding the key when present,
+  /// otherwise where insert_at() puts it (the first free slot, or a fresh
+  /// overflow bucket after the tail). Valid until the table next changes;
+  /// allocating items from the arena in between is fine.
+  class Probe {
+   public:
+    [[nodiscard]] bool found() const noexcept { return found_; }
+
+   private:
+    friend class CompactHashTable;
+    Bucket* bucket_ = nullptr;  ///< holder; or first free slot's (null: chain full)
+    Bucket* tail_ = nullptr;
+    int slot_ = 0;
+    bool found_ = false;
+  };
 
   /// `min_buckets` rounds up to a power of two. Overflow buckets are
   /// allocated from `arena` (64-byte blocks), which must outlive the table.
@@ -29,10 +47,23 @@ class CompactHashTable {
   CompactHashTable(const CompactHashTable&) = delete;
   CompactHashTable& operator=(const CompactHashTable&) = delete;
 
+  /// Walks `key`'s chain once; see Probe.
+  [[nodiscard]] Probe probe(std::uint64_t hash, std::string_view key) const;
+
   /// Returns the item offset for `key`, or kNullOffset.
   [[nodiscard]] std::uint64_t find(std::uint64_t hash, std::string_view key) const;
 
   enum class InsertResult : std::uint8_t { kInserted, kDuplicate, kNoMemory };
+
+  /// The item offset a found probe points at.
+  [[nodiscard]] static std::uint64_t offset_at(const Probe& p) noexcept {
+    return slot_offset(p.bucket_->slots[p.slot_]);
+  }
+  /// Stores `new_offset` in a found probe's slot; returns the previous one.
+  std::uint64_t replace_at(const Probe& p, std::uint64_t hash, std::uint64_t new_offset) noexcept;
+  /// Inserts at a probe that missed: kInserted, or kNoMemory (table
+  /// unchanged) when the arena cannot supply an overflow bucket.
+  InsertResult insert_at(const Probe& p, std::uint64_t hash, std::uint64_t item_offset);
 
   /// Inserts key->offset; kDuplicate/kNoMemory leave the table unchanged
   /// (kNoMemory means the arena could not supply an overflow bucket).
@@ -117,9 +148,6 @@ class CompactHashTable {
   }
 
   [[nodiscard]] std::string_view key_at(std::uint64_t item_offset) const noexcept;
-
-  /// Locates key; on hit sets *bucket/*slot. Returns false on miss.
-  bool locate(std::uint64_t hash, std::string_view key, Bucket** bucket, int* slot) const;
 
   /// Re-packs a chain after a remove: pulls entries forward into free slots
   /// and returns empty overflow buckets to the arena.

@@ -8,18 +8,23 @@
 // per-slot seqlocks and bounded probing, where a full probe window evicts
 // (it is a cache; dropping an entry only costs a future re-fetch).
 //
-// This is a *real* concurrent structure (std::atomic, tested with threads),
-// even though inside the simulator it is only exercised single-threaded.
+// This is a *real* concurrent structure (atomic accesses, tested with
+// threads), even though inside the simulator it is only exercised
+// single-threaded.
+//
+// The slots live in demand-zero memory (fabric::RegisteredBuffer): an
+// all-zero slot is an empty one, so nothing is constructed over the mapping
+// and a slot's page becomes resident only once an entry is written there.
+// Every slot word is a plain integer accessed through std::atomic_ref.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
-#include <vector>
 
 #include "common/hash.hpp"
+#include "fabric/registered_buffer.hpp"
 
 namespace hydra::core {
 
@@ -35,7 +40,8 @@ class LockFreeCache {
   explicit LockFreeCache(std::size_t capacity) {
     std::size_t cap = 1;
     while (cap < capacity) cap <<= 1;
-    slots_ = std::vector<Slot>(cap);
+    memory_ = fabric::RegisteredBuffer(cap * sizeof(Slot));
+    slots_ = reinterpret_cast<Slot*>(memory_.data());
     mask_ = cap - 1;
   }
 
@@ -46,13 +52,13 @@ class LockFreeCache {
     // Pass 1: refresh an existing entry or claim an empty slot.
     for (std::size_t i = 0; i < kProbeWindow; ++i) {
       Slot& s = slots_[(start + i) & mask_];
-      std::uint64_t k = s.key.load(std::memory_order_acquire);
+      std::uint64_t k = key_of(s).load(std::memory_order_acquire);
       if (k == key) {
         write_slot(s, key, value);
         return;
       }
       if (k == 0 &&
-          s.key.compare_exchange_strong(k, key, std::memory_order_acq_rel)) {
+          key_of(s).compare_exchange_strong(k, key, std::memory_order_acq_rel)) {
         write_slot(s, key, value);
         size_.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -65,7 +71,7 @@ class LockFreeCache {
     // Pass 2: evict within the window (slot chosen by key for determinism).
     Slot& victim = slots_[(start + (key % kProbeWindow)) & mask_];
     begin_write(victim);
-    victim.key.store(key, std::memory_order_relaxed);
+    key_of(victim).store(key, std::memory_order_relaxed);
     store_value(victim, value);
     end_write(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -75,14 +81,14 @@ class LockFreeCache {
   bool get(std::uint64_t key, Value* out) const {
     const std::size_t start = mix64(key) & mask_;
     for (std::size_t i = 0; i < kProbeWindow; ++i) {
-      const Slot& s = slots_[(start + i) & mask_];
-      const std::uint32_t v1 = s.version.load(std::memory_order_acquire);
+      Slot& s = slots_[(start + i) & mask_];
+      const std::uint32_t v1 = version_of(s).load(std::memory_order_acquire);
       if (v1 & 1u) continue;  // mid-write; treat as miss rather than spin
-      if (s.key.load(std::memory_order_acquire) != key) continue;
+      if (key_of(s).load(std::memory_order_acquire) != key) continue;
       Value copy = load_value(s);  // may tear; validated by the version re-check
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (s.version.load(std::memory_order_acquire) == v1 &&
-          s.key.load(std::memory_order_relaxed) == key) {
+      if (version_of(s).load(std::memory_order_acquire) == v1 &&
+          key_of(s).load(std::memory_order_relaxed) == key) {
         *out = copy;
         hits_.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -97,9 +103,9 @@ class LockFreeCache {
     const std::size_t start = mix64(key) & mask_;
     for (std::size_t i = 0; i < kProbeWindow; ++i) {
       Slot& s = slots_[(start + i) & mask_];
-      if (s.key.load(std::memory_order_acquire) != key) continue;
+      if (key_of(s).load(std::memory_order_acquire) != key) continue;
       begin_write(s);
-      s.key.store(0, std::memory_order_relaxed);
+      key_of(s).store(0, std::memory_order_relaxed);
       end_write(s);
       size_.fetch_sub(1, std::memory_order_relaxed);
       return;
@@ -111,25 +117,27 @@ class LockFreeCache {
   /// in capacity -- meant for rare maintenance (e.g. evicting pointers
   /// stamped with a superseded routing epoch), never the data path. Entries
   /// mid-write by a concurrent writer are skipped (they are being refreshed,
-  /// so the writer owns their fate).
+  /// so the writer owns their fate). Slots never written are only read, so
+  /// their pages stay unbacked.
   template <typename Pred>
   std::size_t erase_if(Pred&& pred) {
     std::size_t erased = 0;
-    for (Slot& s : slots_) {
-      const std::uint32_t v1 = s.version.load(std::memory_order_acquire);
+    for (std::size_t i = 0; i <= mask_; ++i) {
+      Slot& s = slots_[i];
+      const std::uint32_t v1 = version_of(s).load(std::memory_order_acquire);
       if (v1 & 1u) continue;  // writer active; skip
-      const std::uint64_t k = s.key.load(std::memory_order_acquire);
+      const std::uint64_t k = key_of(s).load(std::memory_order_acquire);
       if (k == 0) continue;
       Value copy = load_value(s);
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (s.version.load(std::memory_order_acquire) != v1 ||
-          s.key.load(std::memory_order_relaxed) != k) {
+      if (version_of(s).load(std::memory_order_acquire) != v1 ||
+          key_of(s).load(std::memory_order_relaxed) != k) {
         continue;  // torn read; the concurrent writer decides
       }
       if (!pred(k, copy)) continue;
       begin_write(s);
-      if (s.key.load(std::memory_order_relaxed) == k) {
-        s.key.store(0, std::memory_order_relaxed);
+      if (key_of(s).load(std::memory_order_relaxed) == k) {
+        key_of(s).store(0, std::memory_order_relaxed);
         size_.fetch_sub(1, std::memory_order_relaxed);
         ++erased;
       }
@@ -151,6 +159,8 @@ class LockFreeCache {
   [[nodiscard]] std::uint64_t evictions() const noexcept {
     return evictions_.load(std::memory_order_relaxed);
   }
+  /// The slot storage (for residency checks).
+  [[nodiscard]] const fabric::RegisteredBuffer& memory() const noexcept { return memory_; }
 
  private:
   static constexpr std::size_t kProbeWindow = 16;
@@ -161,23 +171,33 @@ class LockFreeCache {
   // window carries no undefined behavior and TSan stays quiet.
   static constexpr std::size_t kValueWords = (sizeof(Value) + 7) / 8;
 
+  /// All zero = empty. Never constructed: slots are the buffer's zero bytes.
   struct Slot {
-    std::atomic<std::uint64_t> key{0};
-    std::atomic<std::uint32_t> version{0};  // seqlock: odd while writing
-    std::array<std::atomic<std::uint64_t>, kValueWords> value{};
+    std::uint64_t key;
+    std::uint32_t version;  // seqlock: odd while writing
+    std::uint32_t pad;
+    std::uint64_t value[kValueWords];
   };
+  static_assert(std::is_trivial_v<Slot>);
+
+  static std::atomic_ref<std::uint64_t> key_of(Slot& s) noexcept {
+    return std::atomic_ref<std::uint64_t>(s.key);
+  }
+  static std::atomic_ref<std::uint32_t> version_of(Slot& s) noexcept {
+    return std::atomic_ref<std::uint32_t>(s.version);
+  }
 
   static void store_value(Slot& s, const Value& v) noexcept {
     std::uint64_t words[kValueWords] = {};
     std::memcpy(words, &v, sizeof(Value));
     for (std::size_t i = 0; i < kValueWords; ++i) {
-      s.value[i].store(words[i], std::memory_order_relaxed);
+      std::atomic_ref<std::uint64_t>(s.value[i]).store(words[i], std::memory_order_relaxed);
     }
   }
-  static Value load_value(const Slot& s) noexcept {
+  static Value load_value(Slot& s) noexcept {
     std::uint64_t words[kValueWords];
     for (std::size_t i = 0; i < kValueWords; ++i) {
-      words[i] = s.value[i].load(std::memory_order_relaxed);
+      words[i] = std::atomic_ref<std::uint64_t>(s.value[i]).load(std::memory_order_relaxed);
     }
     Value v;
     std::memcpy(&v, words, sizeof(Value));
@@ -189,24 +209,25 @@ class LockFreeCache {
     // hold the seqlock, so this is lock-free in the progress-guarantee sense
     // for the system as a whole.
     while (true) {
-      std::uint32_t v = s.version.load(std::memory_order_relaxed);
+      std::uint32_t v = version_of(s).load(std::memory_order_relaxed);
       if ((v & 1u) == 0 &&
-          s.version.compare_exchange_weak(v, v + 1, std::memory_order_acq_rel)) {
+          version_of(s).compare_exchange_weak(v, v + 1, std::memory_order_acq_rel)) {
         return;
       }
     }
   }
   static void end_write(Slot& s) noexcept {
-    s.version.fetch_add(1, std::memory_order_release);
+    version_of(s).fetch_add(1, std::memory_order_release);
   }
   static void write_slot(Slot& s, std::uint64_t key, const Value& value) noexcept {
     begin_write(s);
-    s.key.store(key, std::memory_order_relaxed);
+    key_of(s).store(key, std::memory_order_relaxed);
     store_value(s, value);
     end_write(s);
   }
 
-  std::vector<Slot> slots_;
+  fabric::RegisteredBuffer memory_;  ///< demand-zero slot storage
+  Slot* slots_ = nullptr;
   std::size_t mask_ = 0;
   std::atomic<std::size_t> size_{0};
   mutable std::atomic<std::uint64_t> hits_{0};

@@ -66,38 +66,51 @@ Result<GetView> KVStore::get(std::string_view key, Time now, bool grant_lease) {
   return view;
 }
 
+bool KVStore::accepts(std::string_view key, std::string_view value) const noexcept {
+  return !key.empty() && key.size() <= config_.max_key_len && value.size() <= config_.max_val_len;
+}
+
 Status KVStore::insert(std::string_view key, std::string_view value, Time now) {
-  if (key.empty() || key.size() > config_.max_key_len || value.size() > config_.max_val_len) {
-    return Status::kInvalidArgument;
-  }
+  if (!accepts(key, value)) return Status::kInvalidArgument;
   const std::uint64_t hash = hash_key(key);
-  if (table_.find(hash, key) != kNullOffset) return Status::kExists;
-  const std::uint64_t offset = make_item(key, value, /*version=*/1, now);
-  if (offset == kNullOffset) return Status::kOutOfMemory;
-  switch (table_.insert(hash, key, offset)) {
-    case CompactHashTable::InsertResult::kInserted:
-      if (index_) index_->insert_or_assign(key, offset);
-      ++stats_.inserts;
-      return Status::kOk;
-    case CompactHashTable::InsertResult::kDuplicate:
-      arena_.deallocate(offset, item_size(key.size(), value.size()));
-      return Status::kExists;
-    case CompactHashTable::InsertResult::kNoMemory:
-      arena_.deallocate(offset, item_size(key.size(), value.size()));
-      ++stats_.oom_failures;
-      return Status::kOutOfMemory;
-  }
-  return Status::kInvalidArgument;  // unreachable
+  const CompactHashTable::Probe probe = table_.probe(hash, key);
+  if (probe.found()) return Status::kExists;
+  return insert_at(probe, hash, key, value, now);
 }
 
 Status KVStore::update(std::string_view key, std::string_view value, Time now) {
-  if (key.empty() || key.size() > config_.max_key_len || value.size() > config_.max_val_len) {
-    return Status::kInvalidArgument;
-  }
+  if (!accepts(key, value)) return Status::kInvalidArgument;
   const std::uint64_t hash = hash_key(key);
-  const std::uint64_t old_offset = table_.find(hash, key);
-  if (old_offset == kNullOffset) return Status::kNotFound;
+  const CompactHashTable::Probe probe = table_.probe(hash, key);
+  if (!probe.found()) return Status::kNotFound;
+  return update_at(probe, hash, key, value, now);
+}
 
+Status KVStore::put(std::string_view key, std::string_view value, Time now) {
+  if (!accepts(key, value)) return Status::kInvalidArgument;
+  const std::uint64_t hash = hash_key(key);
+  const CompactHashTable::Probe probe = table_.probe(hash, key);
+  return probe.found() ? update_at(probe, hash, key, value, now)
+                       : insert_at(probe, hash, key, value, now);
+}
+
+Status KVStore::insert_at(const CompactHashTable::Probe& probe, std::uint64_t hash,
+                          std::string_view key, std::string_view value, Time now) {
+  const std::uint64_t offset = make_item(key, value, /*version=*/1, now);
+  if (offset == kNullOffset) return Status::kOutOfMemory;
+  if (table_.insert_at(probe, hash, offset) == CompactHashTable::InsertResult::kNoMemory) {
+    arena_.deallocate(offset, item_size(key.size(), value.size()));
+    ++stats_.oom_failures;
+    return Status::kOutOfMemory;
+  }
+  if (index_) index_->insert_or_assign(key, offset);
+  ++stats_.inserts;
+  return Status::kOk;
+}
+
+Status KVStore::update_at(const CompactHashTable::Probe& probe, std::uint64_t hash,
+                          std::string_view key, std::string_view value, Time now) {
+  const std::uint64_t old_offset = CompactHashTable::offset_at(probe);
   ItemView old(arena_.at(old_offset));
   const std::uint64_t new_version = old.header().version + 1;
   const std::uint32_t popularity = old.header().access_count;
@@ -113,16 +126,10 @@ Status KVStore::update(std::string_view key, std::string_view value, Time now) {
   fresh.header().lease_expiry = now + lease_term(popularity);
 
   retire(old_offset, now);
-  table_.replace(hash, key, new_offset);
+  table_.replace_at(probe, hash, new_offset);
   if (index_) index_->insert_or_assign(key, new_offset);
   ++stats_.updates;
   return Status::kOk;
-}
-
-Status KVStore::put(std::string_view key, std::string_view value, Time now) {
-  const Status up = update(key, value, now);
-  if (up == Status::kNotFound) return insert(key, value, now);
-  return up;
 }
 
 Status KVStore::remove(std::string_view key, Time now) {

@@ -73,7 +73,7 @@ class KVStore {
   Status insert(std::string_view key, std::string_view value, Time now);
   /// Fails with kNotFound when absent; otherwise an out-of-place update.
   Status update(std::string_view key, std::string_view value, Time now);
-  /// Upsert: insert or out-of-place update.
+  /// Upsert: insert or out-of-place update, with one probe of the table.
   Status put(std::string_view key, std::string_view value, Time now);
   /// Flips the guardian and defers reclamation until the lease expires.
   Status remove(std::string_view key, Time now);
@@ -130,6 +130,13 @@ class KVStore {
     bool operator>(const Deferred& o) const noexcept { return free_after > o.free_after; }
   };
 
+  /// Key and value lengths within the configured limits (key non-empty).
+  [[nodiscard]] bool accepts(std::string_view key, std::string_view value) const noexcept;
+  /// Inserts a key `probe` missed / out-of-place updates the item it found.
+  Status insert_at(const CompactHashTable::Probe& probe, std::uint64_t hash,
+                   std::string_view key, std::string_view value, Time now);
+  Status update_at(const CompactHashTable::Probe& probe, std::uint64_t hash,
+                   std::string_view key, std::string_view value, Time now);
   /// Allocates + initializes a fresh item; kNullOffset on OOM.
   std::uint64_t make_item(std::string_view key, std::string_view value,
                           std::uint64_t version, Time now);

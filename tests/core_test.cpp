@@ -3,9 +3,10 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "core/item.hpp"
 #include "core/lockfree_cache.hpp"
 #include "core/store.hpp"
+#include "resident.hpp"
 
 namespace hydra::core {
 namespace {
@@ -73,14 +75,28 @@ TEST(Item, ValidateDetectsAllFailureModes) {
 
 // ---------------------------------------------------------------- arena
 
-TEST(Arena, ClassForMapsPowerOfTwoBoundaries) {
+TEST(Arena, ClassForMapsExactFitThenPowerOfTwoBoundaries) {
+  // 8-byte steps up to 1 KiB...
   EXPECT_EQ(Arena::class_for(1), 0);
-  EXPECT_EQ(Arena::class_for(64), 0);
-  EXPECT_EQ(Arena::class_for(65), 1);
-  EXPECT_EQ(Arena::class_for(128), 1);
-  EXPECT_EQ(Arena::class_for(129), 2);
-  EXPECT_EQ(Arena::class_size(0), 64u);
-  EXPECT_EQ(Arena::class_size(3), 512u);
+  EXPECT_EQ(Arena::class_for(8), 0);
+  EXPECT_EQ(Arena::class_for(9), 1);
+  EXPECT_EQ(Arena::class_size(0), 8u);
+  EXPECT_EQ(Arena::class_size(Arena::class_for(81)), 88u);
+  EXPECT_EQ(Arena::class_size(Arena::class_for(88)), 88u);
+  EXPECT_EQ(Arena::class_size(Arena::class_for(89)), 96u);
+  EXPECT_EQ(Arena::class_size(Arena::class_for(1024)), 1024u);
+  // ...then powers of two up to kMaxClass.
+  EXPECT_EQ(Arena::class_for(1025), Arena::class_for(1024) + 1);
+  EXPECT_EQ(Arena::class_size(Arena::class_for(1025)), 2048u);
+  EXPECT_EQ(Arena::class_size(Arena::class_for(2048)), 2048u);
+  EXPECT_EQ(Arena::class_size(Arena::class_for(2049)), 4096u);
+  EXPECT_EQ(Arena::class_for(Arena::kMaxClass), Arena::kNumClasses - 1);
+  EXPECT_EQ(Arena::class_size(Arena::kNumClasses - 1), Arena::kMaxClass);
+  EXPECT_EQ(Arena::class_size(Arena::class_for(Arena::kMaxClass / 2 + 1)), Arena::kMaxClass);
+  // Every class's size maps back to that class.
+  for (int cls = 0; cls < Arena::kNumClasses; ++cls) {
+    EXPECT_EQ(Arena::class_for(Arena::class_size(cls)), cls) << "class " << cls;
+  }
 }
 
 TEST(Arena, NeverHandsOutOffsetZero) {
@@ -92,12 +108,29 @@ TEST(Arena, NeverHandsOutOffsetZero) {
   }
 }
 
-TEST(Arena, AllocationsAre64ByteAligned) {
+TEST(Arena, BlocksAre8ByteAlignedAndCacheLineBlocks64ByteAligned) {
   Arena arena(1 << 16);
-  for (std::size_t size : {1u, 63u, 64u, 100u, 500u}) {
-    const std::uint64_t off = arena.allocate(size);
-    ASSERT_NE(off, kNullOffset);
-    EXPECT_EQ(off % 64, 0u) << "size " << size;
+  // Mixed sizes knock the bump pointer off every 64-byte boundary, and
+  // freed blocks come back through the freelists.
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::pair<std::uint64_t, std::size_t>> blocks;
+    for (std::size_t size : {1u, 63u, 64u, 88u, 100u, 57u, 64u, 500u, 40u, 64u, 1500u, 64u}) {
+      const std::uint64_t off = arena.allocate(size);
+      ASSERT_NE(off, kNullOffset);
+      EXPECT_EQ(off % 8, 0u) << "size " << size;
+      if (Arena::class_size(Arena::class_for(size)) == 64) {
+        EXPECT_EQ(off % 64, 0u) << "size " << size;
+      }
+      blocks.emplace_back(off, size);
+    }
+    // The alignment skips never make two blocks overlap.
+    std::map<std::uint64_t, std::size_t> by_offset(blocks.begin(), blocks.end());
+    std::uint64_t end = 0;
+    for (const auto& [off, size] : by_offset) {
+      EXPECT_GE(off, end);
+      end = off + Arena::class_size(Arena::class_for(size));
+    }
+    for (const auto& [off, size] : blocks) arena.deallocate(off, size);
   }
 }
 
@@ -139,9 +172,13 @@ TEST(Arena, OversizeAndZeroRequestsFail) {
 TEST(Arena, InUseAccountingBalances) {
   Arena arena(1 << 16);
   const std::size_t base = arena.bytes_in_use();
-  const std::uint64_t a = arena.allocate(200);  // class 256
-  EXPECT_EQ(arena.bytes_in_use(), base + 256);
-  arena.deallocate(a, 200);
+  // A paper-sized item (16 B key, 32 B value) takes exactly its 88 bytes.
+  const std::uint64_t a = arena.allocate(item_size(16, 32));
+  EXPECT_EQ(arena.bytes_in_use(), base + 88);
+  const std::uint64_t b = arena.allocate(1500);  // class 2 KiB
+  EXPECT_EQ(arena.bytes_in_use(), base + 88 + 2048);
+  arena.deallocate(a, item_size(16, 32));
+  arena.deallocate(b, 1500);
   EXPECT_EQ(arena.bytes_in_use(), base);
 }
 
@@ -332,11 +369,19 @@ TEST(Store, UpdateIsOutOfPlaceAndFlipsGuardian) {
 
 TEST(Store, PutUpsertsBothWays) {
   KVStore store;
+  // Either way, a put walks the key's bucket chain exactly once.
+  std::uint64_t lookups = store.table().lookups();
   EXPECT_EQ(store.put("k", "v1", 0), Status::kOk);
+  EXPECT_EQ(store.table().lookups() - lookups, 1u);
   EXPECT_EQ(store.get("k", 0).value().version, 1u);
+  lookups = store.table().lookups();
   EXPECT_EQ(store.put("k", "v2", 0), Status::kOk);
+  EXPECT_EQ(store.table().lookups() - lookups, 1u);
   EXPECT_EQ(store.get("k", 0).value().version, 2u);
   EXPECT_EQ(store.get("k", 0).value().value, "v2");
+  EXPECT_EQ(store.stats().inserts, 1u);
+  EXPECT_EQ(store.stats().updates, 1u);
+  EXPECT_EQ(store.put("", "v", 0), Status::kInvalidArgument);
 }
 
 TEST(Store, RemoveFlipsGuardianAndDefersReclaim) {
@@ -597,40 +642,32 @@ TEST(LockFreeCache, HitMissCountersTrack) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(LockFreeCache, ConcurrentReadersAndWritersNeverSeeTornValues) {
-  LockFreeCache<FakePtr> cache(128);
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> torn{0};
+TEST(LockFreeCache, SlotsStayUnbackedUntilAnEntryIsWritten) {
+  // A client node's pointer cache: 64k slots, of which a run may use few.
+  LockFreeCache<FakePtr> cache(64 * 1024);
+  const fabric::RegisteredBuffer& mem = cache.memory();
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  ASSERT_GE(mem.size(), 64 * 1024 * sizeof(FakePtr));
+  EXPECT_EQ(test::resident_pages(mem.data(), mem.size()), 0u) << "construction wrote slots";
 
-  std::vector<std::thread> threads;
-  // Writers continually update a small hot set with self-checking values.
-  for (int w = 0; w < 2; ++w) {
-    threads.emplace_back([&cache, &stop, w] {
-      Xoshiro256 rng(static_cast<std::uint64_t>(w) + 1);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::uint64_t key = 1 + rng.below(16);
-        const std::uint64_t v = rng();
-        cache.put(key, FakePtr{v, ~v});
-      }
-    });
+  constexpr std::uint64_t kEntries = 4;
+  for (std::uint64_t k = 1; k <= kEntries; ++k) cache.put(mix64(k) | 1, FakePtr{k, ~k});
+  // Each put writes one slot and reads at most its probe window, which may
+  // run onto the next page.
+  const std::size_t touched = test::resident_pages(mem.data(), mem.size());
+  EXPECT_GE(touched, 1u);
+  EXPECT_LE(touched, 2 * kEntries) << "of " << mem.size() / page << " pages";
+
+  // The epoch sweep reads every slot; reading an untouched page maps the
+  // shared zero page, which costs the process no memory.
+  const std::size_t before = test::process_resident_pages();
+  EXPECT_EQ(cache.erase_if([](std::uint64_t, const FakePtr&) { return false; }), 0u);
+  EXPECT_LT(test::process_resident_pages(), before + mem.size() / page / 4);
+  FakePtr out{};
+  for (std::uint64_t k = 1; k <= kEntries; ++k) {
+    ASSERT_TRUE(cache.get(mix64(k) | 1, &out));
+    EXPECT_EQ(out.addr, k);
   }
-  // Readers validate the redundancy invariant on every hit.
-  for (int r = 0; r < 2; ++r) {
-    threads.emplace_back([&cache, &stop, &torn, r] {
-      Xoshiro256 rng(static_cast<std::uint64_t>(r) + 100);
-      FakePtr out{};
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::uint64_t key = 1 + rng.below(16);
-        if (cache.get(key, &out) && out.check != ~out.addr) {
-          torn.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  stop.store(true);
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(torn.load(), 0u) << "seqlock let a torn value escape";
 }
 
 }  // namespace

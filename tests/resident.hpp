@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +26,20 @@ inline std::size_t resident_pages(const std::byte* base, std::size_t len) {
   }
   return static_cast<std::size_t>(
       std::count_if(vec.begin(), vec.end(), [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+/// Resident pages of the whole process (/proc/self/statm). Unlike
+/// resident_pages(), a page that was only ever read maps the shared zero
+/// page and does not count.
+inline std::size_t process_resident_pages() {
+  std::size_t size = 0;
+  std::size_t resident = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr || std::fscanf(f, "%zu %zu", &size, &resident) != 2) {
+    ADD_FAILURE() << "cannot read /proc/self/statm";
+  }
+  if (f != nullptr) std::fclose(f);
+  return resident;
 }
 
 }  // namespace hydra::test
