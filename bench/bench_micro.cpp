@@ -1,14 +1,16 @@
 // Microbenchmarks in two parts:
 //
 //  1. google-benchmark real-time measurements of the hot-path primitives:
-//     hashing, key generation, framing, the compact hash table, the arena
-//     and the lock-free pointer cache.
+//     hashing, key generation, framing, the compact hash table, the arena,
+//     the replicated preload, the event scheduler and the lock-free pointer
+//     cache.
 //  2. A simulated closed-loop message-path GET run per request-ring window
 //     (`--window 1,2,4,8`), demonstrating the pipelining win of multi-slot
 //     request rings. Results (ops/s, p50/p99 GET latency per config) land in
 //     BENCH_micro.json (override with `--json PATH`).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +29,7 @@
 #include "obs/metrics.hpp"
 #include "proto/frame.hpp"
 #include "proto/messages.hpp"
+#include "sim/scheduler.hpp"
 #include "ycsb/runner.hpp"
 
 namespace {
@@ -40,6 +43,14 @@ void BM_HashKey(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashKey);
+
+void BM_FormatKey(benchmark::State& state) {
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(format_key(i++));
+  }
+}
+BENCHMARK(BM_FormatKey);
 
 void BM_ZipfianNext(benchmark::State& state) {
   ScrambledZipfianChooser chooser(static_cast<std::uint64_t>(state.range(0)));
@@ -142,6 +153,65 @@ void BM_StoreLoadFresh(benchmark::State& state) {
   state.SetLabel(via_insert ? "insert" : "put");
 }
 BENCHMARK(BM_StoreLoadFresh)->Arg(0)->Arg(1);
+
+// The replicated preload: each op stores a fresh record in its owner and
+// both secondaries of a 3-shard cluster (2^19 buckets per store, as in the
+// write_mux benchmark), so every op takes three random bucket misses.
+void BM_DirectLoad(benchmark::State& state) {
+  constexpr std::uint64_t kKeys = 100000;
+  db::ClusterOptions opts;
+  opts.server_nodes = 3;
+  opts.shards_per_node = 1;
+  opts.client_nodes = 1;
+  opts.clients_per_node = 1;
+  opts.enable_swat = false;
+  opts.replicas = 2;
+  opts.shard_template.store.min_buckets = 1 << 19;
+  std::vector<std::string> keys;
+  keys.reserve(kKeys);
+  for (std::uint64_t i = 0; i < kKeys; ++i) keys.push_back(format_key(i));
+  const std::string value = synth_value(0, 32);
+  std::unique_ptr<db::HydraCluster> cluster;
+  std::uint64_t i = kKeys;
+  for (auto _ : state) {
+    if (i == kKeys) {
+      state.PauseTiming();
+      cluster.reset();
+      cluster = std::make_unique<db::HydraCluster>(opts);
+      i = 0;
+      state.ResumeTiming();
+    }
+    cluster->direct_load(keys[i++], value);
+  }
+}
+BENCHMARK(BM_DirectLoad);
+
+// One schedule + fire with `range(0)` events pending (the heap's depth).
+// With `range(1)` set, each callback captures 56 bytes, past
+// std::function's 16-byte inline buffer, so each schedule also allocates.
+void BM_SchedulerScheduleFire(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  const bool large = state.range(1) != 0;
+  sim::Scheduler sched;
+  Xoshiro256 rng(1);
+  std::uint64_t fired = 0;
+  std::array<std::uint64_t, 6> payload{};
+  const auto schedule = [&] {
+    const Duration delay = 1 + rng.below(1000);
+    if (large) {
+      sched.after(delay, [&fired, payload] { fired += payload[0] + 1; });
+    } else {
+      sched.after(delay, [&fired] { ++fired; });
+    }
+  };
+  for (std::size_t k = 0; k < depth; ++k) schedule();
+  for (auto _ : state) {
+    schedule();
+    sched.step();
+  }
+  benchmark::DoNotOptimize(fired);
+}
+BENCHMARK(BM_SchedulerScheduleFire)->Args({1, 0})->Args({1024, 0})->Args({1024, 1});
 
 void BM_LockFreeCacheGet(benchmark::State& state) {
   core::LockFreeCache<proto::RemotePtr> cache(64 * 1024);

@@ -1,8 +1,9 @@
 #include "common/keygen.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 
 #include "common/hash.hpp"
 
@@ -65,13 +66,19 @@ std::uint64_t ScrambledZipfianChooser::next(Xoshiro256& rng) {
 }
 
 std::string format_key(std::uint64_t index, std::size_t key_len) {
-  // "user" prefix plus zero-padded digits, like YCSB's keys, padded/truncated
-  // to exactly key_len bytes so the wire format sees fixed-size keys.
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof(buf), "user%012llu",
-                              static_cast<unsigned long long>(index));
-  std::string key(buf, static_cast<std::size_t>(n));
-  key.resize(key_len, 'x');
+  // "user" prefix plus at least 12 zero-padded digits, like YCSB's keys,
+  // padded with 'x' or truncated to exactly key_len bytes so the wire format
+  // sees fixed-size keys.
+  constexpr std::size_t kPrefix = 4;
+  constexpr std::size_t kMinDigits = 12;
+  char buf[kPrefix + 20] = {'u', 's', 'e', 'r'};  // 20 = digits of UINT64_MAX
+  std::size_t digits = 1;
+  for (std::uint64_t v = index; v >= 10; v /= 10) ++digits;
+  const std::size_t len = kPrefix + std::max(digits, kMinDigits);
+  std::memset(buf + kPrefix, '0', len - kPrefix);
+  for (char* p = buf + len; index != 0; index /= 10) *--p = static_cast<char>('0' + index % 10);
+  std::string key(key_len, 'x');
+  std::memcpy(key.data(), buf, std::min(len, key_len));
   return key;
 }
 

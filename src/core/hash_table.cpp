@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "core/item.hpp"
@@ -12,7 +13,9 @@ CompactHashTable::CompactHashTable(Arena& arena, std::size_t min_buckets)
     : arena_(arena) {
   std::size_t n = 1;
   while (n < min_buckets) n <<= 1;
-  buckets_.resize(n);
+  memory_ = fabric::RegisteredBuffer(n * sizeof(Bucket),
+                                     fabric::RegisteredBuffer::Residency::kDense);
+  buckets_ = reinterpret_cast<Bucket*>(memory_.data());
   mask_ = n - 1;
 }
 
@@ -75,8 +78,7 @@ CompactHashTable::InsertResult CompactHashTable::insert_at(const Probe& p, std::
     const std::uint64_t off = arena_.allocate(sizeof(Bucket));
     if (off == kNullOffset) return InsertResult::kNoMemory;
     bucket = overflow_bucket(off);
-    bucket->header = kEmptyHeader;
-    std::memset(bucket->slots, 0, sizeof(bucket->slots));
+    std::memset(bucket, 0, sizeof(Bucket));
     set_overflow(*p.tail_, off);
     ++overflow_buckets_;
     slot = 0;

@@ -8,13 +8,18 @@
 // one item dereference for the full-key compare) or the bucket overflowed.
 // After removes, overflow chains are compacted and empty overflow buckets
 // are merged back into the arena.
+//
+// An all-zero bucket is an empty one: no slot occupied and link 0, meaning
+// no overflow bucket (the arena never hands out offset 0). So the main array
+// needs no constructor pass; it is a dense registered buffer, which the
+// kernel hands over zeroed and resident on huge pages.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "core/arena.hpp"
+#include "fabric/registered_buffer.hpp"
 
 namespace hydra::core {
 
@@ -50,6 +55,11 @@ class CompactHashTable {
   /// Walks `key`'s chain once; see Probe.
   [[nodiscard]] Probe probe(std::uint64_t hash, std::string_view key) const;
 
+  /// Starts loading `hash`'s root bucket into cache, for a probe soon after.
+  void prefetch(std::uint64_t hash) const noexcept {
+    __builtin_prefetch(root_for(hash), /*rw=*/1);
+  }
+
   /// Returns the item offset for `key`, or kNullOffset.
   [[nodiscard]] std::uint64_t find(std::uint64_t hash, std::string_view key) const;
 
@@ -77,7 +87,7 @@ class CompactHashTable {
   std::uint64_t erase(std::uint64_t hash, std::string_view key);
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return buckets_.size(); }
+  [[nodiscard]] std::size_t bucket_count() const noexcept { return mask_ + 1; }
   [[nodiscard]] std::uint64_t overflow_buckets() const noexcept { return overflow_buckets_; }
 
   /// Deterministic full-table walk: invokes `fn(item_offset)` for every
@@ -87,8 +97,8 @@ class CompactHashTable {
   /// failover state transfer needs.
   template <typename Fn>
   void for_each_offset(Fn&& fn) const {
-    for (const Bucket& root : buckets_) {
-      const Bucket* b = &root;
+    for (std::size_t i = 0; i <= mask_; ++i) {
+      const Bucket* b = &buckets_[i];
       while (true) {
         for (int s = 0; s < kSlotsPerBucket; ++s) {
           if ((occupancy(*b) >> s) & 1) fn(slot_offset(b->slots[s]));
@@ -105,15 +115,20 @@ class CompactHashTable {
   [[nodiscard]] std::uint64_t cacheline_reads() const noexcept { return cacheline_reads_; }
   [[nodiscard]] std::uint64_t full_key_compares() const noexcept { return full_key_compares_; }
 
+  /// The main bucket array (for residency checks and encoding tests).
+  [[nodiscard]] const fabric::RegisteredBuffer& memory() const noexcept { return memory_; }
+
  private:
+  /// All zero = empty: no occupied slot, no overflow bucket.
   struct Bucket {
-    std::uint64_t header = kEmptyHeader;
-    std::uint64_t slots[kSlotsPerBucket] = {};
+    std::uint64_t header;  ///< bits 0-6 occupancy, bits 8-63 overflow link
+    std::uint64_t slots[kSlotsPerBucket];
   };
   static_assert(sizeof(Bucket) == 64, "bucket must fill one cache line");
 
-  static constexpr std::uint64_t kNoOverflow = (1ULL << 56) - 1;
-  static constexpr std::uint64_t kEmptyHeader = kNoOverflow << 8;
+  /// The end of a chain. Offset 0 is the arena's reserved block, never an
+  /// overflow bucket.
+  static constexpr std::uint64_t kNoOverflow = 0;
 
   static std::uint8_t occupancy(const Bucket& b) noexcept {
     return static_cast<std::uint8_t>(b.header & 0x7F);
@@ -154,7 +169,8 @@ class CompactHashTable {
   void compact_chain(Bucket* root);
 
   Arena& arena_;
-  std::vector<Bucket> buckets_;
+  fabric::RegisteredBuffer memory_;  ///< dense: resident and zeroed from the start
+  Bucket* buckets_;
   std::uint64_t mask_;
   std::size_t size_ = 0;
   std::uint64_t overflow_buckets_ = 0;

@@ -71,7 +71,7 @@ class LockFreeCache {
     // Pass 2: evict within the window (slot chosen by key for determinism).
     Slot& victim = slots_[(start + (key % kProbeWindow)) & mask_];
     begin_write(victim);
-    key_of(victim).store(key, std::memory_order_relaxed);
+    key_of(victim).store(key, std::memory_order_release);
     store_value(victim, value);
     end_write(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -86,7 +86,6 @@ class LockFreeCache {
       if (v1 & 1u) continue;  // mid-write; treat as miss rather than spin
       if (key_of(s).load(std::memory_order_acquire) != key) continue;
       Value copy = load_value(s);  // may tear; validated by the version re-check
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (version_of(s).load(std::memory_order_acquire) == v1 &&
           key_of(s).load(std::memory_order_relaxed) == key) {
         *out = copy;
@@ -129,7 +128,6 @@ class LockFreeCache {
       const std::uint64_t k = key_of(s).load(std::memory_order_acquire);
       if (k == 0) continue;
       Value copy = load_value(s);
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (version_of(s).load(std::memory_order_acquire) != v1 ||
           key_of(s).load(std::memory_order_relaxed) != k) {
         continue;  // torn read; the concurrent writer decides
@@ -165,10 +163,14 @@ class LockFreeCache {
  private:
   static constexpr std::size_t kProbeWindow = 16;
 
-  // The value bytes are staged through relaxed per-word atomics: a reader
+  // The value bytes are staged through per-word atomics: a reader
   // validating against the seqlock version may still observe a torn value
   // mid-copy (and discard it), but each word access is atomic, so the race
-  // window carries no undefined behavior and TSan stays quiet.
+  // window carries no undefined behavior. Writers store the key and value
+  // words with release after taking the seqlock, and readers load them with
+  // acquire: a reader that sees any word of a write in progress also sees
+  // its odd version at the re-check. No standalone fence is needed, so
+  // ThreadSanitizer, which does not model fences, sees the whole protocol.
   static constexpr std::size_t kValueWords = (sizeof(Value) + 7) / 8;
 
   /// All zero = empty. Never constructed: slots are the buffer's zero bytes.
@@ -191,13 +193,13 @@ class LockFreeCache {
     std::uint64_t words[kValueWords] = {};
     std::memcpy(words, &v, sizeof(Value));
     for (std::size_t i = 0; i < kValueWords; ++i) {
-      std::atomic_ref<std::uint64_t>(s.value[i]).store(words[i], std::memory_order_relaxed);
+      std::atomic_ref<std::uint64_t>(s.value[i]).store(words[i], std::memory_order_release);
     }
   }
   static Value load_value(Slot& s) noexcept {
     std::uint64_t words[kValueWords];
     for (std::size_t i = 0; i < kValueWords; ++i) {
-      words[i] = std::atomic_ref<std::uint64_t>(s.value[i]).load(std::memory_order_relaxed);
+      words[i] = std::atomic_ref<std::uint64_t>(s.value[i]).load(std::memory_order_acquire);
     }
     Value v;
     std::memcpy(&v, words, sizeof(Value));
@@ -221,7 +223,7 @@ class LockFreeCache {
   }
   static void write_slot(Slot& s, std::uint64_t key, const Value& value) noexcept {
     begin_write(s);
-    key_of(s).store(key, std::memory_order_relaxed);
+    key_of(s).store(key, std::memory_order_release);
     store_value(s, value);
     end_write(s);
   }

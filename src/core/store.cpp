@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 #include "common/hash.hpp"
 
@@ -87,8 +88,12 @@ Status KVStore::update(std::string_view key, std::string_view value, Time now) {
 }
 
 Status KVStore::put(std::string_view key, std::string_view value, Time now) {
+  return put(hash_key(key), key, value, now);
+}
+
+Status KVStore::put(std::uint64_t hash, std::string_view key, std::string_view value, Time now) {
+  assert(hash == hash_key(key));
   if (!accepts(key, value)) return Status::kInvalidArgument;
-  const std::uint64_t hash = hash_key(key);
   const CompactHashTable::Probe probe = table_.probe(hash, key);
   return probe.found() ? update_at(probe, hash, key, value, now)
                        : insert_at(probe, hash, key, value, now);

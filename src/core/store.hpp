@@ -75,6 +75,9 @@ class KVStore {
   Status update(std::string_view key, std::string_view value, Time now);
   /// Upsert: insert or out-of-place update, with one probe of the table.
   Status put(std::string_view key, std::string_view value, Time now);
+  /// put() for a caller that already holds `hash` == hash_key(key), such as
+  /// a preload writing every replica of one record.
+  Status put(std::uint64_t hash, std::string_view key, std::string_view value, Time now);
   /// Flips the guardian and defers reclamation until the lease expires.
   Status remove(std::string_view key, Time now);
 

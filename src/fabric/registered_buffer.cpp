@@ -26,8 +26,9 @@ std::size_t round_up(std::size_t n, std::size_t page) noexcept {
 
 }  // namespace
 
-RegisteredBuffer::RegisteredBuffer(std::size_t size) {
+RegisteredBuffer::RegisteredBuffer(std::size_t size, Residency residency) {
   if (size == 0) return;
+  const bool dense = residency == Residency::kDense;
   const std::size_t page = page_size();
   const std::size_t body = round_up(size, page);
   const std::size_t mapped = body + page;
@@ -37,13 +38,18 @@ RegisteredBuffer::RegisteredBuffer(std::size_t size) {
   data_ = static_cast<std::byte*>(p);
   size_ = size;
   mapped_ = mapped;
-  // One touched byte must cost one page, not a 2 MiB transparent huge page.
-  // Advisory: a kernel built without THP rejects it and has none to give.
-  (void)::madvise(p, mapped, MADV_NOHUGEPAGE);
+  // Sparse: one touched byte must cost one page, not a 2 MiB transparent
+  // huge page. Dense: every page is wanted, so take the fewest. Advisory: a
+  // kernel built without THP rejects either and has none to give.
+  (void)::madvise(p, mapped, dense ? MADV_HUGEPAGE : MADV_NOHUGEPAGE);
   if (size >= kGuardMinBytes && ::mprotect(data_ + body, page, PROT_NONE) != 0) {
     const int err = errno;
     unmap();
     throw std::system_error(err, std::generic_category(), "mprotect guard page");
+  }
+  if (dense && ::madvise(p, body, MADV_POPULATE_WRITE) != 0) {
+    // A kernel older than 5.14 lacks the call: fault each page in by hand.
+    for (std::size_t off = 0; off < body; off += page) data_[off] = std::byte{0};
   }
   ASAN_POISON_MEMORY_REGION(data_ + size_, mapped_ - size_);
 }

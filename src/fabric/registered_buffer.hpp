@@ -6,6 +6,12 @@
 // zero pages on first touch and bytes never touched never become resident;
 // zero() gives whole pages back the same way instead of writing zeros over
 // them. Contents are exactly those of a zero-filled vector of the same size.
+//
+// A dense buffer is the exception: a region every byte of which a run
+// touches at random (a hash table's bucket array) is populated whole when it
+// is built, onto transparent huge pages where the kernel has them. One call
+// zeroes it kernel-side, with no per-page fault and no user-space memset,
+// and random probes into it take far fewer TLB misses (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>
@@ -24,11 +30,15 @@ class RegisteredBuffer {
   /// every byte past the end is poisoned either way.
   static constexpr std::size_t kGuardMinBytes = std::size_t{1} << 20;
 
+  /// Sparse: 4 KiB pages, each resident from its first touch. Dense: every
+  /// byte resident from construction, on 2 MiB pages where available.
+  enum class Residency : bool { kSparse, kDense };
+
   /// An empty buffer: no mapping, size() == 0.
   RegisteredBuffer() noexcept = default;
   /// `size` zero bytes, page-aligned. Throws std::bad_alloc when the kernel
   /// refuses the mapping.
-  explicit RegisteredBuffer(std::size_t size);
+  explicit RegisteredBuffer(std::size_t size, Residency residency = Residency::kSparse);
   ~RegisteredBuffer();
 
   RegisteredBuffer(RegisteredBuffer&& other) noexcept;

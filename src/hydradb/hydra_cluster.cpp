@@ -624,14 +624,22 @@ Status HydraCluster::scan(std::string start_key, std::uint32_t limit,
 }
 
 void HydraCluster::direct_load(std::string_view key, std::string_view value) {
-  const ShardId id = owner_of(key);
-  ShardSlot& slot = primaries_[id];
-  if (slot.pipelined != nullptr) {
-    slot.pipelined->store().put(key, value, sched_.now());
-    return;
-  }
-  slot.primary->store().put(key, value, sched_.now());
-  for (auto& sec : slot.secondaries) sec->store().put(key, value, sched_.now());
+  // One hash routes the record and indexes every copy's table. All copies'
+  // root buckets are requested before the first put walks one, so their
+  // cache misses overlap instead of queueing.
+  const std::uint64_t hash = hash_key(key);
+  ShardSlot& slot = primaries_[ring_.owner(hash)];
+  const auto each_copy = [&slot](auto&& fn) {
+    if (slot.pipelined != nullptr) {
+      fn(slot.pipelined->store());
+      return;
+    }
+    fn(slot.primary->store());
+    for (auto& sec : slot.secondaries) fn(sec->store());
+  };
+  each_copy([hash](core::KVStore& store) { store.table().prefetch(hash); });
+  const Time now = sched_.now();
+  each_copy([&](core::KVStore& store) { store.put(hash, key, value, now); });
 }
 
 // ---------------------------------------------------------------- failover

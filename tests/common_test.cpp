@@ -1,6 +1,8 @@
 // Unit tests for hydra_common: hashing, RNG, key generators, histogram.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <numeric>
 #include <set>
@@ -114,6 +116,32 @@ TEST(Keygen, FormatKeyIsFixedWidthAndUnique) {
     EXPECT_TRUE(keys.insert(std::move(k)).second);
   }
   EXPECT_EQ(format_key(5, 32).size(), 32u);
+}
+
+TEST(Keygen, FormatKeyMatchesTheSnprintfRuleByteForByte) {
+  // The rule format_key implements by hand: "user" plus at least 12
+  // zero-padded digits, then padded with 'x' or truncated to key_len.
+  const auto reference = [](std::uint64_t index, std::size_t key_len) {
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "user%012llu",
+                                static_cast<unsigned long long>(index));
+    std::string key(buf, static_cast<std::size_t>(n));
+    key.resize(key_len, 'x');
+    return key;
+  };
+  for (const std::uint64_t index : {std::uint64_t{0}, std::uint64_t{9}, std::uint64_t{10},
+                                    std::uint64_t{999'999'999'999},
+                                    std::uint64_t{1'000'000'000'000}, UINT64_MAX}) {
+    for (const std::size_t key_len : {4u, 16u, 20u, 32u}) {
+      EXPECT_EQ(format_key(index, key_len), reference(index, key_len))
+          << "index " << index << ", key_len " << key_len;
+    }
+  }
+  EXPECT_EQ(format_key(0), "user000000000000");
+  EXPECT_EQ(format_key(10, 20), "user000000000010xxxx");
+  EXPECT_EQ(format_key(1'000'000'000'000), "user100000000000");
+  EXPECT_EQ(format_key(UINT64_MAX, 32), "user18446744073709551615xxxxxxxx");
+  EXPECT_EQ(format_key(123, 4), "user");
 }
 
 TEST(Keygen, SynthValueDeterministic) {

@@ -1,5 +1,6 @@
 // Unit + property tests for the storage engine: item layout, arena,
 // compact hash table, KV store (guardian/lease semantics), lock-free cache.
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -108,6 +109,20 @@ TEST(Arena, NeverHandsOutOffsetZero) {
   }
 }
 
+TEST(Arena, FirstBlockOfEveryClassIsNeverOffsetZero) {
+  // The compact table ends its overflow chains with link 0, so no block --
+  // above all no 64 B cache-line block, the overflow bucket's class -- may
+  // ever sit at offset 0, not even the first one a fresh arena hands out.
+  for (int cls = 0; cls < Arena::kNumClasses; ++cls) {
+    Arena arena(2 * Arena::kMaxClass);
+    const std::uint64_t off = arena.allocate(Arena::class_size(cls));
+    ASSERT_NE(off, kNullOffset) << "class " << cls;
+    EXPECT_NE(off, 0u) << "class " << cls << " (" << Arena::class_size(cls) << " B)";
+  }
+  Arena arena(1 << 16);
+  EXPECT_NE(arena.allocate(Arena::kCacheLine), 0u);
+}
+
 TEST(Arena, BlocksAre8ByteAlignedAndCacheLineBlocks64ByteAligned) {
   Arena arena(1 << 16);
   // Mixed sizes knock the bump pointer off every 64-byte boundary, and
@@ -200,6 +215,116 @@ class TableTest : public ::testing::Test {
   Arena arena;
   CompactHashTable table;
 };
+
+/// Reads the table's encoding directly: each root bucket in array order,
+/// then its overflow chain, following the header's link (bits 8-63) until
+/// link 0. Returns the occupied slots' item offsets in that order and counts
+/// the overflow buckets passed. Stops after `max_steps` buckets so a chain
+/// that never ends fails instead of hanging.
+std::vector<std::uint64_t> walk_encoding(const CompactHashTable& table, Arena& arena,
+                                         std::size_t max_steps, std::size_t* overflow) {
+  constexpr std::size_t kWords = 1 + CompactHashTable::kSlotsPerBucket;
+  const auto* roots = reinterpret_cast<const std::uint64_t*>(table.memory().data());
+  std::vector<std::uint64_t> offsets;
+  *overflow = 0;
+  std::size_t steps = 0;
+  for (std::size_t i = 0; i < table.bucket_count(); ++i) {
+    const std::uint64_t* b = roots + i * kWords;
+    while (++steps <= max_steps) {
+      for (int s = 0; s < CompactHashTable::kSlotsPerBucket; ++s) {
+        if ((b[0] >> s) & 1) offsets.push_back(b[1 + s] >> 16);
+      }
+      const std::uint64_t link = b[0] >> 8;
+      if (link == 0) break;
+      ++*overflow;
+      b = reinterpret_cast<const std::uint64_t*>(arena.at(link));
+    }
+  }
+  EXPECT_LE(steps, max_steps) << "an overflow chain does not end at link 0";
+  return offsets;
+}
+
+bool all_zero(const fabric::RegisteredBuffer& mem) {
+  return std::all_of(mem.data(), mem.data() + mem.size(),
+                     [](std::byte b) { return b == std::byte{0}; });
+}
+
+TEST_F(TableTest, FreshTableIsEmptyZeroedResidentAndFullSize) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  Arena big_arena(1 << 20);
+  // 1000 rounds up to 1024 buckets, 64 KiB: several pages.
+  const CompactHashTable big(big_arena, 1000);
+  for (const CompactHashTable* t : std::vector<const CompactHashTable*>{&table, &big}) {
+    const fabric::RegisteredBuffer& mem = t->memory();
+    EXPECT_EQ(t->size(), 0u);
+    EXPECT_EQ(t->overflow_buckets(), 0u);
+    ASSERT_EQ(mem.size(), t->bucket_count() * 64);
+    // Dense: every page is resident from construction, not on first probe.
+    EXPECT_EQ(test::resident_pages(mem.data(), mem.size()), (mem.size() + page - 1) / page);
+    EXPECT_TRUE(all_zero(mem)) << "an all-zero bucket is the empty one";
+    std::size_t visited = 0;
+    t->for_each_offset([&](std::uint64_t) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+    EXPECT_EQ(t->find(hash_key("absent"), "absent"), kNullOffset);
+  }
+  EXPECT_EQ(table.bucket_count(), 64u);
+  EXPECT_EQ(big.bucket_count(), 1024u);
+}
+
+TEST_F(TableTest, OverflowChainsEndAtLinkZeroAsTheyGrowAndShrink) {
+  // 64 roots x 7 slots = 448 direct slots: 3000 keys grow long chains.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 3000; ++i) keys.push_back(format_key(static_cast<std::uint64_t>(i)));
+  for (const auto& key : keys) table.insert(hash_key(key), key, add_item(key));
+  const std::size_t max_steps = table.bucket_count() + 3000;
+  std::size_t overflow = 0;
+  EXPECT_EQ(walk_encoding(table, arena, max_steps, &overflow).size(), table.size());
+  ASSERT_GT(table.overflow_buckets(), 300u);
+  EXPECT_EQ(overflow, table.overflow_buckets());
+
+  // Erasing two keys in three runs compact_chain on every chain and frees
+  // tail buckets; each shortened chain must still end at link 0.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i % 3 != 0) {
+      ASSERT_NE(table.erase(hash_key(keys[i]), keys[i]), kNullOffset);
+    }
+  }
+  EXPECT_EQ(walk_encoding(table, arena, max_steps, &overflow).size(), table.size());
+  EXPECT_EQ(overflow, table.overflow_buckets());
+  EXPECT_LT(table.overflow_buckets(), 300u);
+
+  // Regrow into the freed buckets (the arena hands them back), then empty
+  // the table: the main array is all zero again, exactly like a fresh one.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i % 3 != 0) table.insert(hash_key(keys[i]), keys[i], add_item(keys[i]));
+  }
+  EXPECT_EQ(walk_encoding(table, arena, max_steps, &overflow).size(), keys.size());
+  EXPECT_EQ(overflow, table.overflow_buckets());
+  for (const auto& key : keys) ASSERT_NE(table.erase(hash_key(key), key), kNullOffset);
+  EXPECT_EQ(table.overflow_buckets(), 0u);
+  EXPECT_TRUE(all_zero(table.memory()));
+}
+
+TEST_F(TableTest, ForEachOffsetVisitsEachOffsetOnceRootThenChainOrder) {
+  std::set<std::uint64_t> inserted;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string key = format_key(static_cast<std::uint64_t>(i));
+    const std::uint64_t off = add_item(key);
+    table.insert(hash_key(key), key, off);
+    inserted.insert(off);
+  }
+  for (int i = 0; i < 2000; i += 5) {
+    const std::string key = format_key(static_cast<std::uint64_t>(i));
+    inserted.erase(table.erase(hash_key(key), key));
+  }
+  ASSERT_GT(table.overflow_buckets(), 0u);
+  std::vector<std::uint64_t> visited;
+  table.for_each_offset([&](std::uint64_t off) { visited.push_back(off); });
+  std::size_t overflow = 0;
+  EXPECT_EQ(visited, walk_encoding(table, arena, table.bucket_count() + 2000, &overflow));
+  EXPECT_EQ(std::set<std::uint64_t>(visited.begin(), visited.end()), inserted);
+  EXPECT_EQ(visited.size(), inserted.size()) << "an offset was visited twice";
+}
 
 TEST_F(TableTest, InsertFindEraseRoundTrip) {
   const std::string key = "alpha";

@@ -712,6 +712,18 @@ TEST(RegisteredBuffer, ReadsZeroOnCreationWithNothingResident) {
   empty.zero(0, 0);
 }
 
+TEST(RegisteredBuffer, DenseIsResidentAndZeroFromConstruction) {
+  RegisteredBuffer buf(5 * kPage + 100, RegisteredBuffer::Residency::kDense);
+  ASSERT_EQ(buf.size(), 5 * kPage + 100);
+  EXPECT_EQ(resident(buf), 6u) << "a dense buffer is populated whole when built";
+  EXPECT_TRUE(all_equal(buf, 0, buf.size(), std::byte{0}));
+  // Large enough for a guard page and for 2 MiB pages where the kernel has
+  // them; residency is the same either way.
+  RegisteredBuffer big(RegisteredBuffer::kGuardMinBytes * 4, RegisteredBuffer::Residency::kDense);
+  EXPECT_EQ(resident(big), big.size() / kPage);
+  EXPECT_TRUE(all_equal(big, 0, big.size(), std::byte{0}));
+}
+
 TEST(RegisteredBuffer, ZeroOfWholePagesReleasesThemAndKeepsNeighbours) {
   RegisteredBuffer buf(8 * kPage);
   std::memset(buf.data(), 0xab, buf.size());

@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,55 @@ TEST(Integration, ReplicationKeepsSecondariesInSync) {
     auto secondaries = cluster.secondaries_of(s);
     ASSERT_EQ(secondaries.size(), 1u);
     EXPECT_EQ(secondaries[0]->store().size(), cluster.shard(s)->store().size());
+  }
+}
+
+// The preload hashes each key once and writes the owner and every
+// secondary from that hash. The result must be what one put per copy gives:
+// each record in exactly the stores of the shard owner_of names, version 1,
+// and version 2 everywhere after a second load of the same key.
+TEST(Integration, DirectLoadWritesTheOwnerAndBothSecondariesOnce) {
+  auto opts = small_options();
+  opts.server_nodes = 3;
+  opts.shards_per_node = 1;
+  opts.replicas = 2;
+  db::HydraCluster cluster(opts);
+  constexpr std::uint64_t kN = 3000;
+  for (std::uint64_t i = 0; i < kN; ++i) cluster.direct_load(format_key(i), synth_value(i));
+
+  // The stores of a shard: its primary's, then each secondary's.
+  const auto copies = [&](ShardId id) {
+    std::vector<core::KVStore*> stores{&cluster.shard(id)->store()};
+    for (auto* sec : cluster.secondaries_of(id)) stores.push_back(&sec->store());
+    return stores;
+  };
+  const auto expect_everywhere = [&](std::uint64_t version, const char* suffix) {
+    for (std::uint64_t i = 0; i < kN; ++i) {
+      const std::string key = format_key(i);
+      const auto stores = copies(cluster.owner_of(key));
+      ASSERT_EQ(stores.size(), 3u);
+      for (core::KVStore* store : stores) {
+        const auto got = store->get(key, cluster.scheduler().now(), /*grant_lease=*/false);
+        ASSERT_TRUE(got.ok()) << key;
+        EXPECT_EQ(got.value().version, version) << key;
+        EXPECT_EQ(got.value().value, synth_value(i) + suffix) << key;
+      }
+    }
+  };
+  expect_everywhere(1, "");
+  // Per copy (primary, secondary 0, secondary 1), the inserts over all
+  // shards add up to kN: no record was stored twice or on a wrong shard.
+  std::vector<std::uint64_t> inserts(3, 0);
+  for (ShardId id = 0; id < cluster.shard_count(); ++id) {
+    const auto stores = copies(id);
+    for (std::size_t c = 0; c < stores.size(); ++c) inserts[c] += stores[c]->stats().inserts;
+  }
+  EXPECT_EQ(inserts, std::vector<std::uint64_t>(3, kN));
+
+  for (std::uint64_t i = 0; i < kN; ++i) cluster.direct_load(format_key(i), synth_value(i) + "!");
+  expect_everywhere(2, "!");
+  for (ShardId id = 0; id < cluster.shard_count(); ++id) {
+    for (core::KVStore* store : copies(id)) EXPECT_EQ(store->stats().updates, store->size());
   }
 }
 
