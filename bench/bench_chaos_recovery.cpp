@@ -12,10 +12,15 @@
 // missed pulses, fence it by revoking its ring rkeys, and agree on a
 // successor with a one-sided CAS ballot -- promotion lands in microseconds
 // instead of seconds, and the before/after comparison is written to
-// BENCH_failover.json (hydradb-obs-v1).
+// BENCH_failover.json (hydradb-obs-v1). A loaded row then puts 50
+// closed-loop clients on the fast path and measures what they see: the gap
+// from the crash to the completion of the last op the crash stalled, which
+// the clients' routing watch (not their 5 ms request timeout) closes.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,6 +38,92 @@ struct Row {
   double gap_hist_us = -1;     // cluster.failover_gap_us histogram max
   std::string obs_json;        // full hydradb-obs-v1 snapshot (--metrics-out)
 };
+
+/// Fast failover under load: 50 closed-loop clients (80% updates, 20% GETs,
+/// uniform over preloaded keys) at the default request timeout.
+struct LoadedRow {
+  std::string label = "fast-loaded-50c";
+  double promote_us = 0;      // crash -> routing epoch published
+  double client_gap_us = 0;   // crash -> last stalled op completed
+  std::uint64_t stalled_ops = 0;  // outstanding at the crash or issued before promotion
+  std::uint64_t timeouts = 0;     // ClientStats::timeouts summed over clients
+  std::uint64_t failed = 0;       // ops answered with an error
+};
+
+LoadedRow run_loaded_fast_failover() {
+  using namespace hydra;
+  db::ClusterOptions opts;
+  opts.server_nodes = 3;
+  opts.shards_per_node = 1;
+  opts.client_nodes = 5;
+  opts.clients_per_node = 10;
+  opts.replicas = 2;
+  opts.enable_swat = true;
+  opts.fast_failover = true;
+  opts.shard_template.store.arena_bytes = 16 << 20;
+  opts.shard_template.store.min_buckets = 1 << 12;
+  db::HydraCluster cluster(opts);
+  constexpr std::uint64_t kRecords = 5000;
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    cluster.direct_load(format_key(i), synth_value(i));
+  }
+
+  struct Op {
+    Time issued = 0;
+    Time done = 0;
+    bool answered = false;
+    bool ok = false;
+  };
+  std::vector<Op> ops;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  bool issuing = true;
+  std::function<void(std::size_t)> next = [&](std::size_t k) {
+    if (!issuing) return;
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t record = (rng >> 33) % kRecords;
+    const std::size_t id = ops.size();
+    ops.push_back(Op{cluster.scheduler().now()});
+    const auto finish = [&, id, k](bool ok) {
+      ops[id].answered = true;
+      ops[id].done = cluster.scheduler().now();
+      ops[id].ok = ok;
+      next(k);
+    };
+    client::Client& c = *cluster.clients()[k];
+    if ((rng >> 20) % 5 == 0) {
+      c.get(format_key(record),
+            [finish](Status st, std::string_view) { finish(st == Status::kOk); });
+    } else {
+      c.update(format_key(record), synth_value(record + id),
+               [finish](Status st) { finish(st == Status::kOk); });
+    }
+  };
+  for (std::size_t k = 0; k < cluster.clients().size(); ++k) next(k);
+  cluster.run_for(5 * kMillisecond);
+
+  const Time crash_at = cluster.scheduler().now();
+  const std::uint64_t epoch = cluster.routing_epoch();
+  cluster.crash_primary(0);
+  while (cluster.routing_epoch() == epoch && cluster.scheduler().step()) {
+  }
+  const Time promoted_at = cluster.scheduler().now();
+  cluster.run_for(20 * kMillisecond);
+  issuing = false;
+  cluster.run_for(50 * kMillisecond);
+
+  LoadedRow row;
+  row.promote_us = static_cast<double>(promoted_at - crash_at) / kMicrosecond;
+  Time last = crash_at;
+  for (const Op& op : ops) {
+    if (!op.answered || !op.ok) ++row.failed;
+    if (op.issued >= promoted_at || (op.answered && op.done <= crash_at)) continue;
+    ++row.stalled_ops;
+    last = std::max(last, op.done);
+  }
+  row.client_gap_us = static_cast<double>(last - crash_at) / kMicrosecond;
+  for (const client::Client* c : cluster.clients()) row.timeouts += c->stats().timeouts;
+  return row;
+}
 
 }  // namespace
 
@@ -155,6 +246,9 @@ int main(int argc, char** argv) {
                  row.label + ": trace-derived latency matches the measured one");
   }
 
+  LoadedRow loaded;
+  if (fast_rows) loaded = run_loaded_fast_failover();
+
   const double session_s =
       static_cast<double>(db::ClusterOptions{}.coordinator.session_timeout) / kSecond;
   std::printf("Failover recovery latency (virtual seconds; session timeout %.1fs)\n",
@@ -164,6 +258,16 @@ int main(int argc, char** argv) {
   for (const Row& r : rows) {
     std::printf("%-24s %11.6fs %13.6fs %11.6fs\n", r.label.c_str(), r.promote_s,
                 r.first_write_s, r.trace_promote_s);
+  }
+
+  if (fast_rows) {
+    std::printf("\nFast failover under load (50 closed-loop clients, virtual us)\n");
+    std::printf("%-24s %12s %12s %12s %10s\n", "scenario", "promotion", "client gap",
+                "stalled ops", "timeouts");
+    std::printf("%-24s %10.1fus %10.1fus %12llu %10llu\n", loaded.label.c_str(),
+                loaded.promote_us, loaded.client_gap_us,
+                static_cast<unsigned long long>(loaded.stalled_ops),
+                static_cast<unsigned long long>(loaded.timeouts));
   }
 
   if (!metrics_out.empty()) {
@@ -218,7 +322,16 @@ int main(int argc, char** argv) {
                    r.first_write_s, r.trace_promote_s, r.gap_hist_us,
                    i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "  ],\n");
+    std::fprintf(f,
+                 "  \"loaded\": {\"label\": \"%s\", \"clients\": 50, "
+                 "\"promotion_us\": %.1f, \"client_gap_us\": %.1f, "
+                 "\"stalled_ops\": %llu, \"client_timeouts\": %llu, \"failed\": %llu}\n",
+                 loaded.label.c_str(), loaded.promote_us, loaded.client_gap_us,
+                 static_cast<unsigned long long>(loaded.stalled_ops),
+                 static_cast<unsigned long long>(loaded.timeouts),
+                 static_cast<unsigned long long>(loaded.failed));
+    std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
   }
@@ -249,6 +362,13 @@ int main(int argc, char** argv) {
     // Before/after: the revocation plane beats heartbeat promotion by >1000x.
     shape.expect(rows[4].promote_s * 1000.0 < rows[1].promote_s,
                  "fast failover is at least 1000x faster than session timeout");
+    // Under load the clients' routing watch, not the request timeout, ends
+    // the stall: every op the crash held up completes within 1 ms.
+    shape.expect(loaded.stalled_ops > 0, loaded.label + ": the crash stalled some ops");
+    shape.expect(loaded.client_gap_us < 1000.0,
+                 loaded.label + ": stalled ops complete within 1ms of the crash");
+    shape.expect(loaded.timeouts == 0, loaded.label + ": no client request timed out");
+    shape.expect(loaded.failed == 0, loaded.label + ": every op succeeded");
   }
   return shape.summarize("chaos_recovery");
 }

@@ -463,6 +463,7 @@ void Client::post_slot(ShardId shard, std::uint32_t slot_idx) {
   if (it == conns_.end()) return;
   Conn& conn = *it->second;
   Slot& slot = conn.slots[slot_idx];
+  const std::uint64_t req_id = slot.op.req.req_id;
 
   if (conn.wire.mux) {
     // Mux path: the request travels the node's shared ring, enveloped so
@@ -479,22 +480,21 @@ void Client::post_slot(ShardId shard, std::uint32_t slot_idx) {
     }
     std::vector<std::byte> frame(framed_size);
     proto::encode_frame(frame, payload);
-    schedule_after(cfg_.issue_cost, [this, shard, slot_idx, frame = std::move(frame)]() mutable {
-      post_mux_slot(shard, slot_idx, std::move(frame));
-    });
+    schedule_after(cfg_.issue_cost,
+                   [this, shard, slot_idx, req_id, frame = std::move(frame)]() mutable {
+                     post_mux_slot(shard, slot_idx, req_id, std::move(frame));
+                   });
     return;
   }
 
   const auto payload = proto::encode_request(slot.op.req);
 
   if (conn.wire.send_recv) {
-    schedule_after(cfg_.issue_cost, [this, shard, slot_idx, payload] {
-      auto cit = conns_.find(shard);  // connection may have been torn down
-      if (cit == conns_.end() || slot_idx >= cit->second->slots.size()) return;
-      Conn& c = *cit->second;
-      if (!c.slots[slot_idx].busy) return;
-      c.wire.qp->post_send(payload);
-      c.slots[slot_idx].timeout =
+    schedule_after(cfg_.issue_cost, [this, shard, slot_idx, req_id, payload] {
+      Conn* c = posting_conn(shard, slot_idx, req_id);
+      if (c == nullptr) return;
+      c->wire.qp->post_send(payload);
+      c->slots[slot_idx].timeout =
           schedule_after(cfg_.request_timeout, [this, shard] { on_timeout(shard); });
     });
     return;
@@ -510,45 +510,49 @@ void Client::post_slot(ShardId shard, std::uint32_t slot_idx) {
   }
   std::vector<std::byte> frame(framed_size);
   proto::encode_frame(frame, payload);
-  schedule_after(cfg_.issue_cost, [this, shard, slot_idx, frame = std::move(frame)] {
-    auto cit = conns_.find(shard);
-    if (cit == conns_.end() || slot_idx >= cit->second->slots.size()) return;
-    Conn& c = *cit->second;
-    if (!c.slots[slot_idx].busy) return;
+  schedule_after(cfg_.issue_cost, [this, shard, slot_idx, req_id, frame = std::move(frame)] {
+    Conn* c = posting_conn(shard, slot_idx, req_id);
+    if (c == nullptr) return;
     const fabric::RemoteAddr dst{
-        c.wire.req_slot.rkey,
-        c.wire.req_slot.offset +
-            proto::ring_slot_offset(slot_idx, c.wire.req_slot_bytes)};
-    c.wire.qp->post_write(frame, dst);
-    c.slots[slot_idx].timeout =
+        c->wire.req_slot.rkey,
+        c->wire.req_slot.offset +
+            proto::ring_slot_offset(slot_idx, c->wire.req_slot_bytes)};
+    c->wire.qp->post_write(frame, dst);
+    c->slots[slot_idx].timeout =
         schedule_after(cfg_.request_timeout, [this, shard] { on_timeout(shard); });
   });
 }
 
-void Client::post_mux_slot(ShardId shard, std::uint32_t slot_idx,
-                           std::vector<std::byte> frame) {
+Client::Conn* Client::posting_conn(ShardId shard, std::uint32_t slot_idx,
+                                   std::uint64_t req_id) {
   auto it = conns_.find(shard);
-  if (it == conns_.end() || slot_idx >= it->second->slots.size()) return;
-  Conn& conn = *it->second;
-  if (!conn.slots[slot_idx].busy) return;
+  if (it == conns_.end() || slot_idx >= it->second->slots.size()) return nullptr;
+  const Slot& slot = it->second->slots[slot_idx];
+  return slot.busy && slot.op.req.req_id == req_id ? it->second.get() : nullptr;
+}
+
+void Client::post_mux_slot(ShardId shard, std::uint32_t slot_idx, std::uint64_t req_id,
+                           std::vector<std::byte> frame) {
+  Conn* posting = posting_conn(shard, slot_idx, req_id);
+  if (posting == nullptr) return;
+  Conn& conn = *posting;
   // Claim a shared-ring credit (SRQ-style flow control). A full ring parks
   // us on the channel's waiter list; a dead channel hands back nullptr and
   // the op re-submits through a freshly established channel.
   NodeMux* mux = conn.wire.mux_node;
   mux->acquire(
       shard, conn.wire.mux_generation,
-      guard([this, mux, shard, slot_idx, frame = std::move(frame)](NodeMux::Channel* ch,
-                                                                   std::uint32_t ring_slot) {
-        auto cit = conns_.find(shard);
-        if (cit == conns_.end() || slot_idx >= cit->second->slots.size() ||
-            !cit->second->slots[slot_idx].busy) {
+      guard([this, mux, shard, slot_idx, req_id, frame = std::move(frame)](
+                NodeMux::Channel* ch, std::uint32_t ring_slot) {
+        Conn* live = posting_conn(shard, slot_idx, req_id);
+        if (live == nullptr) {
           // The logical connection vanished while we waited for a credit;
           // give the credit back through the channel's release flow so it
           // reaches the oldest parked waiter instead of stranding them.
           if (ch != nullptr) mux->recycle(*ch, ring_slot);
           return;
         }
-        Conn& c = *cit->second;
+        Conn& c = *live;
         if (ch == nullptr) {
           // Channel died while we waited: the endpoint registration died
           // with it, so every op on this logical connection re-submits
@@ -569,16 +573,39 @@ void Client::post_mux_slot(ShardId shard, std::uint32_t slot_idx,
       }));
 }
 
-void Client::salvage_connection(ShardId shard) {
+std::vector<Client::PendingOp> Client::drain_connection(ShardId shard) {
+  std::vector<PendingOp> ops;
   auto it = conns_.find(shard);
-  if (it == conns_.end()) return;
-  std::vector<PendingOp> to_retry;
+  if (it == conns_.end()) return ops;
   for (Slot& s : it->second->slots) {
-    if (s.busy) to_retry.push_back(std::move(s.op));
+    if (s.busy) ops.push_back(std::move(s.op));
   }
-  for (auto& queued : it->second->queue) to_retry.push_back(std::move(queued));
+  for (auto& queued : it->second->queue) ops.push_back(std::move(queued));
   drop_connection(shard);
-  for (auto& op : to_retry) retry_or_fail(std::move(op));
+  return ops;
+}
+
+void Client::salvage_connection(ShardId shard) {
+  for (auto& op : drain_connection(shard)) retry_or_fail(std::move(op));
+}
+
+std::optional<std::uint32_t> Client::connection_owner(ShardId shard) const {
+  auto it = conns_.find(shard);
+  if (it == conns_.end()) return std::nullopt;
+  return it->second->wire.owner_generation;
+}
+
+void Client::reroute(ShardId shard) {
+  std::vector<PendingOp> ops = drain_connection(shard);
+  if (ops.empty()) return;
+  stats_.reroutes += ops.size();
+  // Same virtual instant, fresh event: the routing watch re-routes every
+  // client of a node in one event, so under mux all of them have let go of
+  // the fallen owner's shared channel before any re-submit reopens it --
+  // no credit request still parked on it can wake into a salvage.
+  schedule_after(0, [this, ops = std::move(ops)]() mutable {
+    for (auto& op : ops) submit(std::move(op));
+  });
 }
 
 void Client::retry_or_fail(PendingOp op) {

@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,9 @@ struct ClientStats {
   std::uint64_t renews_sent = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t retries = 0;
+  /// Ops re-submitted because their shard's owner changed under them
+  /// (routing watch, reroute()); they spend no retry budget.
+  std::uint64_t reroutes = 0;
   std::uint64_t failures = 0;
   /// Largest number of simultaneously in-flight requests observed on any
   /// single connection (1 on a closed-loop / window=1 run).
@@ -127,6 +131,10 @@ struct ShardConnection {
   /// Ring depth the shard granted (<= the window the client requested).
   std::uint32_t window = 1;
   bool send_recv = false;
+  /// Owner incarnation (HydraCluster::shard_generation) this connection was
+  /// opened under; a routing change that moves past it re-routes the
+  /// connection.
+  std::uint32_t owner_generation = 0;
   // QP multiplexing (DESIGN.md §10): this logical connection is an endpoint
   // riding its node's shared channel to the shard. `req_slot` then names
   // the *shared* request ring; requests claim a slot of it per issue.
@@ -237,6 +245,17 @@ class Client : public sim::Actor {
   /// re-route a multi-key commit.
   void txn_commit(std::string routing_key, std::string payload, OpCallback cb);
 
+  // --- routing changes (DESIGN.md §14, "Client re-routing") ----------------
+  /// Owner incarnation the live connection to `shard` was opened under, or
+  /// nullopt when there is no connection.
+  [[nodiscard]] std::optional<std::uint32_t> connection_owner(ShardId shard) const;
+  /// The shard's owner changed (the routing watch fired): tears the logical
+  /// connection down and re-submits everything in flight or queued on it
+  /// at the same virtual instant. A re-route, not a failure: no retry
+  /// budget, no backoff. The old owner is already fenced, so no answer from
+  /// it can race the re-submitted copies.
+  void reroute(ShardId shard);
+
   [[nodiscard]] ClientId id() const noexcept { return cfg_.id; }
   [[nodiscard]] NodeId node() const noexcept { return node_; }
   [[nodiscard]] const ClientStats& stats() const noexcept { return stats_; }
@@ -305,10 +324,17 @@ class Client : public sim::Actor {
   /// Places `op` into a free ring slot of `conn` and issues it on the wire.
   void issue(ShardId shard, Conn& conn, PendingOp op);
   void post_slot(ShardId shard, std::uint32_t slot_idx);
-  void post_mux_slot(ShardId shard, std::uint32_t slot_idx, std::vector<std::byte> frame);
-  /// Tears a logical connection down and re-submits everything in flight
-  /// or queued on it through the normal retry path (mux channel died, or a
-  /// request timed out).
+  void post_mux_slot(ShardId shard, std::uint32_t slot_idx, std::uint64_t req_id,
+                     std::vector<std::byte> frame);
+  /// The connection whose `slot_idx` still carries request `req_id`, or
+  /// nullptr. A deferred post checks it: the connection may have been torn
+  /// down, or re-routed and rebuilt with the slot holding another request.
+  Conn* posting_conn(ShardId shard, std::uint32_t slot_idx, std::uint64_t req_id);
+  /// Tears a logical connection down and hands back everything that was in
+  /// flight or queued on it (empty when there is no connection).
+  std::vector<PendingOp> drain_connection(ShardId shard);
+  /// Drains a logical connection and re-submits its ops through the normal
+  /// retry path (mux channel died, or a request timed out).
   void salvage_connection(ShardId shard);
   void retry_or_fail(PendingOp op);
   void on_response_write(std::uint64_t offset);

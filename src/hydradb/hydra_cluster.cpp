@@ -173,6 +173,18 @@ HydraCluster::HydraCluster(ClusterOptions opts)
         std::make_unique<client::Client>(sched_, fabric_, node, ccfg, std::move(cache)));
     wire_client(*clients_.back());
     client_ptrs_.push_back(clients_.back().get());
+    node_clients_[node].push_back(clients_.back().get());
+  }
+
+  // --- routing watch ---------------------------------------------------------
+  // Each client machine holds one watch on the routing znode, like the
+  // ZooKeeper watch the paper's client library keeps: a promotion's epoch
+  // publish reaches it one op_latency after the set_data lands.
+  for (const auto& [node, on_node] : node_clients_) {
+    coordinator_->watch("/routing/version",
+                        [this, c = &on_node](const std::string&, cluster::WatchEvent) {
+                          follow_routing_change(*c);
+                        });
   }
 }
 
@@ -275,6 +287,7 @@ void HydraCluster::export_metrics() {
     reg.counter(p + "wrong_owner_redirects").set(cs.wrong_owner_redirects);
     reg.counter(p + "timeouts").set(cs.timeouts);
     reg.counter(p + "retries").set(cs.retries);
+    reg.counter(p + "reroutes").set(cs.reroutes);
     reg.counter(p + "failures").set(cs.failures);
     reg.counter(p + "scans").set(cs.scans);
     reg.counter(p + "scan_batches").set(cs.scan_batches);
@@ -335,7 +348,7 @@ void HydraCluster::spawn_primary(ShardId id, NodeId node,
       // replica means the failover plane revoked our rkeys. The handler runs
       // before the fenced link's owed completions settle, so killing the
       // shard here guarantees no acknowledgement ever escapes a fenced
-      // primary (clients recover via timeout + retry against the successor).
+      // primary (clients re-route to the successor when its epoch publishes).
       server::Shard* raw = slot.primary.get();
       slot.primary->replicator()->set_fence_handler([this, id, raw] {
         if (!raw->alive()) return;
@@ -444,11 +457,24 @@ void HydraCluster::wire_client(client::Client& c) {
   });
 }
 
+void HydraCluster::follow_routing_change(const std::vector<client::Client*>& clients) {
+  // A connection to an unchanged owner, or one a timeout already
+  // re-established against the new owner, stays put.
+  for (std::size_t s = 0; s < primaries_.size(); ++s) {
+    const auto shard = static_cast<ShardId>(s);
+    for (client::Client* c : clients) {
+      const auto opened = c->connection_owner(shard);
+      if (opened.has_value() && *opened != primaries_[s].generation) c->reroute(shard);
+    }
+  }
+}
+
 bool HydraCluster::connect_client(ShardId shard_id, client::Client& c,
                                   fabric::RemoteAddr resp_slot, std::uint32_t resp_bytes,
                                   std::uint32_t window, client::ShardConnection* out) {
   if (shard_id >= primaries_.size()) return false;
   ShardSlot& slot = primaries_[shard_id];
+  out->owner_generation = slot.generation;
 
   if (slot.pipelined != nullptr) {
     auto [cq, sq] = fabric_.connect(c.node(), slot.node);
@@ -470,6 +496,12 @@ bool HydraCluster::connect_client(ShardId shard_id, client::Client& c,
     // private response ring as one more endpoint riding it.
     client::NodeMux* mux = node_muxes_[c.node()].get();
     client::NodeMux::Channel* ch = mux->channel_to(shard_id);
+    if (ch != nullptr && ch->wire.owner_generation != slot.generation) {
+      // The channel was opened against a fallen incarnation: its group id
+      // means nothing to the successor. Close it and open a fresh one.
+      mux->report_failure(shard_id, ch->generation);
+      ch = mux->channel_to(shard_id);
+    }
     if (ch == nullptr) return false;
     auto res = slot.primary->accept_mux_endpoint(ch->wire.group, resp_slot, resp_bytes,
                                                  c.id(), window);
@@ -783,7 +815,10 @@ bool HydraCluster::promote_secondary(ShardId id,
   while (static_cast<int>(slot.secondaries.size()) < opts_.replicas) {
     spawn_secondary(id);
   }
-  // Publish new routing metadata; clients re-resolve lazily via timeouts.
+  // Publish new routing metadata. Every client machine's routing watch fires
+  // one op_latency after the set_data lands, and its clients re-route the
+  // connections opened under the fallen incarnation at once (the request
+  // timeout is only the backstop for a lost notification).
   ++routing_epoch_;
   coordinator_->set_data("/routing/version", std::to_string(routing_epoch_));
   if (opts_.obs != nullptr) {

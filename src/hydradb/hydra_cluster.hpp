@@ -237,6 +237,10 @@ class HydraCluster {
   void spawn_secondary(ShardId id);
   void start_heartbeat(ShardId id);
   void wire_client(client::Client& c);
+  /// Routing-watch body for one client machine: re-routes every connection
+  /// of its clients that was opened under a shard owner that has since
+  /// fallen.
+  void follow_routing_change(const std::vector<client::Client*>& clients);
   bool connect_client(ShardId shard, client::Client& c, fabric::RemoteAddr resp_slot,
                       std::uint32_t resp_bytes, std::uint32_t window,
                       client::ShardConnection* out);
@@ -267,6 +271,8 @@ class HydraCluster {
   std::vector<std::unique_ptr<client::Client>> clients_;
   std::vector<client::Client*> client_ptrs_;
   std::map<NodeId, std::shared_ptr<client::Client::RemotePtrCache>> node_caches_;
+  /// The clients of each client machine (one routing watch per machine).
+  std::map<NodeId, std::vector<client::Client*>> node_clients_;
   /// Per-client-node shared QP channel pools (mux_connections mode).
   std::map<NodeId, std::unique_ptr<client::NodeMux>> node_muxes_;
   /// Cached one-sided read QPs for hot-key replica reads when muxing is

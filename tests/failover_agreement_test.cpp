@@ -4,9 +4,14 @@
 // family that hammers every fault point of the round. Plus the failover-path
 // bugfix regressions this PR ships: revoked-rkey retransmits settling strict
 // waiters, fenced-rkey pointer invalidation on fast epoch advance, and the
-// legacy/fast double-promotion guard.
+// legacy/fast double-promotion guard. And client re-routing: a promotion's
+// routing-watch notification, not the request timeout, moves loaded clients
+// onto the new owner.
+#include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +19,7 @@
 
 #include "chaos/chaos.hpp"
 #include "chaos/failover_chaos.hpp"
+#include "common/keygen.hpp"
 #include "fabric/fabric.hpp"
 #include "hydradb/hydra_cluster.hpp"
 #include "obs/plane.hpp"
@@ -388,6 +394,312 @@ TEST(FastFailoverRegression, HotKeyPromoSlabDemotesOnFastEpochAdvance) {
     if (rec.seq > epoch->seq || rec.b == 1) epoch_demotion = true;
   }
   EXPECT_TRUE(epoch_demotion) << "no promo-slab demotion after the epoch bump";
+}
+
+// ---------------------------------------------------- client re-routing
+//
+// The promotion publishes the routing epoch; every client machine's routing
+// watch hears it one op_latency later and its clients re-submit the ops
+// stalled on the fallen owner at once. Recovery that waited for the 5 ms
+// request timeout (plus its 1.25 ms retry backoff) would stall the crashed
+// shard's clients for ~6.2 ms, so these tests bound the stall at 1 ms.
+
+/// Three shards on three machines, each with two replicas elsewhere; twelve
+/// clients on two machines, at the default 5 ms request timeout -- the
+/// backstop must not be what recovers them.
+db::ClusterOptions loaded_options(bool mux) {
+  db::ClusterOptions opts;
+  opts.server_nodes = 3;
+  opts.shards_per_node = 1;
+  opts.client_nodes = 2;
+  opts.clients_per_node = 6;
+  opts.replicas = 2;
+  opts.enable_swat = true;
+  opts.fast_failover = true;
+  opts.mux_connections = mux;
+  opts.shard_template.store.arena_bytes = 16 << 20;
+  opts.shard_template.store.min_buckets = 1 << 12;
+  return opts;
+}
+
+/// Update traffic over preloaded keys with a record of every op: when it was
+/// issued, the shard it routed to, and every answer it got.
+struct Load {
+  struct Op {
+    Time issued = 0;
+    Time done = 0;
+    ShardId shard = kInvalidShard;
+    int answers = 0;
+    Status status = Status::kOk;
+  };
+
+  Load(db::HydraCluster& c, std::uint64_t records) : cluster(c) {
+    for (std::uint64_t i = 0; i < records; ++i) {
+      const std::string key = format_key(i);
+      cluster.direct_load(key, synth_value(i));
+      keys_of[cluster.owner_of(key)].push_back(key);
+    }
+  }
+
+  /// Closed loop: every client keeps `depth` updates in flight on keys
+  /// drawn uniformly from every shard until stop().
+  void closed_loop(int depth) {
+    for (std::size_t k = 0; k < cluster.clients().size(); ++k) {
+      for (int d = 0; d < depth; ++d) next(k);
+    }
+  }
+
+  void next(std::size_t client) {
+    if (stopped) return;
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    const std::vector<std::string>& keys = keys_of[(rng >> 33) % keys_of.size()];
+    update(client, keys[(rng >> 17) % keys.size()], /*loop=*/true);
+  }
+
+  void update(std::size_t client, const std::string& key, bool loop) {
+    const std::size_t id = ops.size();
+    ops.push_back(Op{cluster.scheduler().now(), 0, cluster.owner_of(key)});
+    cluster.clients()[client]->update(key, "v" + std::to_string(id),
+                                      [this, id, client, loop](Status st) {
+                                        Op& op = ops[id];
+                                        ++op.answers;
+                                        op.done = cluster.scheduler().now();
+                                        op.status = st;
+                                        if (loop) next(client);
+                                      });
+  }
+
+  void stop() { stopped = true; }
+
+  std::uint64_t client_stat(std::uint64_t client::ClientStats::*field) const {
+    std::uint64_t sum = 0;
+    for (const client::Client* c : cluster.clients()) sum += c->stats().*field;
+    return sum;
+  }
+
+  db::HydraCluster& cluster;
+  std::map<ShardId, std::vector<std::string>> keys_of;
+  std::vector<Op> ops;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  bool stopped = false;
+};
+
+/// Crashes `victim` and drives the simulator until the promotion publishes
+/// a new routing epoch; returns the publish time.
+Time crash_until_promoted(db::HydraCluster& cluster, ShardId victim) {
+  const std::uint64_t epoch = cluster.routing_epoch();
+  cluster.crash_primary(victim);
+  while (cluster.routing_epoch() == epoch && cluster.scheduler().step()) {
+  }
+  return cluster.scheduler().now();
+}
+
+/// Ops the crash could stall -- outstanding at the crash, or issued before
+/// the promotion was published -- must all finish within a millisecond of
+/// the crash, answered once and successfully.
+void expect_stalls_clear_within_ms(const Load& load, Time crash_at, Time promoted_at,
+                                   ShardId victim) {
+  std::size_t stalled = 0;
+  std::size_t on_victim = 0;
+  Time last = crash_at;
+  for (const Load::Op& op : load.ops) {
+    if (op.issued >= promoted_at || (op.answers > 0 && op.done <= crash_at)) continue;
+    ++stalled;
+    if (op.shard == victim) ++on_victim;
+    ASSERT_EQ(op.answers, 1) << "op issued at " << op.issued;
+    EXPECT_EQ(op.status, Status::kOk) << "op issued at " << op.issued;
+    last = std::max(last, op.done);
+  }
+  EXPECT_GT(on_victim, 0u) << "test vacuous: no op was stalled on the crashed shard";
+  EXPECT_GE(stalled, on_victim);
+  EXPECT_LT(last - crash_at, kMillisecond)
+      << "the last stalled op finished " << (last - crash_at) / 1000 << " us after the crash";
+}
+
+TEST(ClientRerouting, PromotionUnstallsLoadedClientsWithinAMillisecond) {
+  db::HydraCluster cluster(loaded_options(/*mux=*/false));
+  Load load(cluster, 3000);
+  load.closed_loop(1);
+  cluster.run_for(5 * kMillisecond);
+
+  const Time crash_at = cluster.scheduler().now();
+  const Time promoted_at = crash_until_promoted(cluster, 0);
+  cluster.run_for(20 * kMillisecond);
+  load.stop();
+  cluster.run_for(50 * kMillisecond);
+
+  expect_stalls_clear_within_ms(load, crash_at, promoted_at, 0);
+  EXPECT_EQ(load.client_stat(&client::ClientStats::timeouts), 0u);
+  EXPECT_EQ(load.client_stat(&client::ClientStats::failures), 0u);
+  for (const Load::Op& op : load.ops) ASSERT_EQ(op.answers, 1);
+}
+
+TEST(ClientRerouting, MuxEndpointsRerouteAndHandBackSharedRingCredits) {
+  auto opts = loaded_options(/*mux=*/true);
+  opts.clients_per_node = 8;
+  // A four-credit shared ring under sixteen in-flight updates per machine:
+  // credit requests park on the channel the crash is about to strand.
+  opts.shard_template.mux_ring_slots = 4;
+  db::HydraCluster cluster(opts);
+  Load load(cluster, 3000);
+  load.closed_loop(2);
+  cluster.run_for(5 * kMillisecond);
+
+  const Time crash_at = cluster.scheduler().now();
+  const Time promoted_at = crash_until_promoted(cluster, 0);
+  cluster.run_for(20 * kMillisecond);
+  load.stop();
+  cluster.run_for(50 * kMillisecond);
+
+  expect_stalls_clear_within_ms(load, crash_at, promoted_at, 0);
+  EXPECT_EQ(load.client_stat(&client::ClientStats::timeouts), 0u);
+  EXPECT_EQ(load.client_stat(&client::ClientStats::failures), 0u);
+  // No op answered twice, none left unanswered.
+  for (const Load::Op& op : load.ops) ASSERT_EQ(op.answers, 1);
+
+  // Every credit is back once the traffic has drained, and no channel still
+  // rides the fallen incarnation of shard 0.
+  std::uint64_t credit_waits = 0;
+  for (int n = 0; n < opts.client_nodes; ++n) {
+    client::NodeMux* mux = cluster.node_mux(n);
+    ASSERT_NE(mux, nullptr);
+    credit_waits += mux->stats().credit_waits;
+    for (ShardId s = 0; s < cluster.shard_count(); ++s) {
+      client::NodeMux::Channel* ch = mux->peek_channel(s);
+      if (ch == nullptr || !ch->open) continue;
+      EXPECT_EQ(ch->in_flight, 0u) << "node " << n << " shard " << s;
+      EXPECT_TRUE(ch->waiters.empty()) << "node " << n << " shard " << s;
+      EXPECT_EQ(std::count(ch->slot_busy.begin(), ch->slot_busy.end(), true), 0)
+          << "node " << n << " shard " << s;
+      EXPECT_EQ(ch->wire.owner_generation, cluster.shard_generation(s))
+          << "node " << n << " shard " << s;
+    }
+  }
+  EXPECT_GT(credit_waits, 0u) << "test vacuous: the shared rings never filled";
+}
+
+/// Open-loop script: every 4 us for 2 ms from `start`, each client updates
+/// one key, rotating over the three shards. The schedule never depends on
+/// completions, so the ops each shard receives are fixed by the script.
+struct ScriptRun {
+  std::uint64_t served_b_c = 0;  ///< gets + puts shards 1 and 2 served
+  std::uint64_t retries = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t reroutes = 0;
+  std::size_t b_c_in_flight_at_reroute = 0;
+};
+
+ScriptRun run_selectivity_script(bool crash) {
+  db::HydraCluster cluster(loaded_options(/*mux=*/false));
+  Load load(cluster, 3000);
+  const Time start = cluster.scheduler().now() + kMillisecond;
+  constexpr int kTicks = 500;
+  for (int t = 0; t < kTicks; ++t) {
+    cluster.scheduler().at(start + static_cast<Time>(t) * 4 * kMicrosecond, [&load, t] {
+      for (std::size_t k = 0; k < load.cluster.clients().size(); ++k) {
+        const auto& keys = load.keys_of[static_cast<ShardId>((t + k) % 3)];
+        load.update(k, keys[(static_cast<std::size_t>(t) * 7 + k) % keys.size()],
+                    /*loop=*/false);
+      }
+    });
+  }
+  ScriptRun out;
+  cluster.scheduler().run_until(start + 300 * kMicrosecond);
+  if (crash) {
+    crash_until_promoted(cluster, 0);
+    // Stop at the first re-route and count the shard 1/2 ops in flight
+    // right then: the ones a careless re-route would re-submit.
+    while (load.client_stat(&client::ClientStats::reroutes) == 0 &&
+           cluster.scheduler().step()) {
+    }
+    for (const Load::Op& op : load.ops) {
+      if (op.shard != 0 && op.answers == 0) ++out.b_c_in_flight_at_reroute;
+    }
+  }
+  cluster.run_for(100 * kMillisecond);
+  for (const Load::Op& op : load.ops) EXPECT_EQ(op.answers, 1);
+  for (ShardId s : {ShardId{1}, ShardId{2}}) {
+    out.served_b_c += cluster.shard(s)->stats().gets + cluster.shard(s)->stats().puts;
+  }
+  out.retries = load.client_stat(&client::ClientStats::retries);
+  out.timeouts = load.client_stat(&client::ClientStats::timeouts);
+  out.reroutes = load.client_stat(&client::ClientStats::reroutes);
+  return out;
+}
+
+TEST(ClientRerouting, PromotionOfOneShardResubmitsNothingOnTheOthers) {
+  const ScriptRun calm = run_selectivity_script(/*crash=*/false);
+  const ScriptRun crashed = run_selectivity_script(/*crash=*/true);
+  ASSERT_GT(crashed.reroutes, 0u) << "test vacuous: nothing was re-routed";
+  ASSERT_GT(crashed.b_c_in_flight_at_reroute, 0u)
+      << "test vacuous: shards 1 and 2 were idle when the re-route ran";
+  EXPECT_EQ(crashed.served_b_c, calm.served_b_c);
+  EXPECT_EQ(crashed.retries, calm.retries);
+  EXPECT_EQ(crashed.timeouts, 0u);
+  EXPECT_EQ(calm.reroutes, 0u);
+}
+
+// A request posted on the fallen owner's connection moments before the
+// watch fires still has its wire post pending (issue_cost) when the
+// re-route rebuilds the connection -- with the re-submitted copy in the
+// same ring slot. The stale post must notice the slot now carries another
+// request and stand down, or the new owner executes the op twice.
+TEST(ClientRerouting, PostPendingAcrossTheRerouteExecutesOnce) {
+  db::HydraCluster cluster(fast_options());
+  cluster.direct_load("k", "v0");
+  // Open the connection without using a ring slot, so the update below
+  // takes slot 0 on the old connection and its re-submitted copy slot 0 on
+  // the new one.
+  (void)cluster.clients().front()->txn_wire(0);
+  cluster.run_for(kMillisecond);
+
+  const Time promoted_at = crash_until_promoted(cluster, 0);
+  const Duration notify = 2 * cluster.options().coordinator.op_latency;
+  const Duration issue_cost = cluster.options().client_template.issue_cost;
+  std::optional<Status> status;
+  cluster.scheduler().at(promoted_at + notify - issue_cost / 2, [&] {
+    cluster.clients().front()->update("k", "v1", [&](Status st) { status = st; });
+  });
+  cluster.run_for(10 * kMillisecond);
+
+  ASSERT_EQ(status, std::optional<Status>(Status::kOk));
+  EXPECT_EQ(cluster.clients().front()->stats().reroutes, 1u);
+  EXPECT_EQ(cluster.shard(0)->stats().puts, 1u) << "the new owner executed the update twice";
+  EXPECT_EQ(*cluster.get("k"), "v1");
+}
+
+TEST(ClientRerouting, MigrationEpochPublishWithNoOwnerChangeReroutesNothing) {
+  db::ClusterOptions opts;
+  opts.server_nodes = 2;
+  opts.shards_per_node = 1;
+  opts.client_nodes = 2;
+  opts.clients_per_node = 2;
+  opts.shard_template.store.arena_bytes = 16 << 20;
+  opts.shard_template.store.min_buckets = 1 << 12;
+  db::HydraCluster cluster(opts);
+  Load load(cluster, 400);
+  // Every client opens a connection to both shards.
+  for (std::size_t k = 0; k < cluster.clients().size(); ++k) {
+    for (ShardId s : {ShardId{0}, ShardId{1}}) {
+      ASSERT_EQ(cluster.put(load.keys_of[s].front(), "x", static_cast<int>(k)), Status::kOk);
+    }
+  }
+  const std::uint64_t epoch = cluster.routing_epoch();
+  ASSERT_NE(cluster.add_shard_live(), kInvalidShard);
+  for (int i = 0; i < 200 && cluster.migration_active(); ++i) {
+    cluster.run_for(10 * kMillisecond);
+  }
+  ASSERT_FALSE(cluster.migration_active()) << "migration never committed";
+  cluster.run_for(10 * kMillisecond);  // the watch notification lands
+  ASSERT_GT(cluster.routing_epoch(), epoch);
+
+  for (const client::Client* c : cluster.clients()) {
+    EXPECT_EQ(c->stats().reroutes, 0u) << "client " << c->id();
+    for (ShardId s : {ShardId{0}, ShardId{1}}) {
+      EXPECT_EQ(c->connection_owner(s), std::optional<std::uint32_t>(cluster.shard_generation(s)))
+          << "client " << c->id() << " lost its connection to shard " << s;
+    }
+  }
 }
 
 // ------------------------------------------------------------- flag off
