@@ -90,6 +90,8 @@ std::vector<ScanSchedule> ScanSchedule::scripted() {
     // without dropping or duplicating across the handover.
     ScanSchedule s;
     s.name = "scan-add-shard-live";
+    // Enough scans to still be streaming when the copy commits (~450 us in).
+    s.scans = 120;
     s.faults.push_back({.kind = ScanFaultKind::kAddShard, .at_op = 30});
     out.push_back(std::move(s));
   }
@@ -305,8 +307,9 @@ ScanRunReport ScanChaosRunner::run(const ScanSchedule& schedule, std::uint64_t s
         cluster.fabric().set_read_fault_hook(
             [&cluster, torn_rng, percent](NodeId, NodeId, const fabric::RemoteAddr& addr,
                                           std::uint32_t size) {
-              // Only leaf-page mirror reads are torn: match the target rkey
-              // against every live shard's mirror registration.
+              // Only leaf-page mirror reads are torn -- every hint of a list
+              // reads the same region, so chained reads tear too: match the
+              // target rkey against every live shard's mirror registration.
               bool leaf = false;
               for (ShardId s = 0; s < static_cast<ShardId>(cluster.shard_count());
                    ++s) {
@@ -320,11 +323,9 @@ ScanRunReport ScanChaosRunner::run(const ScanSchedule& schedule, std::uint64_t s
               fabric::ReadFault fault;
               if (leaf && torn_rng->below(100) < percent) {
                 fault.kind = fabric::ReadFault::Kind::kTorn;
-                // Tear inside the header/early payload: the read spans the
-                // whole mirror slot, so tearing the unused slack past the
-                // encoded prefix would corrupt nothing.
-                fault.torn_bytes = static_cast<std::uint32_t>(
-                    torn_rng->below(std::min<std::uint32_t>(size, 64)));
+                // A hint's length is the page's encoded length, so a tear
+                // anywhere in the read corrupts the page.
+                fault.torn_bytes = static_cast<std::uint32_t>(torn_rng->below(size));
               }
               return fault;
             });

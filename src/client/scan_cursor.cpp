@@ -114,11 +114,15 @@ void ScanCursor::fetch(std::size_t idx) {
   const std::uint64_t gen = generation_;
   auto self = shared_from_this();
 
-  if (client_.config().scan_leaf_reads && s.hint.valid()) {
-    // Single-shot hint: consume it now so a validation failure naturally
-    // falls back to the message path on the next fetch.
-    const proto::ScanLeafHint hint = s.hint;
-    s.hint = proto::ScanLeafHint{};
+  // Hints are continuation tokens too. Like a pointer-cache read, a leaf
+  // read never crosses a routing-epoch advance: drop them, and the message
+  // path's epoch fence restarts the cursor.
+  if (client_.routing_epoch() != epoch_) s.hints.clear();
+  if (client_.config().scan_leaf_reads && !s.hints.empty()) {
+    // Single-shot hint: consume it now; a validation failure drops the rest
+    // of the list, so the next fetch takes the message path.
+    const proto::ScanLeafHint hint = s.hints.front();
+    s.hints.pop_front();
     client_.leaf_read(hint.node, fabric::RemoteAddr{hint.rkey, hint.offset}, hint.len,
                       [this, self, idx, gen, hint](Status st, std::vector<std::byte> page) {
                         on_leaf_page(idx, gen, hint, st, std::move(page));
@@ -130,7 +134,16 @@ void ScanCursor::fetch(std::size_t idx) {
   sreq.epoch = epoch_;
   const std::uint32_t need =
       limit_ - static_cast<std::uint32_t>(std::min<std::size_t>(out_.size(), limit_));
-  sreq.limit = std::max<std::uint32_t>(1, std::min(client_.config().scan_batch, need));
+  std::uint32_t batch = need;
+  if (client_.config().scan_leaf_reads) {
+    // Keys scatter evenly over the shards, so a batch asks for this stream's
+    // share of the scan, and leaf pages serve whatever more it turns out to
+    // need without the shard's CPU.
+    const auto streams = static_cast<std::uint32_t>(streams_.size());
+    batch = (need + streams - 1) / streams;
+    sreq.want = need;
+  }
+  sreq.limit = std::max<std::uint32_t>(1, std::min(client_.config().scan_batch, batch));
   sreq.flags = s.exclusive ? proto::kScanFlagExclusive : std::uint8_t{0};
   client_.scan_shard(s.shard, s.resume, sreq,
                      [this, self, idx, gen](Status st, const proto::ScanResp& resp) {
@@ -165,7 +178,11 @@ void ScanCursor::on_batch(std::size_t idx, std::uint64_t gen, Status st,
     s.buffer.emplace_back(key, value);
   }
   s.done = resp.done;
-  if (!resp.done && resp.hint.valid()) s.hint = resp.hint;
+  if (resp.done) {
+    s.hints.clear();
+  } else {
+    s.hints.assign(resp.hints.begin(), resp.hints.end());
+  }
   pump();
 }
 
@@ -180,8 +197,10 @@ void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen,
 
   auto fall_back = [&] {
     // The page failed to arrive or to validate (torn read, version moved,
-    // stale epoch, slot reused for another leaf): the hint was consumed, so
-    // pump() re-fetches this position through the message path.
+    // stale epoch, block freed or reused for another leaf): later hints
+    // assumed this page's entries, so drop them, and pump() re-fetches this
+    // position through the message path.
+    s.hints.clear();
     ++stats.scan_leaf_fallbacks;
     if (obs != nullptr) {
       obs->trace(client_.now(), client_.node(), obs::TraceKind::kScanLeafFallback,
@@ -217,6 +236,7 @@ void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen,
   if (fresh.empty() && !decoded->last) {
     // Deletions emptied our window into this leaf; let the message path
     // walk to the successor (guaranteed progress, unlike re-reading).
+    s.hints.clear();
     pump();
     return;
   }
@@ -231,7 +251,10 @@ void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen,
     s.exclusive = true;
     s.buffer.emplace_back(std::move(key), std::move(value));
   }
-  if (decoded->last) s.done = true;
+  if (decoded->last) {
+    s.done = true;
+    s.hints.clear();
+  }
   pump();
 }
 

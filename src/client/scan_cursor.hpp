@@ -4,10 +4,11 @@
 // consistent hashing, so any shard may own any key of the range) and k-way
 // merges the per-shard ordered streams into one ascending sequence. Each
 // stream alternates between the always-correct kScan message path and --
-// when the shard advertises a fresh leaf-page hint -- a one-sided RDMA Read
-// of the mirrored B+-tree leaf, validated client-side by checksum and
-// (leaf id, version, epoch) stamp; any validation failure silently falls
-// back to the message path.
+// when the shard advertises leaf-page hints -- one-sided RDMA Reads of the
+// mirrored B+-tree leaves, one hint after another in key order, each
+// validated client-side by checksum and (leaf id, version, epoch) stamp;
+// any validation failure drops the rest of the hints and falls back to the
+// message path.
 //
 // Routing-epoch advances (failover promotions, live-migration commits)
 // invalidate every outstanding continuation token: the affected shard
@@ -44,7 +45,9 @@ class ScanCursor : public std::enable_shared_from_this<ScanCursor> {
     bool done = false;        ///< shard exhausted (no more fetches)
     bool inflight = false;
     std::deque<std::pair<std::string, std::string>> buffer;
-    proto::ScanLeafHint hint{};  ///< valid() => one-sided continuation armed
+    /// One-sided continuation: the leaf pages that followed the last message
+    /// batch, read front to back while they validate.
+    std::deque<proto::ScanLeafHint> hints;
   };
 
   ScanCursor(Client& client, std::string start_key, std::uint32_t limit,

@@ -258,7 +258,6 @@ void HydraCluster::export_metrics() {
     reg.counter(p + "scan_entries").set(st->scan_entries);
     reg.counter(p + "scan_token_rejects").set(st->scan_token_rejects);
     reg.counter(p + "scan_leaf_refreshes").set(st->scan_leaf_refreshes);
-    reg.counter(p + "scan_leaf_oversize").set(st->scan_leaf_oversize);
     reg.gauge(p + "generation").set(primaries_[s].generation);
     if (primaries_[s].primary != nullptr &&
         primaries_[s].primary->replicator() != nullptr) {

@@ -123,6 +123,9 @@ bool OrderedIndex::insert_rec(Node* n, std::string_view key, std::uint64_t offse
       right->entries.assign(std::make_move_iterator(leaf->entries.begin() + keep),
                             std::make_move_iterator(leaf->entries.end()));
       leaf->entries.resize(keep);
+      // Drop the split slack: the pre-split capacity would otherwise stay
+      // allocated for the leaf's lifetime.
+      leaf->entries.shrink_to_fit();
       right->next = leaf->next;
       right->prev = leaf;
       if (leaf->next != nullptr) leaf->next->prev = right;
@@ -228,6 +231,7 @@ void OrderedIndex::rebalance_child(Inner* parent, std::size_t ci) {
     ++l->version;
     l->next = r->next;
     if (r->next != nullptr) r->next->prev = l;
+    if (retire_hook_) retire_hook_(r->id);
     delete r;
   } else {
     Inner* l = static_cast<Inner*>(left);
@@ -273,23 +277,17 @@ std::optional<std::uint64_t> OrderedIndex::find(std::string_view key) const {
 void OrderedIndex::scan(
     std::string_view from, bool exclusive,
     const std::function<bool(std::string_view, std::uint64_t)>& fn) const {
-  Leaf* leaf = leaf_lower_bound(from);
-  auto it = exclusive ? std::upper_bound(leaf->entries.begin(), leaf->entries.end(),
-                                         from, EntryKeyLess{})
-                      : std::lower_bound(leaf->entries.begin(), leaf->entries.end(),
-                                         from, EntryKeyLess{});
-  while (leaf != nullptr) {
-    for (; it != leaf->entries.end(); ++it) {
-      if (!fn(it->key, it->offset)) return;
+  leaves_from(from, exclusive, [&fn](const LeafRef& leaf) {
+    for (std::size_t i = leaf.first; i < leaf.entries->size(); ++i) {
+      if (!fn((*leaf.entries)[i].key, (*leaf.entries)[i].offset)) return false;
     }
-    leaf = leaf->next;
-    if (leaf != nullptr) it = leaf->entries.begin();
-  }
+    return true;
+  });
 }
 
-std::optional<OrderedIndex::LeafRef> OrderedIndex::leaf_for(std::string_view from,
-                                                            bool exclusive) const {
-  Leaf* leaf = leaf_lower_bound(from);
+void OrderedIndex::leaves_from(std::string_view from, bool exclusive,
+                               const std::function<bool(const LeafRef&)>& fn) const {
+  const Leaf* leaf = leaf_lower_bound(from);
   auto it = exclusive ? std::upper_bound(leaf->entries.begin(), leaf->entries.end(),
                                          from, EntryKeyLess{})
                       : std::lower_bound(leaf->entries.begin(), leaf->entries.end(),
@@ -298,15 +296,30 @@ std::optional<OrderedIndex::LeafRef> OrderedIndex::leaf_for(std::string_view fro
     leaf = leaf->next;
     if (leaf != nullptr) it = leaf->entries.begin();
   }
-  if (leaf == nullptr) return std::nullopt;
-  return LeafRef{leaf->id, leaf->version, leaf->next == nullptr, &leaf->entries};
+  if (leaf == nullptr) return;
+  std::size_t first = static_cast<std::size_t>(it - leaf->entries.begin());
+  for (; leaf != nullptr; leaf = leaf->next, first = 0) {
+    if (!fn(LeafRef{leaf->id, leaf->version, leaf->next == nullptr, &leaf->entries, first})) {
+      return;
+    }
+  }
+}
+
+const OrderedIndex::Leaf* OrderedIndex::first_leaf() const noexcept {
+  const Node* node = root_;
+  while (!node->is_leaf) node = static_cast<const Inner*>(node)->children.front();
+  return static_cast<const Leaf*>(node);
 }
 
 std::size_t OrderedIndex::leaf_count() const noexcept {
   std::size_t n = 0;
-  Node* node = root_;
-  while (!node->is_leaf) node = static_cast<Inner*>(node)->children.front();
-  for (const Leaf* l = static_cast<Leaf*>(node); l != nullptr; l = l->next) ++n;
+  for (const Leaf* l = first_leaf(); l != nullptr; l = l->next) ++n;
+  return n;
+}
+
+std::size_t OrderedIndex::leaf_capacity() const noexcept {
+  std::size_t n = 0;
+  for (const Leaf* l = first_leaf(); l != nullptr; l = l->next) n += l->entries.capacity();
   return n;
 }
 

@@ -8,7 +8,8 @@
 // every entry mutation (including splits/merges/borrows), which is what the
 // shard's one-sided leaf-page mirror keys its staleness check on: a mirrored
 // page whose (id, version) no longer matches the live leaf is re-serialized
-// before being advertised to clients.
+// before being advertised to clients. A leaf merged away reports its id to
+// the retire hook so the mirror can free that leaf's page.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace hydra::index {
@@ -33,6 +35,9 @@ class OrderedIndex {
     std::uint64_t version = 0;
     bool last = false;  ///< no leaf follows in the chain
     const std::vector<Entry>* entries = nullptr;
+    /// Index of the first entry at or past the walk's start key (0 on every
+    /// leaf after the first).
+    std::size_t first = 0;
   };
 
   /// `fanout` bounds both leaf entries and inner-node children; the minimum
@@ -57,12 +62,22 @@ class OrderedIndex {
   void scan(std::string_view from, bool exclusive,
             const std::function<bool(std::string_view key, std::uint64_t offset)>& fn) const;
 
-  /// The leaf holding the first entry >= `from` (> when `exclusive`);
-  /// nullopt when no such entry exists.
-  [[nodiscard]] std::optional<LeafRef> leaf_for(std::string_view from, bool exclusive) const;
+  /// Visits the leaf holding the first entry >= `from` (> when `exclusive`),
+  /// then its successors in key order, until `fn` returns false or the
+  /// chain ends. Visits nothing when no such entry exists.
+  void leaves_from(std::string_view from, bool exclusive,
+                   const std::function<bool(const LeafRef& leaf)>& fn) const;
+
+  /// Called with a leaf's id when a merge deletes it (never from the
+  /// destructor). The hook must not touch the tree.
+  void set_retire_hook(std::function<void(std::uint64_t leaf_id)> hook) {
+    retire_hook_ = std::move(hook);
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t leaf_count() const noexcept;
+  /// Entry slots the leaves hold allocated (vector capacity, summed).
+  [[nodiscard]] std::size_t leaf_capacity() const noexcept;
   [[nodiscard]] std::size_t fanout() const noexcept { return fanout_; }
 
   /// Structural self-check: key order within and across leaves, separator
@@ -78,6 +93,7 @@ class OrderedIndex {
   struct Inner;
 
   Leaf* leaf_lower_bound(std::string_view key) const;
+  const Leaf* first_leaf() const noexcept;
   void destroy(Node* n);
 
   // Insert/erase recursion helpers (defined in btree.cpp).
@@ -91,6 +107,7 @@ class OrderedIndex {
   std::size_t size_ = 0;
   Node* root_ = nullptr;
   std::uint64_t next_leaf_id_ = 1;
+  std::function<void(std::uint64_t)> retire_hook_;
 };
 
 }  // namespace hydra::index

@@ -1,7 +1,10 @@
 #include "index/leaf_page.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
+
+#include "common/hash.hpp"
 
 namespace hydra::index {
 
@@ -15,7 +18,7 @@ namespace {
 //   [24] epoch          u64
 //   [32] payload_bytes  u32   (entry region length, header excluded)
 //   [36] flags          u32   (bit0: last leaf on this shard)
-//   [40] checksum       u64   (FNV-1a over header-with-checksum-zeroed + payload)
+//   [40] checksum       u64   (hash of header bytes [0, 40) and of the payload)
 // Entries: repeated { klen u16, vlen u32, key bytes, value bytes }.
 constexpr std::size_t kEntryOverhead = 6;
 constexpr std::size_t kChecksumOffset = 40;
@@ -40,23 +43,13 @@ std::uint64_t get_u64(const std::byte* p) {
   return v;
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const std::byte* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(p[i]));
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 std::uint64_t page_checksum(std::span<const std::byte> encoded) {
-  // Header with the checksum field treated as zero, then the payload.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = fnv1a(h, encoded.data(), kChecksumOffset);
-  const std::byte zeros[8] = {};
-  h = fnv1a(h, zeros, sizeof zeros);
-  h = fnv1a(h, encoded.data() + kLeafPageHeaderBytes,
-            encoded.size() - kLeafPageHeaderBytes);
-  return h;
+  // The header up to the checksum field, then the payload: the field itself
+  // never feeds its own hash.
+  const std::uint64_t header = hash_bytes(encoded.data(), kChecksumOffset);
+  const std::uint64_t payload = hash_bytes(encoded.data() + kLeafPageHeaderBytes,
+                                           encoded.size() - kLeafPageHeaderBytes);
+  return header ^ mix64(payload);
 }
 
 }  // namespace
@@ -93,9 +86,12 @@ bool encode_leaf_page(
   put_u64(out.data() + 24, epoch);
   put_u32(out.data() + 32, static_cast<std::uint32_t>(total - kLeafPageHeaderBytes));
   put_u32(out.data() + 36, last ? kLeafPageFlagLast : 0);
-  put_u64(out.data() + kChecksumOffset, 0);
   put_u64(out.data() + kChecksumOffset, page_checksum(out.first(total)));
   return true;
+}
+
+void poison_leaf_page(std::span<std::byte> page) noexcept {
+  std::memset(page.data(), 0, std::min(page.size(), kLeafPageHeaderBytes));
 }
 
 std::optional<LeafPage> decode_leaf_page(std::span<const std::byte> bytes) {

@@ -1,10 +1,11 @@
 // One-sided-traversable leaf page layout (DESIGN.md §13). The shard
-// serializes B+-tree leaves into a small MR-registered mirror region;
-// clients RDMA-Read a whole page and validate it locally: magic, FNV-1a
+// serializes B+-tree leaves into an MR-registered page arena, one exact-fit
+// block per leaf; clients RDMA-Read a page and validate it locally: magic,
 // checksum over the encoded prefix, (leaf_id, leaf_version) against the
 // hint that advertised the page, and the routing epoch stamped at
-// serialization time. Any mismatch (torn read, slot reuse, stale mirror,
-// epoch advance) falls back to the message path, which is always correct.
+// serialization time. Any mismatch (torn read, freed or reused block, stale
+// page, epoch advance) falls back to the message path, which is always
+// correct.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,11 @@ struct LeafPage {
 bool encode_leaf_page(std::span<std::byte> out, std::uint64_t leaf_id,
                       std::uint64_t leaf_version, std::uint64_t epoch, bool last,
                       const std::vector<std::pair<std::string_view, std::string_view>>& entries);
+
+/// Overwrites a page's header so no later read of the block decodes: the
+/// shard poisons a block before freeing it, so an in-flight read of a freed
+/// page fails closed instead of trusting whatever the block holds next.
+void poison_leaf_page(std::span<std::byte> page) noexcept;
 
 /// Hardened decode: every length is bounds-checked against the declared
 /// payload, the checksum must match, and the entry region must be consumed

@@ -224,10 +224,11 @@ std::optional<TxnCommit> decode_txn_commit(std::span<const std::byte> payload) {
 
 std::vector<std::byte> encode_scan_req(const ScanReq& req) {
   std::vector<std::byte> out;
-  out.reserve(13);
+  out.reserve(17);
   append(out, req.epoch);
   append(out, req.limit);
   append(out, req.flags);
+  append(out, req.want);
   return out;
 }
 
@@ -235,7 +236,7 @@ std::optional<ScanReq> decode_scan_req(std::span<const std::byte> payload) {
   ScanReq req;
   Reader r(payload);
   if (!r.read(&req.epoch) || !r.read(&req.limit) || !r.read(&req.flags) ||
-      !r.exhausted()) {
+      !r.read(&req.want) || !r.exhausted()) {
     return std::nullopt;
   }
   if ((req.flags & ~kScanFlagExclusive) != 0) return std::nullopt;
@@ -246,7 +247,7 @@ std::vector<std::byte> encode_scan_resp(const ScanResp& resp) {
   std::vector<std::byte> out;
   std::size_t body = 0;
   for (const auto& [k, v] : resp.entries) body += 8 + k.size() + v.size();
-  out.reserve(16 + body);
+  out.reserve(14 + body + 1 + resp.hints.size() * kScanHintBytes);
   append(out, resp.epoch);
   append(out, static_cast<std::uint8_t>(resp.done ? 1 : 0));
   append(out, static_cast<std::uint32_t>(resp.entries.size()));
@@ -254,16 +255,18 @@ std::vector<std::byte> encode_scan_resp(const ScanResp& resp) {
     append_str(out, k);
     append_str(out, v);
   }
-  // Continuation-leaf hint: emitted only when present, so batches without
-  // one keep the shorter layout.
-  if (resp.hint.valid()) {
-    append(out, static_cast<std::uint8_t>(1));
-    append(out, resp.hint.node);
-    append(out, resp.hint.rkey);
-    append(out, resp.hint.offset);
-    append(out, resp.hint.len);
-    append(out, resp.hint.leaf_id);
-    append(out, resp.hint.leaf_version);
+  // Leaf hints: a count byte then the hints, emitted only when there are
+  // any, so batches without one keep the shorter layout.
+  if (!resp.hints.empty()) {
+    append(out, static_cast<std::uint8_t>(resp.hints.size()));
+    for (const ScanLeafHint& h : resp.hints) {
+      append(out, h.node);
+      append(out, h.rkey);
+      append(out, h.offset);
+      append(out, h.len);
+      append(out, h.leaf_id);
+      append(out, h.leaf_version);
+    }
   }
   return out;
 }
@@ -284,14 +287,15 @@ std::optional<ScanResp> decode_scan_resp(std::span<const std::byte> payload) {
     if (!r.read_str(&k) || !r.read_str(&v)) return std::nullopt;
   }
   if (!r.exhausted()) {
-    std::uint8_t present = 0;
-    if (!r.read(&present) || present != 1) return std::nullopt;
-    if (!r.read(&resp.hint.node) || !r.read(&resp.hint.rkey) ||
-        !r.read(&resp.hint.offset) || !r.read(&resp.hint.len) ||
-        !r.read(&resp.hint.leaf_id) || !r.read(&resp.hint.leaf_version)) {
-      return std::nullopt;
+    std::uint8_t hints = 0;
+    if (!r.read(&hints) || hints == 0 || hints > kMaxScanHints) return std::nullopt;
+    resp.hints.resize(hints);
+    for (ScanLeafHint& h : resp.hints) {
+      if (!r.read(&h.node) || !r.read(&h.rkey) || !r.read(&h.offset) || !r.read(&h.len) ||
+          !r.read(&h.leaf_id) || !r.read(&h.leaf_version) || !h.valid()) {
+        return std::nullopt;
+      }
     }
-    if (!resp.hint.valid()) return std::nullopt;
   }
   if (!r.exhausted()) return std::nullopt;
   return resp;

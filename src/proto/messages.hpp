@@ -192,15 +192,19 @@ inline constexpr std::uint8_t kScanFlagExclusive = 1;
 /// a migration or promotion it predates.
 struct ScanReq {
   std::uint64_t epoch = 0;
-  std::uint32_t limit = 0;  ///< max entries the client still wants
+  std::uint32_t limit = 0;  ///< max entries this batch may return
   std::uint8_t flags = 0;   ///< kScanFlagExclusive
+  /// Entries the whole scan still needs, 0 from a client that does not read
+  /// leaf pages. The shard hints leaf pages past the batch until they cover
+  /// this many; above `limit`, it also ends the batch at its first leaf.
+  std::uint32_t want = 0;
 };
 
 /// Advertisement of a mirrored leaf page the client may RDMA-Read to
-/// continue the scan one-sidedly. (leaf_id, leaf_version) must match the
-/// page header after the read -- a mismatch means the mirror slot was
-/// reused or refreshed underneath the reader and the client falls back to
-/// the message path.
+/// continue the scan one-sidedly. `len` is the page's encoded length.
+/// (leaf_id, leaf_version) must match the page header after the read -- a
+/// mismatch means the leaf changed or its block was freed or reused
+/// underneath the reader, and the client falls back to the message path.
 struct ScanLeafHint {
   NodeId node = kInvalidNode;
   std::uint32_t rkey = 0;
@@ -212,13 +216,20 @@ struct ScanLeafHint {
   [[nodiscard]] bool valid() const noexcept { return rkey != 0 && len != 0; }
 };
 
+/// Most leaf hints one ScanResp carries.
+inline constexpr std::size_t kMaxScanHints = 8;
+/// Wire bytes of one encoded ScanLeafHint.
+inline constexpr std::size_t kScanHintBytes = 36;
+
 /// Body of a kScan response (travels in Response::value).
 struct ScanResp {
   std::uint64_t epoch = 0;
   bool done = false;  ///< no entries past this batch remain on this shard
   std::vector<std::pair<std::string, std::string>> entries;  ///< sorted (key, value)
-  /// Optional trailing block: mirror page holding the continuation leaf.
-  ScanLeafHint hint;
+  /// Optional trailing block: mirror pages of the leaf holding the
+  /// continuation and of the leaves that followed it in key order when the
+  /// batch was answered, at most kMaxScanHints.
+  std::vector<ScanLeafHint> hints;
 };
 
 std::vector<std::byte> encode_scan_req(const ScanReq& req);

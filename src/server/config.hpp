@@ -51,7 +51,7 @@ struct CpuModel {
   /// per-entry copy-out cost on top (values additionally pay per_value_byte).
   Duration base_scan = 500;
   Duration per_scan_entry = 120;
-  /// Re-serializing one leaf into the one-sided mirror (checksum + copies).
+  /// Re-serializing one leaf into its one-sided mirror page (checksum + copies).
   Duration leaf_refresh = 400;
 };
 
@@ -105,15 +105,6 @@ struct ShardConfig {
   /// Follower promo-slab slot size; bounds the largest promotable item
   /// (header + key + value + guardian, see core/item.hpp).
   std::uint32_t hotkey_slot_bytes = 256;
-  /// One-sided scan mirror (DESIGN.md §13): number of leaf pages the shard
-  /// keeps serialized in an MR-registered region so clients can RDMA-Read
-  /// scan continuations. Only meaningful when `store.ordered_index` is on
-  /// (the region is registered iff both hold); with the index off (the
-  /// default) no region is registered and no scan code runs, so rkey
-  /// assignment and event histories are byte-identical to a build that
-  /// predates the feature (same contract as txn_lock_words above).
-  std::uint32_t scan_mirror_pages = 64;
-  std::uint32_t scan_mirror_page_bytes = 4096;
   /// Cap on entries returned per kScan batch (responses are additionally
   /// bounded by the connection's response-slot byte budget).
   std::uint32_t scan_max_batch = 32;

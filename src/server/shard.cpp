@@ -46,15 +46,20 @@ Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
     const std::uint64_t dead = core::kGuardianDead;
     std::memcpy(dead_word_.data(), &dead, sizeof(dead));
   }
-  if (cfg_.scan_mirror_pages > 0 && store_->config().ordered_index) {
+  if (store_->config().ordered_index) {
     // One-sided scan-leaf mirror (DESIGN.md §13). Gated on the ordered
     // index so index-off runs perform exactly the seed's registrations --
     // rkey assignment and event histories stay byte-identical (same
-    // contract as txn_lock_words above).
-    leaf_region_ = fabric::RegisteredBuffer(static_cast<std::size_t>(cfg_.scan_mirror_pages) *
-                                            cfg_.scan_mirror_page_bytes);
-    leaf_mr_ = fabric_.node(node_).register_memory(leaf_region_.bytes());
-    mirror_slots_.resize(cfg_.scan_mirror_pages);
+    // contract as txn_lock_words above). The page arena reserves what the
+    // store arena does; it is demand-zero, so only written pages cost RAM.
+    leaf_arena_ = std::make_unique<core::Arena>(store_->config().arena_bytes);
+    leaf_mr_ = fabric_.node(node_).register_memory(leaf_arena_->bytes());
+    store_->index()->set_retire_hook([this](std::uint64_t leaf_id) {
+      const auto it = mirror_pages_.find(leaf_id);
+      if (it == mirror_pages_.end()) return;
+      release_mirror_page(it->second.offset, it->second.len);
+      mirror_pages_.erase(it);
+    });
   }
 }
 
@@ -849,31 +854,54 @@ void Shard::handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_
   std::size_t bytes_used = 0;
   std::uint64_t payload_bytes = 0;
   bool more = false;
-  idx->scan(req.key, exclusive, [&](std::string_view k, std::uint64_t off) {
-    const std::string_view v = store_->value_at(off);
-    const std::size_t entry_bytes = 8 + k.size() + v.size();
-    // Always admit the first entry even past the byte budget: a zero-entry
-    // not-done response would make the client re-issue the same token forever.
-    if (body.entries.size() >= limit ||
-        (!body.entries.empty() && bytes_used + entry_bytes > budget)) {
-      more = true;
-      return false;
+  // A scan that wants more than this batch gets the rest as leaf pages, so
+  // the batch ends with its first leaf: copying entries the client will
+  // read one-sidedly anyway would only spend shard CPU.
+  const bool pages_follow = leaf_mr_ != nullptr && sreq->want > limit;
+  idx->leaves_from(req.key, exclusive, [&](const index::OrderedIndex::LeafRef& leaf) {
+    for (std::size_t i = leaf.first; i < leaf.entries->size(); ++i) {
+      const index::OrderedIndex::Entry& e = (*leaf.entries)[i];
+      const std::string_view v = store_->value_at(e.offset);
+      const std::size_t entry_bytes = 8 + e.key.size() + v.size();
+      // Always admit the first entry even past the byte budget: a zero-entry
+      // not-done response would make the client re-issue the same token
+      // forever.
+      if (body.entries.size() >= limit ||
+          (!body.entries.empty() && bytes_used + entry_bytes > budget)) {
+        more = true;
+        return false;
+      }
+      body.entries.emplace_back(e.key, std::string(v));
+      bytes_used += entry_bytes;
+      payload_bytes += v.size();
     }
-    body.entries.emplace_back(std::string(k), std::string(v));
-    bytes_used += entry_bytes;
-    payload_bytes += v.size();
-    return true;
+    more = !leaf.last;
+    return more && !pages_follow;
   });
   body.done = !more;
   cost += cpu.per_scan_entry * static_cast<Duration>(body.entries.size()) +
           static_cast<Duration>(cpu.per_value_byte * static_cast<double>(payload_bytes));
 
-  // When the batch stops mid-range, hand the client a one-sided hint for the
-  // leaf holding the continuation so short follow-ups can skip the shard CPU.
-  if (!body.done && leaf_mr_ != nullptr && !body.entries.empty()) {
-    if (auto leaf = idx->leaf_for(body.entries.back().first, /*exclusive=*/true)) {
-      if (auto hint = refresh_leaf_mirror(*leaf, live_epoch, cost)) body.hint = *hint;
-    }
+  // When the batch stops mid-range, hint the mirror pages of the leaf holding
+  // the continuation and of the leaves after it, until they cover what the
+  // scan still wants. The client reads the hints back to back, so the chain
+  // stops at the first leaf without a page rather than skip it. The first
+  // hint rides in the response margin; each further one needs budget room.
+  const std::size_t rest =
+      sreq->want > body.entries.size() ? sreq->want - body.entries.size() : 0;
+  if (!body.done && leaf_mr_ != nullptr && rest > 0) {
+    const std::size_t room =
+        1 + (budget > bytes_used ? (budget - bytes_used) / proto::kScanHintBytes : 0);
+    const std::size_t cap = std::min(proto::kMaxScanHints, room);
+    std::size_t covered = 0;
+    idx->leaves_from(body.entries.back().first, /*exclusive=*/true,
+                     [&](const index::OrderedIndex::LeafRef& leaf) {
+                       const auto hint = refresh_leaf_mirror(leaf, live_epoch, cost);
+                       if (!hint.has_value()) return false;
+                       body.hints.push_back(*hint);
+                       covered += leaf.entries->size() - leaf.first;
+                       return covered < rest && body.hints.size() < cap;
+                     });
   }
 
   ++stats_.scans;
@@ -891,39 +919,30 @@ void Shard::handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_
 
 std::optional<proto::ScanLeafHint> Shard::refresh_leaf_mirror(
     const index::OrderedIndex::LeafRef& leaf, std::uint64_t epoch, Duration& cost) {
-  if (leaf_mr_ == nullptr || mirror_slots_.empty()) return std::nullopt;
-  std::vector<std::pair<std::string_view, std::string_view>> kv;
-  kv.reserve(leaf.entries->size());
-  for (const auto& e : *leaf.entries) kv.emplace_back(e.key, store_->value_at(e.offset));
-  if (index::leaf_page_bytes(kv) > cfg_.scan_mirror_page_bytes) {
-    ++stats_.scan_leaf_oversize;
-    return std::nullopt;
-  }
-
-  std::uint32_t mslot;
-  const auto it = mirror_slot_of_.find(leaf.id);
-  if (it != mirror_slot_of_.end()) {
-    mslot = it->second;
-  } else {
-    // Round-robin eviction keeps the mirror O(pages) regardless of tree size;
-    // a stale victim page simply fails its version check client-side.
-    mslot = mirror_clock_++ % static_cast<std::uint32_t>(mirror_slots_.size());
-    if (mirror_slots_[mslot].used) mirror_slot_of_.erase(mirror_slots_[mslot].leaf_id);
-    mirror_slot_of_[leaf.id] = mslot;
-    mirror_slots_[mslot] = MirrorSlot{};
-  }
-  MirrorSlot& ms = mirror_slots_[mslot];
-  if (!ms.used || ms.leaf_version != leaf.version || ms.epoch != epoch) {
-    const std::size_t off =
-        static_cast<std::size_t>(mslot) * cfg_.scan_mirror_page_bytes;
-    std::span<std::byte> page{leaf_region_.data() + off, cfg_.scan_mirror_page_bytes};
-    if (!index::encode_leaf_page(page, leaf.id, leaf.version, epoch, leaf.last, kv)) {
+  auto [it, fresh] = mirror_pages_.try_emplace(leaf.id);
+  MirrorPage& page = it->second;
+  if (fresh || page.leaf_version != leaf.version || page.epoch != epoch) {
+    std::vector<std::pair<std::string_view, std::string_view>> kv;
+    kv.reserve(leaf.entries->size());
+    for (const auto& e : *leaf.entries) kv.emplace_back(e.key, store_->value_at(e.offset));
+    const std::size_t len = index::leaf_page_bytes(kv);
+    // Same size class: re-encode in place (a reader of the old version fails
+    // its version check). Otherwise the page moves to a block of its class.
+    if (!fresh && core::Arena::class_for(len) != core::Arena::class_for(page.len)) {
+      release_mirror_page(page.offset, page.len);
+      fresh = true;
+    }
+    if (fresh) page.offset = leaf_arena_->allocate(len);
+    if (page.offset == core::kNullOffset ||
+        !index::encode_leaf_page({leaf_arena_->at(page.offset), len}, leaf.id, leaf.version,
+                                 epoch, leaf.last, kv)) {
+      if (page.offset != core::kNullOffset) release_mirror_page(page.offset, len);
+      mirror_pages_.erase(it);
       return std::nullopt;
     }
-    ms.used = true;
-    ms.leaf_id = leaf.id;
-    ms.leaf_version = leaf.version;
-    ms.epoch = epoch;
+    page.len = static_cast<std::uint32_t>(len);
+    page.leaf_version = leaf.version;
+    page.epoch = epoch;
     ++stats_.scan_leaf_refreshes;
     cost += cfg_.cpu.leaf_refresh;
   }
@@ -931,11 +950,16 @@ std::optional<proto::ScanLeafHint> Shard::refresh_leaf_mirror(
   proto::ScanLeafHint hint;
   hint.node = node_;
   hint.rkey = leaf_mr_->rkey();
-  hint.offset = static_cast<std::uint64_t>(mslot) * cfg_.scan_mirror_page_bytes;
-  hint.len = cfg_.scan_mirror_page_bytes;
+  hint.offset = page.offset;
+  hint.len = page.len;
   hint.leaf_id = leaf.id;
   hint.leaf_version = leaf.version;
   return hint;
+}
+
+void Shard::release_mirror_page(std::uint64_t offset, std::uint32_t len) {
+  index::poison_leaf_page({leaf_arena_->at(offset), len});
+  leaf_arena_->deallocate(offset, len);
 }
 
 void Shard::send_response(const proto::Response& resp, std::uint32_t conn_idx,

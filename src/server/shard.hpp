@@ -14,11 +14,11 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
-#include <vector>
-
 #include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "core/store.hpp"
 #include "fabric/fabric.hpp"
@@ -56,7 +56,6 @@ struct ShardStats {
   std::uint64_t scan_entries = 0;         ///< entries returned across batches
   std::uint64_t scan_token_rejects = 0;   ///< continuation tokens refused (epoch)
   std::uint64_t scan_leaf_refreshes = 0;  ///< leaf pages (re)serialized to the mirror
-  std::uint64_t scan_leaf_oversize = 0;   ///< leaves too big for a mirror page
   Duration busy_time = 0;  ///< virtual CPU time charged to this core
 };
 
@@ -173,10 +172,14 @@ class Shard : public sim::Actor {
   void withdraw_promotions(std::uint64_t reason);
 
   /// rkey of the one-sided scan-leaf mirror (DESIGN.md §13); 0 when the
-  /// ordered index or the mirror is disabled. Exposed so chaos can target
-  /// torn-read injection at leaf pages specifically.
+  /// ordered index is disabled. Exposed so chaos can target torn-read
+  /// injection at leaf pages specifically.
   [[nodiscard]] std::uint32_t scan_leaf_rkey() const noexcept {
     return leaf_mr_ != nullptr ? leaf_mr_->rkey() : 0;
+  }
+  /// The mirror's page arena; null when the ordered index is disabled.
+  [[nodiscard]] const core::Arena* scan_page_arena() const noexcept {
+    return leaf_arena_.get();
   }
 
   // --- transactions (DESIGN.md §11) ----------------------------------------
@@ -280,15 +283,18 @@ class Shard : public sim::Actor {
                          Duration cost, bool batched, std::uint32_t endpoint);
   /// kScan: validates the continuation token's epoch against the live
   /// routing epoch, walks the ordered index from the resume key, and -- when
-  /// more entries remain -- refreshes + advertises the continuation leaf's
-  /// mirror page for one-sided pickup.
+  /// more entries remain -- advertises the mirror pages of the continuation
+  /// leaf and its successors, until they cover what the scan still wants.
   void handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
                    Duration cost, bool batched, std::uint32_t endpoint);
-  /// (Re)serializes `leaf` into the mirror when its cached (id, version,
-  /// epoch) stamp is stale; returns the advertisement, or nullopt when the
-  /// mirror is off or the leaf outgrows a page.
+  /// Gives `leaf` its mirror page on first use and re-serializes it when its
+  /// (version, epoch) stamp moved; returns the advertisement, or nullopt when
+  /// the page arena cannot hold it.
   std::optional<proto::ScanLeafHint> refresh_leaf_mirror(
       const index::OrderedIndex::LeafRef& leaf, std::uint64_t epoch, Duration& cost);
+  /// Poisons and frees a leaf's mirror page (merged-away leaf, or a page
+  /// that must move to another size class).
+  void release_mirror_page(std::uint64_t offset, std::uint32_t len);
   void send_response(const proto::Response& resp, std::uint32_t conn_idx,
                      std::uint32_t slot, bool batched, std::uint32_t endpoint = kNoEndpoint);
   void charge(Duration cost) noexcept { stats_.busy_time += cost; }
@@ -364,21 +370,19 @@ class Shard : public sim::Actor {
   fabric::MemoryRegion* lock_mr_ = nullptr;
   EpochFn epoch_source_;
 
-  /// One-sided scan-leaf mirror (DESIGN.md §13): fixed page slots holding
-  /// serialized B+-tree leaves. Registered only when the ordered index and
-  /// cfg_.scan_mirror_pages are both on, so index-off runs keep the seed's
-  /// rkey sequence.
-  struct MirrorSlot {
-    std::uint64_t leaf_id = 0;
+  /// One-sided scan-leaf mirror (DESIGN.md §13): one exact-fit page per
+  /// hinted leaf, kept until the leaf merges away. The arena is registered
+  /// as its own region only when the ordered index is on, so index-off runs
+  /// keep the seed's rkey sequence.
+  struct MirrorPage {
+    std::uint64_t offset = 0;  ///< block in leaf_arena_
+    std::uint32_t len = 0;     ///< encoded page bytes
     std::uint64_t leaf_version = 0;
     std::uint64_t epoch = 0;
-    bool used = false;
   };
-  fabric::RegisteredBuffer leaf_region_;
+  std::unique_ptr<core::Arena> leaf_arena_;
   fabric::MemoryRegion* leaf_mr_ = nullptr;
-  std::vector<MirrorSlot> mirror_slots_;
-  std::map<std::uint64_t, std::uint32_t> mirror_slot_of_;  ///< leaf id -> slot
-  std::uint32_t mirror_clock_ = 0;  ///< round-robin eviction cursor
+  std::unordered_map<std::uint64_t, MirrorPage> mirror_pages_;  ///< leaf id -> page
 
   std::vector<Connection> conns_;
   /// Maps msg_region_ block index -> conns_ index for legacy connections

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <optional>
@@ -36,6 +37,17 @@ std::vector<std::pair<std::string, std::uint64_t>> collect(const OrderedIndex& i
   idx.scan(from, exclusive, [&](std::string_view k, std::uint64_t off) {
     out.emplace_back(std::string(k), off);
     return true;
+  });
+  return out;
+}
+
+/// The first leaf a walk from `from` visits; nullopt when it visits none.
+std::optional<OrderedIndex::LeafRef> leaf_for(const OrderedIndex& idx, std::string_view from,
+                                              bool exclusive) {
+  std::optional<OrderedIndex::LeafRef> out;
+  idx.leaves_from(from, exclusive, [&out](const OrderedIndex::LeafRef& leaf) {
+    out = leaf;
+    return false;
   });
   return out;
 }
@@ -107,25 +119,110 @@ TEST(OrderedIndex, ScanEarlyStopAndLeafFor) {
   idx.scan("", false, [&](std::string_view, std::uint64_t) { return ++seen < 10; });
   EXPECT_EQ(seen, 10);
 
-  const auto leaf = idx.leaf_for(format_key(30, 16), /*exclusive=*/false);
+  const auto leaf = leaf_for(idx, format_key(30, 16), /*exclusive=*/false);
   ASSERT_TRUE(leaf.has_value());
   bool found = false;
   for (const auto& e : *leaf->entries) found = found || e.key == format_key(30, 16);
   EXPECT_TRUE(found);
-  EXPECT_FALSE(idx.leaf_for(format_key(63, 16), /*exclusive=*/true).has_value());
+  EXPECT_FALSE(leaf_for(idx, format_key(63, 16), /*exclusive=*/true).has_value());
 }
 
 TEST(OrderedIndex, LeafVersionBumpsOnMutation) {
   OrderedIndex idx(8);
   for (int i = 0; i < 8; ++i) idx.insert_or_assign(format_key(i, 16), i);
-  const auto before = idx.leaf_for(format_key(0, 16), false);
+  const auto before = leaf_for(idx, format_key(0, 16), false);
   ASSERT_TRUE(before.has_value());
   const std::uint64_t v0 = before->version;
   idx.insert_or_assign(format_key(0, 16), 999);  // in-place assign
-  const auto after = idx.leaf_for(format_key(0, 16), false);
+  const auto after = leaf_for(idx, format_key(0, 16), false);
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->id, before->id);
   EXPECT_GT(after->version, v0);
+}
+
+TEST(OrderedIndex, LeavesFromWalksTheChainFromTheStartKey) {
+  OrderedIndex idx(8);  // sequential inserts leave 4 entries per leaf
+  for (int i = 0; i < 40; ++i) idx.insert_or_assign(format_key(i, 16), i);
+  std::vector<OrderedIndex::LeafRef> seen;
+  idx.leaves_from(format_key(5, 16), /*exclusive=*/true, [&](const auto& leaf) {
+    seen.push_back(leaf);
+    return seen.size() < 3;
+  });
+  ASSERT_EQ(seen.size(), 3u);
+  // The first leaf starts the walk mid-leaf, at key 6; the rest start at 0.
+  EXPECT_EQ((*seen[0].entries)[seen[0].first].key, format_key(6, 16));
+  EXPECT_EQ(seen[1].first, 0u);
+  EXPECT_EQ(seen[2].first, 0u);
+  EXPECT_GT(seen[1].entries->front().key, seen[0].entries->back().key);
+  EXPECT_GT(seen[2].entries->front().key, seen[1].entries->back().key);
+  EXPECT_EQ(leaf_for(idx, format_key(5, 16), true)->id, seen[0].id);
+
+  // The last entry of a leaf as exclusive start begins at the next leaf.
+  const std::string last_of_first = seen[0].entries->back().key;
+  std::uint64_t first_id = 0;
+  idx.leaves_from(last_of_first, /*exclusive=*/true, [&](const auto& leaf) {
+    first_id = leaf.id;
+    EXPECT_EQ(leaf.first, 0u);
+    return false;
+  });
+  EXPECT_EQ(first_id, seen[1].id);
+
+  // The walk ends at the rightmost leaf, which says so.
+  std::size_t leaves = 0;
+  bool last = false;
+  idx.leaves_from("", false, [&](const auto& leaf) {
+    ++leaves;
+    last = leaf.last;
+    return true;
+  });
+  EXPECT_EQ(leaves, idx.leaf_count());
+  EXPECT_TRUE(last);
+  int none = 0;
+  idx.leaves_from(format_key(39, 16), /*exclusive=*/true, [&](const auto&) {
+    ++none;
+    return true;
+  });
+  EXPECT_EQ(none, 0);
+}
+
+TEST(OrderedIndex, MergeReportsTheRetiredLeaf) {
+  OrderedIndex idx(8);
+  for (int i = 0; i < 40; ++i) idx.insert_or_assign(format_key(i, 16), i);
+  std::vector<std::uint64_t> live;
+  idx.leaves_from("", false, [&](const auto& leaf) {
+    live.push_back(leaf.id);
+    return true;
+  });
+  std::vector<std::uint64_t> retired;
+  idx.set_retire_hook([&](std::uint64_t id) { retired.push_back(id); });
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(idx.erase(format_key(i, 16)));
+    // Every reported id was a leaf once and is not one any more.
+    std::vector<std::uint64_t> now;
+    idx.leaves_from("", false, [&](const auto& leaf) {
+      now.push_back(leaf.id);
+      return true;
+    });
+    for (const std::uint64_t id : retired) {
+      EXPECT_NE(std::find(live.begin(), live.end(), id), live.end());
+      EXPECT_EQ(std::find(now.begin(), now.end(), id), now.end());
+    }
+  }
+  // Emptying the tree merges every leaf but one away, each reported once.
+  EXPECT_EQ(retired.size(), live.size() - 1);
+  std::sort(retired.begin(), retired.end());
+  EXPECT_EQ(std::adjacent_find(retired.begin(), retired.end()), retired.end());
+}
+
+TEST(OrderedIndex, SequentialLoadLeavesCarryNoSplitSlack) {
+  // A split leaves the left leaf with half its entries; the capacity it had
+  // before the split must not stay allocated with it.
+  for (const std::size_t fanout : {std::size_t{8}, std::size_t{32}}) {
+    OrderedIndex idx(fanout);
+    for (int i = 0; i < 20000; ++i) idx.insert_or_assign(format_key(i, 16), i);
+    EXPECT_LE(static_cast<double>(idx.leaf_capacity()), 1.25 * static_cast<double>(idx.size()))
+        << "fanout " << fanout << ": " << idx.leaf_capacity() << " slots for " << idx.size();
+  }
 }
 
 // ---------------------------------------------------- model check vs std::map

@@ -342,7 +342,7 @@ std::string stats_fingerprint(db::HydraCluster& cluster) {
         << s.txn_conflicts << ' ' << s.hotkey_promotions << ' ' << s.hotkey_demotions << ' '
         << s.hotkey_invalidations << ' ' << s.hotkey_advertised << ' ' << s.scans << ' '
         << s.scan_entries << ' ' << s.scan_token_rejects << ' ' << s.scan_leaf_refreshes << ' '
-        << s.scan_leaf_oversize << ' ' << s.busy_time << '\n';
+        << s.busy_time << '\n';
   }
   const auto& f = cluster.fabric().stats();
   out << "fabric " << f.rdma_writes << ' ' << f.rdma_reads << ' ' << f.sends << ' '

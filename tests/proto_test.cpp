@@ -359,11 +359,13 @@ TEST(Messages, ScanReqRoundTrip) {
     req.epoch = 0xFEEDFACECAFEBEEFULL;
     req.limit = 321;
     req.flags = flags;
+    req.want = 4000;
     const auto back = decode_scan_req(encode_scan_req(req));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->epoch, req.epoch);
     EXPECT_EQ(back->limit, 321u);
     EXPECT_EQ(back->flags, flags);
+    EXPECT_EQ(back->want, 4000u);
   }
 }
 
@@ -372,6 +374,7 @@ TEST(Messages, ScanReqHardened) {
   req.epoch = 7;
   req.limit = 5;
   req.flags = kScanFlagExclusive;
+  req.want = 9;
   auto payload = encode_scan_req(req);
   // Truncation at every boundary.
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
@@ -390,43 +393,77 @@ TEST(Messages, ScanReqHardened) {
   EXPECT_FALSE(decode_scan_req(flagged).has_value());
 }
 
-ScanResp sample_scan_resp(bool with_hint) {
+TEST(Messages, ScanReqTruncatedInsideWantRejected) {
+  ScanReq req;
+  req.epoch = 7;
+  req.limit = 5;
+  req.want = 0x01020304;
+  const auto payload = encode_scan_req(req);
+  constexpr std::size_t kWantOffset = 8 + 4 + 1;
+  ASSERT_EQ(payload.size(), kWantOffset + 4);
+  // A request without `want` (the old 13-byte layout) and every cut inside
+  // the field are refused rather than read as a partial count.
+  for (std::size_t cut = kWantOffset; cut < payload.size(); ++cut) {
+    auto truncated = payload;
+    truncated.resize(cut);
+    EXPECT_FALSE(decode_scan_req(truncated).has_value()) << "cut=" << cut;
+  }
+}
+
+ScanLeafHint sample_hint(std::uint64_t i) {
+  ScanLeafHint h;
+  h.node = 3;
+  h.rkey = 77;
+  h.offset = 8192 + 1024 * i;
+  h.len = 912;
+  h.leaf_id = 19 + i;
+  h.leaf_version = 6;
+  return h;
+}
+
+ScanResp sample_scan_resp(std::size_t hints) {
   ScanResp resp;
   resp.epoch = 12;
   resp.done = false;
   resp.entries = {{"a-key", "a-value"}, {"b-key", ""}, {"c", "ccc"}};
-  if (with_hint) {
-    resp.hint.node = 3;
-    resp.hint.rkey = 77;
-    resp.hint.offset = 8192;
-    resp.hint.len = 4096;
-    resp.hint.leaf_id = 19;
-    resp.hint.leaf_version = 6;
-  }
+  for (std::size_t i = 0; i < hints; ++i) resp.hints.push_back(sample_hint(i));
   return resp;
 }
 
 TEST(Messages, ScanRespRoundTrip) {
-  for (const bool with_hint : {false, true}) {
-    const ScanResp resp = sample_scan_resp(with_hint);
+  for (const std::size_t hints : {std::size_t{0}, std::size_t{1}, std::size_t{3}, kMaxScanHints}) {
+    const ScanResp resp = sample_scan_resp(hints);
     const auto back = decode_scan_resp(encode_scan_resp(resp));
-    ASSERT_TRUE(back.has_value()) << "hint=" << with_hint;
+    ASSERT_TRUE(back.has_value()) << "hints=" << hints;
     EXPECT_EQ(back->epoch, 12u);
     EXPECT_FALSE(back->done);
     ASSERT_EQ(back->entries.size(), 3u);
     EXPECT_EQ(back->entries[0].first, "a-key");
     EXPECT_EQ(back->entries[0].second, "a-value");
     EXPECT_EQ(back->entries[1].second, "");
-    EXPECT_EQ(back->hint.valid(), with_hint);
-    if (with_hint) {
-      EXPECT_EQ(back->hint.node, 3u);
-      EXPECT_EQ(back->hint.rkey, 77u);
-      EXPECT_EQ(back->hint.offset, 8192u);
-      EXPECT_EQ(back->hint.len, 4096u);
-      EXPECT_EQ(back->hint.leaf_id, 19u);
-      EXPECT_EQ(back->hint.leaf_version, 6u);
+    ASSERT_EQ(back->hints.size(), hints);
+    for (std::size_t i = 0; i < hints; ++i) {
+      const ScanLeafHint want = sample_hint(i);
+      EXPECT_EQ(back->hints[i].node, want.node);
+      EXPECT_EQ(back->hints[i].rkey, want.rkey);
+      EXPECT_EQ(back->hints[i].offset, want.offset);
+      EXPECT_EQ(back->hints[i].len, want.len);
+      EXPECT_EQ(back->hints[i].leaf_id, want.leaf_id);
+      EXPECT_EQ(back->hints[i].leaf_version, want.leaf_version);
     }
   }
+}
+
+TEST(Messages, ScanRespSingleHintKeepsItsLayout) {
+  // A one-hint list is the layout a lone hint always had: a 1 byte, then
+  // node u32, rkey u32, offset u64, len u32, leaf_id u64, leaf_version u64.
+  const auto bare = encode_scan_resp(sample_scan_resp(0));
+  const auto one = encode_scan_resp(sample_scan_resp(1));
+  ASSERT_EQ(one.size(), bare.size() + 1 + kScanHintBytes);
+  EXPECT_EQ(one[bare.size()], std::byte{1});
+  std::uint64_t offset = 0;
+  std::memcpy(&offset, one.data() + bare.size() + 1 + 4 + 4, 8);
+  EXPECT_EQ(offset, 8192u);
 }
 
 TEST(Messages, ScanRespEmptyDoneRoundTrip) {
@@ -437,36 +474,38 @@ TEST(Messages, ScanRespEmptyDoneRoundTrip) {
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->done);
   EXPECT_TRUE(back->entries.empty());
-  EXPECT_FALSE(back->hint.valid());
+  EXPECT_TRUE(back->hints.empty());
 }
 
 TEST(Messages, ScanRespTruncationRejected) {
-  const std::size_t hint_off = encode_scan_resp(sample_scan_resp(false)).size();
-  for (const bool with_hint : {false, true}) {
-    const auto payload = encode_scan_resp(sample_scan_resp(with_hint));
+  const std::size_t hint_off = encode_scan_resp(sample_scan_resp(0)).size();
+  for (const std::size_t hints : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    const auto payload = encode_scan_resp(sample_scan_resp(hints));
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {
       auto truncated = payload;
       truncated.resize(cut);
-      if (with_hint && cut == hint_off) {
+      if (hints > 0 && cut == hint_off) {
         // Cutting exactly the optional trailing hint block yields a valid
         // hint-less batch -- indistinguishable by design; the frame-level
         // checksum is what guards against real truncation there.
         const auto back = decode_scan_resp(truncated);
         ASSERT_TRUE(back.has_value());
-        EXPECT_FALSE(back->hint.valid());
+        EXPECT_TRUE(back->hints.empty());
         continue;
       }
+      // Any other cut, mid-list included (between two hints or inside one),
+      // is refused.
       EXPECT_FALSE(decode_scan_resp(truncated).has_value())
-          << "hint=" << with_hint << " cut=" << cut;
+          << "hints=" << hints << " cut=" << cut;
     }
     auto padded = payload;
     padded.push_back(std::byte{2});
-    EXPECT_FALSE(decode_scan_resp(padded).has_value()) << "hint=" << with_hint;
+    EXPECT_FALSE(decode_scan_resp(padded).has_value()) << "hints=" << hints;
   }
 }
 
 TEST(Messages, ScanRespOpCountCorruptionRejected) {
-  auto payload = encode_scan_resp(sample_scan_resp(false));
+  auto payload = encode_scan_resp(sample_scan_resp(0));
   // Entry count lives after epoch (8) + done (1). A count the frame cannot
   // carry must be rejected before any allocation is sized from it.
   const std::uint32_t huge = 0x40000000;
@@ -479,21 +518,20 @@ TEST(Messages, ScanRespOpCountCorruptionRejected) {
 }
 
 TEST(Messages, ScanRespDoneCorruptionRejected) {
-  auto payload = encode_scan_resp(sample_scan_resp(false));
+  auto payload = encode_scan_resp(sample_scan_resp(0));
   payload[8] = std::byte{2};  // done must be exactly 0 or 1
   EXPECT_FALSE(decode_scan_resp(payload).has_value());
 }
 
 TEST(Messages, ScanRespHintCorruptionRejected) {
-  const ScanResp resp = sample_scan_resp(true);
+  const ScanResp resp = sample_scan_resp(1);
   auto payload = encode_scan_resp(resp);
-  const std::size_t hint_off = encode_scan_resp(sample_scan_resp(false)).size();
-  // Presence byte must be exactly 1.
-  for (const std::uint8_t presence : {std::uint8_t{0}, std::uint8_t{2}}) {
+  const std::size_t hint_off = encode_scan_resp(sample_scan_resp(0)).size();
+  // The count byte must match the hints that follow.
+  for (const std::uint8_t count : {std::uint8_t{0}, std::uint8_t{2}}) {
     auto forged = payload;
-    forged[hint_off] = std::byte{presence};
-    EXPECT_FALSE(decode_scan_resp(forged).has_value())
-        << "presence=" << int(presence);
+    forged[hint_off] = std::byte{count};
+    EXPECT_FALSE(decode_scan_resp(forged).has_value()) << "count=" << int(count);
   }
   // A structurally complete hint that is semantically invalid (rkey == 0)
   // must be rejected too -- clients never see a non-actionable hint.
@@ -501,6 +539,36 @@ TEST(Messages, ScanRespHintCorruptionRejected) {
   const std::uint32_t zero = 0;
   std::memcpy(forged.data() + hint_off + 1 + 4, &zero, 4);  // rkey
   EXPECT_FALSE(decode_scan_resp(forged).has_value());
+}
+
+TEST(Messages, ScanRespHintListCountOutOfRangeRejected) {
+  const std::size_t hint_off = encode_scan_resp(sample_scan_resp(0)).size();
+  // Count 0 is never sent: a hint-less batch omits the block entirely.
+  auto zero = encode_scan_resp(sample_scan_resp(0));
+  zero.push_back(std::byte{0});
+  EXPECT_FALSE(decode_scan_resp(zero).has_value());
+  // Above the cap, even when that many well-formed hints follow.
+  ScanResp over = sample_scan_resp(kMaxScanHints);
+  over.hints.push_back(sample_hint(kMaxScanHints));
+  const auto payload = encode_scan_resp(over);
+  ASSERT_EQ(payload.size(), hint_off + 1 + (kMaxScanHints + 1) * kScanHintBytes);
+  EXPECT_FALSE(decode_scan_resp(payload).has_value());
+}
+
+TEST(Messages, ScanRespInvalidHintInsideListRejected) {
+  // One non-actionable hint poisons the whole list, wherever it sits.
+  const std::size_t hint_off = encode_scan_resp(sample_scan_resp(0)).size();
+  const auto payload = encode_scan_resp(sample_scan_resp(3));
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::size_t at = hint_off + 1 + i * kScanHintBytes;
+    const std::uint32_t zero = 0;
+    auto no_rkey = payload;
+    std::memcpy(no_rkey.data() + at + 4, &zero, 4);
+    EXPECT_FALSE(decode_scan_resp(no_rkey).has_value()) << "rkey, hint " << i;
+    auto no_len = payload;
+    std::memcpy(no_len.data() + at + 4 + 4 + 8, &zero, 4);
+    EXPECT_FALSE(decode_scan_resp(no_len).has_value()) << "len, hint " << i;
+  }
 }
 
 }  // namespace

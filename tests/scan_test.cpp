@@ -1,6 +1,8 @@
 // Range-scan system tests (DESIGN.md §13): cluster-level cross-shard merge
 // correctness, the one-sided leaf-read fast path and its message-path
-// parity, kScan hardening against index-less shards, and the
+// parity, the leaf mirror's page lifecycle (one refresh per leaf version,
+// fresh chained hints, freed pages failing closed), kScan hardening against
+// index-less shards, and the
 // scan-mid-migration chaos family (scripted schedules x seeds plus a
 // seeded sweep scaled by HYDRA_SCAN_RANDOM_RUNS).
 
@@ -9,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -161,6 +164,186 @@ TEST(ScanCluster, ServerScanCountersAdvance) {
   }
   EXPECT_EQ(cursor_scans, 1u);
   EXPECT_GE(client_entries, 100u);  // message-path + leaf-read entries combined
+}
+
+// ------------------------------------------------- one-sided leaf mirror
+
+/// One shard with 4-entry leaves (fanout 8, sequential load) and 4-entry
+/// batches, so a scan's hint list and the leaves it names are predictable.
+db::ClusterOptions single_shard_options() {
+  db::ClusterOptions opts = scan_options();
+  opts.server_nodes = 1;
+  opts.shard_template.store.index_fanout = 8;
+  opts.client_template.scan_batch = 4;
+  return opts;
+}
+
+std::uint64_t total_refreshes(db::HydraCluster& cluster) {
+  std::uint64_t n = 0;
+  for (ShardId s = 0; s < static_cast<ShardId>(cluster.shard_count()); ++s) {
+    n += cluster.shard(s)->stats().scan_leaf_refreshes;
+  }
+  return n;
+}
+
+TEST(ScanMirror, RepeatedPassesRefreshEachLeafOnce) {
+  // Far more leaves per shard than a 64-page mirror could hold: with no
+  // writes between passes, every page minted in the first pass is still
+  // fresh in the next ones, so nothing is re-encoded again.
+  db::ClusterOptions opts = scan_options();
+  opts.shard_template.store.index_fanout = 8;
+  opts.client_template.scan_batch = 4;
+  db::HydraCluster cluster(opts);
+  const int n = 3600;
+  for (int i = 0; i < n; ++i) cluster.direct_load(skey(i), "v" + std::to_string(i));
+  for (ShardId s = 0; s < static_cast<ShardId>(cluster.shard_count()); ++s) {
+    ASSERT_GE(cluster.shard(s)->store().index()->leaf_count(), 4u * 64u) << "shard " << s;
+  }
+  std::vector<std::pair<std::string, std::string>> out;
+  ASSERT_EQ(cluster.scan(skey(0), n, &out), Status::kOk);
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(n));
+  const std::uint64_t first_pass = total_refreshes(cluster);
+  EXPECT_GT(first_pass, 4u * 64u);
+  for (int pass = 0; pass < 3; ++pass) {
+    out.clear();
+    ASSERT_EQ(cluster.scan(skey(0), n, &out), Status::kOk);
+    ASSERT_EQ(out.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(total_refreshes(cluster), first_pass) << "pass " << pass + 2;
+  }
+}
+
+TEST(ScanMirror, ThirdHintSeesAnUpdateAckedBeforeTheScan) {
+  db::HydraCluster cluster(single_shard_options());
+  for (int i = 0; i < 64; ++i) cluster.direct_load(skey(i), "old");
+  client::Client& c = *cluster.clients()[0];
+  std::vector<std::pair<std::string, std::string>> out;
+  // Batch [0, 4) plus hints for the leaves [4, 8), [8, 12), [12, 16) and
+  // [16, 20): this mirrors all four at their current versions.
+  ASSERT_EQ(cluster.scan(skey(0), 20, &out), Status::kOk);
+  ASSERT_EQ(out.size(), 20u);
+  const std::uint64_t refreshes = total_refreshes(cluster);
+  const client::ClientStats before = c.stats();
+  EXPECT_EQ(before.scan_batches, 1u);
+  EXPECT_EQ(before.scan_leaf_reads, 4u);
+
+  // Key 13 lives in the third hinted leaf.
+  ASSERT_EQ(cluster.put(skey(13), "new"), Status::kOk);
+  out.clear();
+  ASSERT_EQ(cluster.scan(skey(0), 20, &out), Status::kOk);
+  ASSERT_EQ(out.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].second, i == 13 ? "new" : "old") << skey(i);
+  }
+  // Served from the pages, not by a fallback: the third page was re-encoded
+  // when the hint was minted, and it is the only page that was.
+  EXPECT_EQ(c.stats().scan_batches - before.scan_batches, 1u);
+  EXPECT_EQ(c.stats().scan_leaf_reads - before.scan_leaf_reads, 4u);
+  EXPECT_EQ(c.stats().scan_leaf_fallbacks, before.scan_leaf_fallbacks);
+  EXPECT_EQ(total_refreshes(cluster), refreshes + 1);
+}
+
+TEST(ScanMirror, MergedLeavesFreeTheirPagesAndReadsOfThemFallBack) {
+  db::HydraCluster cluster(single_shard_options());
+  for (int i = 0; i < 64; ++i) cluster.direct_load(skey(i), "v" + std::to_string(i));
+  std::vector<std::pair<std::string, std::string>> out;
+  ASSERT_EQ(cluster.scan(skey(0), 64, &out), Status::kOk);
+  const core::Arena* pages = cluster.shard(0)->scan_page_arena();
+  ASSERT_NE(pages, nullptr);
+  const std::size_t mirrored = pages->bytes_in_use();
+  ASSERT_GT(mirrored, 0u);
+
+  // Start the same scan and stop the clock when its first batch lands: the
+  // stream now holds hints for the leaves after key 3.
+  client::Client& c = *cluster.clients()[0];
+  const std::uint64_t batches = c.stats().scan_batches;
+  const std::uint64_t fallbacks = c.stats().scan_leaf_fallbacks;
+  std::optional<Status> status;
+  c.scan(skey(0), 64, [&](Status st, client::Client::ScanEntries entries) {
+    status = st;
+    out = std::move(entries);
+  });
+  while (c.stats().scan_batches == batches) ASSERT_TRUE(cluster.scheduler().step());
+
+  // Erase keys [8, 28) on the shard: their leaves merge away, and each
+  // merged-away leaf's page is poisoned and freed before the reads land.
+  core::KVStore& store = cluster.shard(0)->store();
+  for (int i = 8; i < 28; ++i) {
+    ASSERT_EQ(store.remove(skey(i), cluster.scheduler().now()), Status::kOk);
+  }
+  EXPECT_LT(pages->bytes_in_use(), mirrored);
+
+  while (!status.has_value()) ASSERT_TRUE(cluster.scheduler().step());
+  ASSERT_EQ(*status, Status::kOk);
+  std::vector<std::string> keys;
+  for (const auto& [k, v] : out) keys.push_back(k);
+  std::vector<std::string> want;
+  for (int i = 0; i < 64; ++i) {
+    if (i < 8 || i >= 28) want.push_back(skey(i));
+  }
+  EXPECT_EQ(keys, want);
+  EXPECT_GT(c.stats().scan_leaf_fallbacks, fallbacks);
+}
+
+TEST(ScanMirror, TornChainedReadFallsBack) {
+  // Tear only the second leaf read of the scan -- a hint that followed
+  // another one in the same list -- and the rest of the list is dropped.
+  db::HydraCluster cluster(single_shard_options());
+  for (int i = 0; i < 64; ++i) cluster.direct_load(skey(i), "v" + std::to_string(i));
+  const std::uint32_t leaf_rkey = cluster.shard(0)->scan_leaf_rkey();
+  ASSERT_NE(leaf_rkey, 0u);
+  int leaf_reads = 0;
+  cluster.fabric().set_read_fault_hook(
+      [&](NodeId, NodeId, const fabric::RemoteAddr& addr, std::uint32_t size) {
+        fabric::ReadFault fault;
+        if (addr.rkey == leaf_rkey && ++leaf_reads == 2) {
+          fault.kind = fabric::ReadFault::Kind::kTorn;
+          fault.torn_bytes = size / 2;
+        }
+        return fault;
+      });
+  std::vector<std::pair<std::string, std::string>> out;
+  ASSERT_EQ(cluster.scan(skey(0), 20, &out), Status::kOk);
+  cluster.fabric().set_read_fault_hook(nullptr);
+  ASSERT_EQ(out.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].first, skey(i));
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].second, "v" + std::to_string(i));
+  }
+  const client::ClientStats& st = cluster.clients()[0]->stats();
+  // One page before the tear; then the torn page's range came by message,
+  // and that batch's own two hints served the rest.
+  EXPECT_EQ(st.scan_leaf_fallbacks, 1u);
+  EXPECT_EQ(st.scan_batches, 2u);
+  EXPECT_EQ(st.scan_leaf_reads, 1u + 2u);
+  EXPECT_EQ(leaf_reads, 4);
+}
+
+TEST(ScanMirror, HintsDieWithTheRoutingEpoch) {
+  db::HydraCluster cluster(single_shard_options());
+  for (int i = 0; i < 64; ++i) cluster.direct_load(skey(i), "v" + std::to_string(i));
+  client::Client& c = *cluster.clients()[0];
+  std::uint64_t epoch = cluster.routing_epoch();
+  c.set_epoch_source([&epoch] { return epoch; });
+  const client::ClientStats before = c.stats();
+  std::optional<Status> status;
+  client::Client::ScanEntries out;
+  c.scan(skey(0), 20, [&](Status st, client::Client::ScanEntries entries) {
+    status = st;
+    out = std::move(entries);
+  });
+  // The first batch lands with hints for four leaves and the first read
+  // goes out at once; then the client learns of a routing-epoch advance.
+  while (c.stats().scan_batches == before.scan_batches) {
+    ASSERT_TRUE(cluster.scheduler().step());
+  }
+  ++epoch;
+  while (!status.has_value()) ASSERT_TRUE(cluster.scheduler().step());
+  ASSERT_EQ(*status, Status::kOk);
+  ASSERT_EQ(out.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)].first, skey(i));
+  // Only the read already in flight used a page; the rest came by message.
+  EXPECT_EQ(c.stats().scan_leaf_reads - before.scan_leaf_reads, 1u);
+  EXPECT_GT(c.stats().scan_batches - before.scan_batches, 1u);
 }
 
 // ------------------------------------------------------- chaos: migration
