@@ -90,7 +90,8 @@ std::vector<ScanSchedule> ScanSchedule::scripted() {
     // without dropping or duplicating across the handover.
     ScanSchedule s;
     s.name = "scan-add-shard-live";
-    // Enough scans to still be streaming when the copy commits (~450 us in).
+    // Scans keep streaming until the copy commits (~450 us in): the runner
+    // issues more while a migration is in flight.
     s.scans = 120;
     s.faults.push_back({.kind = ScanFaultKind::kAddShard, .at_op = 30});
     out.push_back(std::move(s));
@@ -217,7 +218,8 @@ ScanRunReport ScanChaosRunner::run(const ScanSchedule& schedule, std::uint64_t s
   plan.inserts = std::max<std::uint32_t>(plan.inserts, 1);
   plan.scans = std::max<std::uint32_t>(plan.scans, 1);
   plan.max_scan_limit = std::max<std::uint32_t>(plan.max_scan_limit, 1);
-  const std::uint32_t total_ops = plan.inserts + plan.scans;
+  // Grows past the plan when scans outlast it (see drive_scan).
+  std::uint32_t total_ops = plan.inserts + plan.scans;
   for (ScanFault& f : plan.faults) f.at_op = std::min(f.at_op, total_ops - 1);
 
   ScanRunReport report;
@@ -257,6 +259,7 @@ ScanRunReport ScanChaosRunner::run(const ScanSchedule& schedule, std::uint64_t s
 
   // --- fault machinery ------------------------------------------------------
   ShardId added_shard = kInvalidShard;
+  std::uint64_t migration_epoch = 0;  ///< routing epoch the last migration began in
   // The torn-read rng outlives apply_fault's frame (the hook keeps firing
   // until the window closes), hence the shared_ptr capture.
   auto torn_rng = std::make_shared<Xoshiro256>(seed ^ 0xC2B2AE3D27D4EB4FULL);
@@ -270,6 +273,7 @@ ScanRunReport ScanChaosRunner::run(const ScanSchedule& schedule, std::uint64_t s
     switch (f.kind) {
       case ScanFaultKind::kAddShard: {
         added_shard = cluster.add_shard_live();
+        migration_epoch = cluster.routing_epoch();
         appendf(hist, "t=%llu add-shard -> %d\n",
                 static_cast<unsigned long long>(sched.now()),
                 added_shard == kInvalidShard ? -1 : static_cast<int>(added_shard));
@@ -277,6 +281,7 @@ ScanRunReport ScanChaosRunner::run(const ScanSchedule& schedule, std::uint64_t s
       }
       case ScanFaultKind::kDrainShard: {
         const bool ok = cluster.drain_shard_live(original(f.index));
+        migration_epoch = cluster.routing_epoch();
         appendf(hist, "t=%llu drain-shard %u -> %d\n",
                 static_cast<unsigned long long>(sched.now()),
                 static_cast<unsigned>(original(f.index)), ok ? 1 : 0);
@@ -307,9 +312,10 @@ ScanRunReport ScanChaosRunner::run(const ScanSchedule& schedule, std::uint64_t s
         cluster.fabric().set_read_fault_hook(
             [&cluster, torn_rng, percent](NodeId, NodeId, const fabric::RemoteAddr& addr,
                                           std::uint32_t size) {
-              // Only leaf-page mirror reads are torn -- every hint of a list
-              // reads the same region, so chained reads tear too: match the
-              // target rkey against every live shard's mirror registration.
+              // Only leaf-page mirror reads are torn. Reads started from the
+              // leaf cache, from a page's successor and from a batch's hint
+              // all target a shard's page region, so matching the rkey
+              // against every live shard's registration tears each kind.
               bool leaf = false;
               for (ShardId s = 0; s < static_cast<ShardId>(cluster.shard_count());
                    ++s) {
@@ -461,8 +467,19 @@ ScanRunReport ScanChaosRunner::run(const ScanSchedule& schedule, std::uint64_t s
   };
 
   std::function<void()> drive_scan = [&] {
-    if (scan_cursor >= plan.scans) return;
-    const PlannedScan ps = scan_plan[scan_cursor];
+    // Scans outlast the plan, replaying the planned scans, while a healthy
+    // migration is in flight -- no epoch advance since it began and no shard
+    // down -- so its commit always meets a streaming cursor. A migration a
+    // crash stalls ends the stream at the plan as before.
+    if (scan_cursor >= plan.scans) {
+      bool healthy = cluster.migration_active() && cluster.routing_epoch() == migration_epoch;
+      for (ShardId id = 0; healthy && id < static_cast<ShardId>(cluster.shard_count()); ++id) {
+        healthy = cluster.shard_retired(id) || cluster.shard(id)->alive();
+      }
+      if (!healthy) return;
+      ++total_ops;
+    }
+    const PlannedScan ps = scan_plan[scan_cursor % plan.scans];
     const std::uint32_t scan_idx = scan_cursor++;
     const std::uint32_t issue_idx = global_issue++;
     arm_faults(issue_idx);

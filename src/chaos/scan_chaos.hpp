@@ -62,7 +62,10 @@ struct ScanFault {
 struct ScanSchedule {
   std::string name;
   std::uint32_t inserts = 150;     ///< client 0: INSERT stream length
-  std::uint32_t scans = 80;        ///< client 1: scan stream length
+  /// Client 1: scan stream length; the stream runs on while a migration is
+  /// in flight with every shard up and has not yet advanced the routing
+  /// epoch.
+  std::uint32_t scans = 80;
   /// Per-scan limit drawn in [1, max]. Deliberately larger than
   /// shards x the runner's scan batch so scans need continuation rounds --
   /// that is where tokens straddle epoch bumps and leaf hints get consumed.

@@ -11,7 +11,8 @@
 namespace hydra::client {
 
 Client::Client(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
-               ClientConfig cfg, std::shared_ptr<RemotePtrCache> pointer_cache)
+               ClientConfig cfg, std::shared_ptr<RemotePtrCache> pointer_cache,
+               std::shared_ptr<LeafCache> leaf_cache)
     : sim::Actor(sched, "client-" + std::to_string(cfg.id)),
       fabric_(fabric),
       node_(node),
@@ -21,6 +22,7 @@ Client::Client(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
       }()),
       cache_(pointer_cache ? std::move(pointer_cache)
                            : std::make_shared<RemotePtrCache>(64 * 1024)),
+      leaf_cache_(leaf_cache ? std::move(leaf_cache) : std::make_shared<LeafCache>()),
       resp_region_(static_cast<std::size_t>(cfg_.max_shard_connections) *
                    cfg_.window * cfg_.resp_slot_bytes) {
   resp_mr_ = fabric_.node(node_).register_memory(resp_region_.bytes());

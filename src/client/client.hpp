@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "client/leaf_cache.hpp"
 #include "client/node_mux.hpp"
 #include "common/histogram.hpp"
 #include "core/lockfree_cache.hpp"
@@ -178,8 +179,11 @@ class Client : public sim::Actor {
   /// design needs to stay linearizable across ownership changes.
   using EpochSource = std::function<std::uint64_t()>;
 
+  /// Co-located clients may share `pointer_cache` and `leaf_cache`; a null
+  /// one gives the client its own.
   Client(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node, ClientConfig cfg,
-         std::shared_ptr<RemotePtrCache> pointer_cache = nullptr);
+         std::shared_ptr<RemotePtrCache> pointer_cache = nullptr,
+         std::shared_ptr<LeafCache> leaf_cache = nullptr);
 
   /// Acquired per one-sided replica read: the QP to post on plus a release
   /// hook fired when the read completes (under mux it pins the shared read
@@ -261,6 +265,7 @@ class Client : public sim::Actor {
   [[nodiscard]] const ClientStats& stats() const noexcept { return stats_; }
   [[nodiscard]] ClientStats& mutable_stats() noexcept { return stats_; }
   [[nodiscard]] RemotePtrCache& pointer_cache() noexcept { return *cache_; }
+  [[nodiscard]] LeafCache& leaf_cache() noexcept { return *leaf_cache_; }
   [[nodiscard]] const ClientConfig& config() const noexcept { return cfg_; }
   /// The registered response region: one block of `window` slots per
   /// shard connection, max_shard_connections blocks.
@@ -356,6 +361,7 @@ class Client : public sim::Actor {
   NodeId node_;
   ClientConfig cfg_;
   std::shared_ptr<RemotePtrCache> cache_;
+  std::shared_ptr<LeafCache> leaf_cache_;
   Resolver resolver_;
   Connector connector_;
   EpochSource epoch_source_;

@@ -114,21 +114,26 @@ void ScanCursor::fetch(std::size_t idx) {
   const std::uint64_t gen = generation_;
   auto self = shared_from_this();
 
-  // Hints are continuation tokens too. Like a pointer-cache read, a leaf
-  // read never crosses a routing-epoch advance: drop them, and the message
-  // path's epoch fence restarts the cursor.
-  if (client_.routing_epoch() != epoch_) s.hints.clear();
-  if (client_.config().scan_leaf_reads && !s.hints.empty()) {
-    // Single-shot hint: consume it now; a validation failure drops the rest
-    // of the list, so the next fetch takes the message path.
-    const proto::ScanLeafHint hint = s.hints.front();
-    s.hints.pop_front();
-    client_.leaf_read(hint.node, fabric::RemoteAddr{hint.rkey, hint.offset}, hint.len,
-                      [this, self, idx, gen, hint](Status st, std::vector<std::byte> page) {
-                        on_leaf_page(idx, gen, hint, st, std::move(page));
-                      });
-    return;
+  // Like a pointer-cache read, a leaf read never crosses a routing-epoch
+  // advance the client knows of: the message path's epoch fence restarts
+  // the cursor instead.
+  LeafCache& cache = client_.leaf_cache();
+  if (client_.config().scan_leaf_reads && !s.by_message &&
+      client_.routing_epoch() == epoch_ && cache.adopt(epoch_)) {
+    Link link = s.next;
+    const bool chained = link.leaf != 0;
+    if (!chained) link.leaf = cache.start(s.shard, s.resume);
+    if (const auto where = link.leaf != 0 ? cache.find(s.shard, link.leaf) : std::nullopt) {
+      client_.leaf_read(where->node, fabric::RemoteAddr{where->rkey, where->offset}, where->len,
+                        [this, self, idx, gen, link, chained](Status st,
+                                                              std::vector<std::byte> page) {
+                          on_leaf_page(idx, gen, link, chained, st, std::move(page));
+                        });
+      return;
+    }
   }
+  s.by_message = false;
+  s.next = Link{};
 
   proto::ScanReq sreq;
   sreq.epoch = epoch_;
@@ -178,33 +183,41 @@ void ScanCursor::on_batch(std::size_t idx, std::uint64_t gen, Status st,
     s.buffer.emplace_back(key, value);
   }
   s.done = resp.done;
-  if (resp.done) {
-    s.hints.clear();
-  } else {
-    s.hints.assign(resp.hints.begin(), resp.hints.end());
+  // The first hint is the leaf holding the continuation; the rest follow it
+  // in the chain. All of them serve later scans too.
+  if (!resp.done && !resp.hints.empty()) {
+    LeafCache& cache = client_.leaf_cache();
+    if (cache.adopt(epoch_)) {
+      for (const proto::ScanLeafHint& hint : resp.hints) cache.add(s.shard, hint);
+    }
+    const proto::ScanLeafHint& first = resp.hints.front();
+    s.next = Link{first.leaf_id, /*from_batch=*/true, first.leaf_version, 0};
   }
   pump();
 }
 
-void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen,
-                              proto::ScanLeafHint hint, Status st,
-                              std::vector<std::byte> page) {
+void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen, Link link, bool chained,
+                              Status st, std::vector<std::byte> page) {
   if (finished_ || gen != generation_) return;
   Stream& s = streams_[idx];
   s.inflight = false;
   ClientStats& stats = client_.mutable_stats();
   obs::Plane* obs = client_.fabric().obs();
+  LeafCache& cache = client_.leaf_cache();
+  const std::uint64_t leaf_id = link.leaf;
 
   auto fall_back = [&] {
-    // The page failed to arrive or to validate (torn read, version moved,
-    // stale epoch, block freed or reused for another leaf): later hints
-    // assumed this page's entries, so drop them, and pump() re-fetches this
+    // The page failed to arrive or to validate (torn read, poisoned by a
+    // write, stale epoch, block freed or reused for another leaf, or it does
+    // not cover the resume key): forget it, and pump() re-fetches this
     // position through the message path.
-    s.hints.clear();
+    if (cache.adopt(epoch_)) cache.erase(s.shard, leaf_id);
+    s.next = Link{};
+    s.by_message = true;
     ++stats.scan_leaf_fallbacks;
     if (obs != nullptr) {
       obs->trace(client_.now(), client_.node(), obs::TraceKind::kScanLeafFallback,
-                 s.shard, hint.leaf_id, 0);
+                 s.shard, leaf_id, 0);
     }
     pump();
   };
@@ -213,48 +226,60 @@ void ScanCursor::on_leaf_page(std::size_t idx, std::uint64_t gen,
     fall_back();
     return;
   }
-  const auto decoded = index::decode_leaf_page({page.data(), page.size()});
-  if (!decoded.has_value() || decoded->leaf_id != hint.leaf_id ||
-      decoded->leaf_version != hint.leaf_version || decoded->epoch != epoch_) {
+  auto decoded = index::decode_leaf_page({page.data(), page.size()});
+  if (!decoded.has_value() || decoded->leaf_id != leaf_id || decoded->epoch != epoch_) {
     fall_back();
     return;
   }
+  auto& entries = decoded->entries;
   // Structural re-check: entries must be strictly ascending (a checksum
   // collision shield; also what lets the merge trust the buffered order).
-  std::vector<std::pair<std::string, std::string>> fresh;
-  std::string_view prev{};
-  bool first = true;
-  for (const auto& [key, value] : decoded->entries) {
-    if (!first && key <= prev) {
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i].first <= entries[i - 1].first) {
       fall_back();
       return;
     }
-    prev = key;
-    first = false;
-    if (key > s.resume) fresh.emplace_back(key, value);
   }
-  if (fresh.empty() && !decoded->last) {
-    // Deletions emptied our window into this leaf; let the message path
-    // walk to the successor (guaranteed progress, unlike re-reading).
-    s.hints.clear();
-    pump();
+  // The page must cover the resume key: no entry past it may sit in an
+  // earlier leaf. A page looked up by key shows that by starting at or below
+  // the key (or by being the head). A chained page was the successor of
+  // what the stream read last, and entries leave it leftward only when the
+  // index counts a left shift, so it must not show a newer shift than the
+  // page that named it -- or, when a batch named it, the batch's version.
+  bool covers = false;
+  if (!chained) {
+    covers = decoded->first || (!entries.empty() && entries.front().first <= s.resume);
+  } else if (link.from_batch) {
+    covers = decoded->leaf_version == link.version;
+  } else {
+    covers = decoded->left_shifts <= link.left_shifts;
+  }
+  if (!covers) {
+    fall_back();
     return;
   }
-  ++stats.scan_leaf_reads;
-  stats.scan_entries += fresh.size();
-  if (obs != nullptr) {
-    obs->trace(client_.now(), client_.node(), obs::TraceKind::kScanLeafRead, s.shard,
-               hint.leaf_id, fresh.size());
+  if (cache.adopt(epoch_)) {
+    cache.learn(s.shard, leaf_id, entries.empty() ? nullptr : &entries.front().first,
+                decoded->first);
   }
-  for (auto& [key, value] : fresh) {
+  std::size_t fresh = 0;
+  for (auto& [key, value] : entries) {
+    if (s.exclusive ? key <= s.resume : key < s.resume) continue;
     s.resume = key;
     s.exclusive = true;
     s.buffer.emplace_back(std::move(key), std::move(value));
+    ++fresh;
   }
-  if (decoded->last) {
-    s.done = true;
-    s.hints.clear();
+  ++stats.scan_leaf_reads;
+  stats.scan_entries += fresh;
+  if (obs != nullptr) {
+    obs->trace(client_.now(), client_.node(), obs::TraceKind::kScanLeafRead, s.shard,
+               leaf_id, fresh);
   }
+  // An empty window (deletions, or a resume key at the leaf's end) simply
+  // walks on to the successor.
+  s.done = decoded->last;
+  s.next = Link{decoded->next_id, /*from_batch=*/false, 0, decoded->left_shifts};
   pump();
 }
 

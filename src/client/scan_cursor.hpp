@@ -3,12 +3,17 @@
 // A scan fans out across every live shard (range ownership is scattered by
 // consistent hashing, so any shard may own any key of the range) and k-way
 // merges the per-shard ordered streams into one ascending sequence. Each
-// stream alternates between the always-correct kScan message path and --
-// when the shard advertises leaf-page hints -- one-sided RDMA Reads of the
-// mirrored B+-tree leaves, one hint after another in key order, each
-// validated client-side by checksum and (leaf id, version, epoch) stamp;
-// any validation failure drops the rest of the hints and falls back to the
-// message path.
+// stream starts one-sidedly when it can: from the node's leaf cache it
+// RDMA-Reads the mirrored B+-tree leaf page with the greatest known first
+// key at or below its resume key (or the shard's head page) and walks on by
+// the successor ids the pages name. A page counts only if it decodes (the
+// shard poisons a page on every change, so a decoded page is current),
+// names the leaf the stream expected, carries the cursor's epoch and covers
+// the resume key: a page looked up by key starts at or below it (or is the
+// head), a successor shows no left shift newer than the page that named it,
+// and a batch's continuation leaf is still the version the batch named.
+// Any failure takes the always-correct kScan message path once; its leaf
+// hints refill the cache and name the leaf the stream continues from.
 //
 // Routing-epoch advances (failover promotions, live-migration commits)
 // invalidate every outstanding continuation token: the affected shard
@@ -38,6 +43,17 @@ class ScanCursor : public std::enable_shared_from_this<ScanCursor> {
                     Client::ScanResultFn cb);
 
  private:
+  /// The leaf a stream continues from one-sidedly, and what its page must
+  /// show to cover the stream's resume key.
+  struct Link {
+    std::uint64_t leaf = 0;  ///< 0: look the resume key up in the leaf cache
+    bool from_batch = false;
+    /// Named by a batch hint: the page must still be this version.
+    std::uint64_t version = 0;
+    /// Named by a page: the successor's left-shift stamp may not exceed it.
+    std::uint64_t left_shifts = 0;
+  };
+
   struct Stream {
     ShardId shard = kInvalidShard;
     std::string resume;       ///< last key consumed from this shard
@@ -45,9 +61,9 @@ class ScanCursor : public std::enable_shared_from_this<ScanCursor> {
     bool done = false;        ///< shard exhausted (no more fetches)
     bool inflight = false;
     std::deque<std::pair<std::string, std::string>> buffer;
-    /// One-sided continuation: the leaf pages that followed the last message
-    /// batch, read front to back while they validate.
-    std::deque<proto::ScanLeafHint> hints;
+    /// The successor the last page named, or the last batch's first hint.
+    Link next;
+    bool by_message = false;  ///< the last page failed: next fetch is a batch
   };
 
   ScanCursor(Client& client, std::string start_key, std::uint32_t limit,
@@ -64,8 +80,9 @@ class ScanCursor : public std::enable_shared_from_this<ScanCursor> {
   void fetch(std::size_t idx);
   void on_batch(std::size_t idx, std::uint64_t gen, Status st,
                 const proto::ScanResp& resp);
-  void on_leaf_page(std::size_t idx, std::uint64_t gen, proto::ScanLeafHint hint,
-                    Status st, std::vector<std::byte> page);
+  /// `chained`: `link` came from the stream, not from a lookup by key.
+  void on_leaf_page(std::size_t idx, std::uint64_t gen, Link link, bool chained, Status st,
+                    std::vector<std::byte> page);
   void finish(Status st);
 
   Client& client_;

@@ -164,13 +164,17 @@ HydraCluster::HydraCluster(ClusterOptions opts)
     ccfg.use_send_recv = opts_.server_mode == server::ServerMode::kSendRecv;
 
     std::shared_ptr<client::Client::RemotePtrCache> cache;
+    std::shared_ptr<client::LeafCache> leaves;
     if (opts_.share_pointer_cache) {
       auto& slot = node_caches_[node];
       if (!slot) slot = std::make_shared<client::Client::RemotePtrCache>(64 * 1024);
       cache = slot;
+      auto& leaf_slot = node_leaf_caches_[node];
+      if (!leaf_slot) leaf_slot = std::make_shared<client::LeafCache>();
+      leaves = leaf_slot;
     }
-    clients_.push_back(
-        std::make_unique<client::Client>(sched_, fabric_, node, ccfg, std::move(cache)));
+    clients_.push_back(std::make_unique<client::Client>(sched_, fabric_, node, ccfg,
+                                                        std::move(cache), std::move(leaves)));
     wire_client(*clients_.back());
     client_ptrs_.push_back(clients_.back().get());
     node_clients_[node].push_back(clients_.back().get());

@@ -56,8 +56,9 @@ struct ClusterOptions {
   int pipeline_dispatchers = 2;
   int pipeline_workers = 2;
   bool client_rdma_read = true;
-  /// One shared pointer cache per client node (section 4.2.4) versus an
-  /// exclusive cache per client (the secure-isolation configuration).
+  /// One shared pointer cache and leaf-page cache per client node (section
+  /// 4.2.4) versus exclusive caches per client (the secure-isolation
+  /// configuration).
   bool share_pointer_cache = true;
   /// QP multiplexing (DESIGN.md §10): all clients on one node share a
   /// single physical QP + SRQ-style shared request ring per destination
@@ -271,6 +272,7 @@ class HydraCluster {
   std::vector<std::unique_ptr<client::Client>> clients_;
   std::vector<client::Client*> client_ptrs_;
   std::map<NodeId, std::shared_ptr<client::Client::RemotePtrCache>> node_caches_;
+  std::map<NodeId, std::shared_ptr<client::LeafCache>> node_leaf_caches_;
   /// The clients of each client machine (one routing watch per machine).
   std::map<NodeId, std::vector<client::Client*>> node_clients_;
   /// Per-client-node shared QP channel pools (mux_connections mode).

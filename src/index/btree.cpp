@@ -108,7 +108,7 @@ bool OrderedIndex::insert_rec(Node* n, std::string_view key, std::uint64_t offse
     Leaf* leaf = static_cast<Leaf*>(n);
     auto it = std::lower_bound(leaf->entries.begin(), leaf->entries.end(), key,
                                EntryKeyLess{});
-    ++leaf->version;
+    bump(leaf);
     if (it != leaf->entries.end() && it->key == key) {
       it->offset = offset;
       return false;
@@ -182,7 +182,7 @@ bool OrderedIndex::erase_rec(Node* n, std::string_view key) {
                                EntryKeyLess{});
     if (it == leaf->entries.end() || it->key != key) return false;
     leaf->entries.erase(it);
-    ++leaf->version;
+    bump(leaf);
     return true;
   }
   Inner* in = static_cast<Inner*>(n);
@@ -219,17 +219,18 @@ void OrderedIndex::rebalance_child(Inner* parent, std::size_t ci) {
       } else {
         c->entries.push_back(std::move(r->entries.front()));
         r->entries.erase(r->entries.begin());
+        ++left_shifts_;
       }
-      ++l->version;
-      ++r->version;
+      bump(l);
+      bump(r);
       parent->keys[li] = r->entries.front().key;
       return;
     }
     // Merge right into left; the right leaf dies.
     l->entries.insert(l->entries.end(), std::make_move_iterator(r->entries.begin()),
                       std::make_move_iterator(r->entries.end()));
-    ++l->version;
     l->next = r->next;
+    bump(l);
     if (r->next != nullptr) r->next->prev = l;
     if (retire_hook_) retire_hook_(r->id);
     delete r;
@@ -266,6 +267,11 @@ void OrderedIndex::rebalance_child(Inner* parent, std::size_t ci) {
   parent->children.erase(parent->children.begin() + static_cast<std::ptrdiff_t>(ri));
 }
 
+void OrderedIndex::bump(Leaf* leaf) {
+  ++leaf->version;
+  if (change_hook_) change_hook_(leaf->id);
+}
+
 std::optional<std::uint64_t> OrderedIndex::find(std::string_view key) const {
   Leaf* leaf = leaf_lower_bound(key);
   auto it =
@@ -299,9 +305,14 @@ void OrderedIndex::leaves_from(std::string_view from, bool exclusive,
   if (leaf == nullptr) return;
   std::size_t first = static_cast<std::size_t>(it - leaf->entries.begin());
   for (; leaf != nullptr; leaf = leaf->next, first = 0) {
-    if (!fn(LeafRef{leaf->id, leaf->version, leaf->next == nullptr, &leaf->entries, first})) {
-      return;
-    }
+    const LeafRef ref{leaf->id,
+                      leaf->version,
+                      leaf->next != nullptr ? leaf->next->id : 0,
+                      leaf->prev == nullptr,
+                      leaf->next == nullptr,
+                      &leaf->entries,
+                      first};
+    if (!fn(ref)) return;
   }
 }
 

@@ -5,11 +5,18 @@
 // migration merge + scrub, direct loads -- keeps it consistent for free.
 //
 // Leaves carry a monotonically increasing id and a version counter bumped on
-// every entry mutation (including splits/merges/borrows), which is what the
-// shard's one-sided leaf-page mirror keys its staleness check on: a mirrored
-// page whose (id, version) no longer matches the live leaf is re-serialized
-// before being advertised to clients. A leaf merged away reports its id to
-// the retire hook so the mirror can free that leaf's page.
+// every entry mutation (including splits/merges/borrows). The change hook
+// reports every bump, so the shard's one-sided leaf-page mirror can poison
+// the leaf's page at once, and a page is re-serialized when its (id,
+// version) no longer matches the live leaf. A leaf merged away reports its
+// id to the retire hook so the mirror can free that leaf's page.
+//
+// A leaf's successor id and head flag change only together with a bump of
+// that leaf. Entries leave a leaf toward its predecessor only when it dies
+// (merge) or when the predecessor borrows its front entry; the index counts
+// those borrows (left_shifts), so a reader that walks from a leaf to the
+// successor it named can tell whether an entry may have moved left behind
+// it in between.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +40,9 @@ class OrderedIndex {
   struct LeafRef {
     std::uint64_t id = 0;
     std::uint64_t version = 0;
-    bool last = false;  ///< no leaf follows in the chain
+    std::uint64_t next_id = 0;  ///< successor leaf; 0 when none follows
+    bool head = false;          ///< no leaf precedes this one
+    bool last = false;          ///< no leaf follows in the chain
     const std::vector<Entry>* entries = nullptr;
     /// Index of the first entry at or past the walk's start key (0 on every
     /// leaf after the first).
@@ -74,7 +83,15 @@ class OrderedIndex {
     retire_hook_ = std::move(hook);
   }
 
+  /// Called with a leaf's id whenever its version moves: insert/assign,
+  /// erase, borrow and merge. The hook must not touch the tree.
+  void set_change_hook(std::function<void(std::uint64_t leaf_id)> hook) {
+    change_hook_ = std::move(hook);
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Borrows so far that moved a leaf's front entry into its predecessor.
+  [[nodiscard]] std::uint64_t left_shifts() const noexcept { return left_shifts_; }
   [[nodiscard]] std::size_t leaf_count() const noexcept;
   /// Entry slots the leaves hold allocated (vector capacity, summed).
   [[nodiscard]] std::size_t leaf_capacity() const noexcept;
@@ -102,12 +119,15 @@ class OrderedIndex {
                   std::optional<SplitResult>& split);
   bool erase_rec(Node* n, std::string_view key);
   void rebalance_child(Inner* parent, std::size_t ci);
+  void bump(Leaf* leaf);
 
   std::size_t fanout_;
   std::size_t size_ = 0;
   Node* root_ = nullptr;
   std::uint64_t next_leaf_id_ = 1;
+  std::uint64_t left_shifts_ = 0;
   std::function<void(std::uint64_t)> retire_hook_;
+  std::function<void(std::uint64_t)> change_hook_;
 };
 
 }  // namespace hydra::index

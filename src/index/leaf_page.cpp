@@ -10,18 +10,22 @@ namespace hydra::index {
 
 namespace {
 
-// Header layout (kLeafPageHeaderBytes = 48, little-endian):
+// Header layout (kLeafPageHeaderBytes = 64, little-endian):
 //   [0]  magic          u32
 //   [4]  count          u32
 //   [8]  leaf_id        u64
 //   [16] leaf_version   u64
 //   [24] epoch          u64
 //   [32] payload_bytes  u32   (entry region length, header excluded)
-//   [36] flags          u32   (bit0: last leaf on this shard)
-//   [40] checksum       u64   (hash of header bytes [0, 40) and of the payload)
+//   [36] flags          u32   (bit0: last leaf on this shard, set iff next_id
+//                              is 0; bit1: first leaf on this shard)
+//   [40] next_id        u64   (successor leaf id; 0 on the last leaf)
+//   [48] left_shifts    u64   (the index's left-shift count at encode time)
+//   [56] checksum       u64   (hash of header bytes [0, 56) and of the payload)
 // Entries: repeated { klen u16, vlen u32, key bytes, value bytes }.
 constexpr std::size_t kEntryOverhead = 6;
-constexpr std::size_t kChecksumOffset = 40;
+constexpr std::size_t kChecksumOffset = 56;
+constexpr std::uint32_t kKnownFlags = kLeafPageFlagLast | kLeafPageFlagFirst;
 
 void put_u16(std::byte* p, std::uint16_t v) { std::memcpy(p, &v, sizeof v); }
 void put_u32(std::byte* p, std::uint32_t v) { std::memcpy(p, &v, sizeof v); }
@@ -63,7 +67,7 @@ std::size_t leaf_page_bytes(
 
 bool encode_leaf_page(
     std::span<std::byte> out, std::uint64_t leaf_id, std::uint64_t leaf_version,
-    std::uint64_t epoch, bool last,
+    std::uint64_t epoch, std::uint64_t next_id, std::uint64_t left_shifts, bool first,
     const std::vector<std::pair<std::string_view, std::string_view>>& entries) {
   const std::size_t total = leaf_page_bytes(entries);
   if (out.size() < total) return false;
@@ -85,7 +89,10 @@ bool encode_leaf_page(
   put_u64(out.data() + 16, leaf_version);
   put_u64(out.data() + 24, epoch);
   put_u32(out.data() + 32, static_cast<std::uint32_t>(total - kLeafPageHeaderBytes));
-  put_u32(out.data() + 36, last ? kLeafPageFlagLast : 0);
+  put_u32(out.data() + 36,
+          (next_id == 0 ? kLeafPageFlagLast : 0) | (first ? kLeafPageFlagFirst : 0));
+  put_u64(out.data() + 40, next_id);
+  put_u64(out.data() + 48, left_shifts);
   put_u64(out.data() + kChecksumOffset, page_checksum(out.first(total)));
   return true;
 }
@@ -106,7 +113,9 @@ std::optional<LeafPage> decode_leaf_page(std::span<const std::byte> bytes) {
     return std::nullopt;
   }
   const std::uint32_t flags = get_u32(bytes.data() + 36);
-  if ((flags & ~kLeafPageFlagLast) != 0) return std::nullopt;
+  if ((flags & ~kKnownFlags) != 0) return std::nullopt;
+  const std::uint64_t next_id = get_u64(bytes.data() + 40);
+  if (((flags & kLeafPageFlagLast) != 0) != (next_id == 0)) return std::nullopt;
 
   const std::span<const std::byte> encoded =
       bytes.first(kLeafPageHeaderBytes + payload_bytes);
@@ -118,7 +127,10 @@ std::optional<LeafPage> decode_leaf_page(std::span<const std::byte> bytes) {
   page.leaf_id = get_u64(bytes.data() + 8);
   page.leaf_version = get_u64(bytes.data() + 16);
   page.epoch = get_u64(bytes.data() + 24);
-  page.last = (flags & kLeafPageFlagLast) != 0;
+  page.next_id = next_id;
+  page.left_shifts = get_u64(bytes.data() + 48);
+  page.first = (flags & kLeafPageFlagFirst) != 0;
+  page.last = next_id == 0;
   page.entries.reserve(count);
   std::size_t off = kLeafPageHeaderBytes;
   const std::size_t end = kLeafPageHeaderBytes + payload_bytes;

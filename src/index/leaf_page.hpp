@@ -1,11 +1,14 @@
 // One-sided-traversable leaf page layout (DESIGN.md §13). The shard
 // serializes B+-tree leaves into an MR-registered page arena, one exact-fit
 // block per leaf; clients RDMA-Read a page and validate it locally: magic,
-// checksum over the encoded prefix, (leaf_id, leaf_version) against the
-// hint that advertised the page, and the routing epoch stamped at
-// serialization time. Any mismatch (torn read, freed or reused block, stale
-// page, epoch advance) falls back to the message path, which is always
-// correct.
+// checksum over the encoded prefix, the leaf id the reader expected, and the
+// routing epoch stamped at serialization time. The shard poisons a page's
+// header whenever its leaf changes, so a page that decodes is the leaf's
+// current content. The header also names the successor leaf, flags the
+// shard's first leaf and stamps the index's left-shift count, so a reader
+// can walk the chain one-sidedly. Any mismatch (torn read, poisoned, freed
+// or reused block, epoch advance) falls back to the message path, which is
+// always correct.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +22,20 @@
 namespace hydra::index {
 
 inline constexpr std::uint32_t kLeafPageMagic = 0x484C4631;  // "HLF1"
-inline constexpr std::size_t kLeafPageHeaderBytes = 48;
-inline constexpr std::uint32_t kLeafPageFlagLast = 1;  ///< no leaf follows on this shard
+inline constexpr std::size_t kLeafPageHeaderBytes = 64;
+inline constexpr std::uint32_t kLeafPageFlagLast = 1;   ///< no leaf follows on this shard
+inline constexpr std::uint32_t kLeafPageFlagFirst = 2;  ///< no leaf precedes it on this shard
 
 struct LeafPage {
   std::uint64_t leaf_id = 0;
   std::uint64_t leaf_version = 0;
-  std::uint64_t epoch = 0;  ///< routing epoch at serialization time
+  std::uint64_t epoch = 0;    ///< routing epoch at serialization time
+  std::uint64_t next_id = 0;  ///< successor leaf on this shard; 0 on the last leaf
+  /// OrderedIndex::left_shifts() at serialization time. A successor page
+  /// stamped no later than this page lost no entry to its predecessor
+  /// since this page was current.
+  std::uint64_t left_shifts = 0;
+  bool first = false;
   bool last = false;
   std::vector<std::pair<std::string, std::string>> entries;  ///< (key, value), sorted
 };
@@ -35,15 +45,18 @@ struct LeafPage {
     const std::vector<std::pair<std::string_view, std::string_view>>& entries);
 
 /// Serializes a page into `out` (which may be larger; the slack past the
-/// encoded prefix is ignored by the decoder). Returns false when `out` is
-/// too small or an entry overflows the length fields.
+/// encoded prefix is ignored by the decoder). `next_id` 0 marks the last
+/// leaf. Returns false when `out` is too small or an entry overflows the
+/// length fields.
 bool encode_leaf_page(std::span<std::byte> out, std::uint64_t leaf_id,
-                      std::uint64_t leaf_version, std::uint64_t epoch, bool last,
+                      std::uint64_t leaf_version, std::uint64_t epoch, std::uint64_t next_id,
+                      std::uint64_t left_shifts, bool first,
                       const std::vector<std::pair<std::string_view, std::string_view>>& entries);
 
 /// Overwrites a page's header so no later read of the block decodes: the
-/// shard poisons a block before freeing it, so an in-flight read of a freed
-/// page fails closed instead of trusting whatever the block holds next.
+/// shard poisons a page when its leaf changes and before freeing its block,
+/// so an in-flight read of a stale or freed page fails closed instead of
+/// trusting whatever the block holds.
 void poison_leaf_page(std::span<std::byte> page) noexcept;
 
 /// Hardened decode: every length is bounds-checked against the declared

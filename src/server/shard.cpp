@@ -60,6 +60,16 @@ Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
       release_mirror_page(it->second.offset, it->second.len);
       mirror_pages_.erase(it);
     });
+    // Poison-on-write: a leaf's page dies in the same event as the change,
+    // before any ack, so every page a client decodes is current. The block
+    // and its entry stay; the next hint re-encodes the page in place. The
+    // header write is part of the put's index swing, so it costs no CPU of
+    // its own.
+    store_->index()->set_change_hook([this](std::uint64_t leaf_id) {
+      const auto it = mirror_pages_.find(leaf_id);
+      if (it == mirror_pages_.end()) return;
+      index::poison_leaf_page({leaf_arena_->at(it->second.offset), it->second.len});
+    });
   }
 }
 
@@ -926,8 +936,8 @@ std::optional<proto::ScanLeafHint> Shard::refresh_leaf_mirror(
     kv.reserve(leaf.entries->size());
     for (const auto& e : *leaf.entries) kv.emplace_back(e.key, store_->value_at(e.offset));
     const std::size_t len = index::leaf_page_bytes(kv);
-    // Same size class: re-encode in place (a reader of the old version fails
-    // its version check). Otherwise the page moves to a block of its class.
+    // Same size class: re-encode in place (the change already poisoned the
+    // old content). Otherwise the page moves to a block of its class.
     if (!fresh && core::Arena::class_for(len) != core::Arena::class_for(page.len)) {
       release_mirror_page(page.offset, page.len);
       fresh = true;
@@ -935,7 +945,8 @@ std::optional<proto::ScanLeafHint> Shard::refresh_leaf_mirror(
     if (fresh) page.offset = leaf_arena_->allocate(len);
     if (page.offset == core::kNullOffset ||
         !index::encode_leaf_page({leaf_arena_->at(page.offset), len}, leaf.id, leaf.version,
-                                 epoch, leaf.last, kv)) {
+                                 epoch, leaf.next_id, store_->index()->left_shifts(),
+                                 leaf.head, kv)) {
       if (page.offset != core::kNullOffset) release_mirror_page(page.offset, len);
       mirror_pages_.erase(it);
       return std::nullopt;

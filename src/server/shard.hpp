@@ -371,9 +371,10 @@ class Shard : public sim::Actor {
   EpochFn epoch_source_;
 
   /// One-sided scan-leaf mirror (DESIGN.md §13): one exact-fit page per
-  /// hinted leaf, kept until the leaf merges away. The arena is registered
-  /// as its own region only when the ordered index is on, so index-off runs
-  /// keep the seed's rkey sequence.
+  /// hinted leaf, poisoned in place whenever the leaf changes and kept until
+  /// the leaf merges away. The arena is registered as its own region only
+  /// when the ordered index is on, so index-off runs keep the seed's rkey
+  /// sequence.
   struct MirrorPage {
     std::uint64_t offset = 0;  ///< block in leaf_arena_
     std::uint32_t len = 0;     ///< encoded page bytes

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -214,6 +215,97 @@ TEST(OrderedIndex, MergeReportsTheRetiredLeaf) {
   EXPECT_EQ(std::adjacent_find(retired.begin(), retired.end()), retired.end());
 }
 
+std::vector<OrderedIndex::LeafRef> all_leaves(const OrderedIndex& idx) {
+  std::vector<OrderedIndex::LeafRef> out;
+  idx.leaves_from("", false, [&](const OrderedIndex::LeafRef& leaf) {
+    out.push_back(leaf);
+    return true;
+  });
+  return out;
+}
+
+TEST(OrderedIndex, LeavesNameTheirSuccessorAndTheHead) {
+  OrderedIndex idx(8);
+  for (int i = 0; i < 40; ++i) idx.insert_or_assign(format_key(i, 16), i);
+  const auto leaves = all_leaves(idx);
+  ASSERT_GT(leaves.size(), 2u);
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    EXPECT_EQ(leaves[i].head, i == 0) << i;
+    EXPECT_EQ(leaves[i].next_id, i + 1 < leaves.size() ? leaves[i + 1].id : 0) << i;
+    EXPECT_EQ(leaves[i].last, leaves[i].next_id == 0) << i;
+  }
+}
+
+TEST(OrderedIndex, BorrowByThePredecessorCountsALeftShift) {
+  // Fanout 8, sequential load: 4-entry leaves (the minimum fill). Give the
+  // second leaf a fifth entry, then underfill the head: it borrows the
+  // second leaf's front entry. That move is the one a reader walking the
+  // chain cannot see from the lender's page, so the index counts it, and
+  // both leaves report the change.
+  OrderedIndex idx(8);
+  for (int i = 0; i < 40; ++i) idx.insert_or_assign(format_key(i, 16), i);
+  idx.insert_or_assign(format_key(5, 16) + "+", 100);
+  const auto before = all_leaves(idx);
+  ASSERT_EQ(before[1].entries->size(), 5u);
+  EXPECT_EQ(idx.left_shifts(), 0u);
+  std::vector<std::uint64_t> changed;
+  idx.set_change_hook([&](std::uint64_t id) { changed.push_back(id); });
+  ASSERT_TRUE(idx.erase(format_key(0, 16)));
+  ASSERT_EQ(idx.check_invariants(), "");
+
+  const auto after = all_leaves(idx);
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_EQ(after[0].entries->back().key, format_key(4, 16));  // the borrowed entry
+  EXPECT_EQ(after[1].id, before[1].id);
+  EXPECT_EQ(idx.left_shifts(), 1u);
+  EXPECT_NE(std::find(changed.begin(), changed.end(), before[0].id), changed.end());
+  EXPECT_NE(std::find(changed.begin(), changed.end(), before[1].id), changed.end());
+  EXPECT_EQ(after[2].version, before[2].version);
+
+  // A borrow the other way (an underfull leaf takes its left sibling's last
+  // entry) moves nothing left and is not counted.
+  idx.insert_or_assign(format_key(4, 16) + "+", 101);  // the head has spare again
+  ASSERT_TRUE(idx.erase(format_key(6, 16)));
+  ASSERT_TRUE(idx.erase(format_key(7, 16)));
+  ASSERT_EQ(idx.check_invariants(), "");
+  EXPECT_EQ(idx.left_shifts(), 1u);
+}
+
+TEST(OrderedIndex, ChangeHookReportsEveryBumpAndLinksMoveOnlyWithOne) {
+  // Seeded inserts, reassigns and erases at a fanout that splits, borrows
+  // and merges constantly. After each operation: every leaf whose version
+  // moved was reported to the change hook, and a leaf whose version did not
+  // move kept its successor id and head flag -- which is what lets a client
+  // trust them on any page that still decodes.
+  OrderedIndex idx(4);
+  std::vector<std::uint64_t> changed;
+  idx.set_change_hook([&](std::uint64_t id) { changed.push_back(id); });
+  Xoshiro256 rng(42);
+  for (int step = 0; step < 4000; ++step) {
+    std::map<std::uint64_t, OrderedIndex::LeafRef> before;
+    for (const auto& leaf : all_leaves(idx)) before.emplace(leaf.id, leaf);
+    changed.clear();
+    const std::string key = format_key(static_cast<int>(rng.below(200)), 16);
+    if (rng.below(3) == 0) {
+      idx.erase(key);
+    } else {
+      idx.insert_or_assign(key, static_cast<std::uint64_t>(step));
+    }
+    for (const auto& leaf : all_leaves(idx)) {
+      const auto it = before.find(leaf.id);
+      if (it == before.end()) continue;
+      if (leaf.version != it->second.version) {
+        EXPECT_NE(std::find(changed.begin(), changed.end(), leaf.id), changed.end())
+            << "step " << step << " leaf " << leaf.id;
+      } else {
+        EXPECT_EQ(leaf.next_id, it->second.next_id) << "step " << step;
+        EXPECT_EQ(leaf.head, it->second.head) << "step " << step;
+      }
+    }
+    if (HasFailure()) return;
+  }
+}
+
 TEST(OrderedIndex, SequentialLoadLeavesCarryNoSplitSlack) {
   // A split leaves the left leaf with half its entries; the capacity it had
   // before the split must not stay allocated with it.
@@ -329,30 +421,42 @@ TEST(LeafPage, RoundTrip) {
   const auto entries = sample_entries();
   std::vector<std::byte> page(leaf_page_bytes(entries) + 64);  // slack tolerated
   ASSERT_TRUE(encode_leaf_page(page, /*id=*/7, /*version=*/3, /*epoch=*/9,
-                               /*last=*/true, entries));
+                               /*next_id=*/0, /*left_shifts=*/4, /*first=*/true, entries));
   const auto decoded = decode_leaf_page(page);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->leaf_id, 7u);
   EXPECT_EQ(decoded->leaf_version, 3u);
   EXPECT_EQ(decoded->epoch, 9u);
+  EXPECT_EQ(decoded->next_id, 0u);
+  EXPECT_EQ(decoded->left_shifts, 4u);
+  EXPECT_TRUE(decoded->first);
   EXPECT_TRUE(decoded->last);
   ASSERT_EQ(decoded->entries.size(), entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
     EXPECT_EQ(decoded->entries[i].first, entries[i].first);
     EXPECT_EQ(decoded->entries[i].second, entries[i].second);
   }
+
+  // A middle leaf: names its successor, neither first nor last.
+  ASSERT_TRUE(encode_leaf_page(page, 8, 1, 9, /*next_id=*/0x1122334455667788ULL,
+                               /*left_shifts=*/0, /*first=*/false, entries));
+  const auto middle = decode_leaf_page(page);
+  ASSERT_TRUE(middle.has_value());
+  EXPECT_EQ(middle->next_id, 0x1122334455667788ULL);
+  EXPECT_FALSE(middle->first);
+  EXPECT_FALSE(middle->last);
 }
 
 TEST(LeafPage, EncodeRejectsUndersizedBuffer) {
   const auto entries = sample_entries();
   std::vector<std::byte> page(leaf_page_bytes(entries) - 1);
-  EXPECT_FALSE(encode_leaf_page(page, 1, 1, 1, false, entries));
+  EXPECT_FALSE(encode_leaf_page(page, 1, 1, 1, 2, 0, false, entries));
 }
 
 TEST(LeafPage, TruncationRejected) {
   const auto entries = sample_entries();
   std::vector<std::byte> page(leaf_page_bytes(entries));
-  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, false, entries));
+  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, 2, 0, false, entries));
   for (std::size_t cut = 0; cut < page.size(); cut += 7) {
     EXPECT_FALSE(decode_leaf_page({page.data(), cut}).has_value()) << "cut " << cut;
   }
@@ -361,9 +465,12 @@ TEST(LeafPage, TruncationRejected) {
 TEST(LeafPage, EveryFlippedByteRejected) {
   // The checksum covers header and payload alike: flipping ANY byte of the
   // encoded prefix must be caught (this is what makes torn RDMA reads safe).
+  // Both flags and a non-zero successor id are set, so the flip also spans
+  // every header field.
   const auto entries = sample_entries();
   std::vector<std::byte> page(leaf_page_bytes(entries));
-  ASSERT_TRUE(encode_leaf_page(page, 5, 9, 2, true, entries));
+  ASSERT_TRUE(encode_leaf_page(page, 5, 9, 2, /*next_id=*/6, /*left_shifts=*/3, /*first=*/true,
+                               entries));
   ASSERT_TRUE(decode_leaf_page(page).has_value());
   for (std::size_t i = 0; i < page.size(); ++i) {
     std::vector<std::byte> torn = page;
@@ -377,7 +484,7 @@ TEST(LeafPage, CountCorruptionNeverWildReads) {
   // (counted before allocation, mirroring the proto codec discipline).
   const auto entries = sample_entries();
   std::vector<std::byte> page(leaf_page_bytes(entries));
-  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, false, entries));
+  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, 2, 0, false, entries));
   // Forge count = 0xFFFFFF and redo nothing else; checksum now mismatches
   // too, but shrink the check: corrupting count alone must already fail.
   std::vector<std::byte> forged = page;
@@ -391,16 +498,61 @@ TEST(LeafPage, CountCorruptionNeverWildReads) {
 TEST(LeafPage, UnknownFlagsRejected) {
   const auto entries = sample_entries();
   std::vector<std::byte> page(leaf_page_bytes(entries));
-  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, false, entries));
+  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, 2, 0, false, entries));
+  // Bits 0 (last) and 1 (first) are defined; every other one is refused
+  // before the checksum is even consulted.
+  for (const std::size_t byte : {36u, 37u, 38u, 39u}) {
+    for (int bit = byte == 36 ? 2 : 0; bit < 8; ++bit) {
+      std::vector<std::byte> forged = page;
+      forged[byte] |= std::byte{static_cast<unsigned char>(1u << bit)};
+      EXPECT_FALSE(decode_leaf_page(forged).has_value()) << "byte " << byte << " bit " << bit;
+    }
+  }
+}
+
+void put_header_u64(std::vector<std::byte>& page, std::size_t at, std::uint64_t v) {
+  std::memcpy(page.data() + at, &v, sizeof v);
+}
+
+TEST(LeafPage, ForgedChainFieldsFailTheChecksum) {
+  // A reader trusts the successor id, the left-shift stamp and the first
+  // flag to start and walk a scan, so none may change without the checksum
+  // noticing.
+  const auto entries = sample_entries();
+  std::vector<std::byte> page(leaf_page_bytes(entries));
+  ASSERT_TRUE(encode_leaf_page(page, 4, 1, 1, /*next_id=*/5, /*left_shifts=*/2,
+                               /*first=*/false, entries));
+  ASSERT_TRUE(decode_leaf_page(page).has_value());
+
   std::vector<std::byte> forged = page;
-  forged[36] = std::byte{0x02};  // undefined flag bit
+  put_header_u64(forged, 40, 9);  // another successor
+  EXPECT_FALSE(decode_leaf_page(forged).has_value());
+
+  forged = page;
+  put_header_u64(forged, 48, 7);  // a later left-shift stamp
+  EXPECT_FALSE(decode_leaf_page(forged).has_value());
+
+  forged = page;
+  forged[36] |= std::byte{kLeafPageFlagFirst};  // claims to be the head
+  EXPECT_FALSE(decode_leaf_page(forged).has_value());
+
+  // The last flag and a zero successor must agree, checksum or not.
+  std::vector<std::byte> last(leaf_page_bytes(entries));
+  ASSERT_TRUE(encode_leaf_page(last, 4, 1, 1, /*next_id=*/0, /*left_shifts=*/2,
+                               /*first=*/false, entries));
+  forged = last;
+  forged[36] &= ~std::byte{kLeafPageFlagLast};
+  EXPECT_FALSE(decode_leaf_page(forged).has_value());
+  forged = page;
+  forged[36] |= std::byte{kLeafPageFlagLast};
   EXPECT_FALSE(decode_leaf_page(forged).has_value());
 }
 
 TEST(LeafPage, EmptyPageRoundTrips) {
   std::vector<std::pair<std::string_view, std::string_view>> none;
   std::vector<std::byte> page(leaf_page_bytes(none));
-  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, true, none));
+  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, /*next_id=*/0, /*left_shifts=*/0,
+                               /*first=*/true, none));
   const auto decoded = decode_leaf_page(page);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->entries.empty());

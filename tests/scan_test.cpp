@@ -1,13 +1,15 @@
 // Range-scan system tests (DESIGN.md §13): cluster-level cross-shard merge
 // correctness, the one-sided leaf-read fast path and its message-path
 // parity, the leaf mirror's page lifecycle (one refresh per leaf version,
-// fresh chained hints, freed pages failing closed), kScan hardening against
-// index-less shards, and the
+// fresh chained hints, freed pages failing closed), the client leaf cache's
+// freshness under poison-on-write, kScan hardening against index-less
+// shards, and the
 // scan-mid-migration chaos family (scripted schedules x seeds plus a
 // seeded sweep scaled by HYDRA_SCAN_RANDOM_RUNS).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -344,6 +346,364 @@ TEST(ScanMirror, HintsDieWithTheRoutingEpoch) {
   // Only the read already in flight used a page; the rest came by message.
   EXPECT_EQ(c.stats().scan_leaf_reads - before.scan_leaf_reads, 1u);
   EXPECT_GT(c.stats().scan_batches - before.scan_batches, 1u);
+}
+
+// --------------------------------------------------- client leaf cache
+//
+// Clients keep the leaf pages they have been hinted, per client machine,
+// and start later scans from them; the shard poisons a leaf's page in the
+// write that changes the leaf. Each scenario below reads a stale page, and
+// returns a wrong answer, if that poison is missing.
+
+using Entries = std::vector<std::pair<std::string, std::string>>;
+
+TEST(ScanLeafCache, StartLookupsSurviveErasesAndRepacking) {
+  client::LeafCache cache;
+  ASSERT_TRUE(cache.adopt(3));
+  auto hint = [](std::uint64_t leaf) {
+    proto::ScanLeafHint h;
+    h.node = 1;
+    h.rkey = 7;
+    h.offset = leaf * 64;
+    h.len = 64;
+    h.leaf_id = leaf;
+    return h;
+  };
+  for (std::uint64_t leaf = 1; leaf <= 100; ++leaf) {
+    cache.add(/*shard=*/0, hint(leaf));
+    const std::string first = skey(static_cast<int>(leaf) * 10);
+    cache.learn(0, leaf, &first, /*head=*/leaf == 1);
+  }
+  EXPECT_EQ(cache.size(), 100u);
+  // Erase most leaves: their keys become pool garbage and get repacked.
+  for (std::uint64_t leaf = 2; leaf <= 100; ++leaf) {
+    if (leaf % 5 != 0) cache.erase(0, leaf);
+  }
+  EXPECT_EQ(cache.size(), 21u);
+  EXPECT_EQ(cache.start(0, skey(10)), 1u);
+  EXPECT_EQ(cache.start(0, skey(5)), 1u);  // before every first key: the head
+  EXPECT_EQ(cache.start(0, skey(77)), 5u);
+  EXPECT_EQ(cache.start(0, skey(500)), 50u);
+  EXPECT_EQ(cache.start(0, skey(9999)), 100u);
+  const auto page = cache.find(0, 50);
+  ASSERT_TRUE(page.has_value());
+  EXPECT_EQ(page->offset, 50u * 64);
+  EXPECT_EQ(page->rkey, 7u);
+  EXPECT_FALSE(cache.find(0, 51).has_value());
+  // A leaf whose first key moved is filed under the new key only.
+  const std::string moved = skey(555);
+  cache.learn(0, 50, &moved, false);
+  EXPECT_EQ(cache.start(0, skey(500)), 45u);
+  EXPECT_EQ(cache.start(0, skey(555)), 50u);
+
+  // Epoch scoping: an older epoch is refused, a newer one clears.
+  EXPECT_FALSE(cache.adopt(2));
+  EXPECT_EQ(cache.size(), 21u);
+  EXPECT_TRUE(cache.adopt(4));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.start(0, skey(500)), 0u);
+}
+
+TEST(ScanLeafCache, AckedUpdateIsServedFreshAndThenFromACachedPage) {
+  db::HydraCluster cluster(single_shard_options());
+  for (int i = 0; i < 64; ++i) cluster.direct_load(skey(i), "old");
+  client::Client& c = *cluster.clients()[0];
+  Entries out;
+  ASSERT_EQ(cluster.scan(skey(0), 64, &out), Status::kOk);  // warms the cache
+
+  // Key 9 sits in the cached leaf [8, 12), key 13 in the next one.
+  ASSERT_EQ(cluster.put(skey(9), "new"), Status::kOk);
+  ASSERT_EQ(cluster.put(skey(13), "new"), Status::kOk);
+  const client::ClientStats before = c.stats();
+  out.clear();
+  ASSERT_EQ(cluster.scan(skey(8), 12, &out), Status::kOk);
+  ASSERT_EQ(out.size(), 12u);
+  for (int i = 0; i < 12; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].first, skey(8 + i));
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].second,
+              8 + i == 9 || 8 + i == 13 ? "new" : "old")
+        << skey(8 + i);
+  }
+  // The scan started at the cached page of [8, 12): poisoned, so it fell
+  // back once. That batch re-minted [12, 16), and key 13's new value came
+  // from that cached page, as did the rest.
+  EXPECT_EQ(c.stats().scan_leaf_fallbacks, before.scan_leaf_fallbacks + 1);
+  EXPECT_EQ(c.stats().scan_batches, before.scan_batches + 1);
+  EXPECT_EQ(c.stats().scan_leaf_reads, before.scan_leaf_reads + 2);
+}
+
+TEST(ScanLeafCache, SplitsAndMergesUnderAWarmCacheStayExact) {
+  db::HydraCluster cluster(single_shard_options());
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 64; ++i) {
+    cluster.direct_load(skey(i), "v" + std::to_string(i));
+    model[skey(i)] = "v" + std::to_string(i);
+  }
+  client::Client& c = *cluster.clients()[0];
+  Entries out;
+  ASSERT_EQ(cluster.scan(skey(0), 64, &out), Status::kOk);  // warms the cache
+  const index::OrderedIndex& idx = *cluster.shard(0)->store().index();
+  const std::size_t leaves = idx.leaf_count();
+
+  // Splits: two new keys after every key of [16, 32). Merges: empty [40, 56).
+  for (int i = 16; i < 32; ++i) {
+    for (const char* suffix : {"a", "b"}) {
+      ASSERT_EQ(cluster.put(skey(i) + suffix, "s" + std::to_string(i)), Status::kOk);
+      model[skey(i) + suffix] = "s" + std::to_string(i);
+    }
+  }
+  const std::size_t split = idx.leaf_count();
+  ASSERT_GT(split, leaves);
+  for (int i = 40; i < 56; ++i) {
+    ASSERT_EQ(cluster.remove(skey(i)), Status::kOk);
+    model.erase(skey(i));
+  }
+  ASSERT_LT(idx.leaf_count(), split);
+  const std::uint64_t fallbacks = c.stats().scan_leaf_fallbacks;
+
+  // Every start key, present or gone, and a gap after each: no key missing,
+  // none duplicated, every value current.
+  for (int i = 0; i < 64; ++i) {
+    for (const std::string& start : {skey(i), skey(i) + "0"}) {
+      out.clear();
+      ASSERT_EQ(cluster.scan(start, 10, &out), Status::kOk) << start;
+      Entries want;
+      for (auto it = model.lower_bound(start); it != model.end() && want.size() < 10; ++it) {
+        want.emplace_back(it->first, it->second);
+      }
+      ASSERT_EQ(out, want) << "scan from " << start;
+    }
+  }
+  // Starts inside [40, 56) look up the merged-away leaves' entries; their
+  // pages were poisoned and freed, so those reads fell back.
+  EXPECT_GT(c.stats().scan_leaf_fallbacks, fallbacks);
+}
+
+TEST(ScanLeafCache, CachedPageStartingPastTheResumeKeyFallsBack) {
+  // Two client machines, so each has its own leaf cache. Leaf P = [4, 8)
+  // gets a fifth key; machine A caches P with first key 4.
+  db::ClusterOptions opts = single_shard_options();
+  opts.client_nodes = 2;
+  opts.clients_per_node = 1;
+  db::HydraCluster cluster(opts);
+  for (int i = 0; i < 64; ++i) cluster.direct_load(skey(i), "v" + std::to_string(i));
+  cluster.direct_load(skey(4) + "a", "v4a");
+  const int a = 0;
+  const int b = 1;
+  client::Client& ca = *cluster.clients()[a];
+  Entries out;
+  ASSERT_EQ(cluster.scan(skey(0), 64, &out, a), Status::kOk);
+
+  // Removing key 0 underfills the head leaf, which borrows key 4 from P:
+  // P's first key is now "4a". A key of the same size refills P, so its
+  // page keeps its block. Key 9's update poisons the next leaf.
+  ASSERT_EQ(cluster.remove(skey(0), b), Status::kOk);
+  EXPECT_EQ(cluster.shard(0)->store().index()->left_shifts(), 1u);
+  ASSERT_EQ(cluster.put(skey(6) + "a", "v", b), Status::kOk);
+  ASSERT_EQ(cluster.put(skey(9), "new", b), Status::kOk);
+
+  // A reads [8, 12) from its cache: poisoned, so it falls back.
+  std::uint64_t fallbacks = ca.stats().scan_leaf_fallbacks;
+  out.clear();
+  ASSERT_EQ(cluster.scan(skey(8), 2, &out, a), Status::kOk);
+  EXPECT_EQ(out, (Entries{{skey(8), "v8"}, {skey(9), "new"}}));
+  EXPECT_EQ(ca.stats().scan_leaf_fallbacks, fallbacks + 1);
+
+  // Machine B's scan re-mints P in place, so A's cached page of P decodes
+  // again -- but A still files it under key 4. A's scan from key 4 finds
+  // P, whose live first key is past 4 and which is not the head: it falls
+  // back, and key 4 (now in the head leaf) is not skipped.
+  out.clear();
+  ASSERT_EQ(cluster.scan(skey(1), 8, &out, b), Status::kOk);
+  fallbacks = ca.stats().scan_leaf_fallbacks;
+  const std::uint64_t reads = ca.stats().scan_leaf_reads;
+  out.clear();
+  ASSERT_EQ(cluster.scan(skey(4), 4, &out, a), Status::kOk);
+  EXPECT_EQ(out, (Entries{{skey(4), "v4"}, {skey(4) + "a", "v4a"}, {skey(5), "v5"},
+                          {skey(6), "v6"}}));
+  EXPECT_EQ(ca.stats().scan_leaf_fallbacks, fallbacks + 1);
+  EXPECT_EQ(ca.stats().scan_leaf_reads, reads);
+}
+
+TEST(ScanLeafCache, SuccessorThatLentItsFrontEntryFallsBack) {
+  // Two shards X and Y; machine A's cache holds X's head leaf H. A scan
+  // reads H, then waits for Y's stream (whose leaf reads are torn, so it
+  // crawls through batches) before it needs H's successor M. Meanwhile H
+  // borrows M's front entry, and machine B's scan re-mints M's page. M's
+  // page now decodes, names the right leaf and is current -- but the
+  // entry that moved into H would be skipped. M's left-shift stamp is newer
+  // than H's, so A falls back and finds the entry.
+  db::ClusterOptions opts = scan_options();
+  opts.server_nodes = 2;
+  opts.client_nodes = 2;
+  opts.clients_per_node = 1;
+  opts.shard_template.store.index_fanout = 8;
+  opts.client_template.scan_batch = 2;
+  db::HydraCluster cluster(opts);
+  const ShardId x = cluster.owner_of(skey(100));
+  // X's keys start at 100; Y's run from 0, so Y's stream has ~50 keys to
+  // emit before X's fourth.
+  std::vector<std::string> xs;
+  for (int i = 0; i < 300; ++i) {
+    const bool on_x = cluster.owner_of(skey(i)) == x;
+    if (on_x && i < 100) continue;
+    cluster.direct_load(skey(i), "v");
+    if (on_x) xs.push_back(skey(i));
+  }
+  // M (X's second leaf) gets a fifth entry, so it can lend one; `refill`
+  // later takes the lent entry's place at the same encoded size, so M's
+  // page is re-encoded in its block, where A's cache points.
+  std::vector<std::string> spare;
+  for (char c = 'a'; c <= 'z' && spare.size() < 2; ++c) {
+    if (cluster.owner_of(xs[4] + c) == x) spare.push_back(xs[4] + c);
+  }
+  ASSERT_EQ(spare.size(), 2u);
+  const std::string& extra = spare[0];
+  const std::string& refill = spare[1];
+  cluster.direct_load(xs[4], "vv");
+  cluster.direct_load(extra, "v");
+  const index::OrderedIndex& idx = *cluster.shard(x)->store().index();
+  std::uint64_t head = 0;
+  idx.leaves_from("", false, [&](const index::OrderedIndex::LeafRef& leaf) {
+    head = leaf.id;
+    return false;
+  });
+
+  const int a = 0;
+  const int b = 1;
+  client::Client& ca = *cluster.clients()[a];
+  Entries out;
+  ASSERT_EQ(cluster.scan(xs[0], 20, &out, a), Status::kOk);  // A reads and caches H
+  ASSERT_EQ(ca.leaf_cache().start(x, ""), head);
+
+  const server::Shard& y = *cluster.shard(x == 0 ? 1 : 0);
+  cluster.fabric().set_read_fault_hook(
+      [node = y.node(), rkey = y.scan_leaf_rkey()](NodeId, NodeId target,
+                                                   const fabric::RemoteAddr& addr,
+                                                   std::uint32_t size) {
+        fabric::ReadFault fault;
+        if (target == node && addr.rkey == rkey) {
+          fault.kind = fabric::ReadFault::Kind::kTorn;
+          fault.torn_bytes = size / 2;
+        }
+        return fault;
+      });
+  std::optional<Status> status;
+  const std::uint64_t reads = ca.stats().scan_leaf_reads;
+  ca.scan("", 200, [&](Status st, client::Client::ScanEntries entries) {
+    status = st;
+    out = std::move(entries);
+  });
+  while (ca.stats().scan_leaf_reads == reads) ASSERT_TRUE(cluster.scheduler().step());
+
+  // A holds H's entries. Now H borrows M's front entry (xs[4])...
+  core::KVStore& store = cluster.shard(x)->store();
+  ASSERT_EQ(store.remove(xs[0], cluster.scheduler().now()), Status::kOk);
+  ASSERT_EQ(idx.left_shifts(), 1u);
+  ASSERT_EQ(store.put(refill, "v", cluster.scheduler().now()), Status::kOk);
+  // ...and B's scan re-mints M.
+  std::optional<Status> b_status;
+  cluster.clients()[b]->scan(xs[1], 10, [&](Status st, client::Client::ScanEntries) {
+    b_status = st;
+  });
+  while (!status.has_value() || !b_status.has_value()) {
+    ASSERT_TRUE(cluster.scheduler().step());
+  }
+  cluster.fabric().set_read_fault_hook(nullptr);
+  ASSERT_EQ(*status, Status::kOk);
+  ASSERT_EQ(*b_status, Status::kOk);
+  for (std::size_t i = 1; i < out.size(); ++i) ASSERT_LT(out[i - 1].first, out[i].first);
+  std::vector<std::string> keys;
+  for (const auto& kv : out) keys.push_back(kv.first);
+  EXPECT_NE(std::find(keys.begin(), keys.end(), xs[4]), keys.end())
+      << "the entry M lent to H was skipped";
+  EXPECT_NE(std::find(keys.begin(), keys.end(), extra), keys.end());
+}
+
+TEST(ScanLeafCache, TornCachedReadFallsBack) {
+  // A scan that starts from the cache reads before any batch of its own;
+  // tearing that read (as the chaos torn-read fault does, by rkey) must
+  // fall back to the message path and still return the exact range.
+  db::HydraCluster cluster(single_shard_options());
+  for (int i = 0; i < 64; ++i) cluster.direct_load(skey(i), "v" + std::to_string(i));
+  client::Client& c = *cluster.clients()[0];
+  Entries out;
+  ASSERT_EQ(cluster.scan(skey(0), 64, &out), Status::kOk);  // warms the cache
+  const std::uint32_t leaf_rkey = cluster.shard(0)->scan_leaf_rkey();
+  const client::ClientStats before = c.stats();
+  int torn_before_a_batch = 0;
+  cluster.fabric().set_read_fault_hook(
+      [&](NodeId, NodeId, const fabric::RemoteAddr& addr, std::uint32_t size) {
+        fabric::ReadFault fault;
+        if (addr.rkey == leaf_rkey && c.stats().scan_batches == before.scan_batches) {
+          ++torn_before_a_batch;
+          fault.kind = fabric::ReadFault::Kind::kTorn;
+          fault.torn_bytes = size / 2;
+        }
+        return fault;
+      });
+  out.clear();
+  ASSERT_EQ(cluster.scan(skey(20), 8, &out), Status::kOk);
+  cluster.fabric().set_read_fault_hook(nullptr);
+  ASSERT_EQ(out.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].first, skey(20 + i));
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].second, "v" + std::to_string(20 + i));
+  }
+  EXPECT_EQ(torn_before_a_batch, 1);
+  EXPECT_EQ(c.stats().scan_leaf_fallbacks, before.scan_leaf_fallbacks + 1);
+  EXPECT_EQ(c.stats().scan_batches, before.scan_batches + 1);
+}
+
+TEST(ScanLeafCache, NoCachedPageIsReadAfterARoutingEpochAdvance) {
+  db::ClusterOptions opts = scan_options();
+  opts.shard_template.store.index_fanout = 8;
+  opts.client_template.scan_batch = 4;
+  db::HydraCluster cluster(opts);
+  for (int i = 0; i < 120; ++i) cluster.direct_load(skey(i), "v" + std::to_string(i));
+  client::Client& c = *cluster.clients()[0];
+  Entries out;
+  ASSERT_EQ(cluster.scan(skey(0), 120, &out), Status::kOk);  // warms the cache
+  ASSERT_GT(c.leaf_cache().size(), 0u);
+  // Key 30's update lands before the advance: its page is poisoned, so a
+  // scan from the cache still sees it.
+  ASSERT_EQ(cluster.put(skey(30), "new"), Status::kOk);
+  out.clear();
+  ASSERT_EQ(cluster.scan(skey(29), 2, &out), Status::kOk);
+  EXPECT_EQ(out, (Entries{{skey(29), "v29"}, {skey(30), "new"}}));
+
+  // A live expansion commits and advances the routing epoch.
+  const std::uint64_t epoch = cluster.routing_epoch();
+  ASSERT_NE(cluster.add_shard_live(), kInvalidShard);
+  while (cluster.migration_active()) ASSERT_TRUE(cluster.scheduler().step());
+  ASSERT_GT(cluster.routing_epoch(), epoch);
+
+  // Every leaf read of the next scan must follow a batch of that scan: the
+  // cache was scoped to the old epoch, so no stream may start from it.
+  const std::uint64_t batches = c.stats().scan_batches;
+  int early_reads = 0;
+  int reads = 0;
+  cluster.fabric().set_read_fault_hook(
+      [&](NodeId, NodeId, const fabric::RemoteAddr& addr, std::uint32_t) {
+        for (ShardId s = 0; s < static_cast<ShardId>(cluster.shard_count()); ++s) {
+          if (cluster.shard(s)->scan_leaf_rkey() != addr.rkey) continue;
+          ++reads;
+          if (c.stats().scan_batches == batches) ++early_reads;
+        }
+        return fabric::ReadFault{};
+      });
+  const std::uint64_t fallbacks = c.stats().scan_leaf_fallbacks;
+  out.clear();
+  ASSERT_EQ(cluster.scan(skey(20), 100, &out), Status::kOk);
+  cluster.fabric().set_read_fault_hook(nullptr);
+  ASSERT_EQ(out.size(), 100u);
+  for (int i = 20; i < 120; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i - 20)].second,
+              i == 30 ? "new" : "v" + std::to_string(i));
+  }
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(early_reads, 0);
+  EXPECT_EQ(c.stats().scan_leaf_fallbacks, fallbacks);
 }
 
 // ------------------------------------------------------- chaos: migration
