@@ -1,201 +1,106 @@
-#include "chaos/chaos.hpp"
-
+// The chaos family (DESIGN.md §7) and the PUT-stream driver it shares with
+// the migration and failover families.
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-#include <memory>
-#include <optional>
 #include <utility>
 
-#include "common/rng.hpp"
-#include "hydradb/hydra_cluster.hpp"
-#include "hydradb/swat.hpp"
+#include "chaos/run.hpp"
 
 namespace hydra::chaos {
-
-const char* to_string(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kKillPrimary: return "kill-primary";
-    case FaultKind::kKillSecondary: return "kill-secondary";
-    case FaultKind::kKillSwatMember: return "kill-swat-member";
-    case FaultKind::kTearRecordWrite: return "tear-record-write";
-    case FaultKind::kDropRecordWrite: return "drop-record-write";
-    case FaultKind::kTearAckWrite: return "tear-ack-write";
-    case FaultKind::kDropAckWrite: return "drop-ack-write";
-    case FaultKind::kSuppressHeartbeats: return "suppress-heartbeats";
-    case FaultKind::kFailApply: return "fail-apply";
-    case FaultKind::kKillMuxChannel: return "kill-mux-channel";
-    case FaultKind::kTearRevocation: return "tear-revocation";
-    case FaultKind::kDropRevocation: return "drop-revocation";
-  }
-  return "unknown";
-}
-
 namespace {
 
 using replication::ReplicationMode;
 
-/// Virtual time granted after the workload for failovers to finish (session
-/// timeout 2s + sweep + watch + promotion leaves ample slack).
-constexpr Duration kSettle = 6 * kSecond;
-/// Wedge detection: a workload that has not completed by this much virtual
-/// time (or this many events) is stuck -- invariant 2 is violated.
-constexpr Time kWorkloadTimeLimit = 120 * kSecond;
-constexpr std::uint64_t kWorkloadStepLimit = 40'000'000;
-
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
-const char* mode_name(ReplicationMode m) {
-  switch (m) {
-    case ReplicationMode::kNone: return "none";
-    case ReplicationMode::kLogRelaxed: return "relaxed";
-    case ReplicationMode::kStrictAck: return "strict";
-  }
-  return "unknown";
-}
-
-bool is_ack_fault(FaultKind k) {
-  return k == FaultKind::kTearAckWrite || k == FaultKind::kDropAckWrite;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
-
-std::vector<ChaosSchedule> ChaosSchedule::scripted() {
-  std::vector<ChaosSchedule> out;
-
+std::vector<Schedule> scripted() {
+  std::vector<Schedule> out;
+  auto add = [&](std::string name) -> Schedule& {
+    return out.emplace_back(make_schedule(Family::kChaos, std::move(name)));
+  };
   {
     // The headline crash: the primary dies while a PUT is on the wire.
-    ChaosSchedule s;
-    s.name = "primary-kill-mid-put";
+    Schedule& s = add("primary-kill-mid-put");
     s.ops = 40;
-    s.mode = ReplicationMode::kLogRelaxed;
-    s.replicas = 1;
     s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 12,
                         .delay = 2 * kMicrosecond});
-    out.push_back(std::move(s));
   }
   {
     // Replica apply failures force the rollback-resend protocol, and the
     // primary dies while that rollback is still in flight. Strict mode keeps
     // the affected records unacknowledged, so the client's retries (not the
     // half-finished rollback) are what re-drive them on the new primary.
-    ChaosSchedule s;
-    s.name = "primary-kill-mid-rollback";
+    Schedule& s = add("primary-kill-mid-rollback");
     s.ops = 30;
     s.mode = ReplicationMode::kStrictAck;
-    s.replicas = 1;
     s.faults.push_back({.kind = FaultKind::kFailApply, .index = 0, .at_op = 10});
     s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 10,
                         .delay = 200 * kMicrosecond});
-    out.push_back(std::move(s));
   }
   {
     // A replica dies mid-replay with strict acks outstanding: the primary
     // must quarantine the corpse and fire the strict waiters, never wedge.
-    ChaosSchedule s;
-    s.name = "secondary-kill-mid-replay";
+    Schedule& s = add("secondary-kill-mid-replay");
     s.ops = 40;
     s.mode = ReplicationMode::kStrictAck;
     s.replicas = 2;
     s.faults.push_back({.kind = FaultKind::kKillSecondary, .index = 1,
                         .at_op = 15, .delay = 5 * kMicrosecond});
-    out.push_back(std::move(s));
   }
   {
     // Acks themselves are RDMA writes: tear one and drop another. The
     // ack-deadline probe must recover both without a single client timeout
     // budget being exhausted.
-    ChaosSchedule s;
-    s.name = "torn-and-dropped-ack";
+    Schedule& s = add("torn-and-dropped-ack");
     s.ops = 40;
     s.mode = ReplicationMode::kStrictAck;
-    s.replicas = 1;
-    s.faults.push_back({.kind = FaultKind::kTearAckWrite, .at_op = 10,
-                        .torn_bytes = 12});
+    s.faults.push_back({.kind = FaultKind::kTearAckWrite, .at_op = 10, .torn_bytes = 12});
     s.faults.push_back({.kind = FaultKind::kDropAckWrite, .at_op = 25});
-    out.push_back(std::move(s));
   }
   {
     // Torn and dropped log-record writes: the in-place retransmit path must
     // heal the ring hole before the completion (and thus the client ack).
-    ChaosSchedule s;
-    s.name = "torn-and-dropped-record";
+    Schedule& s = add("torn-and-dropped-record");
     s.ops = 40;
-    s.mode = ReplicationMode::kLogRelaxed;
-    s.replicas = 1;
-    s.faults.push_back({.kind = FaultKind::kTearRecordWrite, .at_op = 8,
-                        .torn_bytes = 16});
+    s.faults.push_back({.kind = FaultKind::kTearRecordWrite, .at_op = 8, .torn_bytes = 16});
     s.faults.push_back({.kind = FaultKind::kDropRecordWrite, .at_op = 20});
-    out.push_back(std::move(s));
   }
   {
     // Heartbeat suppression past the session timeout: the shard must be
     // fenced (not split-brained) and a replica promoted under it.
-    ChaosSchedule s;
-    s.name = "heartbeat-suppression-fences";
+    Schedule& s = add("heartbeat-suppression-fences");
     s.ops = 50;
-    s.mode = ReplicationMode::kLogRelaxed;
-    s.replicas = 1;
     s.faults.push_back({.kind = FaultKind::kSuppressHeartbeats, .at_op = 10,
                         .duration = 3 * kSecond});
-    out.push_back(std::move(s));
   }
   {
     // The shared mux QP carrying every co-located client's traffic dies
     // abruptly -- twice -- while PUTs are on the wire. The mux layer is not
     // told; endpoints must discover the corpse by timeout, tear the channel
     // down, re-establish lazily and retransmit. No acked write may be lost.
-    ChaosSchedule s;
-    s.name = "mux-channel-kill-mid-put";
+    Schedule& s = add("mux-channel-kill-mid-put");
     s.ops = 40;
-    s.mode = ReplicationMode::kLogRelaxed;
-    s.replicas = 1;
     s.mux = true;
     s.faults.push_back({.kind = FaultKind::kKillMuxChannel, .at_op = 10,
                         .delay = 2 * kMicrosecond});
     s.faults.push_back({.kind = FaultKind::kKillMuxChannel, .at_op = 25,
                         .delay = 2 * kMicrosecond});
-    out.push_back(std::move(s));
   }
   {
     // The SWAT leader is a corpse (znode lingering until session expiry)
     // when the primary's death event arrives -- the leadership-gap window.
     // The pending-death set must hold the event until member 1 takes over.
-    ChaosSchedule s;
-    s.name = "swat-leader-dead-during-failover";
+    Schedule& s = add("swat-leader-dead-during-failover");
     s.ops = 40;
-    s.mode = ReplicationMode::kLogRelaxed;
-    s.replicas = 1;
     s.swat_members = 3;
     s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 10});
     s.faults.push_back({.kind = FaultKind::kKillSwatMember, .index = 0,
                         .at_op = 10, .delay = 1900 * kMillisecond});
-    out.push_back(std::move(s));
   }
   return out;
 }
 
-ChaosSchedule ChaosSchedule::random(std::uint64_t seed) {
-  // Decorrelate from the runner's value stream, which hashes the raw seed.
+Schedule random(std::uint64_t seed) {
+  // Decorrelate from the driver's value stream, which hashes the raw seed.
   Xoshiro256 rng(seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);
-  ChaosSchedule s;
-  s.name = "random-" + std::to_string(seed);
+  Schedule s = make_schedule(Family::kChaos, "random-" + std::to_string(seed));
   s.ops = 30 + static_cast<std::uint32_t>(rng.below(31));
 
   // Safety rules keeping the invariants meaningful (never a schedule whose
@@ -253,704 +158,174 @@ ChaosSchedule ChaosSchedule::random(std::uint64_t seed) {
   return s;
 }
 
-RunReport ChaosRunner::run(const ChaosSchedule& schedule, std::uint64_t seed,
-                           obs::Plane* plane) {
-  // Normalized local copy: fault op indices are clamped into the workload so
-  // every fault is guaranteed to fire.
-  ChaosSchedule plan = schedule;
-  for (Fault& f : plan.faults) f.at_op = std::min(f.at_op, plan.ops - 1);
+/// Closed-loop PUTs of unique keys, each written exactly once, which makes
+/// "no acked write is lost" exact: an acked key must read back as precisely
+/// its seeded value. With a preload (the migration family) every PUT is
+/// chased by a readback of an already-settled key -- the GETs that exercise
+/// cached remote pointers across an epoch bump: a stale pointer must be
+/// invalidated, never silently read.
+class PutDriver : public Driver {
+ public:
+  PutDriver(const char* key_prefix, const char* probe_key, void (*family_audit)(Run&))
+      : prefix_(key_prefix), probe_key_(probe_key), family_audit_(family_audit) {}
 
-  RunReport report;
-  std::string& hist = report.history;
-  auto violation = [&](std::string text) {
-    hist += "violation: " + text + "\n";
-    report.violations.push_back(std::move(text));
-  };
+  void configure(const Schedule& plan, db::ClusterOptions& opts) const override {
+    // A lone shard's secondaries live on otherwise idle machines.
+    if (plan.shards == 1) opts.server_nodes = 1 + std::max(plan.replicas, 1);
+    opts.shard_template.store.arena_bytes = 16 << 20;
+    opts.shard_template.store.min_buckets = 1 << 12;
+  }
 
-  db::ClusterOptions opts;
-  opts.server_nodes = 1 + std::max(plan.replicas, 1);
-  opts.shards_per_node = 1;
-  opts.total_shards = 1;
-  opts.client_nodes = 1;
-  opts.clients_per_node = 1;
-  opts.replicas = plan.replicas;
-  opts.replication.mode = plan.mode;
-  opts.enable_swat = true;
-  opts.swat_members = plan.swat_members;
-  opts.shard_template.store.arena_bytes = 16 << 20;
-  opts.shard_template.store.min_buckets = 1 << 12;
-  // Patient enough to ride through a failover, quick enough to retry often.
-  opts.client_template.request_timeout = 100 * kMillisecond;
-  opts.client_template.max_retries = 100;
-  opts.mux_connections = plan.mux;
-  opts.obs = plane;
+  void start(Run& r) override {
+    run_ = &r;
+    Xoshiro256 preload_rng(r.seed ^ 0xA5A5A5A5A5A5A5A5ULL);
+    for (std::uint32_t i = 0; i < r.plan.preload; ++i) {
+      std::string key = "pre-" + std::to_string(i);
+      std::string value = "p-" + hex16(preload_rng());
+      r.cluster.direct_load(key, value);
+      preloaded_.emplace_back(std::move(key), std::move(value));
+    }
+    Xoshiro256 value_rng(r.seed);
+    for (std::uint32_t i = 0; i < r.plan.ops; ++i) {
+      ops_.push_back({prefix_ + std::to_string(i), "v-" + hex16(value_rng())});
+    }
+    read_rng_ = Xoshiro256(r.seed * 0x2545F4914F6CDD1DULL + 1);
+    issue();
+  }
 
-  db::HydraCluster cluster(opts);
-  sim::Scheduler& sched = cluster.scheduler();
-
-  appendf(hist, "run schedule=%s seed=%llu ops=%u mode=%s replicas=%d swat=%d\n",
-          plan.name.c_str(), static_cast<unsigned long long>(seed), plan.ops,
-          mode_name(plan.mode), plan.replicas, plan.swat_members);
-
-  // --- wire faults: armed one-shot, matched by destination rkey ------------
-  std::vector<Fault> armed;
-  cluster.fabric().set_write_fault_hook(
-      [&](NodeId, NodeId dst, const fabric::RemoteAddr& addr,
-          std::uint32_t size) -> fabric::WriteFault {
-        if (armed.empty()) return {};
-        for (auto it = armed.begin(); it != armed.end(); ++it) {
-          bool match = false;
-          if (is_ack_fault(it->kind)) {
-            auto* sh = cluster.shard(it->shard);
-            if (sh != nullptr && sh->replicator() != nullptr && dst == sh->node()) {
-              for (const std::uint32_t rk : sh->replicator()->ack_rkeys()) {
-                if (rk == addr.rkey) {
-                  match = true;
-                  break;
-                }
-              }
-            }
-          } else {
-            for (auto* sec : cluster.secondaries_of(it->shard)) {
-              if (sec->alive() && dst == sec->node() && sec->ring_mr() != nullptr &&
-                  sec->ring_mr()->rkey() == addr.rkey) {
-                match = true;
-                break;
-              }
-            }
+  void audit(Run& r) override {
+    db::HydraCluster& cluster = r.cluster;
+    std::vector<std::pair<std::string, std::string>> expected = preloaded_;
+    for (const Op& op : ops_) {
+      if (op.status == Status::kOk) expected.emplace_back(op.key, op.value);
+    }
+    // Every settled key reads back with its exact value and is held by
+    // exactly one ring member's store: its owner's.
+    std::uint64_t subject_owned = 0;
+    const std::vector<ShardId> members = cluster.ring().shards();
+    for (const auto& [key, value] : expected) {
+      Status st = Status::kOk;
+      auto v = cluster.get(key, 0, &st);
+      if (!v.has_value()) {
+        r.violation("key " + key + " unreadable after faults: " + std::string(to_string(st)));
+        continue;
+      }
+      if (*v != value) {
+        r.violation("key " + key + " returned a different value after faults");
+        continue;
+      }
+      const ShardId owner = cluster.owner_of(key);
+      if (owner == r.subject) ++subject_owned;
+      for (const ShardId member : members) {
+        auto* sh = cluster.shard(member);
+        if (sh == nullptr || !sh->alive()) {
+          r.violation("ring member " + std::to_string(member) + " not serving");
+          break;
+        }
+        auto view = sh->store().get(key, r.sched.now(), /*grant_lease=*/false);
+        if (member == owner) {
+          if (!view.ok()) {
+            r.violation("key " + key + " lost: owner " + std::to_string(owner) +
+                        " does not hold it");
+          } else if (view.value().value != value) {
+            r.violation("key " + key + " stale in owner store");
           }
-          if (!match) continue;
-          fabric::WriteFault wf;
-          const bool tear = it->kind == FaultKind::kTearRecordWrite ||
-                            it->kind == FaultKind::kTearAckWrite;
-          wf.kind = tear ? fabric::WriteFault::Kind::kTorn
-                         : fabric::WriteFault::Kind::kDrop;
-          wf.torn_bytes = std::min(it->torn_bytes, size);
-          appendf(hist, "t=%llu wire-fault %s rkey=%u size=%u torn=%u\n",
-                  static_cast<unsigned long long>(sched.now()), to_string(it->kind),
-                  addr.rkey, size, wf.torn_bytes);
-          armed.erase(it);
-          return wf;
+        } else if (view.ok()) {
+          r.violation("key " + key + " double-owned: shard " + std::to_string(member) +
+                      " still holds it (owner " + std::to_string(owner) + ")");
         }
-        return {};
-      });
-
-  // --- fault application ----------------------------------------------------
-  Time first_kill = 0;
-  bool recovery_pending = false;
-  std::uint64_t failovers_at_kill = 0;
-  bool killed_a_primary = false;
-  bool killed_a_secondary = false;
-
-  auto apply_fault = [&](const Fault& f) {
-    appendf(hist, "t=%llu fault %s shard=%u idx=%d\n",
-            static_cast<unsigned long long>(sched.now()), to_string(f.kind),
-            static_cast<unsigned>(f.shard), f.index);
-    if (plane != nullptr) {
-      plane->trace(sched.now(), kInvalidNode, obs::TraceKind::kFaultInjected, f.shard,
-                   static_cast<std::uint64_t>(f.kind),
-                   static_cast<std::uint64_t>(static_cast<unsigned>(f.index)));
-    }
-    switch (f.kind) {
-      case FaultKind::kKillPrimary: {
-        auto* sh = cluster.shard(f.shard);
-        if (sh != nullptr && sh->alive()) {
-          killed_a_primary = true;
-          if (first_kill == 0) {
-            first_kill = sched.now();
-            recovery_pending = true;
-            failovers_at_kill = cluster.failovers();
-          }
-          cluster.crash_primary(f.shard);
-        }
-        break;
       }
-      case FaultKind::kKillSecondary:
-        killed_a_secondary = true;
-        cluster.crash_secondary(f.shard, f.index);
-        break;
-      case FaultKind::kKillSwatMember:
-        cluster.kill_swat_member(f.index);
-        break;
-      case FaultKind::kTearRecordWrite:
-      case FaultKind::kDropRecordWrite:
-      case FaultKind::kTearAckWrite:
-      case FaultKind::kDropAckWrite:
-        armed.push_back(f);
-        break;
-      case FaultKind::kSuppressHeartbeats:
-        cluster.suppress_heartbeats(f.shard, f.duration);
-        break;
-      case FaultKind::kFailApply: {
-        auto secs = cluster.secondaries_of(f.shard);
-        if (f.index >= 0 && static_cast<std::size_t>(f.index) < secs.size() &&
-            secs[static_cast<std::size_t>(f.index)]->alive()) {
-          secs[static_cast<std::size_t>(f.index)]->fail_next(3);
-        }
-        break;
-      }
-      case FaultKind::kKillMuxChannel:
-        // Abrupt shared-QP death: the mux layer is NOT notified. Any write
-        // in flight on the channel flushes without committing; endpoints
-        // discover the corpse by timeout and re-establish lazily.
-        cluster.kill_mux_channel(f.index, f.shard);
-        break;
-      case FaultKind::kTearRevocation:
-      case FaultKind::kDropRevocation:
-        // Revocation wire faults only make sense against the fast-failover
-        // agreement plane; FailoverChaosRunner arms them. The legacy runner
-        // never schedules them -- ignore rather than crash on a stray plan.
-        break;
     }
+    if (r.plan.migrate_at != Schedule::kNever && r.plan.migrate_op == MigrationOp::kAdd &&
+        cluster.migration_stats().completed > 0 && subject_owned == 0) {
+      r.violation("added shard owns none of the dataset");
+    }
+    if (probe_key_ != nullptr) r.probe(probe_key_);
+    if (family_audit_ != nullptr) family_audit_(r);
+  }
+
+ private:
+  struct Op {
+    std::string key;
+    std::string value;
+    Status status = Status::kTimeout;
   };
 
-  // --- workload: closed-loop unique-key PUTs --------------------------------
-  // Unique keys, each written exactly once, make invariant 1 exact: an acked
-  // "chaos-<i>" must read back as precisely its seeded value.
-  Xoshiro256 value_rng(seed);
-  std::vector<OpRecord> ops(plan.ops);
-  for (std::uint32_t i = 0; i < plan.ops; ++i) {
-    ops[i].idx = i;
-    ops[i].key = "chaos-" + std::to_string(i);
-    ops[i].value = "v-" + hex16(value_rng());
+  // Closed loop: op i+1 is issued by op i's completion callback.
+  void issue() {
+    Run& r = *run_;
+    const auto op = r.next(0);
+    if (!op.has_value()) return;
+    const std::uint32_t i = op->t;
+    r.log("op=%u issue key=%s", i, ops_[i].key.c_str());
+    r.cluster.clients().front()->put(ops_[i].key, ops_[i].value,
+                                     [this, i, slot = op->slot](Status st) {
+                                       Run& rr = *run_;
+                                       ops_[i].status = st;
+                                       rr.done(slot);
+                                       if (st == Status::kOk) ++rr.report.acked;
+                                       rr.log("op=%u done status=%s", i,
+                                              std::string(to_string(st)).c_str());
+                                       if (preloaded_.empty()) {
+                                         issue();
+                                       } else {
+                                         readback(i);
+                                       }
+                                     });
   }
 
-  // Closed loop: op i+1 is issued by op i's completion callback. Everything
-  // fires inside the drive loops below, so plain reference captures are safe
-  // (and cycle-free, unlike a shared_ptr self-capture).
-  std::uint32_t completed = 0;
-  client::Client* cl = cluster.clients().front();
-  std::function<void(std::uint32_t)> issue = [&](std::uint32_t i) {
-    if (i >= plan.ops) return;
-    appendf(hist, "t=%llu op=%u issue key=%s\n",
-            static_cast<unsigned long long>(sched.now()), i, ops[i].key.c_str());
-    for (const Fault& f : plan.faults) {
-      if (f.at_op != i) continue;
-      const Fault* fp = &f;
-      sched.after(f.delay, [&apply_fault, fp] { apply_fault(*fp); });
-    }
-    cl->put(ops[i].key, ops[i].value, [&, i](Status st) {
-      ops[i].status = st;
-      ops[i].completed = true;
-      ops[i].done_at = sched.now();
-      ++completed;
-      appendf(hist, "t=%llu op=%u done status=%s\n",
-              static_cast<unsigned long long>(sched.now()), i,
-              std::string(to_string(st)).c_str());
-      issue(i + 1);
-    });
-  };
-  issue(0);
-
-  auto note_recovery = [&] {
-    if (recovery_pending && cluster.failovers() > failovers_at_kill) {
-      recovery_pending = false;
-      report.recovery_time = sched.now() - first_kill;
-      appendf(hist, "t=%llu failover-complete recovery=%llu\n",
-              static_cast<unsigned long long>(sched.now()),
-              static_cast<unsigned long long>(report.recovery_time));
-    }
-  };
-
-  std::uint64_t steps = 0;
-  while (completed < plan.ops && sched.now() < kWorkloadTimeLimit &&
-         steps < kWorkloadStepLimit) {
-    if (!sched.step()) break;
-    ++steps;
-    note_recovery();
-  }
-
-  // --- settle: let failovers, retransmits and respawns finish ---------------
-  const Time settle_end = sched.now() + kSettle;
-  while (sched.now() < settle_end && sched.step()) note_recovery();
-
-  // --- invariant 2: no wedged operations ------------------------------------
-  for (const OpRecord& op : ops) {
-    if (op.completed) continue;
-    ++report.wedged_ops;
-    violation("op " + std::to_string(op.idx) + " (" + op.key +
-              ") never completed: callback wedged");
-  }
-
-  // --- invariant 1: every acked PUT readable with its exact value -----------
-  for (const OpRecord& op : ops) {
-    if (!op.completed || op.status != Status::kOk) continue;
-    ++report.acked_puts;
-    Status st = Status::kOk;
-    auto v = cluster.get(op.key, 0, &st);
-    if (!v.has_value()) {
-      violation("acked op " + std::to_string(op.idx) + " (" + op.key +
-                ") unreadable after faults: " + std::string(to_string(st)));
-    } else if (*v != op.value) {
-      violation("acked op " + std::to_string(op.idx) + " (" + op.key +
-                ") returned a different value");
-    }
-  }
-
-  // --- invariant 3: replication factor + availability restored --------------
-  report.failovers = cluster.failovers();
-  const Status probe = cluster.put("chaos-probe", "alive");
-  appendf(hist, "t=%llu probe-put status=%s\n",
-          static_cast<unsigned long long>(sched.now()),
-          std::string(to_string(probe)).c_str());
-  if (probe != Status::kOk) {
-    violation("probe PUT failed: shard not writable after faults (" +
-              std::string(to_string(probe)) + ")");
-  }
-  if (killed_a_primary && (cluster.shard(0) == nullptr || !cluster.shard(0)->alive())) {
-    violation("primary was killed and no promotion ever completed");
-  }
-  if (report.failovers > 0 && !killed_a_secondary) {
-    // A secondary killed *after* the last promotion legitimately degrades the
-    // factor (only promotions respawn); restrict the check to schedules where
-    // the factor must come back exactly.
-    std::size_t live = 0;
-    for (auto* sec : cluster.secondaries_of(0)) live += sec->alive() ? 1 : 0;
-    if (live != static_cast<std::size_t>(opts.replicas)) {
-      violation("replication factor " + std::to_string(live) + " != " +
-                std::to_string(opts.replicas) + " after promotion");
-    }
-  }
-
-  appendf(hist, "end t=%llu failovers=%llu acked=%llu wedged=%llu violations=%zu\n",
-          static_cast<unsigned long long>(sched.now()),
-          static_cast<unsigned long long>(report.failovers),
-          static_cast<unsigned long long>(report.acked_puts),
-          static_cast<unsigned long long>(report.wedged_ops),
-          report.violations.size());
-  return report;
-}
-
-// --- live-migration chaos ----------------------------------------------------
-
-const char* to_string(MigrationOp op) noexcept {
-  switch (op) {
-    case MigrationOp::kAdd: return "add";
-    case MigrationOp::kDrain: return "drain";
-  }
-  return "unknown";
-}
-
-std::vector<MigrationSchedule> MigrationSchedule::scripted() {
-  std::vector<MigrationSchedule> out;
-  // Kill delays are sized for the default copy cadence (a few thousand
-  // preloaded keys, 16 records per 200us tick) so they land mid-copy.
-  {
-    MigrationSchedule s;
-    s.name = "add-clean";
-    out.push_back(std::move(s));
-  }
-  {
-    MigrationSchedule s;
-    s.name = "drain-clean";
-    s.op = MigrationOp::kDrain;
-    out.push_back(std::move(s));
-  }
-  {
-    // A copy source dies mid-copy: its flow must be rebuilt from the
-    // promoted replica (fresh sink, fresh snapshot) and still commit.
-    MigrationSchedule s;
-    s.name = "add-kill-source";
-    s.faults.push_back({.kind = FaultKind::kKillPrimary, .shard = 0, .at_op = 8,
-                        .delay = 400 * kMicrosecond});
-    out.push_back(std::move(s));
-  }
-  {
-    // The brand-new destination dies mid-copy: the commit must wait for its
-    // replica to be promoted, then merge into the promoted store.
-    MigrationSchedule s;
-    s.name = "add-kill-destination";
-    s.faults.push_back({.kind = FaultKind::kKillPrimary, .shard = 3, .at_op = 8,
-                        .delay = 500 * kMicrosecond});
-    out.push_back(std::move(s));
-  }
-  {
-    // The drain victim (source of every flow) dies mid-drain.
-    MigrationSchedule s;
-    s.name = "drain-kill-victim";
-    s.op = MigrationOp::kDrain;
-    s.faults.push_back({.kind = FaultKind::kKillPrimary, .shard = 1, .at_op = 8,
-                        .delay = 400 * kMicrosecond});
-    out.push_back(std::move(s));
-  }
-  {
-    // One of the drain's destinations dies mid-copy.
-    MigrationSchedule s;
-    s.name = "drain-kill-destination";
-    s.op = MigrationOp::kDrain;
-    s.faults.push_back({.kind = FaultKind::kKillPrimary, .shard = 2, .at_op = 8,
-                        .delay = 500 * kMicrosecond});
-    out.push_back(std::move(s));
-  }
-  {
-    // SWAT leadership gap overlapping a source kill: the death event pends
-    // until member 1 takes over, stretching the migration stall by ~2s.
-    MigrationSchedule s;
-    s.name = "add-kill-swat-and-source";
-    s.swat_members = 3;
-    s.faults.push_back({.kind = FaultKind::kKillSwatMember, .index = 0, .at_op = 8});
-    s.faults.push_back({.kind = FaultKind::kKillPrimary, .shard = 0, .at_op = 8,
-                        .delay = 300 * kMicrosecond});
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-MigrationSchedule MigrationSchedule::random(std::uint64_t seed) {
-  Xoshiro256 rng(seed * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL);
-  MigrationSchedule s;
-  s.name = "mig-random-" + std::to_string(seed);
-  s.op = rng.below(2) == 0 ? MigrationOp::kAdd : MigrationOp::kDrain;
-  s.initial_shards = 2 + static_cast<int>(rng.below(3));
-  s.replicas = 1 + static_cast<int>(rng.below(2));
-  s.preload = 512 + static_cast<std::uint32_t>(rng.below(1537));
-  s.ops = 48 + static_cast<std::uint32_t>(rng.below(49));
-  s.migrate_at_op = 4 + static_cast<std::uint32_t>(rng.below(s.ops / 3));
-  s.drain_victim = static_cast<ShardId>(rng.below(s.initial_shards));
-
-  const ShardId n = static_cast<ShardId>(s.initial_shards);
-  const auto kill_delay = [&] {
-    return static_cast<Duration>(100 * kMicrosecond + rng.below(2 * kMillisecond));
-  };
-  switch (rng.below(4)) {
-    case 0:  // clean run
-      break;
-    case 1: {  // kill a source mid-copy
-      const ShardId src = s.op == MigrationOp::kAdd
-                              ? static_cast<ShardId>(rng.below(n))
-                              : s.drain_victim;
-      s.faults.push_back({.kind = FaultKind::kKillPrimary, .shard = src,
-                          .at_op = s.migrate_at_op, .delay = kill_delay()});
-      break;
-    }
-    case 2: {  // kill a destination mid-copy
-      const ShardId dst =
-          s.op == MigrationOp::kAdd
-              ? n
-              : static_cast<ShardId>((s.drain_victim + 1 + rng.below(n - 1)) % n);
-      s.faults.push_back({.kind = FaultKind::kKillPrimary, .shard = dst,
-                          .at_op = s.migrate_at_op, .delay = kill_delay()});
-      break;
-    }
-    default: {  // SWAT leadership gap + source kill
-      s.swat_members = 3;
-      const ShardId src = s.op == MigrationOp::kAdd
-                              ? static_cast<ShardId>(rng.below(n))
-                              : s.drain_victim;
-      s.faults.push_back(
-          {.kind = FaultKind::kKillSwatMember, .index = 0, .at_op = s.migrate_at_op});
-      s.faults.push_back({.kind = FaultKind::kKillPrimary, .shard = src,
-                          .at_op = s.migrate_at_op, .delay = kill_delay()});
-      break;
-    }
-  }
-  return s;
-}
-
-MigrationReport MigrationChaosRunner::run(const MigrationSchedule& schedule,
-                                          std::uint64_t seed, obs::Plane* plane) {
-  MigrationSchedule plan = schedule;
-  plan.ops = std::max<std::uint32_t>(plan.ops, 2);
-  plan.migrate_at_op = std::min(plan.migrate_at_op, plan.ops - 1);
-  for (Fault& f : plan.faults) f.at_op = std::min(f.at_op, plan.ops - 1);
-  plan.drain_victim = static_cast<ShardId>(
-      plan.drain_victim % static_cast<ShardId>(plan.initial_shards));
-
-  MigrationReport report;
-  std::string& hist = report.history;
-  auto violation = [&](std::string text) {
-    hist += "violation: " + text + "\n";
-    report.violations.push_back(std::move(text));
-  };
-
-  db::ClusterOptions opts;
-  opts.server_nodes = plan.initial_shards;
-  opts.shards_per_node = 1;
-  opts.total_shards = plan.initial_shards;
-  opts.client_nodes = 1;
-  opts.clients_per_node = 1;
-  opts.replicas = plan.replicas;
-  opts.replication.mode = ReplicationMode::kLogRelaxed;
-  opts.enable_swat = true;
-  opts.swat_members = plan.swat_members;
-  opts.shard_template.store.arena_bytes = 16 << 20;
-  opts.shard_template.store.min_buckets = 1 << 12;
-  opts.client_template.request_timeout = 100 * kMillisecond;
-  opts.client_template.max_retries = 100;
-  opts.obs = plane;
-
-  db::HydraCluster cluster(opts);
-  sim::Scheduler& sched = cluster.scheduler();
-  report.epoch_before = cluster.routing_epoch();
-
-  appendf(hist, "run schedule=%s seed=%llu op=%s shards=%d replicas=%d preload=%u ops=%u\n",
-          plan.name.c_str(), static_cast<unsigned long long>(seed),
-          to_string(plan.op), plan.initial_shards, plan.replicas, plan.preload,
-          plan.ops);
-
-  // --- preload: the dataset the bulk copy will move --------------------------
-  Xoshiro256 preload_rng(seed ^ 0xA5A5A5A5A5A5A5A5ULL);
-  std::vector<std::pair<std::string, std::string>> expected;
-  expected.reserve(plan.preload + plan.ops);
-  for (std::uint32_t i = 0; i < plan.preload; ++i) {
-    std::string key = "pre-" + std::to_string(i);
-    std::string value = "p-" + hex16(preload_rng());
-    cluster.direct_load(key, value);
-    expected.emplace_back(std::move(key), std::move(value));
-  }
-
-  // --- fault application -----------------------------------------------------
-  auto apply_fault = [&](const Fault& f) {
-    appendf(hist, "t=%llu fault %s shard=%u idx=%d\n",
-            static_cast<unsigned long long>(sched.now()), to_string(f.kind),
-            static_cast<unsigned>(f.shard), f.index);
-    if (plane != nullptr) {
-      plane->trace(sched.now(), kInvalidNode, obs::TraceKind::kFaultInjected, f.shard,
-                   static_cast<std::uint64_t>(f.kind),
-                   static_cast<std::uint64_t>(static_cast<unsigned>(f.index)));
-    }
-    switch (f.kind) {
-      case FaultKind::kKillPrimary: {
-        auto* sh = cluster.shard(f.shard);
-        if (sh != nullptr && sh->alive()) cluster.crash_primary(f.shard);
-        break;
-      }
-      case FaultKind::kKillSecondary:
-        cluster.crash_secondary(f.shard, f.index);
-        break;
-      case FaultKind::kKillSwatMember:
-        cluster.kill_swat_member(f.index);
-        break;
-      case FaultKind::kSuppressHeartbeats:
-        cluster.suppress_heartbeats(f.shard, f.duration);
-        break;
-      default:  // wire/apply faults belong to the failover harness
-        break;
-    }
-  };
-
-  // --- workload: closed-loop unique-key PUTs, each chased by a readback -----
-  // The readback GETs are what exercise cached remote pointers across the
-  // epoch bump: a stale pointer must be invalidated, never silently read.
-  struct MigOp {
-    OpRecord put;
-    bool get_issued = false;
-    bool get_done = false;
-    std::string get_key;
-    std::string get_expected;
-  };
-  Xoshiro256 value_rng(seed);
-  Xoshiro256 read_rng(seed * 0x2545F4914F6CDD1DULL + 1);
-  std::vector<MigOp> ops(plan.ops);
-  for (std::uint32_t i = 0; i < plan.ops; ++i) {
-    ops[i].put.idx = i;
-    ops[i].put.key = "mig-" + std::to_string(i);
-    ops[i].put.value = "v-" + hex16(value_rng());
-  }
-
-  std::uint32_t completed = 0;
-  ShardId subject = kInvalidShard;
-  bool migration_started = false;
-  Time migrate_called_at = 0;
-  client::Client* cl = cluster.clients().front();
-
-  std::function<void(std::uint32_t)> issue = [&](std::uint32_t i) {
-    if (i >= plan.ops) return;
-    if (i == plan.migrate_at_op) {
-      if (plan.op == MigrationOp::kAdd) {
-        subject = cluster.add_shard_live();
-        migration_started = subject != kInvalidShard;
+  // Readback of an already-settled key (preloaded, or an earlier op whose
+  // PUT was acked): must return exactly the written value even while
+  // ownership is in motion.
+  void readback(std::uint32_t i) {
+    Run& r = *run_;
+    const auto preload = static_cast<std::uint32_t>(preloaded_.size());
+    std::uint64_t pick = read_rng_.below(preload + i);
+    std::pair<std::string, std::string> settled;
+    if (pick >= preload) {
+      const Op& op = ops_[static_cast<std::size_t>(pick - preload)];
+      if (op.status == Status::kOk) {
+        settled = {op.key, op.value};
       } else {
-        subject = plan.drain_victim;
-        migration_started = cluster.drain_shard_live(subject);
-      }
-      migrate_called_at = sched.now();
-      appendf(hist, "t=%llu migrate op=%s subject=%u started=%d\n",
-              static_cast<unsigned long long>(sched.now()), to_string(plan.op),
-              static_cast<unsigned>(subject), migration_started ? 1 : 0);
-    }
-    for (const Fault& f : plan.faults) {
-      if (f.at_op != i) continue;
-      const Fault* fp = &f;
-      sched.after(f.delay, [&apply_fault, fp] { apply_fault(*fp); });
-    }
-    appendf(hist, "t=%llu op=%u issue key=%s\n",
-            static_cast<unsigned long long>(sched.now()), i, ops[i].put.key.c_str());
-    cl->put(ops[i].put.key, ops[i].put.value, [&, i](Status st) {
-      ops[i].put.status = st;
-      ops[i].put.completed = true;
-      ops[i].put.done_at = sched.now();
-      appendf(hist, "t=%llu op=%u done status=%s\n",
-              static_cast<unsigned long long>(sched.now()), i,
-              std::string(to_string(st)).c_str());
-
-      // Readback of an already-settled key (preloaded, or an earlier op
-      // whose PUT was acked): must return exactly the written value even
-      // while ownership is in motion.
-      std::uint64_t pick = read_rng.below(plan.preload + i);
-      if (pick >= plan.preload) {
-        const std::uint32_t j = static_cast<std::uint32_t>(pick - plan.preload);
-        if (ops[j].put.status == Status::kOk) {
-          ops[i].get_key = ops[j].put.key;
-          ops[i].get_expected = ops[j].put.value;
-        } else {
-          pick = j % plan.preload;  // deterministic fallback
-        }
-      }
-      if (ops[i].get_key.empty()) {
-        ops[i].get_key = expected[static_cast<std::size_t>(pick)].first;
-        ops[i].get_expected = expected[static_cast<std::size_t>(pick)].second;
-      }
-      ops[i].get_issued = true;
-      ++report.readbacks;
-      cl->get(ops[i].get_key, [&, i](Status gst, std::string_view value) {
-        ops[i].get_done = true;
-        if (gst != Status::kOk) {
-          violation("readback of " + ops[i].get_key + " failed mid-migration: " +
-                    std::string(to_string(gst)));
-        } else if (value != ops[i].get_expected) {
-          violation("readback of " + ops[i].get_key +
-                    " returned a different value mid-migration");
-        }
-        ++completed;
-        issue(i + 1);
-      });
-    });
-  };
-  issue(0);
-
-  bool migration_done_seen = false;
-  auto note_migration = [&] {
-    if (migration_started && !migration_done_seen && !cluster.migration_active()) {
-      migration_done_seen = true;
-      report.migration_time = sched.now() - migrate_called_at;
-      appendf(hist, "t=%llu migrate-settled duration=%llu\n",
-              static_cast<unsigned long long>(sched.now()),
-              static_cast<unsigned long long>(report.migration_time));
-    }
-  };
-
-  std::uint64_t steps = 0;
-  while (completed < plan.ops && sched.now() < kWorkloadTimeLimit &&
-         steps < kWorkloadStepLimit) {
-    if (!sched.step()) break;
-    ++steps;
-    note_migration();
-  }
-
-  // Let the migration finish (it may still be copying or waiting out a
-  // promotion), then settle failovers and respawns.
-  while (cluster.migration_active() && sched.now() < kWorkloadTimeLimit &&
-         sched.step()) {
-    note_migration();
-  }
-  const Time settle_end = sched.now() + kSettle;
-  while (sched.now() < settle_end && sched.step()) note_migration();
-
-  // --- invariant: no wedged operations ---------------------------------------
-  for (const MigOp& op : ops) {
-    if (!op.put.completed) {
-      ++report.wedged_ops;
-      violation("op " + std::to_string(op.put.idx) + " (" + op.put.key +
-                ") PUT never completed: callback wedged");
-    } else if (op.get_issued && !op.get_done) {
-      ++report.wedged_ops;
-      violation("op " + std::to_string(op.put.idx) + " readback (" + op.get_key +
-                ") never completed: callback wedged");
-    }
-  }
-
-  // --- invariant: the migration committed and bumped the epoch ---------------
-  const db::MigrationStats& mstats = cluster.migration_stats();
-  report.migration_completed = mstats.completed > 0;
-  report.keys_moved = mstats.keys_moved;
-  report.flow_restarts = mstats.flow_restarts;
-  report.forwarded = mstats.forwarded;
-  report.failovers = cluster.failovers();
-  report.epoch_after = cluster.routing_epoch();
-  for (auto* c : cluster.clients()) {
-    report.epoch_invalidations += c->stats().epoch_invalidations;
-  }
-  if (!migration_started) {
-    violation("migration never started (add/drain call rejected)");
-  } else {
-    if (!report.migration_completed) violation("migration never committed");
-    if (mstats.aborted > 0) violation("migration aborted");
-    if (report.migration_completed && report.epoch_after <= report.epoch_before) {
-      violation("commit did not bump the routing epoch");
-    }
-  }
-  if (report.migration_completed) {
-    if (plan.op == MigrationOp::kAdd && !cluster.ring().contains(subject)) {
-      violation("added shard missing from the committed ring");
-    }
-    if (plan.op == MigrationOp::kDrain &&
-        (cluster.ring().contains(subject) || !cluster.shard_retired(subject))) {
-      violation("drained shard still present after commit");
-    }
-  }
-
-  // --- invariant: every settled key readable, held by exactly one owner ------
-  for (std::uint32_t i = 0; i < plan.ops; ++i) {
-    if (ops[i].put.completed && ops[i].put.status == Status::kOk) {
-      ++report.acked_puts;
-      expected.emplace_back(ops[i].put.key, ops[i].put.value);
-    }
-  }
-  std::uint64_t subject_owned = 0;
-  const std::vector<ShardId> members = cluster.ring().shards();
-  for (const auto& [key, value] : expected) {
-    Status st = Status::kOk;
-    auto v = cluster.get(key, 0, &st);
-    if (!v.has_value()) {
-      violation("key " + key + " unreadable after commit: " +
-                std::string(to_string(st)));
-      continue;
-    }
-    if (*v != value) {
-      violation("key " + key + " returned a different value after commit");
-      continue;
-    }
-    const ShardId owner = cluster.owner_of(key);
-    if (owner == subject) ++subject_owned;
-    for (const ShardId member : members) {
-      auto* sh = cluster.shard(member);
-      if (sh == nullptr || !sh->alive()) {
-        violation("ring member " + std::to_string(member) + " not serving");
-        break;
-      }
-      auto view = sh->store().get(key, sched.now(), /*grant_lease=*/false);
-      if (member == owner) {
-        if (!view.ok()) {
-          violation("key " + key + " lost: owner " + std::to_string(owner) +
-                    " does not hold it");
-        } else if (view.value().value != value) {
-          violation("key " + key + " stale in owner store");
-        }
-      } else if (view.ok()) {
-        violation("key " + key + " double-owned: shard " + std::to_string(member) +
-                  " still holds it (owner " + std::to_string(owner) + ")");
+        pick = (pick - preload) % preload;  // deterministic fallback
       }
     }
-  }
-  if (report.migration_completed && plan.op == MigrationOp::kAdd &&
-      subject_owned == 0) {
-    violation("added shard owns none of the dataset");
+    if (settled.first.empty()) settled = preloaded_[static_cast<std::size_t>(pick)];
+    ++r.report.readbacks;
+    const std::size_t slot =
+        r.track("op " + std::to_string(i) + " readback (" + settled.first + ")");
+    r.cluster.clients().front()->get(
+        settled.first, [this, slot, settled](Status st, std::string_view value) {
+          Run& rr = *run_;
+          rr.done(slot);
+          if (st != Status::kOk) {
+            rr.violation("readback of " + settled.first + " failed mid-migration: " +
+                         std::string(to_string(st)));
+          } else if (value != settled.second) {
+            rr.violation("readback of " + settled.first +
+                         " returned a different value mid-migration");
+          }
+          issue();
+        });
   }
 
-  appendf(hist,
-          "end t=%llu moved=%llu restarts=%llu forwarded=%llu failovers=%llu "
-          "acked=%llu epoch=%llu->%llu violations=%zu\n",
-          static_cast<unsigned long long>(sched.now()),
-          static_cast<unsigned long long>(report.keys_moved),
-          static_cast<unsigned long long>(report.flow_restarts),
-          static_cast<unsigned long long>(report.forwarded),
-          static_cast<unsigned long long>(report.failovers),
-          static_cast<unsigned long long>(report.acked_puts),
-          static_cast<unsigned long long>(report.epoch_before),
-          static_cast<unsigned long long>(report.epoch_after),
-          report.violations.size());
-  return report;
+  const std::string prefix_;
+  const char* const probe_key_;
+  void (*const family_audit_)(Run&);
+  Run* run_ = nullptr;
+  std::vector<Op> ops_;
+  std::vector<std::pair<std::string, std::string>> preloaded_;
+  Xoshiro256 read_rng_{0};
+};
+
+}  // namespace
+
+std::unique_ptr<Driver> make_put_driver(const char* key_prefix, const char* probe_key,
+                                        void (*family_audit)(Run&)) {
+  return std::make_unique<PutDriver>(key_prefix, probe_key, family_audit);
 }
+
+const FamilyDef kChaosFamily = {"chaos", scripted, random,
+                                [] { return make_put_driver("chaos-", "chaos-probe"); }};
 
 }  // namespace hydra::chaos

@@ -1,171 +1,119 @@
-#include "chaos/failover_chaos.hpp"
-
-#include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-#include <functional>
+// The fast-failover family (DESIGN.md §14): the PUT stream on a cluster
+// with fast failover on, under the fault points the agreement protocol must
+// survive -- the primary killed mid-ring-write, torn and dropped revocation
+// verbs, several replicas suspecting at once (split CAS ballots), a SWAT
+// kill mid-round, and a live add-migration. On top of the shared checks
+// (including "at most one primary per epoch": routing epochs publish
+// strictly monotonically) the family verifies that:
+//
+//   1. each of the victim shard's epochs pairs with exactly one promotion;
+//   2. when the fast path is expected to win, the crash-to-promotion gap
+//      stays under one millisecond of virtual time (versus ~2.45 s for the
+//      legacy session-timeout path, which stays armed as the fallback);
+//   3. a fast promotion follows suspicion -> revocation -> ballot.
 #include <optional>
-#include <string>
 #include <utility>
 
-#include "common/rng.hpp"
-#include "hydradb/hydra_cluster.hpp"
-#include "obs/plane.hpp"
+#include "chaos/run.hpp"
 
 namespace hydra::chaos {
 namespace {
 
 using replication::ReplicationMode;
 
-/// Virtual time granted after the workload: long enough for the legacy
-/// session-timeout fallback (~2.45 s) to finish when a round aborts, not just
-/// the microsecond fast path.
-constexpr Duration kSettle = 6 * kSecond;
-constexpr Time kWorkloadTimeLimit = 120 * kSecond;
-constexpr std::uint64_t kWorkloadStepLimit = 40'000'000;
-
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
-const char* mode_name(ReplicationMode m) {
-  switch (m) {
-    case ReplicationMode::kNone: return "none";
-    case ReplicationMode::kLogRelaxed: return "relaxed";
-    case ReplicationMode::kStrictAck: return "strict";
-  }
-  return "unknown";
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
-
-std::vector<FailoverSchedule> FailoverSchedule::scripted() {
-  std::vector<FailoverSchedule> out;
-
-  {
-    // The headline case: the primary dies while ring writes are on the wire.
-    // Both replicas miss the pulse deadline, revoke, and race CAS ballots;
-    // the winner must promote within the microsecond bound.
-    FailoverSchedule s;
-    s.name = "fast-kill-mid-ring-write";
-    s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 12,
-                        .delay = 2 * kMicrosecond});
-    out.push_back(std::move(s));
-  }
+std::vector<Schedule> scripted() {
+  std::vector<Schedule> out;
+  auto add = [&](std::string name) -> Schedule& {
+    return out.emplace_back(make_schedule(Family::kFailover, std::move(name)));
+  };
+  // The headline case: the primary dies while ring writes are on the wire.
+  // Both replicas miss the pulse deadline, revoke, and race CAS ballots;
+  // the winner must promote within the microsecond bound.
+  add("fast-kill-mid-ring-write")
+      .faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 12,
+                         .delay = 2 * kMicrosecond});
   {
     // Strict acks in flight when the primary dies: client retries (not the
     // dead primary's half-finished pipeline) re-drive the records on the
     // promoted replica, and any probe retransmit that lands after the
     // revocation must surface as a fabric permission error, never wedge.
-    FailoverSchedule s;
-    s.name = "fast-kill-strict-inflight";
+    Schedule& s = add("fast-kill-strict-inflight");
     s.mode = ReplicationMode::kStrictAck;
     s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 10,
                         .delay = 2 * kMicrosecond});
-    out.push_back(std::move(s));
   }
   {
     // A torn revocation: the verb applies at the owner but its confirmation
     // is lost. The retry re-revokes an already-revoked region (idempotent)
     // and the round still completes fast.
-    FailoverSchedule s;
-    s.name = "fast-torn-revocation";
+    Schedule& s = add("fast-torn-revocation");
     s.faults.push_back({.kind = FaultKind::kTearRevocation, .index = 1, .at_op = 12});
     s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 12,
                         .delay = 2 * kMicrosecond});
-    out.push_back(std::move(s));
   }
   {
     // A dropped revocation: the verb is lost entirely; the retry must
     // deliver and the round still beats the millisecond bound.
-    FailoverSchedule s;
-    s.name = "fast-dropped-revocation";
+    Schedule& s = add("fast-dropped-revocation");
     s.faults.push_back({.kind = FaultKind::kDropRevocation, .index = 1, .at_op = 12});
     s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 12,
                         .delay = 2 * kMicrosecond});
-    out.push_back(std::move(s));
   }
   {
     // Revocation storm: every revoke verb is dropped, the retry budget
     // exhausts, every round aborts -- the legacy session-timeout promotion
     // must still recover the shard (the fallback ordering argument).
-    FailoverSchedule s;
-    s.name = "fast-revocation-storm-falls-back";
+    Schedule& s = add("fast-revocation-storm-falls-back");
     s.expect_fast = false;
     s.faults.push_back({.kind = FaultKind::kDropRevocation, .index = 64, .at_op = 10});
     s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 10,
                         .delay = 2 * kMicrosecond});
-    out.push_back(std::move(s));
   }
   {
     // Split suspicion: three replicas all suspect at once and cast ballots
     // against the same decision arena; exactly one may win its round.
-    FailoverSchedule s;
-    s.name = "fast-split-ballots";
+    Schedule& s = add("fast-split-ballots");
     s.replicas = 3;
     s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 12,
                         .delay = 2 * kMicrosecond});
-    out.push_back(std::move(s));
   }
   {
     // The SWAT leader dies in the same instant as the primary: the agreement
     // round must not depend on coordinator liveness (SWAT only publishes the
     // epoch, and any member can).
-    FailoverSchedule s;
-    s.name = "fast-swat-kill-mid-round";
+    Schedule& s = add("fast-swat-kill-mid-round");
     s.swat_members = 3;
     s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 10,
                         .delay = 2 * kMicrosecond});
     s.faults.push_back({.kind = FaultKind::kKillSwatMember, .index = 0, .at_op = 10});
-    out.push_back(std::move(s));
   }
   {
     // Legacy/fast interplay: heartbeat suppression past the session timeout
     // self-fences the primary (the legacy path), which silences its pulses
     // -- the fast plane must then promote off the resulting suspicion
     // without double-promoting against SWAT's own reaction.
-    FailoverSchedule s;
-    s.name = "fast-suppression-interplay";
+    Schedule& s = add("fast-suppression-interplay");
     s.ops = 50;
     s.faults.push_back({.kind = FaultKind::kSuppressHeartbeats, .at_op = 10,
                         .duration = 3 * kSecond});
-    out.push_back(std::move(s));
   }
   {
-    // Composed with a live add-migration: the victim is a copy source, so
-    // the flow must be rebuilt from the fast-promoted replica and the
-    // migration still commit.
-    FailoverSchedule s;
-    s.name = "fast-composed-with-migration";
+    // Composed with a live add-migration (the new shard is 1; the victim
+    // stays shard 0): the victim is a copy source, so the flow must be
+    // rebuilt from the fast-promoted replica and the migration still commit.
+    Schedule& s = add("fast-composed-with-migration");
     s.ops = 48;
-    s.migrate = true;
-    s.migrate_at_op = 6;
+    s.migrate_at = 6;
     s.faults.push_back({.kind = FaultKind::kKillPrimary, .at_op = 10,
                         .delay = 300 * kMicrosecond});
-    out.push_back(std::move(s));
   }
   return out;
 }
 
-FailoverSchedule FailoverSchedule::random(std::uint64_t seed) {
-  // Decorrelate from the runner's value stream, which hashes the raw seed.
+Schedule random(std::uint64_t seed) {
+  // Decorrelate from the driver's value stream, which hashes the raw seed.
   Xoshiro256 rng(seed * 0xD6E8FEB86659FD93ULL + 0x2545F4914F6CDD1DULL);
-  FailoverSchedule s;
-  s.name = "ff-random-" + std::to_string(seed);
+  Schedule s = make_schedule(Family::kFailover, "ff-random-" + std::to_string(seed));
   s.ops = 30 + static_cast<std::uint32_t>(rng.below(31));
   s.replicas = 2 + static_cast<int>(rng.below(2));
   s.mode = rng.below(2) == 0 ? ReplicationMode::kStrictAck : ReplicationMode::kLogRelaxed;
@@ -201,285 +149,28 @@ FailoverSchedule FailoverSchedule::random(std::uint64_t seed) {
   return s;
 }
 
-FailoverReport FailoverChaosRunner::run(const FailoverSchedule& schedule,
-                                        std::uint64_t seed, obs::Plane* plane) {
-  FailoverSchedule plan = schedule;
-  plan.ops = std::max<std::uint32_t>(plan.ops, 2);
-  plan.migrate_at_op = std::min(plan.migrate_at_op, plan.ops - 1);
-  for (Fault& f : plan.faults) f.at_op = std::min(f.at_op, plan.ops - 1);
-
-  FailoverReport report;
-  std::string& hist = report.history;
-  auto violation = [&](std::string text) {
-    hist += "violation: " + text + "\n";
-    report.violations.push_back(std::move(text));
-  };
-
-  // The trace-driven invariants need a plane even when the caller attached
-  // none; an internal one is free because attaching a plane never perturbs
-  // the virtual-time history (DESIGN.md §8).
-  obs::Plane local_plane;
-  obs::Plane* pl = plane != nullptr ? plane : &local_plane;
-
-  db::ClusterOptions opts;
-  opts.server_nodes = 1 + std::max(plan.replicas, 1);
-  opts.shards_per_node = 1;
-  opts.total_shards = 1;
-  opts.client_nodes = 1;
-  opts.clients_per_node = 1;
-  opts.replicas = plan.replicas;
-  opts.replication.mode = plan.mode;
-  opts.enable_swat = true;
-  opts.swat_members = plan.swat_members;
-  opts.fast_failover = true;
-  opts.shard_template.store.arena_bytes = 16 << 20;
-  opts.shard_template.store.min_buckets = 1 << 12;
-  opts.client_template.request_timeout = 100 * kMillisecond;
-  opts.client_template.max_retries = 100;
-  opts.obs = pl;
-
-  db::HydraCluster cluster(opts);
-  sim::Scheduler& sched = cluster.scheduler();
-
-  appendf(hist, "run schedule=%s seed=%llu ops=%u mode=%s replicas=%d swat=%d fast=1\n",
-          plan.name.c_str(), static_cast<unsigned long long>(seed), plan.ops,
-          mode_name(plan.mode), plan.replicas, plan.swat_members);
-
-  // --- revocation wire faults: armed in order, consumed one per verb -------
-  std::vector<FaultKind> armed_revoke;
-  cluster.fabric().set_revoke_fault_hook(
-      [&](NodeId owner, std::uint32_t rkey) -> fabric::RevokeFault {
-        if (armed_revoke.empty()) return {};
-        const FaultKind k = armed_revoke.front();
-        armed_revoke.erase(armed_revoke.begin());
-        fabric::RevokeFault rf;
-        rf.kind = k == FaultKind::kTearRevocation ? fabric::RevokeFault::Kind::kTorn
-                                                  : fabric::RevokeFault::Kind::kDrop;
-        appendf(hist, "t=%llu revoke-fault %s owner=%u rkey=%u\n",
-                static_cast<unsigned long long>(sched.now()), to_string(k),
-                static_cast<unsigned>(owner), rkey);
-        return rf;
-      });
-
-  // --- fault application ----------------------------------------------------
-  Time first_kill = 0;
-  bool recovery_pending = false;
-  std::uint64_t failovers_at_kill = 0;
-  bool killed_a_primary = false;
-  bool killed_a_secondary = false;
-
-  auto apply_fault = [&](const Fault& f) {
-    appendf(hist, "t=%llu fault %s shard=%u idx=%d\n",
-            static_cast<unsigned long long>(sched.now()), to_string(f.kind),
-            static_cast<unsigned>(f.shard), f.index);
-    pl->trace(sched.now(), kInvalidNode, obs::TraceKind::kFaultInjected, f.shard,
-              static_cast<std::uint64_t>(f.kind),
-              static_cast<std::uint64_t>(static_cast<unsigned>(f.index)));
-    switch (f.kind) {
-      case FaultKind::kKillPrimary: {
-        auto* sh = cluster.shard(f.shard);
-        if (sh != nullptr && sh->alive()) {
-          killed_a_primary = true;
-          if (first_kill == 0) {
-            first_kill = sched.now();
-            recovery_pending = true;
-            failovers_at_kill = cluster.failovers();
-          }
-          cluster.crash_primary(f.shard);
-        }
-        break;
-      }
-      case FaultKind::kKillSecondary:
-        killed_a_secondary = true;
-        cluster.crash_secondary(f.shard, f.index);
-        break;
-      case FaultKind::kKillSwatMember:
-        cluster.kill_swat_member(f.index);
-        break;
-      case FaultKind::kSuppressHeartbeats:
-        cluster.suppress_heartbeats(f.shard, f.duration);
-        break;
-      case FaultKind::kTearRevocation:
-      case FaultKind::kDropRevocation: {
-        const int n = std::max(1, f.index);
-        for (int i = 0; i < n; ++i) armed_revoke.push_back(f.kind);
-        break;
-      }
-      default:  // record/ack wire faults belong to the base failover harness
-        break;
-    }
-  };
-
-  // --- workload: closed-loop unique-key PUTs --------------------------------
-  Xoshiro256 value_rng(seed);
-  std::vector<OpRecord> ops(plan.ops);
-  for (std::uint32_t i = 0; i < plan.ops; ++i) {
-    ops[i].idx = i;
-    ops[i].key = "ff-" + std::to_string(i);
-    ops[i].value = "v-" + hex16(value_rng());
-  }
-
-  std::uint32_t completed = 0;
-  ShardId subject = kInvalidShard;
-  bool migration_started = false;
-  client::Client* cl = cluster.clients().front();
-  std::function<void(std::uint32_t)> issue = [&](std::uint32_t i) {
-    if (i >= plan.ops) return;
-    if (plan.migrate && i == plan.migrate_at_op) {
-      subject = cluster.add_shard_live();
-      migration_started = subject != kInvalidShard;
-      appendf(hist, "t=%llu migrate op=add subject=%u started=%d\n",
-              static_cast<unsigned long long>(sched.now()),
-              static_cast<unsigned>(subject), migration_started ? 1 : 0);
-    }
-    appendf(hist, "t=%llu op=%u issue key=%s\n",
-            static_cast<unsigned long long>(sched.now()), i, ops[i].key.c_str());
-    for (const Fault& f : plan.faults) {
-      if (f.at_op != i) continue;
-      const Fault* fp = &f;
-      sched.after(f.delay, [&apply_fault, fp] { apply_fault(*fp); });
-    }
-    cl->put(ops[i].key, ops[i].value, [&, i](Status st) {
-      ops[i].status = st;
-      ops[i].completed = true;
-      ops[i].done_at = sched.now();
-      ++completed;
-      appendf(hist, "t=%llu op=%u done status=%s\n",
-              static_cast<unsigned long long>(sched.now()), i,
-              std::string(to_string(st)).c_str());
-      issue(i + 1);
-    });
-  };
-  issue(0);
-
-  // Snapshot of the trace query taken the moment the failover is observed.
-  // The per-node trace rings are bounded (O(1) tracing), and once promoted
-  // the new primary pulses every pulse_interval -- tens of thousands of
-  // kWritePosted records during the settle window would evict the
-  // suspicion/revocation/ballot records the ordering invariants need. The
-  // snapshot lands within one scheduler step of the promotion, long before
-  // eviction can reach it.
-  std::optional<obs::TraceQuery> recovery_q;
-  auto note_recovery = [&] {
-    if (recovery_pending && cluster.failovers() > failovers_at_kill) {
-      recovery_pending = false;
-      recovery_q.emplace(pl->query());
-      appendf(hist, "t=%llu failover-complete recovery=%llu\n",
-              static_cast<unsigned long long>(sched.now()),
-              static_cast<unsigned long long>(sched.now() - first_kill));
-    }
-  };
-
-  std::uint64_t steps = 0;
-  while (completed < plan.ops && sched.now() < kWorkloadTimeLimit &&
-         steps < kWorkloadStepLimit) {
-    if (!sched.step()) break;
-    ++steps;
-    note_recovery();
-  }
-
-  // Let a composed migration finish before settling (it may be waiting out
-  // the promotion it was composed against).
-  while (migration_started && cluster.migration_active() &&
-         sched.now() < kWorkloadTimeLimit && sched.step()) {
-    note_recovery();
-  }
-  const Time settle_end = sched.now() + kSettle;
-  while (sched.now() < settle_end && sched.step()) note_recovery();
-
-  // --- invariant 2: no wedged operations ------------------------------------
-  for (const OpRecord& op : ops) {
-    if (op.completed) continue;
-    ++report.wedged_ops;
-    violation("op " + std::to_string(op.idx) + " (" + op.key +
-              ") never completed: callback wedged");
-  }
-
-  // --- invariant 1: every acked PUT readable with its exact value -----------
-  for (const OpRecord& op : ops) {
-    if (!op.completed || op.status != Status::kOk) continue;
-    ++report.acked_puts;
-    Status st = Status::kOk;
-    auto v = cluster.get(op.key, 0, &st);
-    if (!v.has_value()) {
-      violation("acked op " + std::to_string(op.idx) + " (" + op.key +
-                ") unreadable after failover: " + std::string(to_string(st)));
-    } else if (*v != op.value) {
-      violation("acked op " + std::to_string(op.idx) + " (" + op.key +
-                ") returned a different value");
-    }
-  }
-
-  // --- availability + replication factor ------------------------------------
-  report.failovers = cluster.failovers();
-  if (auto* ff = cluster.fast_failover()) {
-    report.fast_promotions = ff->promotions();
-    report.rounds_started = ff->rounds_started();
-    report.rounds_aborted = ff->rounds_aborted();
-    report.ballots_lost = ff->ballots_lost();
-  }
-  report.revocations = cluster.fabric().stats().rkey_revocations;
-
-  const Status probe = cluster.put("ff-probe", "alive");
-  appendf(hist, "t=%llu probe-put status=%s\n",
-          static_cast<unsigned long long>(sched.now()),
-          std::string(to_string(probe)).c_str());
-  if (probe != Status::kOk) {
-    violation("probe PUT failed: shard not writable after faults (" +
-              std::string(to_string(probe)) + ")");
-  }
-  if (killed_a_primary && (cluster.shard(0) == nullptr || !cluster.shard(0)->alive())) {
-    violation("primary was killed and no promotion ever completed");
-  }
-  if (report.failovers > 0 && !killed_a_secondary) {
-    std::size_t live = 0;
-    for (auto* sec : cluster.secondaries_of(0)) live += sec->alive() ? 1 : 0;
-    if (live != static_cast<std::size_t>(opts.replicas)) {
-      violation("replication factor " + std::to_string(live) + " != " +
-                std::to_string(opts.replicas) + " after promotion");
-    }
-  }
-  if (plan.migrate && migration_started && cluster.migration_active()) {
-    violation("composed migration never committed");
-  }
-
-  // --- failover-specific trace invariants -----------------------------------
-  const obs::TraceQuery q = pl->query();
-
-  // At most one primary per epoch, part 1: routing epochs publish strictly
-  // monotonically (a regressing or duplicated epoch means two promotions
-  // fought over the same slot).
-  bool first_epoch = true;
-  std::uint64_t prev_epoch = 0;
-  for (const obs::TraceRecord& r : q.of(obs::TraceKind::kEpochPublished)) {
-    if (!first_epoch && r.a <= prev_epoch) {
-      violation("routing epoch published non-monotonically: " +
-                std::to_string(r.a) + " after " + std::to_string(prev_epoch));
-    }
-    prev_epoch = r.a;
-    first_epoch = false;
-  }
-  // Part 2: the victim shard's epochs pair 1:1 with its promotions -- a
-  // double promotion would publish two epochs for one death (the legacy and
-  // fast paths racing past the double-promotion guard).
+/// The family's own invariants, checked after the PUT driver's final reads.
+void audit_fast_failover(Run& r) {
+  // Invariant 1: a double promotion would publish two epochs for one
+  // death (the legacy and fast paths racing past the double-promotion
+  // guard).
+  const obs::TraceQuery q = r.plane->query();
   const std::size_t promos = q.count(obs::TraceKind::kPromotionDone, 0);
   const std::size_t epochs = q.count(obs::TraceKind::kEpochPublished, 0);
   if (promos != epochs) {
-    violation("shard 0 published " + std::to_string(epochs) + " epochs for " +
-              std::to_string(promos) + " promotions");
+    r.violation("shard 0 published " + std::to_string(epochs) + " epochs for " +
+                std::to_string(promos) + " promotions");
   }
 
-  // Gap and protocol-ordering checks read the recovery-time snapshot: the
-  // failover records are near the kill, and by settle's end the promoted
-  // primary's pulse traffic has evicted them from the bounded node rings.
-  const obs::TraceQuery& fq = recovery_q.has_value() ? *recovery_q : q;
-
-  // The failover gap: first primary crash to that shard's promotion.
-  if (killed_a_primary) {
+  // Gap and ordering read the recovery-time snapshot: the failover
+  // records are near the kill, and by settle's end the promoted primary's
+  // pulse traffic has evicted them from the bounded node rings.
+  const obs::TraceQuery fq = r.recovery_trace.value_or(q);
+  if (r.killed_a_primary()) {
     std::optional<obs::TraceRecord> crash;
-    for (const obs::TraceRecord& r : fq.of(obs::TraceKind::kCrashInjected)) {
-      if (r.a == 0) {  // a=0: primary crash
-        crash = r;
+    for (const obs::TraceRecord& t : fq.of(obs::TraceKind::kCrashInjected)) {
+      if (t.a == 0) {  // a=0: primary crash
+        crash = t;
         break;
       }
     }
@@ -488,46 +179,38 @@ FailoverReport FailoverChaosRunner::run(const FailoverSchedule& schedule,
             ? fq.first_after(obs::TraceKind::kPromotionDone, crash->seq, crash->shard)
             : std::nullopt;
     if (crash.has_value() && done.has_value()) {
-      report.failover_gap = done->at - crash->at;
-      appendf(hist, "failover-gap=%llu\n",
-              static_cast<unsigned long long>(report.failover_gap));
-      if (plan.expect_fast && report.failover_gap > kMillisecond) {
-        violation("fast failover gap " + std::to_string(report.failover_gap) +
-                  "ns exceeds the 1ms bound");
+      r.report.failover_gap = done->at - crash->at;
+      r.log("failover-gap=%llu", static_cast<unsigned long long>(r.report.failover_gap));
+      if (r.plan.expect_fast && r.report.failover_gap > kMillisecond) {
+        r.violation("fast failover gap " + std::to_string(r.report.failover_gap) +
+                    "ns exceeds the 1ms bound");
       }
     } else if (!done.has_value()) {
-      violation("primary crash has no matching promotion trace");
+      r.violation("primary crash has no matching promotion trace");
     }
   }
 
-  // Protocol ordering whenever the fast path actually promoted:
-  // suspicion -> revocation -> ballot -> promotion.
-  if (report.fast_promotions > 0) {
+  // Protocol ordering whenever the fast path actually promoted.
+  if (r.cluster.fast_failover()->promotions() > 0) {
     if (!fq.happened_before(obs::TraceKind::kSuspicionRaised, obs::TraceKind::kRkeyRevoked)) {
-      violation("revocation preceded suspicion");
+      r.violation("revocation preceded suspicion");
     }
     if (!fq.happened_before(obs::TraceKind::kRkeyRevoked, obs::TraceKind::kBallotCast)) {
-      violation("ballot preceded revocation");
+      r.violation("ballot preceded revocation");
     }
     if (!fq.happened_before(obs::TraceKind::kBallotCast, obs::TraceKind::kPromotionDone)) {
-      violation("promotion preceded ballot");
+      r.violation("promotion preceded ballot");
     }
     if (fq.count(obs::TraceKind::kBallotWon) == 0) {
-      violation("fast promotion without a winning ballot");
+      r.violation("fast promotion without a winning ballot");
     }
   }
-
-  appendf(hist,
-          "end t=%llu failovers=%llu fast=%llu aborted=%llu revoked=%llu acked=%llu "
-          "wedged=%llu violations=%zu\n",
-          static_cast<unsigned long long>(sched.now()),
-          static_cast<unsigned long long>(report.failovers),
-          static_cast<unsigned long long>(report.fast_promotions),
-          static_cast<unsigned long long>(report.rounds_aborted),
-          static_cast<unsigned long long>(report.revocations),
-          static_cast<unsigned long long>(report.acked_puts),
-          static_cast<unsigned long long>(report.wedged_ops), report.violations.size());
-  return report;
 }
+
+}  // namespace
+
+const FamilyDef kFailoverFamily = {
+    "failover", scripted, random,
+    [] { return make_put_driver("ff-", "ff-probe", audit_fast_failover); }};
 
 }  // namespace hydra::chaos

@@ -1,45 +1,120 @@
-#include "chaos/hotkey_chaos.hpp"
-
+// The hot-key family (DESIGN.md §12): primary kills while promoted copies
+// are live, destination-replica kills mid-promotion copy, heartbeat
+// suppression (fencing + epoch bump) and shared mux-QP deaths, fired into a
+// skewed multi-client GET/PUT workload that keeps the promotion plane hot.
+// Every fault aims at the shard owning the hottest key (kHotShard). Beyond
+// the shared checks, the family verifies that no read is ever stale: a GET
+// acked kOk returns a value at least as new as the latest PUT on that key
+// acked before the GET was issued -- whether it was served by the primary,
+// a promoted follower copy, or the message path, and across
+// write-invalidation and kEpochPublished -- and so does every post-settle
+// read.
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <utility>
 
-#include "common/rng.hpp"
-#include "hydradb/hydra_cluster.hpp"
+#include "chaos/run.hpp"
 
 namespace hydra::chaos {
-
-const char* to_string(HotKeyFaultKind kind) noexcept {
-  switch (kind) {
-    case HotKeyFaultKind::kKillPrimary: return "kill-primary";
-    case HotKeyFaultKind::kKillSecondary: return "kill-secondary";
-    case HotKeyFaultKind::kKillSwatMember: return "kill-swat-member";
-    case HotKeyFaultKind::kKillMuxChannel: return "kill-mux-channel";
-    case HotKeyFaultKind::kSuppressHeartbeats: return "suppress-heartbeats";
-  }
-  return "unknown";
-}
-
 namespace {
 
-/// Failover (session timeout 2s) plus retry backoffs need ample slack.
-constexpr Duration kSettle = 6 * kSecond;
-constexpr Time kWorkloadTimeLimit = 120 * kSecond;
-constexpr std::uint64_t kWorkloadStepLimit = 40'000'000;
+std::vector<Schedule> scripted() {
+  std::vector<Schedule> out;
+  auto add = [&](std::string name, std::uint32_t write_every) -> Schedule& {
+    Schedule& s = out.emplace_back(make_schedule(Family::kHotKey, std::move(name)));
+    s.write_every = write_every;
+    return s;
+  };
+  // Fault-free promotion baseline: skewed reads promote the hot keys and a
+  // healthy share of GETs serve from follower copies.
+  add("hotkey-baseline", 0);
+  // Write-invalidate vs concurrent replica reads: client 0 keeps rewriting
+  // the hot key while the others hammer one-sided reads of its promoted
+  // copies. Every copy must die before the PUT acks.
+  add("hotkey-write-invalidate-race", 6).clients = 4;
+  // A promotion destination dies in the mid-copy window (promotions are
+  // re-attempted every scan, so some copy write is always in flight early
+  // on). Partial copy sets must never be advertised.
+  add("hotkey-kill-dest-mid-promotion", 10)
+      .faults.push_back({.kind = FaultKind::kKillSecondary, .shard = kHotShard, .index = 0,
+                         .at_op = 12, .delay = 5 * kMicrosecond});
+  // The hot key's primary dies while promoted copies are live. The promoted
+  // successor knows nothing of the old promotion set; clients must drop it
+  // at the epoch bump, not read the orphaned copies.
+  add("hotkey-kill-primary-copies-live", 10)
+      .faults.push_back({.kind = FaultKind::kKillPrimary, .shard = kHotShard, .at_op = 60,
+                         .delay = 20 * kMicrosecond});
+  // Fencing epoch bump with no crash: suppressed heartbeats expire the
+  // session, SWAT promotes a replica -- possibly one *holding a copy* -- and
+  // every promoted pointer must demote at kEpochPublished.
+  add("hotkey-fence-demotes", 12)
+      .faults.push_back({.kind = FaultKind::kSuppressHeartbeats, .shard = kHotShard,
+                         .at_op = 40, .duration = 3 * kSecond});
+  {
+    // The shared mux QP dies while replica reads ride the node's read
+    // channels; endpoints re-establish and no read wedges.
+    Schedule& s = add("hotkey-mux-channel-kill", 8);
+    s.mux = true;
+    s.faults.push_back({.kind = FaultKind::kKillMuxChannel, .shard = kHotShard, .at_op = 50,
+                        .delay = 10 * kMicrosecond});
+  }
+  {
+    // Primary kill overlapping a SWAT leadership gap: promotions stay
+    // orphaned for the whole gap; reads must fail over, never read stale.
+    Schedule& s = add("hotkey-kill-primary-swat-gap", 10);
+    s.swat_members = 3;
+    s.faults.push_back({.kind = FaultKind::kKillPrimary, .shard = kHotShard, .at_op = 50,
+                        .delay = 20 * kMicrosecond});
+    s.faults.push_back({.kind = FaultKind::kKillSwatMember, .index = 0, .at_op = 50,
+                        .delay = 1900 * kMillisecond});
+  }
+  return out;
+}
 
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
+Schedule random(std::uint64_t seed) {
+  Xoshiro256 rng(seed * 0xA24BAED4963EE407ULL + 0x9FB21C651E98DF25ULL);
+  Schedule s = make_schedule(Family::kHotKey, "hotkey-random-" + std::to_string(seed));
+  s.clients = 2 + static_cast<int>(rng.below(3));
+  s.ops = 100 + static_cast<std::uint32_t>(rng.below(100));
+  s.universe = 4 + static_cast<std::uint32_t>(rng.below(8));
+  s.hot_percent = 50 + static_cast<std::uint32_t>(rng.below(40));
+  s.write_every = rng.below(3) == 0 ? 0 : 4 + static_cast<std::uint32_t>(rng.below(12));
+  s.mux = rng.below(3) == 0;
+  auto op_point = [&] { return static_cast<std::uint32_t>(rng.below(s.total_ops())); };
+
+  // A destination kill consumes one replica; keep one live so the hot shard
+  // never loses redundancy entirely when the primary also dies.
+  const bool kill_secondary = rng.below(3) == 0;
+  const bool kill_primary = rng.below(2) == 0;
+  const bool kill_swat = kill_primary && rng.below(3) == 0;
+
+  if (kill_secondary) {
+    s.faults.push_back({.kind = FaultKind::kKillSecondary, .shard = kHotShard, .index = 0,
+                        .at_op = op_point(),
+                        .delay = static_cast<Duration>(rng.below(50 * kMicrosecond))});
+  }
+  if (kill_primary) {
+    s.faults.push_back({.kind = FaultKind::kKillPrimary, .shard = kHotShard,
+                        .at_op = op_point(),
+                        .delay = static_cast<Duration>(rng.below(100 * kMicrosecond))});
+  }
+  if (kill_swat) {
+    s.swat_members = 3;
+    s.faults.push_back({.kind = FaultKind::kKillSwatMember, .index = 0, .at_op = op_point(),
+                        .delay = 1500 * kMillisecond + rng.below(kSecond)});
+  }
+  if (s.mux && rng.below(2) == 0) {
+    s.faults.push_back({.kind = FaultKind::kKillMuxChannel, .shard = kHotShard,
+                        .at_op = op_point(),
+                        .delay = static_cast<Duration>(rng.below(50 * kMicrosecond))});
+  }
+  if (rng.below(4) == 0) {
+    s.faults.push_back({.kind = FaultKind::kSuppressHeartbeats, .shard = kHotShard,
+                        .at_op = op_point(), .duration = kSecond + rng.below(3 * kSecond)});
+  }
+  return s;
 }
 
 std::string hot_key(std::uint32_t idx) { return "hk-" + std::to_string(idx); }
@@ -53,411 +128,148 @@ std::string versioned_value(std::uint32_t version, std::uint64_t salt) {
   return buf;
 }
 
-std::uint32_t parse_version(const std::string& value) {
+std::uint32_t parse_version(std::string_view value) {
   if (value.size() < 2 || value[0] != 'v') return 0;
-  return static_cast<std::uint32_t>(std::strtoul(value.c_str() + 1, nullptr, 10));
+  return static_cast<std::uint32_t>(std::strtoul(std::string(value.substr(1)).c_str(), nullptr, 10));
 }
 
-/// One operation of the workload, fully precomputed before the clock starts
-/// so keys and values never depend on execution interleaving.
-struct PlannedOp {
-  int client = 0;
-  bool put = false;
-  std::string key;
-  std::uint32_t version = 0;  ///< PUT payload version
-  std::string value;          ///< PUT payload
-  std::uint32_t global_idx = 0;
-  Status status = Status::kTimeout;
-  bool completed = false;
+class HotKeyDriver : public Driver {
+ public:
+  void configure(const Schedule&, db::ClusterOptions& opts) const override {
+    opts.client_rdma_read = true;
+    opts.shard_template.grant_remote_pointers = true;
+    // Short leases force frequent renewals -- the message-path traffic that
+    // carries promotion sets to clients holding cached pointers.
+    opts.shard_template.store.min_lease = 20 * kMillisecond;
+    opts.shard_template.store.max_lease = 50 * kMillisecond;
+    opts.shard_template.hotkey_top_k = 4;
+    opts.shard_template.hotkey_tracker_capacity = 32;
+    opts.shard_template.hotkey_promote_min_hits = 3;
+    // One-sided GETs complete in ~1.3us here, so a whole schedule spans only
+    // a few hundred microseconds; the scan must tick many times inside that
+    // window or promotions would land after the workload already drained.
+    opts.shard_template.hotkey_scan_interval = 25 * kMicrosecond;
+  }
+
+  void start(Run& r) override {
+    run_ = &r;
+    const Schedule& plan = r.plan;
+    universe_ = std::max<std::uint32_t>(plan.universe, 1);
+    r.hot_shard = r.cluster.owner_of(hot_key(0));
+    r.log("hot-shard=%u", static_cast<unsigned>(r.hot_shard));
+
+    // Skewed read stream per client; client 0 interleaves PUTs that bump a
+    // per-key version. Every value is a pure function of (seed, key,
+    // version), so the stale-read check is exact under any interleaving.
+    Xoshiro256 value_rng(r.seed);
+    std::map<std::string, std::uint32_t> planned_version;
+    for (int c = 0; c < plan.clients; ++c) {
+      for (std::uint32_t t = 0; t < plan.ops; ++t) {
+        Op op;
+        std::uint32_t key_idx = 0;
+        if (universe_ > 1 && value_rng.below(100) >= plan.hot_percent) {
+          key_idx = 1 + static_cast<std::uint32_t>(value_rng.below(universe_ - 1));
+        }
+        op.key = hot_key(key_idx);
+        if (c == 0 && plan.write_every > 0 && (t + 1) % plan.write_every == 0) {
+          // Writes bias to the hot key too: invalidation must race the reads.
+          if (value_rng.below(3) != 0) op.key = hot_key(0);
+          op.put = true;
+          op.version = ++planned_version[op.key];
+          op.value = versioned_value(op.version, value_rng());
+        }
+        ops_.push_back(std::move(op));
+      }
+    }
+    // Preload the universe at version 0 so cold GETs hit.
+    for (std::uint32_t k = 0; k < universe_; ++k) {
+      r.cluster.direct_load(hot_key(k), versioned_value(0, value_rng()));
+    }
+    for (int c = 0; c < plan.clients; ++c) drive(c);
+  }
+
+  void audit(Run& r) override {
+    r.probe("hotkey-probe");
+    for (std::uint32_t k = 0; k < universe_; ++k) {
+      const std::string key = hot_key(k);
+      const std::uint32_t floor = latest_acked_[key];
+      Status st = Status::kOk;
+      auto got = r.cluster.get(key, 0, &st);
+      if (!got.has_value()) {
+        r.violation("preloaded key " + key + " unreadable after settle: " +
+                    std::string(to_string(st)));
+      } else if (parse_version(*got) < floor) {
+        ++r.report.stale_reads;
+        r.violation("post-settle read of " + key + " returned v" +
+                    std::to_string(parse_version(*got)) + " < acked v" + std::to_string(floor));
+      }
+    }
+  }
+
+ private:
+  /// One operation, fully precomputed before the clock starts so keys and
+  /// values never depend on execution interleaving.
+  struct Op {
+    bool put = false;
+    std::string key;
+    std::uint32_t version = 0;  ///< PUT payload version
+    std::string value;          ///< PUT payload
+  };
+
+  // latest_acked_[key] advances when a PUT callback fires kOk; each GET
+  // snapshots it at issue time as the floor its result must meet.
+  void drive(int c) {
+    Run& r = *run_;
+    const auto issued = r.next(c);
+    if (!issued.has_value()) return;
+    const Op& op = ops_[static_cast<std::size_t>(c) * r.plan.ops + issued->t];
+    const std::uint32_t idx = issued->idx;
+    const std::size_t slot = issued->slot;
+    client::Client* cl = r.cluster.clients()[static_cast<std::size_t>(c)];
+    if (op.put) {
+      r.log("op=%u client=%d put %s v%u", idx, c, op.key.c_str(), op.version);
+      cl->put(op.key, op.value, [this, &op, idx, slot, c](Status st) {
+        run_->done(slot);
+        if (st == Status::kOk) {
+          ++run_->report.acked;
+          auto& acked = latest_acked_[op.key];
+          acked = std::max(acked, op.version);
+        }
+        run_->log("op=%u client=%d put-done status=%s", idx, c, std::string(to_string(st)).c_str());
+        drive(c);
+      });
+      return;
+    }
+    const std::uint32_t floor = latest_acked_[op.key];
+    r.log("op=%u client=%d get %s floor=v%u", idx, c, op.key.c_str(), floor);
+    cl->get(op.key, [this, &op, idx, slot, c, floor](Status st, std::string_view value) {
+      run_->done(slot);
+      std::uint32_t got = 0;
+      if (st == Status::kOk) {
+        ++run_->report.gets_acked;
+        got = parse_version(value);
+        if (got < floor) {
+          ++run_->report.stale_reads;
+          run_->violation("stale read: op " + std::to_string(idx) + " key " + op.key +
+                          " returned v" + std::to_string(got) + " but v" +
+                          std::to_string(floor) + " was acked before the GET was issued");
+        }
+      }
+      run_->log("op=%u client=%d get-done status=%s v%u", idx, c, std::string(to_string(st)).c_str(),
+                got);
+      drive(c);
+    });
+  }
+
+  Run* run_ = nullptr;
+  std::uint32_t universe_ = 1;
+  std::vector<Op> ops_;  // never reallocates once planned: callbacks hold refs
+  std::map<std::string, std::uint32_t> latest_acked_;
 };
 
 }  // namespace
 
-std::vector<HotKeySchedule> HotKeySchedule::scripted() {
-  std::vector<HotKeySchedule> out;
-  {
-    // Fault-free promotion baseline: skewed reads promote the hot keys and
-    // a healthy share of GETs serve from follower copies.
-    HotKeySchedule s;
-    s.name = "hotkey-baseline";
-    out.push_back(std::move(s));
-  }
-  {
-    // Write-invalidate vs concurrent replica reads: client 0 keeps
-    // rewriting the hot key while the others hammer one-sided reads of its
-    // promoted copies. Every copy must die before the PUT acks.
-    HotKeySchedule s;
-    s.name = "hotkey-write-invalidate-race";
-    s.clients = 4;
-    s.write_every = 6;
-    out.push_back(std::move(s));
-  }
-  {
-    // A promotion destination dies in the mid-copy window (promotions are
-    // re-attempted every scan, so some copy write is always in flight
-    // early on). Partial copy sets must never be advertised.
-    HotKeySchedule s;
-    s.name = "hotkey-kill-dest-mid-promotion";
-    s.write_every = 10;
-    s.faults.push_back({.kind = HotKeyFaultKind::kKillSecondary, .index = 0,
-                        .at_op = 12, .delay = 5 * kMicrosecond});
-    out.push_back(std::move(s));
-  }
-  {
-    // The hot key's primary dies while promoted copies are live. The
-    // promoted successor knows nothing of the old promotion set; clients
-    // must drop it at the epoch bump, not read the orphaned copies.
-    HotKeySchedule s;
-    s.name = "hotkey-kill-primary-copies-live";
-    s.write_every = 10;
-    s.faults.push_back({.kind = HotKeyFaultKind::kKillPrimary,
-                        .at_op = 60, .delay = 20 * kMicrosecond});
-    out.push_back(std::move(s));
-  }
-  {
-    // Fencing epoch bump with no crash: suppressed heartbeats expire the
-    // session, SWAT promotes a replica -- possibly one *holding a copy* --
-    // and every promoted pointer must demote at kEpochPublished.
-    HotKeySchedule s;
-    s.name = "hotkey-fence-demotes";
-    s.write_every = 12;
-    s.faults.push_back({.kind = HotKeyFaultKind::kSuppressHeartbeats,
-                        .at_op = 40, .duration = 3 * kSecond});
-    out.push_back(std::move(s));
-  }
-  {
-    // The shared mux QP dies while replica reads ride the node's read
-    // channels; endpoints re-establish and no read wedges.
-    HotKeySchedule s;
-    s.name = "hotkey-mux-channel-kill";
-    s.mux = true;
-    s.write_every = 8;
-    s.faults.push_back({.kind = HotKeyFaultKind::kKillMuxChannel,
-                        .at_op = 50, .delay = 10 * kMicrosecond});
-    out.push_back(std::move(s));
-  }
-  {
-    // Primary kill overlapping a SWAT leadership gap: promotions stay
-    // orphaned for the whole gap; reads must fail over, never read stale.
-    HotKeySchedule s;
-    s.name = "hotkey-kill-primary-swat-gap";
-    s.swat_members = 3;
-    s.write_every = 10;
-    s.faults.push_back({.kind = HotKeyFaultKind::kKillPrimary,
-                        .at_op = 50, .delay = 20 * kMicrosecond});
-    s.faults.push_back({.kind = HotKeyFaultKind::kKillSwatMember, .index = 0,
-                        .at_op = 50, .delay = 1900 * kMillisecond});
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-HotKeySchedule HotKeySchedule::random(std::uint64_t seed) {
-  Xoshiro256 rng(seed * 0xA24BAED4963EE407ULL + 0x9FB21C651E98DF25ULL);
-  HotKeySchedule s;
-  s.name = "hotkey-random-" + std::to_string(seed);
-  s.clients = 2 + static_cast<int>(rng.below(3));
-  s.ops_per_client = 100 + static_cast<std::uint32_t>(rng.below(100));
-  s.universe = 4 + static_cast<std::uint32_t>(rng.below(8));
-  s.hot_percent = 50 + static_cast<std::uint32_t>(rng.below(40));
-  s.write_every = rng.below(3) == 0 ? 0 : 4 + static_cast<std::uint32_t>(rng.below(12));
-  s.mux = rng.below(3) == 0;
-  const std::uint32_t total =
-      static_cast<std::uint32_t>(s.clients) * s.ops_per_client;
-  auto op_point = [&] { return static_cast<std::uint32_t>(rng.below(total)); };
-
-  // A destination kill consumes one replica; keep one live so the hot
-  // shard never loses redundancy entirely when the primary also dies.
-  const bool kill_secondary = rng.below(3) == 0;
-  s.replicas = 2;
-  const bool kill_primary = rng.below(2) == 0;
-  const bool kill_swat = kill_primary && rng.below(3) == 0;
-
-  if (kill_secondary) {
-    s.faults.push_back({.kind = HotKeyFaultKind::kKillSecondary, .index = 0,
-                        .at_op = op_point(),
-                        .delay = static_cast<Duration>(rng.below(50 * kMicrosecond))});
-  }
-  if (kill_primary) {
-    s.faults.push_back({.kind = HotKeyFaultKind::kKillPrimary,
-                        .at_op = op_point(),
-                        .delay = static_cast<Duration>(rng.below(100 * kMicrosecond))});
-  }
-  if (kill_swat) {
-    s.swat_members = 3;
-    s.faults.push_back({.kind = HotKeyFaultKind::kKillSwatMember, .index = 0,
-                        .at_op = op_point(),
-                        .delay = 1500 * kMillisecond + rng.below(kSecond)});
-  }
-  if (s.mux && rng.below(2) == 0) {
-    s.faults.push_back({.kind = HotKeyFaultKind::kKillMuxChannel,
-                        .at_op = op_point(),
-                        .delay = static_cast<Duration>(rng.below(50 * kMicrosecond))});
-  }
-  if (rng.below(4) == 0) {
-    s.faults.push_back({.kind = HotKeyFaultKind::kSuppressHeartbeats,
-                        .at_op = op_point(),
-                        .duration = kSecond + rng.below(3 * kSecond)});
-  }
-  return s;
-}
-
-HotKeyRunReport HotKeyChaosRunner::run(const HotKeySchedule& schedule,
-                                       std::uint64_t seed, obs::Plane* plane) {
-  HotKeySchedule plan = schedule;
-  const std::uint32_t total_ops =
-      static_cast<std::uint32_t>(plan.clients) * plan.ops_per_client;
-  for (HotKeyFault& f : plan.faults) f.at_op = std::min(f.at_op, total_ops - 1);
-  plan.universe = std::max<std::uint32_t>(plan.universe, 1);
-
-  HotKeyRunReport report;
-  std::string& hist = report.history;
-  auto violation = [&](std::string text) {
-    hist += "violation: " + text + "\n";
-    report.violations.push_back(std::move(text));
-  };
-
-  db::ClusterOptions opts;
-  opts.server_nodes = plan.server_nodes;
-  opts.shards_per_node = 1;
-  opts.client_nodes = 1;
-  opts.clients_per_node = plan.clients;
-  opts.replicas = plan.replicas;
-  opts.enable_swat = true;
-  opts.swat_members = plan.swat_members;
-  opts.client_rdma_read = true;
-  opts.mux_connections = plan.mux;
-  opts.shard_template.grant_remote_pointers = true;
-  // Short leases force frequent renewals -- the message-path traffic that
-  // carries promotion sets to clients holding cached pointers.
-  opts.shard_template.store.min_lease = 20 * kMillisecond;
-  opts.shard_template.store.max_lease = 50 * kMillisecond;
-  opts.shard_template.hotkey_top_k = 4;
-  opts.shard_template.hotkey_tracker_capacity = 32;
-  opts.shard_template.hotkey_promote_min_hits = 3;
-  // One-sided GETs complete in ~1.3us here, so a whole schedule spans only a
-  // few hundred microseconds; the scan must tick many times inside that
-  // window or promotions would land after the workload already drained.
-  opts.shard_template.hotkey_scan_interval = 25 * kMicrosecond;
-  opts.client_template.request_timeout = 100 * kMillisecond;
-  opts.client_template.max_retries = 100;
-  opts.obs = plane;
-
-  db::HydraCluster cluster(opts);
-  sim::Scheduler& sched = cluster.scheduler();
-
-  appendf(hist, "run schedule=%s seed=%llu ops=%u clients=%d universe=%u hot=%u%% "
-                "write-every=%u mux=%d\n",
-          plan.name.c_str(), static_cast<unsigned long long>(seed), total_ops,
-          plan.clients, plan.universe, plan.hot_percent, plan.write_every,
-          plan.mux ? 1 : 0);
-
-  // All faults aim at the shard owning the hottest key; resolve it up front
-  // (placement is a hash artifact the schedule cannot know).
-  const ShardId hot_shard = cluster.owner_of(hot_key(0));
-  appendf(hist, "hot-shard=%u\n", static_cast<unsigned>(hot_shard));
-
-  auto apply_fault = [&](const HotKeyFault& f) {
-    appendf(hist, "t=%llu fault %s idx=%d\n",
-            static_cast<unsigned long long>(sched.now()), to_string(f.kind), f.index);
-    switch (f.kind) {
-      case HotKeyFaultKind::kKillPrimary: {
-        auto* sh = cluster.shard(hot_shard);
-        if (sh != nullptr && sh->alive()) cluster.crash_primary(hot_shard);
-        break;
-      }
-      case HotKeyFaultKind::kKillSecondary:
-        cluster.crash_secondary(hot_shard, f.index);
-        break;
-      case HotKeyFaultKind::kKillSwatMember:
-        cluster.kill_swat_member(f.index);
-        break;
-      case HotKeyFaultKind::kKillMuxChannel:
-        cluster.kill_mux_channel(f.index, hot_shard);
-        break;
-      case HotKeyFaultKind::kSuppressHeartbeats:
-        cluster.suppress_heartbeats(hot_shard, f.duration);
-        break;
-    }
-  };
-
-  // --- workload plan --------------------------------------------------------
-  // Skewed read stream per client; client 0 interleaves PUTs that bump a
-  // per-key version. Every value is a pure function of (seed, key, version),
-  // so the stale-read check is exact under any interleaving.
-  Xoshiro256 value_rng(seed);
-  std::map<std::string, std::uint32_t> planned_version;
-  std::vector<PlannedOp> ops;
-  ops.reserve(total_ops);
-  for (int c = 0; c < plan.clients; ++c) {
-    for (std::uint32_t t = 0; t < plan.ops_per_client; ++t) {
-      PlannedOp op;
-      op.client = c;
-      std::uint32_t key_idx = 0;
-      if (plan.universe > 1 && value_rng.below(100) >= plan.hot_percent) {
-        key_idx = 1 + static_cast<std::uint32_t>(value_rng.below(plan.universe - 1));
-      }
-      op.key = hot_key(key_idx);
-      if (c == 0 && plan.write_every > 0 && (t + 1) % plan.write_every == 0) {
-        // Writes bias to the hot key too: invalidation must race the reads.
-        if (value_rng.below(3) != 0) op.key = hot_key(0);
-        op.put = true;
-        op.version = ++planned_version[op.key];
-        op.value = versioned_value(op.version, value_rng());
-      }
-      ops.push_back(std::move(op));
-    }
-  }
-
-  // Preload the universe at version 0 so cold GETs hit.
-  for (std::uint32_t k = 0; k < plan.universe; ++k) {
-    cluster.direct_load(hot_key(k), versioned_value(0, value_rng()));
-  }
-
-  // --- closed-loop issue, one stream per client -----------------------------
-  // latest_acked[key] advances when a PUT callback fires kOk; each GET
-  // snapshots it at issue time as the floor its result must meet.
-  std::map<std::string, std::uint32_t> latest_acked;
-  std::uint32_t global_issue = 0;
-  std::uint32_t completed = 0;
-  std::vector<std::uint32_t> cursor(static_cast<std::size_t>(plan.clients), 0);
-  std::function<void(int)> drive = [&](int c) {
-    const std::uint32_t t = cursor[static_cast<std::size_t>(c)];
-    if (t >= plan.ops_per_client) return;
-    ++cursor[static_cast<std::size_t>(c)];
-    PlannedOp& p = ops[static_cast<std::size_t>(c) * plan.ops_per_client + t];
-    p.global_idx = global_issue++;
-    for (const HotKeyFault& f : plan.faults) {
-      if (f.at_op != p.global_idx) continue;
-      const HotKeyFault* fp = &f;
-      sched.after(f.delay, [&apply_fault, fp] { apply_fault(*fp); });
-    }
-    PlannedOp* rec = &p;  // stable: ops never reallocates after the plan pass
-    client::Client* cl = cluster.clients()[static_cast<std::size_t>(c)];
-    if (p.put) {
-      appendf(hist, "t=%llu op=%u client=%d put %s v%u\n",
-              static_cast<unsigned long long>(sched.now()), p.global_idx, c,
-              p.key.c_str(), p.version);
-      cl->put(p.key, p.value, [&, rec, c](Status st) {
-        rec->status = st;
-        rec->completed = true;
-        ++completed;
-        if (st == Status::kOk) {
-          ++report.puts_acked;
-          auto& acked = latest_acked[rec->key];
-          acked = std::max(acked, rec->version);
-        }
-        appendf(hist, "t=%llu op=%u client=%d put-done status=%s\n",
-                static_cast<unsigned long long>(sched.now()), rec->global_idx, c,
-                std::string(to_string(st)).c_str());
-        drive(c);
-      });
-    } else {
-      const std::uint32_t floor = latest_acked[p.key];
-      appendf(hist, "t=%llu op=%u client=%d get %s floor=v%u\n",
-              static_cast<unsigned long long>(sched.now()), p.global_idx, c,
-              p.key.c_str(), floor);
-      cl->get(p.key, [&, rec, c, floor](Status st, std::string_view value) {
-        rec->status = st;
-        rec->completed = true;
-        ++completed;
-        std::uint32_t got = 0;
-        if (st == Status::kOk) {
-          ++report.gets_acked;
-          got = parse_version(std::string(value));
-          if (got < floor) {
-            ++report.stale_reads;
-            violation("stale read: op " + std::to_string(rec->global_idx) +
-                      " key " + rec->key + " returned v" + std::to_string(got) +
-                      " but v" + std::to_string(floor) +
-                      " was acked before the GET was issued");
-          }
-        }
-        appendf(hist, "t=%llu op=%u client=%d get-done status=%s v%u\n",
-                static_cast<unsigned long long>(sched.now()), rec->global_idx, c,
-                std::string(to_string(st)).c_str(), got);
-        drive(c);
-      });
-    }
-  };
-  for (int c = 0; c < plan.clients; ++c) drive(c);
-
-  std::uint64_t steps = 0;
-  while (completed < total_ops && sched.now() < kWorkloadTimeLimit &&
-         steps < kWorkloadStepLimit) {
-    if (!sched.step()) break;
-    ++steps;
-  }
-  const Time settle_end = sched.now() + kSettle;
-  while (sched.now() < settle_end && sched.step()) {
-  }
-
-  // --- invariant 2: every callback fired ------------------------------------
-  for (const PlannedOp& p : ops) {
-    if (p.completed) continue;
-    ++report.wedged;
-    violation("op " + std::to_string(p.global_idx) + " client=" +
-              std::to_string(p.client) + " never completed: callback wedged");
-  }
-
-  // --- invariant 3: cluster still writable ----------------------------------
-  const Status probe = cluster.put("hotkey-probe", "alive");
-  appendf(hist, "t=%llu probe-put status=%s\n",
-          static_cast<unsigned long long>(sched.now()),
-          std::string(to_string(probe)).c_str());
-  if (probe != Status::kOk) {
-    violation("probe PUT failed: cluster not writable after faults (" +
-              std::string(to_string(probe)) + ")");
-  }
-
-  // --- final-value audit: post-settle reads see the newest acked version ----
-  for (std::uint32_t k = 0; k < plan.universe; ++k) {
-    const std::string key = hot_key(k);
-    const std::uint32_t floor = latest_acked[key];
-    Status st = Status::kOk;
-    auto got = cluster.get(key, 0, &st);
-    if (!got.has_value()) {
-      violation("preloaded key " + key + " unreadable after settle: " +
-                std::string(to_string(st)));
-      continue;
-    }
-    if (parse_version(*got) < floor) {
-      ++report.stale_reads;
-      violation("post-settle read of " + key + " returned v" +
-                std::to_string(parse_version(*got)) + " < acked v" +
-                std::to_string(floor));
-    }
-  }
-
-  // --- bookkeeping ----------------------------------------------------------
-  report.failovers = cluster.failovers();
-  for (ShardId s = 0; s < static_cast<ShardId>(cluster.shard_count()); ++s) {
-    auto* sh = cluster.shard(s);
-    if (sh == nullptr || !sh->alive()) continue;
-    report.promotions += sh->stats().hotkey_promotions;
-    report.demotions += sh->stats().hotkey_demotions;
-    report.invalidations += sh->stats().hotkey_invalidations;
-  }
-  for (const auto* cl : cluster.clients()) {
-    report.replica_hits += cl->stats().replica_hits;
-  }
-
-  appendf(hist,
-          "end t=%llu gets=%llu puts=%llu wedged=%llu stale=%llu failovers=%llu "
-          "promotions=%llu demotions=%llu invalidations=%llu replica-hits=%llu "
-          "violations=%zu\n",
-          static_cast<unsigned long long>(sched.now()),
-          static_cast<unsigned long long>(report.gets_acked),
-          static_cast<unsigned long long>(report.puts_acked),
-          static_cast<unsigned long long>(report.wedged),
-          static_cast<unsigned long long>(report.stale_reads),
-          static_cast<unsigned long long>(report.failovers),
-          static_cast<unsigned long long>(report.promotions),
-          static_cast<unsigned long long>(report.demotions),
-          static_cast<unsigned long long>(report.invalidations),
-          static_cast<unsigned long long>(report.replica_hits),
-          report.violations.size());
-  return report;
-}
+const FamilyDef kHotKeyFamily = {"hotkey", scripted, random,
+                                 [] { return std::unique_ptr<Driver>(new HotKeyDriver); }};
 
 }  // namespace hydra::chaos

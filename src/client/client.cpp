@@ -212,7 +212,17 @@ Client::TxnWire Client::txn_wire(ShardId shard) {
   return wire;
 }
 
-void Client::invalidate_connection(ShardId shard) { salvage_connection(shard); }
+void Client::invalidate_connection(ShardId shard) {
+  // A closed shared QP indicts the whole mux channel, as a timeout does:
+  // report it, or the next txn_wire() would reattach to the corpse, whose
+  // every post flushes at once (the mux layer is never told a QP died).
+  auto it = conns_.find(shard);
+  if (it != conns_.end() && it->second->wire.mux && it->second->wire.mux_node != nullptr &&
+      (it->second->wire.qp == nullptr || !it->second->wire.qp->open())) {
+    it->second->wire.mux_node->report_failure(shard, it->second->wire.mux_generation);
+  }
+  salvage_connection(shard);
+}
 
 void Client::txn_commit(std::string routing_key, std::string payload, OpCallback cb) {
   PendingOp op;

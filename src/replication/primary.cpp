@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "obs/plane.hpp"
@@ -131,7 +132,7 @@ bool ReplicationPrimary::write_record(Link& link, const proto::RepRecord& rec,
     // Wrap marker tells the consumer to jump to offset 0.
     std::vector<std::byte> marker(kWrapMarkerBytes);
     proto::encode_frame(marker, {}, kFlagWrap);
-    post_frame(link, std::move(marker), link.cursor.offset, 0, {}, 1);
+    post_frame(link, std::move(marker), link.cursor.offset, 0, {});
     link.cursor.wrap();
   } else if (link.used_bytes + framed_size > link.cursor.ring_size) {
     link.awaiting_space = true;
@@ -159,7 +160,7 @@ bool ReplicationPrimary::write_record(Link& link, const proto::RepRecord& rec,
 
   std::vector<std::byte> frame(framed_size);
   proto::encode_frame(frame, payload, flags);
-  post_frame(link, std::move(frame), at, rec.seq, std::move(on_write_complete), 1);
+  post_frame(link, std::move(frame), at, rec.seq, std::move(on_write_complete));
   return true;
 }
 
@@ -171,7 +172,7 @@ bool ReplicationPrimary::write_control_frame(Link& link, std::uint16_t flags) {
     if (link.used_bytes + framed_size + waste > link.cursor.ring_size) return false;
     std::vector<std::byte> marker(kWrapMarkerBytes);
     proto::encode_frame(marker, {}, kFlagWrap);
-    post_frame(link, std::move(marker), link.cursor.offset, 0, {}, 1);
+    post_frame(link, std::move(marker), link.cursor.offset, 0, {});
     link.cursor.wrap();
   } else if (link.used_bytes + framed_size > link.cursor.ring_size) {
     return false;
@@ -186,27 +187,38 @@ bool ReplicationPrimary::write_control_frame(Link& link, std::uint16_t flags) {
 
   std::vector<std::byte> frame(framed_size);
   proto::encode_frame(frame, {}, flags);
-  post_frame(link, std::move(frame), at, 0, {}, 1);
+  post_frame(link, std::move(frame), at, 0, {});
   return true;
 }
 
 void ReplicationPrimary::post_frame(Link& link, std::vector<std::byte> frame,
                                     std::uint64_t at, std::uint64_t seq,
-                                    std::function<void()> settle, int attempt) {
+                                    std::function<void()> settle) {
+  const std::uint64_t id = link.landing_base + link.landing.size();
+  link.landing.push_back(Landing{false, std::move(settle)});
+  post_attempt(link, std::move(frame), at, seq, id, 1);
+}
+
+void ReplicationPrimary::post_attempt(Link& link, std::vector<std::byte> frame,
+                                      std::uint64_t at, std::uint64_t seq, std::uint64_t id,
+                                      int attempt) {
   // The completion owns the frame bytes so a torn or dropped delivery can be
   // retransmitted to the *same* offset: the consumer never advances past an
   // incomplete frame, so rewriting in place is race-free (RC retransmit).
   auto span = std::span<const std::byte>(frame);
   auto handler = owner_.guard(
-      [this, lp = &link, frame = std::move(frame), at, seq, settle = std::move(settle),
+      [this, lp = &link, frame = std::move(frame), at, seq, id,
        attempt](const fabric::Completion& wc) mutable {
-        if (wc.status == fabric::WcStatus::kSuccess) {
-          lp->last_progress = owner_.now();
-          if (settle) settle();
+        if (wc.status != fabric::WcStatus::kSuccess) {
+          on_write_error(*lp, std::move(frame), at, seq, id, attempt, wc.status);
           return;
         }
-        on_write_error(*lp, std::move(frame), at, seq, std::move(settle), attempt,
-                       wc.status);
+        lp->last_progress = owner_.now();
+        if (!lp->dead) {
+          land(*lp, id);
+        } else if (auto settle = take_settle(*lp, id)) {
+          settle();
+        }
       });
   link.qp->post_write(span, fabric::RemoteAddr{link.ring_rkey, at}, seq,
                       [handler = std::move(handler)](const fabric::Completion& wc) mutable {
@@ -214,45 +226,57 @@ void ReplicationPrimary::post_frame(Link& link, std::vector<std::byte> frame,
                       });
 }
 
+void ReplicationPrimary::land(Link& link, std::uint64_t id) {
+  link.landing[id - link.landing_base].landed = true;
+  while (!link.landing.empty() && link.landing.front().landed) {
+    auto settle = std::move(link.landing.front().settle);
+    link.landing.pop_front();
+    ++link.landing_base;
+    if (settle) settle();
+  }
+}
+
+std::function<void()> ReplicationPrimary::take_settle(Link& link, std::uint64_t id) {
+  if (id < link.landing_base) return {};
+  return std::exchange(link.landing[id - link.landing_base].settle, {});
+}
+
 void ReplicationPrimary::on_write_error(Link& link, std::vector<std::byte> frame,
-                                        std::uint64_t at, std::uint64_t seq,
-                                        std::function<void()> settle, int attempt,
-                                        fabric::WcStatus status) {
+                                        std::uint64_t at, std::uint64_t seq, std::uint64_t id,
+                                        int attempt, fabric::WcStatus status) {
   if (link.dead) {
     // Already quarantined; the caller was settled by the quarantine sweep --
     // but this frame's settle travelled with the retry chain, so fire it.
-    if (settle) settle();
+    if (auto settle = take_settle(link, id)) settle();
     return;
   }
-  if (link.secondary == nullptr || !link.secondary->alive()) {
-    if (settle) link.backlog_completions.push_back(std::move(settle));
-    quarantine(link);
+  const bool live = link.secondary != nullptr && link.secondary->alive();
+  // A *live* replica completing our write kProtectionError revoked the rkey,
+  // i.e. the failover plane fenced this primary (DESIGN.md §14). A revoked
+  // rkey never heals, so retrying would just burn the retransmit budget
+  // before quarantining anyway.
+  if (live && status != fabric::WcStatus::kProtectionError && attempt < kMaxWriteAttempts) {
+    ++write_retries_;
+    if (fabric_.obs() != nullptr) {
+      fabric_.obs()->trace(owner_.now(), node_, obs::TraceKind::kRetransmit, obs::kNoShard, at,
+                           static_cast<std::uint64_t>(attempt));
+    }
+    post_attempt(link, std::move(frame), at, seq, id, attempt + 1);
     return;
   }
-  if (status == fabric::WcStatus::kProtectionError) {
-    // A *live* replica completed our write kProtectionError: it revoked the
-    // rkey, i.e. the failover plane fenced this primary (DESIGN.md §14). A
-    // revoked rkey never heals, so retrying would just burn the retransmit
-    // budget before quarantining anyway -- settle now and tell the owner.
-    if (settle) link.backlog_completions.push_back(std::move(settle));
+  // Settle now: quarantine (or the fence) fires everything owed.
+  if (auto settle = take_settle(link, id)) link.backlog_completions.push_back(std::move(settle));
+  if (live && status == fabric::WcStatus::kProtectionError) {
     fenced_by_replica(link);
     return;
   }
-  if (attempt >= kMaxWriteAttempts) {
+  if (live) {
     HYDRA_WARN("replication: frame at offset %llu refused to land after %d attempts "
                "(status %d); quarantining link to %s",
                static_cast<unsigned long long>(at), attempt, static_cast<int>(status),
                link.secondary->name().c_str());
-    if (settle) link.backlog_completions.push_back(std::move(settle));
-    quarantine(link);
-    return;
   }
-  ++write_retries_;
-  if (fabric_.obs() != nullptr) {
-    fabric_.obs()->trace(owner_.now(), node_, obs::TraceKind::kRetransmit, obs::kNoShard, at,
-                         static_cast<std::uint64_t>(attempt));
-  }
-  post_frame(link, std::move(frame), at, seq, std::move(settle), attempt + 1);
+  quarantine(link);
 }
 
 void ReplicationPrimary::flush_backlog(Link& link) {
@@ -374,7 +398,13 @@ void ReplicationPrimary::quarantine(Link& link) {
   // path must never wedge behind a corpse. If the owning shard itself has
   // crashed (promotion pruning a dead primary's links), the completions die
   // with it instead -- crash semantics, same as every guarded callback.
-  auto owed = std::move(link.backlog_completions);
+  // Frames that landed behind one that never did are owed too; those still
+  // in flight settle with their own completion.
+  std::deque<std::function<void()>> owed;
+  for (Landing& l : link.landing) {
+    if (l.landed && l.settle) owed.push_back(std::exchange(l.settle, {}));
+  }
+  for (auto& fn : link.backlog_completions) owed.push_back(std::move(fn));
   link.backlog_completions.clear();
   link.backlog.clear();
   link.pending.clear();
@@ -459,11 +489,9 @@ void ReplicationPrimary::on_pulse_timer() {
         std::span<const std::byte>(pulse_buf_),
         fabric::RemoteAddr{raw->arena_rkey, SecondaryShard::kPulseOffset}, 0,
         owner_.guard([this, raw](const fabric::Completion& wc) {
-          if (raw->dead) return;
-          if (wc.status == fabric::WcStatus::kSuccess) {
-            raw->last_progress = owner_.now();
-            return;
-          }
+          // A landed pulse is not stream progress: it must not hold off the
+          // ack-deadline probe that recovers a lost ack.
+          if (raw->dead || wc.status == fabric::WcStatus::kSuccess) return;
           if (raw->secondary == nullptr || !raw->secondary->alive()) {
             quarantine(*raw);
             return;

@@ -129,6 +129,14 @@ class ReplicationPrimary {
     std::uint64_t footprint = 0;  ///< ring bytes charged until acked
   };
 
+  /// A posted frame's completion, held until every frame posted before it
+  /// on the link has landed: the consumer never crosses a torn or dropped
+  /// frame, so nothing behind one is durable until it is rewritten.
+  struct Landing {
+    bool landed = false;
+    std::function<void()> settle;
+  };
+
   struct Link {
     SecondaryShard* secondary = nullptr;
     fabric::QueuePair* qp = nullptr;  // primary-side endpoint
@@ -147,6 +155,8 @@ class ReplicationPrimary {
     std::deque<PendingRecord> pending;
     std::deque<proto::RepRecord> backlog;  // ring-full overflow
     std::deque<std::function<void()>> backlog_completions;
+    std::deque<Landing> landing;      ///< posted frames, in ring order
+    std::uint64_t landing_base = 0;   ///< id of landing.front()
     std::vector<std::byte> ack_buf;
     fabric::MemoryRegion* ack_mr = nullptr;
   };
@@ -160,13 +170,20 @@ class ReplicationPrimary {
   bool write_control_frame(Link& link, std::uint16_t flags);
   /// Posts `frame` at ring offset `at` with retransmit-in-place semantics:
   /// a torn or dropped delivery is rewritten to the same offset (the
-  /// consumer never advances past an incomplete frame) and `settle` rides
-  /// the retry chain, firing on the first successful completion.
+  /// consumer never advances past an incomplete frame). `settle` fires once
+  /// the frame and every frame posted before it on the link have landed.
   void post_frame(Link& link, std::vector<std::byte> frame, std::uint64_t at,
-                  std::uint64_t seq, std::function<void()> settle, int attempt);
+                  std::uint64_t seq, std::function<void()> settle);
+  /// One delivery attempt of landing entry `id`; retries ride the chain.
+  void post_attempt(Link& link, std::vector<std::byte> frame, std::uint64_t at,
+                    std::uint64_t seq, std::uint64_t id, int attempt);
   void on_write_error(Link& link, std::vector<std::byte> frame, std::uint64_t at,
-                      std::uint64_t seq, std::function<void()> settle, int attempt,
+                      std::uint64_t seq, std::uint64_t id, int attempt,
                       fabric::WcStatus status);
+  /// Marks entry `id` landed and settles the landed prefix of the link.
+  void land(Link& link, std::uint64_t id);
+  /// Takes entry `id`'s settle out of line (empty once taken or settled).
+  std::function<void()> take_settle(Link& link, std::uint64_t id);
   void flush_backlog(Link& link);
   void on_ack(Link& link);
   void resend_from(Link& link, std::uint64_t first_failed_seq);

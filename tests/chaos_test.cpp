@@ -1,46 +1,35 @@
 // Deterministic chaos sweep over the failover plane (DESIGN.md §7), plus
 // one regression test per crash-path bug the harness flushed out.
-#include <cstdlib>
+#include <algorithm>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "chaos/chaos.hpp"
+#include "chaos/harness.hpp"
 #include "hydradb/hydra_cluster.hpp"
 
 namespace hydra {
 namespace {
 
-using chaos::ChaosRunner;
-using chaos::ChaosSchedule;
-using chaos::RunReport;
+using chaos::Family;
+using chaos::Report;
+using chaos::Schedule;
+using chaos::describe;
 
-std::string describe(const RunReport& r) {
-  std::string out;
-  for (const auto& v : r.violations) out += "  " + v + "\n";
-  out += "--- history ---\n" + r.history;
-  return out;
-}
-
-const ChaosSchedule& scripted_by_name(const std::string& name) {
-  static const auto all = ChaosSchedule::scripted();
-  for (const auto& s : all) {
-    if (s.name == name) return s;
-  }
-  ADD_FAILURE() << "no scripted schedule named " << name;
-  return all.front();
+Report run_scripted(const char* name, std::uint64_t seed, obs::Plane* plane = nullptr) {
+  return chaos::run(chaos::scripted_by_name(Family::kChaos, name), seed, plane);
 }
 
 // ---------------------------------------------------------------- the sweep
 
 // 8 scripted families x 10 seeds = 80 combos.
 TEST(ChaosSweep, ScriptedFamilies) {
-  for (const auto& schedule : ChaosSchedule::scripted()) {
+  for (const auto& schedule : Schedule::scripted(Family::kChaos)) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-      const RunReport r = ChaosRunner::run(schedule, seed);
+      const Report r = chaos::run(schedule, seed);
       EXPECT_TRUE(r.passed()) << schedule.name << " seed " << seed << ":\n"
                               << describe(r);
-      EXPECT_GT(r.acked_puts, 0u) << schedule.name << " seed " << seed;
+      EXPECT_GT(r.acked, 0u) << schedule.name << " seed " << seed;
     }
   }
 }
@@ -50,28 +39,39 @@ TEST(ChaosSweep, ScriptedFamilies) {
 // HYDRA_CHAOS_RANDOM_RUNS environment knob scales the sweep up or down
 // (tier1.sh uses it to shorten the ASan pass).
 TEST(ChaosSweep, RandomFamilies) {
-  int runs = 140;
-  if (const char* env = std::getenv("HYDRA_CHAOS_RANDOM_RUNS")) {
-    runs = std::max(1, std::atoi(env));
-  }
+  const int runs = chaos::random_runs("HYDRA_CHAOS_RANDOM_RUNS", 140);
   for (int i = 1; i <= runs; ++i) {
     const auto seed = static_cast<std::uint64_t>(i);
-    const ChaosSchedule schedule = ChaosSchedule::random(seed);
-    const RunReport r = ChaosRunner::run(schedule, seed);
-    EXPECT_TRUE(r.passed()) << schedule.name << ":\n" << describe(r);
+    const Report r = chaos::run(Schedule::random(Family::kChaos, seed), seed);
+    EXPECT_TRUE(r.passed()) << describe(r);
+  }
+}
+
+// The cross-plane family: each seed picks a family's workload and adds
+// faults from planes that family never reaches (record/ack tears and apply
+// failures under the txn and hot-key drivers, a mux kill under scans, a
+// live add under transactions...). One run per 7 of HYDRA_CHAOS_RANDOM_RUNS:
+// 20 by default.
+TEST(ChaosSweep, CrossPlaneFamilies) {
+  const int runs = std::max(1, chaos::random_runs("HYDRA_CHAOS_RANDOM_RUNS", 140) / 7);
+  for (int i = 1; i <= runs; ++i) {
+    const auto seed = static_cast<std::uint64_t>(i);
+    const Schedule schedule = Schedule::random(Family::kCross, seed);
+    const Report r = chaos::run(schedule, seed);
+    EXPECT_TRUE(r.passed()) << describe(r);
+    EXPECT_EQ(r.faults_applied, schedule.faults.size()) << describe(r);
   }
 }
 
 // Identical (schedule, seed) must reproduce the run byte-for-byte.
 TEST(ChaosDeterminism, SameSeedSameHistory) {
-  const auto& scripted = scripted_by_name("primary-kill-mid-put");
-  const RunReport a = ChaosRunner::run(scripted, 7);
-  const RunReport b = ChaosRunner::run(scripted, 7);
+  const Report a = run_scripted("primary-kill-mid-put", 7);
+  const Report b = run_scripted("primary-kill-mid-put", 7);
   EXPECT_EQ(a.history, b.history);
 
-  const ChaosSchedule random = ChaosSchedule::random(42);
-  const RunReport c = ChaosRunner::run(random, 42);
-  const RunReport d = ChaosRunner::run(random, 42);
+  const Schedule random = Schedule::random(Family::kChaos, 42);
+  const Report c = chaos::run(random, 42);
+  const Report d = chaos::run(random, 42);
   EXPECT_EQ(c.history, d.history);
   EXPECT_NE(a.history, c.history);  // different schedules diverge
 }
@@ -83,8 +83,7 @@ TEST(ChaosDeterminism, SameSeedSameHistory) {
 // reacted, the shard stayed dead forever. The pending-death set + /swat/
 // watch must hand the reaction to the next leader.
 TEST(ChaosRegression, SwatLeadershipGap) {
-  const RunReport r =
-      ChaosRunner::run(scripted_by_name("swat-leader-dead-during-failover"), 1);
+  const Report r = run_scripted("swat-leader-dead-during-failover", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u) << describe(r);
 }
@@ -93,10 +92,9 @@ TEST(ChaosRegression, SwatLeadershipGap) {
 // primary's write path forever (the waiters' min-acked barrier included the
 // dead link). Quarantine must settle every owed completion.
 TEST(ChaosRegression, StrictAckSecondaryDeathNeverWedges) {
-  const RunReport r =
-      ChaosRunner::run(scripted_by_name("secondary-kill-mid-replay"), 1);
+  const Report r = run_scripted("secondary-kill-mid-replay", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
-  EXPECT_EQ(r.wedged_ops, 0u) << describe(r);
+  EXPECT_EQ(r.wedged, 0u) << describe(r);
   // No failover here -- only a replica died; the primary must have absorbed
   // the loss by itself.
   EXPECT_EQ(r.failovers, 0u) << describe(r);
@@ -106,9 +104,9 @@ TEST(ChaosRegression, StrictAckSecondaryDeathNeverWedges) {
 // primary waited for an ack the secondary believed it had already sent).
 // The ack-deadline probe must re-solicit and recover without client help.
 TEST(ChaosRegression, TornAckRecoversWithoutTimeouts) {
-  const RunReport r = ChaosRunner::run(scripted_by_name("torn-and-dropped-ack"), 1);
+  const Report r = run_scripted("torn-and-dropped-ack", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
-  EXPECT_EQ(r.wedged_ops, 0u);
+  EXPECT_EQ(r.wedged, 0u);
   EXPECT_EQ(r.failovers, 0u) << describe(r);  // wire noise must not kill anyone
 }
 
@@ -117,8 +115,7 @@ TEST(ChaosRegression, TornAckRecoversWithoutTimeouts) {
 // ("primary still alive"), the death event was already consumed, and the
 // shard stayed dead after fencing. Promotion must fence and proceed.
 TEST(ChaosRegression, SuppressedHeartbeatsFenceAndPromote) {
-  const RunReport r =
-      ChaosRunner::run(scripted_by_name("heartbeat-suppression-fences"), 1);
+  const Report r = run_scripted("heartbeat-suppression-fences", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u) << describe(r);
 }
@@ -129,10 +126,9 @@ TEST(ChaosRegression, SuppressedHeartbeatsFenceAndPromote) {
 // reopens, and no acked write may be lost (the family's invariant check).
 TEST(ChaosRegression, MuxChannelKillRetransmitsWithoutLoss) {
   obs::Plane plane;
-  const RunReport r =
-      ChaosRunner::run(scripted_by_name("mux-channel-kill-mid-put"), 1, &plane);
+  const Report r = run_scripted("mux-channel-kill-mid-put", 1, &plane);
   EXPECT_TRUE(r.passed()) << describe(r);
-  EXPECT_EQ(r.wedged_ops, 0u) << describe(r);
+  EXPECT_EQ(r.wedged, 0u) << describe(r);
   EXPECT_EQ(r.failovers, 0u) << describe(r);  // QP death != process death
   const auto q = plane.query();
   // Two kills -> at least two failure teardowns (b=1 marks failure), and the
@@ -143,6 +139,39 @@ TEST(ChaosRegression, MuxChannelKillRetransmitsWithoutLoss) {
   }
   EXPECT_GE(failure_reclaims, 2u);
   EXPECT_GE(q.count(obs::TraceKind::kMuxChannelOpened), 3u);
+}
+
+// Bug (found by the cross-plane sweep): on a fast-failover cluster, landed
+// liveness pulses counted as replication-stream progress, so the
+// ack-deadline probe never fired and a strict-mode write whose ack was
+// dropped waited forever -- the shard stopped accepting writes.
+TEST(ChaosRegression, DroppedAckIsReSolicitedUnderFailoverPulses) {
+  const Report r = chaos::run(
+      chaos::scripted_by_name(Family::kCross, "cross-dropped-ack-under-pulses"), 1);
+  EXPECT_TRUE(r.passed()) << describe(r);
+  EXPECT_EQ(r.failovers, 0u) << describe(r);  // a lost ack kills nobody
+}
+
+// Bug (found by the cross-plane sweep): a lock release whose CAS flushed on
+// a killed mux channel re-posted on the same dead shared QP, which the mux
+// layer still believed open, until its retry budget ran out -- leaking the
+// lock word held on a live shard.
+TEST(ChaosRegression, UnlockAfterMuxChannelKillReopensTheChannel) {
+  const Report r =
+      chaos::run(chaos::scripted_by_name(Family::kCross, "cross-unlock-after-mux-kill"), 1);
+  EXPECT_TRUE(r.passed()) << describe(r);
+  EXPECT_EQ(r.lock_leaks, 0u) << describe(r);
+}
+
+// Bug (found by the cross-plane sweep): relaxed acks went out for records
+// that landed behind a torn one, which the replica cannot consume until the
+// primary rewrites it. The primary died first, and the promoted replica
+// lost every acked transaction behind the hole.
+TEST(ChaosRegression, RelaxedAckWaitsForTheFramesAhead) {
+  const Report r = chaos::run(
+      chaos::scripted_by_name(Family::kCross, "cross-relaxed-ack-behind-torn-record"), 1);
+  EXPECT_TRUE(r.passed()) << describe(r);
+  EXPECT_GE(r.failovers, 1u) << describe(r);
 }
 
 // Bug: SWAT parsed "/shards/<id>/primary" with a bare std::stoul -- any

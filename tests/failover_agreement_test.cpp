@@ -8,7 +8,6 @@
 // routing-watch notification, not the request timeout, moves loaded clients
 // onto the new owner.
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -17,8 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "chaos/chaos.hpp"
-#include "chaos/failover_chaos.hpp"
+#include "chaos/harness.hpp"
 #include "common/keygen.hpp"
 #include "fabric/fabric.hpp"
 #include "hydradb/hydra_cluster.hpp"
@@ -30,9 +28,10 @@
 namespace hydra {
 namespace {
 
-using chaos::FailoverChaosRunner;
-using chaos::FailoverReport;
-using chaos::FailoverSchedule;
+using chaos::Family;
+using chaos::Report;
+using chaos::Schedule;
+using chaos::describe;
 
 // ------------------------------------------------------------- rig helpers
 
@@ -89,20 +88,8 @@ db::ClusterOptions fast_options() {
   return opts;
 }
 
-std::string describe(const FailoverReport& r) {
-  std::string out;
-  for (const auto& v : r.violations) out += "  " + v + "\n";
-  out += "--- history ---\n" + r.history;
-  return out;
-}
-
-const FailoverSchedule& scripted_by_name(const std::string& name) {
-  static const auto all = FailoverSchedule::scripted();
-  for (const auto& s : all) {
-    if (s.name == name) return s;
-  }
-  ADD_FAILURE() << "no scripted failover schedule named " << name;
-  return all.front();
+Report run_scripted(const char* name, std::uint64_t seed) {
+  return chaos::run(chaos::scripted_by_name(Family::kFailover, name), seed);
 }
 
 // ------------------------------------------------ fabric revocation verbs
@@ -709,8 +696,7 @@ TEST(ClientRerouting, MigrationEpochPublishWithNoOwnerChangeReroutesNothing) {
 // virtual-time history stay byte-identical to earlier revisions.
 TEST(FastFailoverOff, NoRevocationMachineryWhenDisabled) {
   obs::Plane plane;
-  const chaos::RunReport r = chaos::ChaosRunner::run(
-      chaos::ChaosSchedule::scripted().front(), 3, &plane);
+  const Report r = chaos::run(Schedule::scripted(Family::kChaos).front(), 3, &plane);
   EXPECT_TRUE(r.passed());
   const auto q = plane.query();
   EXPECT_EQ(q.count(obs::TraceKind::kSuspicionRaised), 0u);
@@ -722,12 +708,12 @@ TEST(FastFailoverOff, NoRevocationMachineryWhenDisabled) {
 
 // 9 scripted families x 5 seeds.
 TEST(FailoverChaosSweep, ScriptedFamilies) {
-  for (const auto& schedule : FailoverSchedule::scripted()) {
+  for (const auto& schedule : Schedule::scripted(Family::kFailover)) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      const FailoverReport r = FailoverChaosRunner::run(schedule, seed);
+      const Report r = chaos::run(schedule, seed);
       EXPECT_TRUE(r.passed()) << schedule.name << " seed " << seed << ":\n"
                               << describe(r);
-      EXPECT_GT(r.acked_puts, 0u) << schedule.name << " seed " << seed;
+      EXPECT_GT(r.acked, 0u) << schedule.name << " seed " << seed;
     }
   }
 }
@@ -735,27 +721,22 @@ TEST(FailoverChaosSweep, ScriptedFamilies) {
 // Seeded-random compositions; HYDRA_FAILOVER_RANDOM_RUNS scales the sweep
 // (tier1.sh --failover raises it, the sanitizer passes lower it).
 TEST(FailoverChaosSweep, RandomFamilies) {
-  int runs = 40;
-  if (const char* env = std::getenv("HYDRA_FAILOVER_RANDOM_RUNS")) {
-    runs = std::max(1, std::atoi(env));
-  }
+  const int runs = chaos::random_runs("HYDRA_FAILOVER_RANDOM_RUNS", 40);
   for (int i = 1; i <= runs; ++i) {
     const auto seed = static_cast<std::uint64_t>(i);
-    const FailoverSchedule schedule = FailoverSchedule::random(seed);
-    const FailoverReport r = FailoverChaosRunner::run(schedule, seed);
-    EXPECT_TRUE(r.passed()) << schedule.name << ":\n" << describe(r);
+    const Report r = chaos::run(Schedule::random(Family::kFailover, seed), seed);
+    EXPECT_TRUE(r.passed()) << describe(r);
   }
 }
 
 TEST(FailoverChaosDeterminism, SameSeedSameHistory) {
-  const auto& scripted = scripted_by_name("fast-kill-mid-ring-write");
-  const FailoverReport a = FailoverChaosRunner::run(scripted, 7);
-  const FailoverReport b = FailoverChaosRunner::run(scripted, 7);
+  const Report a = run_scripted("fast-kill-mid-ring-write", 7);
+  const Report b = run_scripted("fast-kill-mid-ring-write", 7);
   EXPECT_EQ(a.history, b.history);
 
-  const FailoverSchedule random = FailoverSchedule::random(17);
-  const FailoverReport c = FailoverChaosRunner::run(random, 17);
-  const FailoverReport d = FailoverChaosRunner::run(random, 17);
+  const Schedule random = Schedule::random(Family::kFailover, 17);
+  const Report c = chaos::run(random, 17);
+  const Report d = chaos::run(random, 17);
   EXPECT_EQ(c.history, d.history);
   EXPECT_NE(a.history, c.history);
 }
@@ -763,8 +744,7 @@ TEST(FailoverChaosDeterminism, SameSeedSameHistory) {
 // ------------------------------------------- per-fault-point regressions
 
 TEST(FailoverChaosRegression, TornRevocationStillPromotesFast) {
-  const FailoverReport r =
-      FailoverChaosRunner::run(scripted_by_name("fast-torn-revocation"), 1);
+  const Report r = run_scripted("fast-torn-revocation", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.fast_promotions, 1u) << describe(r);
   EXPECT_GT(r.revocations, 0u);
@@ -772,8 +752,7 @@ TEST(FailoverChaosRegression, TornRevocationStillPromotesFast) {
 }
 
 TEST(FailoverChaosRegression, DroppedRevocationRetriesAndPromotes) {
-  const FailoverReport r =
-      FailoverChaosRunner::run(scripted_by_name("fast-dropped-revocation"), 1);
+  const Report r = run_scripted("fast-dropped-revocation", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.fast_promotions, 1u) << describe(r);
   EXPECT_LT(r.failover_gap, kMillisecond);
@@ -783,8 +762,7 @@ TEST(FailoverChaosRegression, DroppedRevocationRetriesAndPromotes) {
 // lost and the round aborts, the legacy session-timeout promotion must still
 // recover the shard -- slower, never less safe.
 TEST(FailoverChaosRegression, RevocationStormFallsBackToLegacyPromotion) {
-  const FailoverReport r = FailoverChaosRunner::run(
-      scripted_by_name("fast-revocation-storm-falls-back"), 1);
+  const Report r = run_scripted("fast-revocation-storm-falls-back", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u) << describe(r);
   EXPECT_EQ(r.fast_promotions, 0u) << describe(r);
@@ -793,8 +771,7 @@ TEST(FailoverChaosRegression, RevocationStormFallsBackToLegacyPromotion) {
 }
 
 TEST(FailoverChaosRegression, SplitBallotsElectExactlyOnePrimary) {
-  const FailoverReport r =
-      FailoverChaosRunner::run(scripted_by_name("fast-split-ballots"), 1);
+  const Report r = run_scripted("fast-split-ballots", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_EQ(r.failovers, 1u) << describe(r);
   // Exactly one round won its ballot and promoted; the race was real --
@@ -808,15 +785,13 @@ TEST(FailoverChaosRegression, SplitBallotsElectExactlyOnePrimary) {
 }
 
 TEST(FailoverChaosRegression, SwatKillMidRoundDoesNotBlockAgreement) {
-  const FailoverReport r =
-      FailoverChaosRunner::run(scripted_by_name("fast-swat-kill-mid-round"), 1);
+  const Report r = run_scripted("fast-swat-kill-mid-round", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.fast_promotions, 1u) << describe(r);
 }
 
 TEST(FailoverChaosRegression, ComposedMigrationCommitsUnderFastFailover) {
-  const FailoverReport r = FailoverChaosRunner::run(
-      scripted_by_name("fast-composed-with-migration"), 1);
+  const Report r = run_scripted("fast-composed-with-migration", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u) << describe(r);
 }

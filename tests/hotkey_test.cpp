@@ -2,14 +2,13 @@
 // space-saving tracker, promotion + one-sided replica reads, pre-ack write
 // invalidation, epoch-bump demotion, the client pointer-cache epoch sweep,
 // and the hotkey chaos families.
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "chaos/hotkey_chaos.hpp"
+#include "chaos/harness.hpp"
 #include "common/hash.hpp"
 #include "core/item.hpp"
 #include "hydradb/hydra_cluster.hpp"
@@ -344,23 +343,18 @@ TEST(PtrCacheSweep, EpochBumpsDoNotAccumulateStaleEntries) {
 // ------------------------------------------------------- chaos: scripted
 
 TEST(HotKeyChaos, ScriptedFamiliesHoldInvariants) {
-  for (const auto& schedule : chaos::HotKeySchedule::scripted()) {
-    const auto report = chaos::HotKeyChaosRunner::run(schedule, 42);
-    EXPECT_TRUE(report.passed()) << schedule.name << ":\n"
-                                 << report.history.substr(0, 4000);
-    for (const auto& v : report.violations) {
-      ADD_FAILURE() << schedule.name << ": " << v;
-    }
+  for (const auto& schedule : chaos::Schedule::scripted(chaos::Family::kHotKey)) {
+    const auto report = chaos::run(schedule, 42);
+    EXPECT_TRUE(report.passed()) << chaos::describe(report);
     EXPECT_EQ(report.stale_reads, 0u) << schedule.name;
     EXPECT_EQ(report.wedged, 0u) << schedule.name;
   }
 }
 
 TEST(HotKeyChaos, BaselineActuallyExercisesThePlane) {
-  const auto scripted = chaos::HotKeySchedule::scripted();
-  ASSERT_FALSE(scripted.empty());
-  const auto report = chaos::HotKeyChaosRunner::run(scripted.front(), 7);
-  ASSERT_TRUE(report.passed()) << report.history.substr(0, 4000);
+  const auto report =
+      chaos::run(chaos::scripted_by_name(chaos::Family::kHotKey, "hotkey-baseline"), 7);
+  ASSERT_TRUE(report.passed()) << chaos::describe(report);
   // A baseline that never promotes or never serves a replica read would
   // make every other family vacuous.
   EXPECT_GT(report.promotions, 0u);
@@ -368,44 +362,35 @@ TEST(HotKeyChaos, BaselineActuallyExercisesThePlane) {
 }
 
 TEST(HotKeyChaos, WriteRaceFamilyInvalidatesCopies) {
-  for (const auto& schedule : chaos::HotKeySchedule::scripted()) {
-    if (schedule.name != "hotkey-write-invalidate-race") continue;
-    const auto report = chaos::HotKeyChaosRunner::run(schedule, 11);
-    ASSERT_TRUE(report.passed()) << report.history.substr(0, 4000);
-    EXPECT_GT(report.invalidations, 0u)
-        << "writes never raced a live promotion; the family tests nothing";
-    return;
-  }
-  FAIL() << "scripted() lost the hotkey-write-invalidate-race family";
+  const auto report = chaos::run(
+      chaos::scripted_by_name(chaos::Family::kHotKey, "hotkey-write-invalidate-race"), 11);
+  ASSERT_TRUE(report.passed()) << chaos::describe(report);
+  EXPECT_GT(report.invalidations, 0u)
+      << "writes never raced a live promotion; the family tests nothing";
 }
 
 TEST(HotKeyChaos, HistoryIsDeterministicAndPlaneBlind) {
-  const auto scripted = chaos::HotKeySchedule::scripted();
   // The kill-primary family stresses the most scheduling-sensitive paths.
-  const auto& schedule = scripted[3];
-  const auto a = chaos::HotKeyChaosRunner::run(schedule, 99);
-  const auto b = chaos::HotKeyChaosRunner::run(schedule, 99);
+  const auto& schedule =
+      chaos::scripted_by_name(chaos::Family::kHotKey, "hotkey-kill-primary-copies-live");
+  const auto a = chaos::run(schedule, 99);
+  const auto b = chaos::run(schedule, 99);
   EXPECT_EQ(a.history, b.history) << "same (schedule, seed) must replay identically";
   obs::Plane plane;
-  const auto c = chaos::HotKeyChaosRunner::run(schedule, 99, &plane);
+  const auto c = chaos::run(schedule, 99, &plane);
   EXPECT_EQ(a.history, c.history) << "attaching the obs plane perturbed the run";
 }
 
 // ------------------------------------------------------- chaos: randomized
 
 TEST(HotKeyChaos, SeededRandomSweepHoldsInvariants) {
-  int runs = 6;
-  if (const char* env = std::getenv("HYDRA_HOTKEY_RANDOM_RUNS")) {
-    runs = std::max(1, std::atoi(env));
-  }
+  const int runs = chaos::random_runs("HYDRA_HOTKEY_RANDOM_RUNS", 6);
   for (int i = 0; i < runs; ++i) {
     const auto seed = static_cast<std::uint64_t>(1000 + i);
-    const auto schedule = chaos::HotKeySchedule::random(seed);
-    const auto report = chaos::HotKeyChaosRunner::run(schedule, seed);
-    EXPECT_TRUE(report.passed()) << schedule.name << ":\n"
-                                 << report.history.substr(0, 4000);
-    EXPECT_EQ(report.stale_reads, 0u) << schedule.name;
-    EXPECT_EQ(report.wedged, 0u) << schedule.name;
+    const auto report = chaos::run(chaos::Schedule::random(chaos::Family::kHotKey, seed), seed);
+    EXPECT_TRUE(report.passed()) << chaos::describe(report);
+    EXPECT_EQ(report.stale_reads, 0u) << report.replay;
+    EXPECT_EQ(report.wedged, 0u) << report.replay;
   }
 }
 

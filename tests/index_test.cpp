@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -16,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "chaos/harness.hpp"
 #include "common/keygen.hpp"
 #include "common/rng.hpp"
 #include "index/btree.hpp"
@@ -23,13 +23,6 @@
 
 namespace hydra::index {
 namespace {
-
-int env_runs(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const int n = std::atoi(v);
-  return n > 0 ? n : fallback;
-}
 
 std::vector<std::pair<std::string, std::uint64_t>> collect(const OrderedIndex& idx,
                                                            const std::string& from = "",
@@ -389,7 +382,7 @@ void run_model_check(std::uint64_t seed, int ops, ModelTrace& trace) {
 TEST(OrderedIndexModel, SeededRandomVsStdMap) {
   // >= 200 seeds by default (the acceptance floor); HYDRA_INDEX_RANDOM_RUNS
   // widens or narrows the sweep (tier1.sh --scan scales it under sanitizers).
-  const int runs = env_runs("HYDRA_INDEX_RANDOM_RUNS", 200);
+  const int runs = chaos::random_runs("HYDRA_INDEX_RANDOM_RUNS", 200);
   for (int r = 0; r < runs; ++r) {
     ModelTrace trace;
     run_model_check(0x5EEDBA5Eu + static_cast<std::uint64_t>(r) * 7919u, 400, trace);

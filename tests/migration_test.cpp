@@ -1,13 +1,12 @@
 // Live shard migration (DESIGN.md §9): the chaos sweep over the elastic
 // membership plane, golden-determinism checks with the observability plane
 // attached, and one regression per stale-ownership bug the protocol closes.
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "chaos/chaos.hpp"
+#include "chaos/harness.hpp"
 #include "common/hash.hpp"
 #include "hydradb/hydra_cluster.hpp"
 #include "obs/plane.hpp"
@@ -16,24 +15,13 @@
 namespace hydra {
 namespace {
 
-using chaos::MigrationChaosRunner;
-using chaos::MigrationReport;
-using chaos::MigrationSchedule;
+using chaos::Family;
+using chaos::Report;
+using chaos::Schedule;
+using chaos::describe;
 
-std::string describe(const MigrationReport& r) {
-  std::string out;
-  for (const auto& v : r.violations) out += "  " + v + "\n";
-  out += "--- history ---\n" + r.history;
-  return out;
-}
-
-const MigrationSchedule& scripted_by_name(const std::string& name) {
-  static const auto all = MigrationSchedule::scripted();
-  for (const auto& s : all) {
-    if (s.name == name) return s;
-  }
-  ADD_FAILURE() << "no scripted migration schedule named " << name;
-  return all.front();
+Report run_scripted(const char* name, std::uint64_t seed, obs::Plane* plane = nullptr) {
+  return chaos::run(chaos::scripted_by_name(Family::kMigration, name), seed, plane);
 }
 
 db::ClusterOptions elastic_options(int shards) {
@@ -66,12 +54,12 @@ void run_until_committed(db::HydraCluster& cluster) {
 // with its exact value, no key is lost or double-owned after the final
 // epoch, and the migration commits despite the faults.
 TEST(MigrationSweep, ScriptedFamilies) {
-  for (const auto& schedule : MigrationSchedule::scripted()) {
+  for (const auto& schedule : Schedule::scripted(Family::kMigration)) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const MigrationReport r = MigrationChaosRunner::run(schedule, seed);
+      const Report r = chaos::run(schedule, seed);
       EXPECT_TRUE(r.passed()) << schedule.name << " seed " << seed << ":\n"
                               << describe(r);
-      EXPECT_GT(r.acked_puts, 0u) << schedule.name << " seed " << seed;
+      EXPECT_GT(r.acked, 0u) << schedule.name << " seed " << seed;
       EXPECT_TRUE(r.migration_completed) << schedule.name << " seed " << seed;
       EXPECT_GT(r.keys_moved, 0u) << schedule.name << " seed " << seed;
     }
@@ -82,15 +70,11 @@ TEST(MigrationSweep, ScriptedFamilies) {
 // source-kill / destination-kill / SWAT-gap). HYDRA_MIGRATION_RANDOM_RUNS
 // scales the sweep (tier1.sh shortens the sanitizer passes).
 TEST(MigrationSweep, RandomFamilies) {
-  int runs = 20;
-  if (const char* env = std::getenv("HYDRA_MIGRATION_RANDOM_RUNS")) {
-    runs = std::max(1, std::atoi(env));
-  }
+  const int runs = chaos::random_runs("HYDRA_MIGRATION_RANDOM_RUNS", 20);
   for (int i = 1; i <= runs; ++i) {
     const auto seed = static_cast<std::uint64_t>(i);
-    const MigrationSchedule schedule = MigrationSchedule::random(seed);
-    const MigrationReport r = MigrationChaosRunner::run(schedule, seed);
-    EXPECT_TRUE(r.passed()) << schedule.name << ":\n" << describe(r);
+    const Report r = chaos::run(Schedule::random(Family::kMigration, seed), seed);
+    EXPECT_TRUE(r.passed()) << describe(r);
   }
 }
 
@@ -98,7 +82,7 @@ TEST(MigrationSweep, RandomFamilies) {
 // snapshot copies must be forwarded down the flow (the workload overlaps
 // the copy, so a clean add always forwards some records).
 TEST(MigrationSweep, DualOwnershipCatchUpForwards) {
-  const MigrationReport r = MigrationChaosRunner::run(scripted_by_name("add-clean"), 1);
+  const Report r = run_scripted("add-clean", 1);
   ASSERT_TRUE(r.passed()) << describe(r);
   EXPECT_GT(r.forwarded, 0u)
       << "no dual-ownership records forwarded; the catch-up path is dead:\n"
@@ -109,14 +93,13 @@ TEST(MigrationSweep, DualOwnershipCatchUpForwards) {
 
 // Identical (schedule, seed) must reproduce the run byte-for-byte.
 TEST(MigrationDeterminism, SameSeedSameHistory) {
-  const auto& scripted = scripted_by_name("add-kill-source");
-  const MigrationReport a = MigrationChaosRunner::run(scripted, 7);
-  const MigrationReport b = MigrationChaosRunner::run(scripted, 7);
+  const Report a = run_scripted("add-kill-source", 7);
+  const Report b = run_scripted("add-kill-source", 7);
   EXPECT_EQ(a.history, b.history);
 
-  const MigrationSchedule random = MigrationSchedule::random(42);
-  const MigrationReport c = MigrationChaosRunner::run(random, 42);
-  const MigrationReport d = MigrationChaosRunner::run(random, 42);
+  const Schedule random = Schedule::random(Family::kMigration, 42);
+  const Report c = chaos::run(random, 42);
+  const Report d = chaos::run(random, 42);
   EXPECT_EQ(c.history, d.history);
   EXPECT_NE(a.history, c.history);  // different schedules diverge
 }
@@ -126,10 +109,9 @@ TEST(MigrationDeterminism, SameSeedSameHistory) {
 // for a clean run and for one with kills mid-migration.
 TEST(MigrationDeterminism, ObsPlaneDoesNotPerturbHistory) {
   for (const char* name : {"add-clean", "drain-kill-victim"}) {
-    const auto& schedule = scripted_by_name(name);
-    const MigrationReport bare = MigrationChaosRunner::run(schedule, 5);
+    const Report bare = run_scripted(name, 5);
     obs::Plane plane;
-    const MigrationReport observed = MigrationChaosRunner::run(schedule, 5, &plane);
+    const Report observed = run_scripted(name, 5, &plane);
     EXPECT_EQ(bare.history, observed.history) << name;
     // And the plane actually saw the protocol.
     const auto q = plane.query();

@@ -2,12 +2,13 @@
 // registry, and the golden-determinism contract -- attaching a Plane must
 // not change a simulation's virtual-time history, and two enabled runs of
 // the same seed must produce byte-identical snapshots.
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "chaos/chaos.hpp"
+#include "chaos/harness.hpp"
 #include "common/keygen.hpp"
 #include "hydradb/hydra_cluster.hpp"
 #include "obs/plane.hpp"
@@ -203,12 +204,12 @@ TEST(GoldenDeterminism, ClosedLoopHistoryIdenticalWithObsOnAndOff) {
 }
 
 TEST(GoldenDeterminism, ChaosHistoriesIdenticalWithObsOnAndOff) {
-  const auto schedules = chaos::ChaosSchedule::scripted();
+  const auto schedules = chaos::Schedule::scripted(chaos::Family::kChaos);
   ASSERT_FALSE(schedules.empty());
   for (std::uint64_t seed : {7u, 21u}) {
-    const chaos::RunReport off = chaos::ChaosRunner::run(schedules[0], seed);
+    const chaos::Report off = chaos::run(schedules[0], seed);
     obs::Plane plane;
-    const chaos::RunReport on = chaos::ChaosRunner::run(schedules[0], seed, &plane);
+    const chaos::Report on = chaos::run(schedules[0], seed, &plane);
     EXPECT_EQ(off.history, on.history) << "seed " << seed;
     EXPECT_EQ(off.failovers, on.failovers);
     EXPECT_GT(plane.trace_count(), 0u);
@@ -216,28 +217,49 @@ TEST(GoldenDeterminism, ChaosHistoriesIdenticalWithObsOnAndOff) {
 }
 
 TEST(GoldenDeterminism, EnabledRunsProduceByteIdenticalSnapshotsPerSeed) {
-  const auto schedules = chaos::ChaosSchedule::scripted();
+  const auto schedules = chaos::Schedule::scripted(chaos::Family::kChaos);
   ASSERT_FALSE(schedules.empty());
   for (std::uint64_t seed : {3u, 11u}) {
     obs::Plane a;
     obs::Plane b;
-    const chaos::RunReport ra = chaos::ChaosRunner::run(schedules[0], seed, &a);
-    const chaos::RunReport rb = chaos::ChaosRunner::run(schedules[0], seed, &b);
+    const chaos::Report ra = chaos::run(schedules[0], seed, &a);
+    const chaos::Report rb = chaos::run(schedules[0], seed, &b);
     ASSERT_EQ(ra.history, rb.history);
     EXPECT_EQ(a.json(0), b.json(0)) << "seed " << seed;
   }
   // Distinct seeds produce distinct traces (the snapshot is not a constant).
   obs::Plane a;
   obs::Plane b;
-  chaos::ChaosRunner::run(chaos::ChaosSchedule::random(1), 1, &a);
-  chaos::ChaosRunner::run(chaos::ChaosSchedule::random(2), 2, &b);
+  chaos::run(chaos::Schedule::random(chaos::Family::kChaos, 1), 1, &a);
+  chaos::run(chaos::Schedule::random(chaos::Family::kChaos, 2), 2, &b);
   EXPECT_NE(a.json(0), b.json(0));
+}
+
+// Every applied fault is traced, whatever its family: one scripted schedule
+// per family (the first with faults) applies, and traces as
+// kFaultInjected, exactly the faults it schedules -- none silently dropped
+// -- and tracing leaves the virtual-time history untouched.
+TEST(GoldenDeterminism, EveryFamilyTracesEveryAppliedFault) {
+  for (const chaos::Family family :
+       {chaos::Family::kChaos, chaos::Family::kMigration, chaos::Family::kFailover,
+        chaos::Family::kHotKey, chaos::Family::kScan, chaos::Family::kTxn}) {
+    const auto schedules = chaos::Schedule::scripted(family);
+    const auto s = std::find_if(schedules.begin(), schedules.end(),
+                                [](const chaos::Schedule& c) { return !c.faults.empty(); });
+    ASSERT_NE(s, schedules.end()) << chaos::to_string(family);
+    const chaos::Report off = chaos::run(*s, 1);
+    obs::Plane plane;
+    const chaos::Report on = chaos::run(*s, 1, &plane);
+    EXPECT_EQ(off.history, on.history) << s->name;
+    EXPECT_EQ(on.faults_applied, s->faults.size()) << s->name;
+    EXPECT_EQ(plane.query().count(obs::TraceKind::kFaultInjected), s->faults.size()) << s->name;
+  }
 }
 
 TEST(GoldenDeterminism, PromotionLatencyDerivableFromChaosTraceAlone) {
   // Find the scripted primary-kill schedule and reconstruct the promotion
   // timeline purely from trace events -- what bench_chaos_recovery reports.
-  const auto schedules = chaos::ChaosSchedule::scripted();
+  const auto schedules = chaos::Schedule::scripted(chaos::Family::kChaos);
   for (const auto& s : schedules) {
     bool kills_primary = false;
     for (const auto& f : s.faults) {
@@ -245,7 +267,7 @@ TEST(GoldenDeterminism, PromotionLatencyDerivableFromChaosTraceAlone) {
     }
     if (!kills_primary) continue;
     obs::Plane plane;
-    const chaos::RunReport report = chaos::ChaosRunner::run(s, 42, &plane);
+    const chaos::Report report = chaos::run(s, 42, &plane);
     ASSERT_TRUE(report.passed());
     const auto q = plane.query();
     const auto crash = q.first(obs::TraceKind::kCrashInjected);

@@ -11,25 +11,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "chaos/scan_chaos.hpp"
+#include "chaos/harness.hpp"
 #include "hydradb/hydra_cluster.hpp"
 
 namespace hydra {
 namespace {
-
-int env_runs(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  const int n = std::atoi(v);
-  return n > 0 ? n : fallback;
-}
 
 std::string skey(int i) {
   char buf[16];
@@ -708,27 +700,16 @@ TEST(ScanLeafCache, NoCachedPageIsReadAfterARoutingEpochAdvance) {
 
 // ------------------------------------------------------- chaos: migration
 
-void expect_clean(const chaos::ScanRunReport& report, const std::string& label) {
-  EXPECT_TRUE(report.passed()) << label << " violations:\n"
-                               << [&] {
-                                    std::string all;
-                                    for (const auto& v : report.violations) {
-                                      all += "  " + v + "\n";
-                                    }
-                                    return all + "history tail:\n" +
-                                           report.history.substr(
-                                               report.history.size() > 4000
-                                                   ? report.history.size() - 4000
-                                                   : 0);
-                                  }();
-  EXPECT_GT(report.puts_acked, 0u) << label;
+void expect_clean(const chaos::Report& report, const std::string& label) {
+  EXPECT_TRUE(report.passed()) << label << ":\n" << chaos::describe(report);
+  EXPECT_GT(report.acked, 0u) << label;
   EXPECT_GT(report.scans_acked, 0u) << label;
 }
 
 TEST(ScanChaos, ScriptedFamilies) {
-  for (const auto& schedule : chaos::ScanSchedule::scripted()) {
+  for (const auto& schedule : chaos::Schedule::scripted(chaos::Family::kScan)) {
     for (const std::uint64_t seed : {11ULL, 29ULL}) {
-      const auto report = chaos::ScanChaosRunner::run(schedule, seed);
+      const auto report = chaos::run(schedule, seed);
       expect_clean(report, schedule.name + " seed=" + std::to_string(seed));
       if (HasFailure()) return;
     }
@@ -738,13 +719,9 @@ TEST(ScanChaos, ScriptedFamilies) {
 TEST(ScanChaos, TornLeafReadsAreCaught) {
   // The torn-read family must actually exercise the fallback machinery:
   // garbled pages happen AND every scan still verifies.
-  chaos::ScanSchedule schedule;
-  for (const auto& s : chaos::ScanSchedule::scripted()) {
-    if (s.name == "scan-torn-leaf-reads") schedule = s;
-  }
-  ASSERT_EQ(schedule.name, "scan-torn-leaf-reads");
-  const auto report = chaos::ScanChaosRunner::run(schedule, 7);
-  expect_clean(report, schedule.name);
+  const auto report =
+      chaos::run(chaos::scripted_by_name(chaos::Family::kScan, "scan-torn-leaf-reads"), 7);
+  expect_clean(report, "scan-torn-leaf-reads");
   EXPECT_GT(report.torn_reads, 0u);
   EXPECT_GT(report.scan_leaf_fallbacks, 0u);
 }
@@ -752,14 +729,10 @@ TEST(ScanChaos, TornLeafReadsAreCaught) {
 TEST(ScanChaos, MigrationRestartsCursors) {
   // Crossing a live expansion must reject stale continuation tokens (epoch
   // fence) and restart cursors rather than silently mis-merging.
-  chaos::ScanSchedule schedule;
-  for (const auto& s : chaos::ScanSchedule::scripted()) {
-    if (s.name == "scan-add-shard-live") schedule = s;
-  }
-  ASSERT_EQ(schedule.name, "scan-add-shard-live");
+  const auto& schedule = chaos::scripted_by_name(chaos::Family::kScan, "scan-add-shard-live");
   std::uint64_t restarts = 0;
   for (const std::uint64_t seed : {3ULL, 5ULL, 17ULL}) {
-    const auto report = chaos::ScanChaosRunner::run(schedule, seed);
+    const auto report = chaos::run(schedule, seed);
     expect_clean(report, schedule.name + " seed=" + std::to_string(seed));
     restarts += report.scan_restarts + report.scan_token_rejects;
   }
@@ -767,25 +740,20 @@ TEST(ScanChaos, MigrationRestartsCursors) {
 }
 
 TEST(ScanChaos, SeededRandomSweep) {
-  const int runs = env_runs("HYDRA_SCAN_RANDOM_RUNS", 25);
+  const int runs = chaos::random_runs("HYDRA_SCAN_RANDOM_RUNS", 25);
   for (int r = 0; r < runs; ++r) {
     const std::uint64_t seed = 9000 + static_cast<std::uint64_t>(r);
-    const auto schedule = chaos::ScanSchedule::random(seed);
-    const auto report = chaos::ScanChaosRunner::run(schedule, seed);
-    EXPECT_TRUE(report.passed()) << schedule.name << " violations:\n" << [&] {
-      std::string all;
-      for (const auto& v : report.violations) all += "  " + v + "\n";
-      return all;
-    }();
+    const auto report = chaos::run(chaos::Schedule::random(chaos::Family::kScan, seed), seed);
+    EXPECT_TRUE(report.passed()) << chaos::describe(report);
     if (HasFailure()) return;
   }
 }
 
 TEST(ScanChaos, DeterministicHistory) {
   // Byte-identical history across two runs of the same (schedule, seed).
-  for (const auto& schedule : chaos::ScanSchedule::scripted()) {
-    const auto a = chaos::ScanChaosRunner::run(schedule, 21);
-    const auto b = chaos::ScanChaosRunner::run(schedule, 21);
+  for (const auto& schedule : chaos::Schedule::scripted(chaos::Family::kScan)) {
+    const auto a = chaos::run(schedule, 21);
+    const auto b = chaos::run(schedule, 21);
     ASSERT_EQ(a.history, b.history) << schedule.name;
   }
 }

@@ -3,7 +3,6 @@
 // seeded-random txn-kill-mid-commit chaos sweeps, abort-order properties
 // for both lock modes, and the golden-determinism gate keeping txn-off
 // clusters byte-identical to the seed.
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,31 +12,20 @@
 #include "hydradb/hydra_cluster.hpp"
 #include "proto/messages.hpp"
 #include "txn/txn.hpp"
-#include "txn/txn_chaos.hpp"
+#include "chaos/harness.hpp"
 
 namespace hydra {
 namespace {
 
-using txn::TxnChaosRunner;
+using chaos::Family;
+using chaos::Report;
+using chaos::Schedule;
+using chaos::describe;
 using txn::TxnClient;
 using txn::TxnOptions;
-using txn::TxnRunReport;
-using txn::TxnSchedule;
 
-std::string describe(const TxnRunReport& r) {
-  std::string out;
-  for (const auto& v : r.violations) out += "  " + v + "\n";
-  out += "--- history ---\n" + r.history;
-  return out;
-}
-
-const TxnSchedule& scripted_by_name(const std::string& name) {
-  static const auto all = TxnSchedule::scripted();
-  for (const auto& s : all) {
-    if (s.name == name) return s;
-  }
-  ADD_FAILURE() << "no scripted txn schedule named " << name;
-  return all.front();
+Report run_scripted(const char* name, std::uint64_t seed, obs::Plane* plane = nullptr) {
+  return chaos::run(chaos::scripted_by_name(Family::kTxn, name), seed, plane);
 }
 
 // ------------------------------------------------------------- wire codec
@@ -238,9 +226,9 @@ TEST(TxnClientUnit, TxnOffClustersRegisterNoArena) {
 // Every scripted family (baselines, contention, the txn-kill-mid-commit
 // kills, torn/dropped atomics, mux death, migration) across 6 seeds.
 TEST(TxnChaosSweep, ScriptedFamilies) {
-  for (const auto& schedule : TxnSchedule::scripted()) {
+  for (const auto& schedule : Schedule::scripted(Family::kTxn)) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      const TxnRunReport r = TxnChaosRunner::run(schedule, seed);
+      const Report r = chaos::run(schedule, seed);
       EXPECT_TRUE(r.passed()) << schedule.name << " seed " << seed << ":\n"
                               << describe(r);
       EXPECT_GT(r.acked, 0u) << schedule.name << " seed " << seed;
@@ -252,34 +240,28 @@ TEST(TxnChaosSweep, ScriptedFamilies) {
 // (>= the 100-run acceptance bar). HYDRA_TXN_RANDOM_RUNS scales the sweep
 // (tier1.sh widens it for --txn and shortens it under sanitizers).
 TEST(TxnChaosSweep, RandomFamilies) {
-  int runs = 120;
-  if (const char* env = std::getenv("HYDRA_TXN_RANDOM_RUNS")) {
-    runs = std::max(1, std::atoi(env));
-  }
+  const int runs = chaos::random_runs("HYDRA_TXN_RANDOM_RUNS", 120);
   for (int i = 1; i <= runs; ++i) {
     const auto seed = static_cast<std::uint64_t>(i);
-    const TxnSchedule schedule = TxnSchedule::random(seed);
-    const TxnRunReport r = TxnChaosRunner::run(schedule, seed);
-    EXPECT_TRUE(r.passed()) << schedule.name << " seed " << seed << ":\n"
-                            << describe(r);
+    const Report r = chaos::run(Schedule::random(Family::kTxn, seed), seed);
+    EXPECT_TRUE(r.passed()) << describe(r);
   }
 }
 
 // Identical (schedule, seed) must reproduce the run byte-for-byte; the
 // trace plane must not perturb it.
 TEST(TxnDeterminism, SameSeedSameHistory) {
-  const auto& scripted = scripted_by_name("txn-kill-mid-commit-no-wait");
-  const TxnRunReport a = TxnChaosRunner::run(scripted, 7);
-  const TxnRunReport b = TxnChaosRunner::run(scripted, 7);
+  const Report a = run_scripted("txn-kill-mid-commit-no-wait", 7);
+  const Report b = run_scripted("txn-kill-mid-commit-no-wait", 7);
   EXPECT_EQ(a.history, b.history);
 
   obs::Plane plane;
-  const TxnRunReport c = TxnChaosRunner::run(scripted, 7, &plane);
+  const Report c = run_scripted("txn-kill-mid-commit-no-wait", 7, &plane);
   EXPECT_EQ(a.history, c.history);
 
-  const TxnSchedule random = TxnSchedule::random(42);
-  const TxnRunReport d = TxnChaosRunner::run(random, 42);
-  const TxnRunReport e = TxnChaosRunner::run(random, 42);
+  const Schedule random = Schedule::random(Family::kTxn, 42);
+  const Report d = chaos::run(random, 42);
+  const Report e = chaos::run(random, 42);
   EXPECT_EQ(d.history, e.history);
   EXPECT_NE(a.history, d.history);  // different schedules diverge
 }
@@ -291,8 +273,7 @@ TEST(TxnDeterminism, SameSeedSameHistory) {
 // covers the ordering; the stat assertions pin it explicitly.
 TEST(TxnProperty, NoWaitNeverWaits) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const TxnRunReport r =
-        TxnChaosRunner::run(scripted_by_name("txn-contention-no-wait"), seed);
+    const Report r = run_scripted("txn-contention-no-wait", seed);
     EXPECT_TRUE(r.passed()) << "seed " << seed << ":\n" << describe(r);
     EXPECT_EQ(r.waits, 0u) << "seed " << seed;
     EXPECT_EQ(r.died, r.conflicts) << "seed " << seed;
@@ -306,8 +287,7 @@ TEST(TxnProperty, WaitDieOlderWaitsYoungerDies) {
   std::uint64_t total_conflicts = 0;
   std::uint64_t total_waits = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const TxnRunReport r =
-        TxnChaosRunner::run(scripted_by_name("txn-contention-wait-die"), seed);
+    const Report r = run_scripted("txn-contention-wait-die", seed);
     EXPECT_TRUE(r.passed()) << "seed " << seed << ":\n" << describe(r);
     total_conflicts += r.conflicts;
     total_waits += r.waits;
@@ -324,7 +304,7 @@ TEST(TxnProperty, WaitDieOlderWaitsYoungerDies) {
 TEST(TxnRegression, KillMidCommitPrimary) {
   for (const char* name :
        {"txn-kill-mid-commit-no-wait", "txn-kill-mid-commit-wait-die"}) {
-    const TxnRunReport r = TxnChaosRunner::run(scripted_by_name(name), 1);
+    const Report r = run_scripted(name, 1);
     EXPECT_TRUE(r.passed()) << name << ":\n" << describe(r);
     EXPECT_GE(r.failovers, 1u) << name;
     EXPECT_GT(r.acked, 0u) << name;
@@ -335,8 +315,7 @@ TEST(TxnRegression, KillMidCommitPrimary) {
 // Primary kill while SWAT is itself missing a member: the failover arrives
 // late (leadership gap) but the commit invariants must hold across it.
 TEST(TxnRegression, KillMidCommitDuringSwatGap) {
-  const TxnRunReport r =
-      TxnChaosRunner::run(scripted_by_name("txn-kill-mid-commit-swat-gap"), 1);
+  const Report r = run_scripted("txn-kill-mid-commit-swat-gap", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u);
 }
@@ -344,8 +323,7 @@ TEST(TxnRegression, KillMidCommitDuringSwatGap) {
 // A replica death mid-commit: the commit's replication barrier must absorb
 // the loss without a failover and without wedging any callback.
 TEST(TxnRegression, SecondaryDeathMidCommitNeverWedges) {
-  const TxnRunReport r =
-      TxnChaosRunner::run(scripted_by_name("txn-kill-secondary-mid-commit"), 1);
+  const Report r = run_scripted("txn-kill-secondary-mid-commit", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_EQ(r.wedged, 0u);
   EXPECT_EQ(r.failovers, 0u) << describe(r);
@@ -357,7 +335,7 @@ TEST(TxnRegression, SecondaryDeathMidCommitNeverWedges) {
 TEST(TxnRegression, TornAndDroppedLockCas) {
   for (const char* name :
        {"txn-drop-lock-cas", "txn-tear-lock-cas", "txn-drop-unlock-cas"}) {
-    const TxnRunReport r = TxnChaosRunner::run(scripted_by_name(name), 1);
+    const Report r = run_scripted(name, 1);
     EXPECT_TRUE(r.passed()) << name << ":\n" << describe(r);
     EXPECT_EQ(r.wedged, 0u) << name;
     EXPECT_EQ(r.lock_leaks, 0u) << name;
@@ -368,8 +346,7 @@ TEST(TxnRegression, TornAndDroppedLockCas) {
 // The shared mux QP dies with lock CAS + commits in flight; endpoints must
 // tear down, reopen lazily and retry -- QP death is not process death.
 TEST(TxnRegression, MuxChannelKillRecovers) {
-  const TxnRunReport r =
-      TxnChaosRunner::run(scripted_by_name("txn-mux-channel-kill"), 1);
+  const Report r = run_scripted("txn-mux-channel-kill", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_EQ(r.wedged, 0u);
   EXPECT_EQ(r.failovers, 0u) << describe(r);
@@ -379,8 +356,7 @@ TEST(TxnRegression, MuxChannelKillRecovers) {
 // epoch moves on, and every commit locked under the stale epoch must be
 // refused whole and rolled forward -- never half-applied.
 TEST(TxnRegression, HeartbeatFenceRollsForward) {
-  const TxnRunReport r =
-      TxnChaosRunner::run(scripted_by_name("txn-heartbeat-fence"), 1);
+  const Report r = run_scripted("txn-heartbeat-fence", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u) << describe(r);
 }
@@ -389,8 +365,7 @@ TEST(TxnRegression, HeartbeatFenceRollsForward) {
 // handoff are fenced by epoch + owner filters and must retry onto the new
 // owner; the migration itself must still complete.
 TEST(TxnRegression, MigrationMidTxnFencesCommits) {
-  const TxnRunReport r =
-      TxnChaosRunner::run(scripted_by_name("txn-migrate-mid-txn"), 1);
+  const Report r = run_scripted("txn-migrate-mid-txn", 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_TRUE(r.migration_completed) << describe(r);
 }
