@@ -371,6 +371,7 @@ Client::Conn* Client::connection_to(ShardId shard) {
   }
   free_blocks_.pop_back();
   block_to_shard_[conn->resp_block] = shard;
+  if (conn->wire.qp != nullptr) conn->qp_generation = conn->wire.qp->generation();
   conn->window = std::clamp<std::uint32_t>(conn->wire.window, 1, cfg_.window);
   conn->slots.resize(conn->window);
 
@@ -404,6 +405,13 @@ void Client::drop_connection(ShardId shard) {
       // itself died -- teardown already recycled them).
       conn.wire.mux_node->release(shard, conn.wire.mux_generation, s.mux_ring_slot);
     }
+  }
+  // A per-QP wire dies with its connection (a mux wire's QP belongs to the
+  // node's channel). The fabric may already have reclaimed it and handed
+  // it to a newer connection: only tear down the incarnation opened here.
+  fabric::QueuePair* qp = conn.wire.qp;
+  if (!conn.wire.mux && qp != nullptr && qp->open() && qp->generation() == conn.qp_generation) {
+    fabric_.disconnect(qp);
   }
   // Scrub the response ring so a later connection reusing this block never
   // sees a stale landed frame; its pages go back to the kernel.

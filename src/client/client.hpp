@@ -303,6 +303,9 @@ class Client : public sim::Actor {
 
   struct Conn {
     ShardConnection wire;
+    /// wire.qp's incarnation at connect; a per-QP wire is disconnected on
+    /// drop only while it is still that incarnation.
+    std::uint32_t qp_generation = 0;
     std::uint32_t resp_block = 0;   ///< index of this conn's resp-ring block
     std::uint32_t window = 1;       ///< granted ring depth (slots.size())
     std::uint32_t in_flight = 0;

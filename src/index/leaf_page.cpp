@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "common/hash.hpp"
 
@@ -10,140 +9,168 @@ namespace hydra::index {
 
 namespace {
 
-// Header layout (kLeafPageHeaderBytes = 64, little-endian):
-//   [0]  magic          u32
-//   [4]  count          u32
-//   [8]  leaf_id        u64
-//   [16] leaf_version   u64
-//   [24] epoch          u64
-//   [32] payload_bytes  u32   (entry region length, header excluded)
-//   [36] flags          u32   (bit0: last leaf on this shard, set iff next_id
-//                              is 0; bit1: first leaf on this shard)
-//   [40] next_id        u64   (successor leaf id; 0 on the last leaf)
-//   [48] left_shifts    u64   (the index's left-shift count at encode time)
-//   [56] checksum       u64   (hash of header bytes [0, 56) and of the payload)
-// Entries: repeated { klen u16, vlen u32, key bytes, value bytes }.
-constexpr std::size_t kEntryOverhead = 6;
-constexpr std::size_t kChecksumOffset = 56;
-constexpr std::uint32_t kKnownFlags = kLeafPageFlagLast | kLeafPageFlagFirst;
+// Layout (little-endian fixed prefix, LEB128 varints after it):
+//   [0]  magic     u32
+//   [4]  checksum  u64  (hash_bytes of every encoded byte from [12] on)
+//   [12] varints   count, leaf_id, leaf_version, epoch, flags (bit0: last
+//                  leaf on this shard, set iff next_id is 0; bit1: first
+//                  leaf on this shard), next_id, left_shifts, payload_bytes
+//   payload        count x { shared, unshared, vlen varints, key suffix,
+//                  value }, where a key is the previous key's first `shared`
+//                  bytes followed by its `unshared` suffix bytes.
+constexpr std::size_t kChecksumOffset = 4;
+constexpr std::size_t kMaxVarintBytes = 10;  // 64 bits in 7-bit groups
+constexpr std::size_t kMinEntryBytes = 3;    // three one-byte varints
+constexpr std::uint64_t kKnownFlags = kLeafPageFlagLast | kLeafPageFlagFirst;
 
-void put_u16(std::byte* p, std::uint16_t v) { std::memcpy(p, &v, sizeof v); }
-void put_u32(std::byte* p, std::uint32_t v) { std::memcpy(p, &v, sizeof v); }
-void put_u64(std::byte* p, std::uint64_t v) { std::memcpy(p, &v, sizeof v); }
+std::size_t varint_bytes(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 
-std::uint16_t get_u16(const std::byte* p) {
-  std::uint16_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
+std::byte* put_varint(std::byte* p, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) *p++ = static_cast<std::byte>((v & 0x7F) | 0x80);
+  *p++ = static_cast<std::byte>(v);
+  return p;
 }
-std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
+
+/// Reads one canonical varint at `off`, advancing it. Fails on truncation,
+/// on a value past 64 bits (which also bounds a varint to 10 bytes), and on
+/// a non-minimal encoding (a trailing zero group).
+bool get_varint(std::span<const std::byte> in, std::size_t& off, std::uint64_t& v) {
+  v = 0;
+  for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+    if (off == in.size()) return false;
+    const auto b = std::to_integer<std::uint64_t>(in[off++]);
+    if (i == kMaxVarintBytes - 1 && b > 1) return false;
+    v |= (b & 0x7F) << (7 * i);
+    if ((b & 0x80) == 0) return b != 0 || i == 0;
+  }
+  return false;
 }
-std::uint64_t get_u64(const std::byte* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
+
+std::size_t shared_prefix(std::string_view a, std::string_view b) {
+  return static_cast<std::size_t>(std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+                                  a.begin());
+}
+
+std::uint64_t page_flags(const LeafPageHeader& h) {
+  return (h.next_id == 0 ? kLeafPageFlagLast : 0) | (h.first ? kLeafPageFlagFirst : 0);
+}
+
+std::size_t payload_bytes(const LeafPageEntries& entries) {
+  std::size_t n = 0;
+  std::string_view prev;
+  for (const auto& [k, v] : entries) {
+    const std::size_t shared = shared_prefix(prev, k);
+    n += varint_bytes(shared) + varint_bytes(k.size() - shared) + varint_bytes(v.size()) +
+         (k.size() - shared) + v.size();
+    prev = k;
+  }
+  return n;
+}
+
+std::size_t header_bytes(const LeafPageHeader& h, std::size_t count, std::size_t payload) {
+  return kLeafPagePrefixBytes + varint_bytes(count) + varint_bytes(h.leaf_id) +
+         varint_bytes(h.leaf_version) + varint_bytes(h.epoch) + varint_bytes(page_flags(h)) +
+         varint_bytes(h.next_id) + varint_bytes(h.left_shifts) + varint_bytes(payload);
 }
 
 std::uint64_t page_checksum(std::span<const std::byte> encoded) {
-  // The header up to the checksum field, then the payload: the field itself
-  // never feeds its own hash.
-  const std::uint64_t header = hash_bytes(encoded.data(), kChecksumOffset);
-  const std::uint64_t payload = hash_bytes(encoded.data() + kLeafPageHeaderBytes,
-                                           encoded.size() - kLeafPageHeaderBytes);
-  return header ^ mix64(payload);
+  return hash_bytes(encoded.data() + kLeafPagePrefixBytes,
+                    encoded.size() - kLeafPagePrefixBytes);
 }
 
 }  // namespace
 
-std::size_t leaf_page_bytes(
-    const std::vector<std::pair<std::string_view, std::string_view>>& entries) {
-  std::size_t n = kLeafPageHeaderBytes;
-  for (const auto& [k, v] : entries) n += kEntryOverhead + k.size() + v.size();
-  return n;
+std::size_t leaf_page_bytes(const LeafPageHeader& header, const LeafPageEntries& entries) {
+  const std::size_t payload = payload_bytes(entries);
+  return header_bytes(header, entries.size(), payload) + payload;
 }
 
-bool encode_leaf_page(
-    std::span<std::byte> out, std::uint64_t leaf_id, std::uint64_t leaf_version,
-    std::uint64_t epoch, std::uint64_t next_id, std::uint64_t left_shifts, bool first,
-    const std::vector<std::pair<std::string_view, std::string_view>>& entries) {
-  const std::size_t total = leaf_page_bytes(entries);
+bool encode_leaf_page(std::span<std::byte> out, const LeafPageHeader& header,
+                      const LeafPageEntries& entries) {
+  const std::size_t payload = payload_bytes(entries);
+  const std::size_t total = header_bytes(header, entries.size(), payload) + payload;
   if (out.size() < total) return false;
-  std::size_t off = kLeafPageHeaderBytes;
-  for (const auto& [k, v] : entries) {
-    if (k.size() > std::numeric_limits<std::uint16_t>::max() ||
-        v.size() > std::numeric_limits<std::uint32_t>::max()) {
-      return false;
-    }
-    put_u16(out.data() + off, static_cast<std::uint16_t>(k.size()));
-    put_u32(out.data() + off + 2, static_cast<std::uint32_t>(v.size()));
-    std::memcpy(out.data() + off + kEntryOverhead, k.data(), k.size());
-    std::memcpy(out.data() + off + kEntryOverhead + k.size(), v.data(), v.size());
-    off += kEntryOverhead + k.size() + v.size();
+  const std::uint32_t magic = kLeafPageMagic;
+  std::memcpy(out.data(), &magic, sizeof magic);
+  std::byte* p = out.data() + kLeafPagePrefixBytes;
+  for (const std::uint64_t field :
+       {std::uint64_t{entries.size()}, header.leaf_id, header.leaf_version, header.epoch,
+        page_flags(header), header.next_id, header.left_shifts, std::uint64_t{payload}}) {
+    p = put_varint(p, field);
   }
-  put_u32(out.data(), kLeafPageMagic);
-  put_u32(out.data() + 4, static_cast<std::uint32_t>(entries.size()));
-  put_u64(out.data() + 8, leaf_id);
-  put_u64(out.data() + 16, leaf_version);
-  put_u64(out.data() + 24, epoch);
-  put_u32(out.data() + 32, static_cast<std::uint32_t>(total - kLeafPageHeaderBytes));
-  put_u32(out.data() + 36,
-          (next_id == 0 ? kLeafPageFlagLast : 0) | (first ? kLeafPageFlagFirst : 0));
-  put_u64(out.data() + 40, next_id);
-  put_u64(out.data() + 48, left_shifts);
-  put_u64(out.data() + kChecksumOffset, page_checksum(out.first(total)));
+  std::string_view prev;
+  for (const auto& [k, v] : entries) {
+    const std::size_t shared = shared_prefix(prev, k);
+    p = put_varint(p, shared);
+    p = put_varint(p, k.size() - shared);
+    p = put_varint(p, v.size());
+    std::memcpy(p, k.data() + shared, k.size() - shared);
+    p += k.size() - shared;
+    std::memcpy(p, v.data(), v.size());
+    p += v.size();
+    prev = k;
+  }
+  const std::uint64_t sum = page_checksum(out.first(total));
+  std::memcpy(out.data() + kChecksumOffset, &sum, sizeof sum);
   return true;
 }
 
 void poison_leaf_page(std::span<std::byte> page) noexcept {
-  std::memset(page.data(), 0, std::min(page.size(), kLeafPageHeaderBytes));
+  std::memset(page.data(), 0, std::min(page.size(), kLeafPagePrefixBytes));
 }
 
 std::optional<LeafPage> decode_leaf_page(std::span<const std::byte> bytes) {
-  if (bytes.size() < kLeafPageHeaderBytes) return std::nullopt;
-  if (get_u32(bytes.data()) != kLeafPageMagic) return std::nullopt;
-  const std::uint32_t count = get_u32(bytes.data() + 4);
-  const std::uint32_t payload_bytes = get_u32(bytes.data() + 32);
-  if (payload_bytes > bytes.size() - kLeafPageHeaderBytes) return std::nullopt;
-  // Each entry needs at least its length fields; reject absurd counts before
-  // walking (or allocating for) the payload.
-  if (static_cast<std::uint64_t>(count) * kEntryOverhead > payload_bytes) {
-    return std::nullopt;
-  }
-  const std::uint32_t flags = get_u32(bytes.data() + 36);
-  if ((flags & ~kKnownFlags) != 0) return std::nullopt;
-  const std::uint64_t next_id = get_u64(bytes.data() + 40);
-  if (((flags & kLeafPageFlagLast) != 0) != (next_id == 0)) return std::nullopt;
+  if (bytes.size() < kLeafPagePrefixBytes) return std::nullopt;
+  std::uint32_t magic = 0;
+  std::memcpy(&magic, bytes.data(), sizeof magic);
+  if (magic != kLeafPageMagic) return std::nullopt;
 
-  const std::span<const std::byte> encoded =
-      bytes.first(kLeafPageHeaderBytes + payload_bytes);
-  if (get_u64(bytes.data() + kChecksumOffset) != page_checksum(encoded)) {
-    return std::nullopt;
-  }
-
+  std::size_t off = kLeafPagePrefixBytes;
+  std::uint64_t count = 0;
+  std::uint64_t flags = 0;
+  std::uint64_t payload = 0;
   LeafPage page;
-  page.leaf_id = get_u64(bytes.data() + 8);
-  page.leaf_version = get_u64(bytes.data() + 16);
-  page.epoch = get_u64(bytes.data() + 24);
-  page.next_id = next_id;
-  page.left_shifts = get_u64(bytes.data() + 48);
+  for (std::uint64_t* field : {&count, &page.leaf_id, &page.leaf_version, &page.epoch, &flags,
+                               &page.next_id, &page.left_shifts, &payload}) {
+    if (!get_varint(bytes, off, *field)) return std::nullopt;
+  }
+  if (payload > bytes.size() - off) return std::nullopt;
+  // Every entry takes at least its three length varints: reject absurd
+  // counts before walking (or allocating for) the payload.
+  if (count > payload / kMinEntryBytes) return std::nullopt;
+  if ((flags & ~kKnownFlags) != 0) return std::nullopt;
+  if (((flags & kLeafPageFlagLast) != 0) != (page.next_id == 0)) return std::nullopt;
+
+  const std::size_t end = off + payload;
+  std::uint64_t sum = 0;
+  std::memcpy(&sum, bytes.data() + kChecksumOffset, sizeof sum);
+  if (sum != page_checksum(bytes.first(end))) return std::nullopt;
+
   page.first = (flags & kLeafPageFlagFirst) != 0;
-  page.last = next_id == 0;
+  page.last = page.next_id == 0;
   page.entries.reserve(count);
-  std::size_t off = kLeafPageHeaderBytes;
-  const std::size_t end = kLeafPageHeaderBytes + payload_bytes;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (end - off < kEntryOverhead) return std::nullopt;
-    const std::uint16_t klen = get_u16(bytes.data() + off);
-    const std::uint32_t vlen = get_u32(bytes.data() + off + 2);
-    off += kEntryOverhead;
-    if (end - off < static_cast<std::size_t>(klen) + vlen) return std::nullopt;
-    const char* kp = reinterpret_cast<const char*>(bytes.data() + off);
-    const char* vp = kp + klen;
-    page.entries.emplace_back(std::string(kp, klen), std::string(vp, vlen));
-    off += static_cast<std::size_t>(klen) + vlen;
+  const std::span<const std::byte> body = bytes.first(end);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t shared = 0;
+    std::uint64_t unshared = 0;
+    std::uint64_t vlen = 0;
+    if (!get_varint(body, off, shared) || !get_varint(body, off, unshared) ||
+        !get_varint(body, off, vlen)) {
+      return std::nullopt;
+    }
+    const std::string_view prev =
+        page.entries.empty() ? std::string_view{} : page.entries.back().first;
+    if (shared > prev.size()) return std::nullopt;
+    if (unshared > end - off || vlen > end - off - unshared) return std::nullopt;
+    const char* suffix = reinterpret_cast<const char*>(bytes.data() + off);
+    std::string key(prev.substr(0, shared));
+    key.append(suffix, unshared);
+    page.entries.emplace_back(std::move(key), std::string(suffix + unshared, vlen));
+    off += unshared + vlen;
   }
   if (off != end) return std::nullopt;  // undeclared trailing bytes in the payload
   return page;

@@ -36,7 +36,8 @@ Shard::AcceptResult PipelinedShard::accept(fabric::QueuePair* server_qp,
                                            ClientId /*client*/) {
   if (conns_.size() >= cfg_.max_connections) return {};
   const auto idx = static_cast<std::uint32_t>(conns_.size());
-  conns_.push_back(Connection{server_qp, client_resp_slot, client_resp_bytes});
+  conns_.push_back(
+      Connection{server_qp, client_resp_slot, client_resp_bytes, server_qp->generation()});
   dirty_.add_endpoint();
   Shard::AcceptResult res;
   res.req_slot = fabric::RemoteAddr{msg_mr_->rkey(),
@@ -178,6 +179,9 @@ void PipelinedShard::execute(proto::Request req, std::uint32_t conn_idx, std::si
 
 void PipelinedShard::send_response(const proto::Response& resp, std::uint32_t conn_idx) {
   Connection& conn = conns_[conn_idx];
+  // A client that drops its connection disconnects the QP, which the fabric
+  // may hand to a newer connection.
+  if (conn.qp->generation() != conn.qp_generation) return;
   const auto payload = proto::encode_response(resp);
   const std::size_t framed = proto::frame_size(payload.size());
   if (framed > conn.resp_bytes) return;

@@ -50,6 +50,7 @@ class PipelinedShard : public sim::Actor {
     fabric::QueuePair* qp = nullptr;
     fabric::RemoteAddr resp_addr{};
     std::uint32_t resp_bytes = 0;
+    std::uint32_t qp_generation = 0;  ///< qp's incarnation at accept
   };
 
   [[nodiscard]] std::span<std::byte> slot_span(std::uint32_t idx) noexcept {

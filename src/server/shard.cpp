@@ -63,8 +63,8 @@ Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
     // Poison-on-write: a leaf's page dies in the same event as the change,
     // before any ack, so every page a client decodes is current. The block
     // and its entry stay; the next hint re-encodes the page in place. The
-    // header write is part of the put's index swing, so it costs no CPU of
-    // its own.
+    // 12-byte prefix write is part of the put's index swing, so it costs no
+    // CPU of its own.
     store_->index()->set_change_hook([this](std::uint64_t leaf_id) {
       const auto it = mirror_pages_.find(leaf_id);
       if (it == mirror_pages_.end()) return;
@@ -95,6 +95,7 @@ Shard::AcceptResult Shard::accept(fabric::QueuePair* server_qp,
   const auto block = static_cast<std::uint32_t>(block_to_conn_.size());
   Connection conn;
   conn.qp = server_qp;
+  conn.qp_generation = server_qp->generation();
   conn.resp_addr = client_resp_slot;
   conn.resp_bytes = client_resp_bytes;
   conn.window = std::clamp<std::uint32_t>(window, 1, cfg_.ring_slots);
@@ -120,6 +121,7 @@ Shard::AcceptResult Shard::accept_send_recv(fabric::QueuePair* server_qp, Client
   const auto idx = static_cast<std::uint32_t>(conns_.size());
   Connection conn;
   conn.qp = server_qp;
+  conn.qp_generation = server_qp->generation();
   conn.client = client;
   conn.send_recv = true;
   conn.region_block = static_cast<std::uint32_t>(block_to_conn_.size());
@@ -932,10 +934,12 @@ std::optional<proto::ScanLeafHint> Shard::refresh_leaf_mirror(
   auto [it, fresh] = mirror_pages_.try_emplace(leaf.id);
   MirrorPage& page = it->second;
   if (fresh || page.leaf_version != leaf.version || page.epoch != epoch) {
-    std::vector<std::pair<std::string_view, std::string_view>> kv;
+    index::LeafPageEntries kv;
     kv.reserve(leaf.entries->size());
     for (const auto& e : *leaf.entries) kv.emplace_back(e.key, store_->value_at(e.offset));
-    const std::size_t len = index::leaf_page_bytes(kv);
+    const index::LeafPageHeader header{leaf.id, leaf.version, epoch, leaf.next_id,
+                                       store_->index()->left_shifts(), leaf.head};
+    const std::size_t len = index::leaf_page_bytes(header, kv);
     // Same size class: re-encode in place (the change already poisoned the
     // old content). Otherwise the page moves to a block of its class.
     if (!fresh && core::Arena::class_for(len) != core::Arena::class_for(page.len)) {
@@ -944,9 +948,7 @@ std::optional<proto::ScanLeafHint> Shard::refresh_leaf_mirror(
     }
     if (fresh) page.offset = leaf_arena_->allocate(len);
     if (page.offset == core::kNullOffset ||
-        !index::encode_leaf_page({leaf_arena_->at(page.offset), len}, leaf.id, leaf.version,
-                                 epoch, leaf.next_id, store_->index()->left_shifts(),
-                                 leaf.head, kv)) {
+        !index::encode_leaf_page({leaf_arena_->at(page.offset), len}, header, kv)) {
       if (page.offset != core::kNullOffset) release_mirror_page(page.offset, len);
       mirror_pages_.erase(it);
       return std::nullopt;
@@ -986,6 +988,10 @@ void Shard::send_response(const proto::Response& resp, std::uint32_t conn_idx,
     if (conn.closed || endpoint >= endpoints_.size() || !endpoints_[endpoint].active) return;
     resp_base = endpoints_[endpoint].resp_addr;
     resp_bytes = endpoints_[endpoint].resp_bytes;
+  } else if (!conn.mux && conn.qp->generation() != conn.qp_generation) {
+    // The client dropped this connection and disconnected its QP, which
+    // the fabric may already have handed to another connection.
+    return;
   }
   // The response lands in the resp-ring slot matching the request's slot,
   // which is exactly what releases that slot pair for reuse at the client.

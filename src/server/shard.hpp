@@ -215,6 +215,10 @@ class Shard : public sim::Actor {
 
   struct Connection {
     fabric::QueuePair* qp = nullptr;
+    /// qp's incarnation at accept (per-QP connections): a client that drops
+    /// the connection disconnects the QP, and the fabric may hand it to a
+    /// newer connection.
+    std::uint32_t qp_generation = 0;
     fabric::RemoteAddr resp_addr{};  ///< base of the client's response ring
     std::uint32_t resp_bytes = 0;    ///< per-slot bytes of that ring
     std::uint32_t window = 1;        ///< granted ring depth

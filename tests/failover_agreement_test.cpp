@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -519,6 +520,43 @@ TEST(ClientRerouting, PromotionUnstallsLoadedClientsWithinAMillisecond) {
   EXPECT_EQ(load.client_stat(&client::ClientStats::timeouts), 0u);
   EXPECT_EQ(load.client_stat(&client::ClientStats::failures), 0u);
   for (const Load::Op& op : load.ops) ASSERT_EQ(op.answers, 1);
+}
+
+// A re-route drops each client's connection to the fallen owner, and the
+// connection's own QP pair must go with it: otherwise every crash strands
+// one pair per client, and the server NICs drift past their QP-penalty
+// threshold.
+TEST(ClientRerouting, DroppedConnectionsReleaseTheirQueuePairs) {
+  struct Run {
+    std::size_t live_qp_pairs = 0;
+    std::uint32_t client_node_qps = 0;  ///< QP endpoints on the client machines
+    std::uint64_t reroutes = 0;
+  };
+  auto run = [](bool crash) {
+    db::HydraCluster cluster(loaded_options(/*mux=*/false));
+    Load load(cluster, 3000);
+    load.closed_loop(1);
+    cluster.run_for(5 * kMillisecond);
+    if (crash) crash_until_promoted(cluster, 0);
+    cluster.run_for(20 * kMillisecond);
+    load.stop();
+    cluster.run_for(50 * kMillisecond);
+    EXPECT_EQ(load.client_stat(&client::ClientStats::timeouts), 0u);
+    for (const Load::Op& op : load.ops) EXPECT_EQ(op.answers, 1);
+    Run out{cluster.fabric().live_qp_pairs(), 0,
+            load.client_stat(&client::ClientStats::reroutes)};
+    std::set<NodeId> nodes;
+    for (const client::Client* c : cluster.clients()) nodes.insert(c->node());
+    for (const NodeId n : nodes) out.client_node_qps += cluster.fabric().node(n).nic().qp_count;
+    return out;
+  };
+  const Run calm = run(/*crash=*/false);
+  const Run crashed = run(/*crash=*/true);
+  ASSERT_EQ(crashed.reroutes, 12u) << "every client re-routes its shard-0 connection once";
+  EXPECT_EQ(crashed.client_node_qps, calm.client_node_qps);
+  // The fallen primary's replication links (one per replica) are not
+  // reclaimed yet; every client pair is.
+  EXPECT_LE(crashed.live_qp_pairs, calm.live_qp_pairs + 2);
 }
 
 TEST(ClientRerouting, MuxEndpointsRerouteAndHandBackSharedRingCredits) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "chaos/harness.hpp"
+#include "common/hash.hpp"
 #include "common/keygen.hpp"
 #include "common/rng.hpp"
 #include "index/btree.hpp"
@@ -402,19 +405,81 @@ TEST(OrderedIndexModel, DeterministicDoubleRun) {
 
 // ------------------------------------------------------------ leaf-page codec
 
-std::vector<std::pair<std::string_view, std::string_view>> sample_entries() {
+/// Keys with shared prefixes (and one key that extends its predecessor), so
+/// the front coding is exercised, plus an empty value.
+LeafPageEntries sample_entries() {
   static const std::vector<std::pair<std::string, std::string>> kv = {
-      {"alpha", "1111"}, {"bravo", "22"}, {"charlie", "333333"}};
-  std::vector<std::pair<std::string_view, std::string_view>> out;
+      {"alpha", "1111"}, {"alphabet", "22"}, {"alpine", "333333"}, {"bravo", ""}};
+  LeafPageEntries out;
   for (const auto& [k, v] : kv) out.emplace_back(k, v);
   return out;
 }
 
+/// Small header values keep every header varint one byte long, so the
+/// tests below can address fields by offset.
+constexpr LeafPageHeader kSmallHeader{/*leaf_id=*/4, /*leaf_version=*/1, /*epoch=*/1,
+                                      /*next_id=*/5, /*left_shifts=*/2, /*first=*/false};
+constexpr std::size_t kCountAt = kLeafPagePrefixBytes;
+constexpr std::size_t kFlagsAt = kLeafPagePrefixBytes + 4;
+constexpr std::size_t kNextAt = kLeafPagePrefixBytes + 5;
+constexpr std::size_t kShiftsAt = kLeafPagePrefixBytes + 6;
+
+std::vector<std::byte> encoded(const LeafPageHeader& header, const LeafPageEntries& entries) {
+  std::vector<std::byte> page(leaf_page_bytes(header, entries));
+  EXPECT_TRUE(encode_leaf_page(page, header, entries));
+  return page;
+}
+
+void append_varint(std::vector<std::byte>& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<std::byte>((v & 0x7F) | 0x80));
+  out.push_back(static_cast<std::byte>(v));
+}
+
+std::vector<std::byte> varints(std::initializer_list<std::uint64_t> values) {
+  std::vector<std::byte> out;
+  for (const std::uint64_t v : values) append_varint(out, v);
+  return out;
+}
+
+std::vector<std::byte> cat(std::vector<std::byte> a, const std::vector<std::byte>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+std::vector<std::byte> bytes_of(std::string_view s) {
+  std::vector<std::byte> out(s.size());
+  std::memcpy(out.data(), s.data(), s.size());
+  return out;
+}
+
+/// A page of `body` (header varints, then payload) behind a valid magic and
+/// checksum, so only the decoder's structural checks can reject it.
+std::vector<std::byte> sealed(const std::vector<std::byte>& body) {
+  std::vector<std::byte> page(kLeafPagePrefixBytes);
+  const std::uint32_t magic = kLeafPageMagic;
+  std::memcpy(page.data(), &magic, sizeof magic);
+  page.insert(page.end(), body.begin(), body.end());
+  const std::uint64_t sum =
+      hash_bytes(page.data() + kLeafPagePrefixBytes, page.size() - kLeafPagePrefixBytes);
+  std::memcpy(page.data() + 4, &sum, sizeof sum);
+  return page;
+}
+
+/// Re-seals a page whose bytes a test edited.
+std::vector<std::byte> resealed(const std::vector<std::byte>& page) {
+  return sealed({page.begin() + kLeafPagePrefixBytes, page.end()});
+}
+
+/// Header varints of a middle leaf (id 4, successor 5), in wire order.
+std::vector<std::byte> middle_header(std::uint64_t count, std::uint64_t payload) {
+  return varints({count, 4, 1, 1, /*flags=*/0, /*next_id=*/5, 2, payload});
+}
+
 TEST(LeafPage, RoundTrip) {
   const auto entries = sample_entries();
-  std::vector<std::byte> page(leaf_page_bytes(entries) + 64);  // slack tolerated
-  ASSERT_TRUE(encode_leaf_page(page, /*id=*/7, /*version=*/3, /*epoch=*/9,
-                               /*next_id=*/0, /*left_shifts=*/4, /*first=*/true, entries));
+  const LeafPageHeader tail{7, 3, 9, /*next_id=*/0, /*left_shifts=*/4, /*first=*/true};
+  std::vector<std::byte> page(leaf_page_bytes(tail, entries) + 64);  // slack tolerated
+  ASSERT_TRUE(encode_leaf_page(page, tail, entries));
   const auto decoded = decode_leaf_page(page);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->leaf_id, 7u);
@@ -430,40 +495,76 @@ TEST(LeafPage, RoundTrip) {
     EXPECT_EQ(decoded->entries[i].second, entries[i].second);
   }
 
-  // A middle leaf: names its successor, neither first nor last.
-  ASSERT_TRUE(encode_leaf_page(page, 8, 1, 9, /*next_id=*/0x1122334455667788ULL,
-                               /*left_shifts=*/0, /*first=*/false, entries));
+  // A middle leaf: names its successor, neither first nor last. Full-width
+  // header values take 10-byte varints and still round-trip.
+  const LeafPageHeader middle_leaf{~0ULL, ~0ULL - 1, 1ULL << 63, 0x1122334455667788ULL,
+                                   ~0ULL, /*first=*/false};
+  ASSERT_TRUE(encode_leaf_page(page, middle_leaf, entries));
   const auto middle = decode_leaf_page(page);
   ASSERT_TRUE(middle.has_value());
+  EXPECT_EQ(middle->leaf_id, ~0ULL);
+  EXPECT_EQ(middle->leaf_version, ~0ULL - 1);
+  EXPECT_EQ(middle->epoch, 1ULL << 63);
   EXPECT_EQ(middle->next_id, 0x1122334455667788ULL);
+  EXPECT_EQ(middle->left_shifts, ~0ULL);
   EXPECT_FALSE(middle->first);
   EXPECT_FALSE(middle->last);
+  EXPECT_EQ(middle->entries.size(), entries.size());
 }
 
 TEST(LeafPage, EncodeRejectsUndersizedBuffer) {
   const auto entries = sample_entries();
-  std::vector<std::byte> page(leaf_page_bytes(entries) - 1);
-  EXPECT_FALSE(encode_leaf_page(page, 1, 1, 1, 2, 0, false, entries));
+  std::vector<std::byte> page(leaf_page_bytes(kSmallHeader, entries) - 1);
+  EXPECT_FALSE(encode_leaf_page(page, kSmallHeader, entries));
+}
+
+TEST(LeafPage, SizeIsExactAndKeysAreFrontCoded) {
+  const auto entries = sample_entries();
+  // prefix 12, eight one-byte header varints; entries {shared, unshared,
+  // vlen} + suffix + value: alpha 3+5+4, alphabet 3+3+2, alpine 3+3+6,
+  // bravo 3+5+0.
+  EXPECT_EQ(leaf_page_bytes(kSmallHeader, entries), 12u + 8u + 12u + 8u + 12u + 8u);
+  // Header varints grow with their values, and the size follows them.
+  LeafPageHeader wide = kSmallHeader;
+  wide.leaf_version = 128;
+  EXPECT_EQ(leaf_page_bytes(wide, entries), leaf_page_bytes(kSmallHeader, entries) + 1);
+  EXPECT_TRUE(decode_leaf_page(encoded(wide, entries)).has_value());
+}
+
+TEST(LeafPage, FormatKeyLeafStaysCompact) {
+  // A full 16-entry leaf of YCSB keys with 32-byte values, the shape a scan
+  // reads. One-sided scans are bound by page bytes, so a change that bloats
+  // pages fails here.
+  std::vector<std::pair<std::string, std::string>> kv;
+  for (std::uint64_t i = 12340; i < 12356; ++i) {
+    kv.emplace_back(format_key(i, 16), std::string(32, 'v'));
+  }
+  LeafPageEntries entries;
+  for (const auto& [k, v] : kv) entries.emplace_back(k, v);
+  const LeafPageHeader header{/*leaf_id=*/1500, /*leaf_version=*/300, /*epoch=*/3,
+                              /*next_id=*/1501, /*left_shifts=*/700, /*first=*/false};
+  const std::size_t bytes = leaf_page_bytes(header, entries);
+  EXPECT_LE(bytes, 640u);
+  const auto decoded = decode_leaf_page(encoded(header, entries));
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->entries.size(), kv.size());
+  for (std::size_t i = 0; i < kv.size(); ++i) EXPECT_EQ(decoded->entries[i], kv[i]);
 }
 
 TEST(LeafPage, TruncationRejected) {
-  const auto entries = sample_entries();
-  std::vector<std::byte> page(leaf_page_bytes(entries));
-  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, 2, 0, false, entries));
-  for (std::size_t cut = 0; cut < page.size(); cut += 7) {
+  const auto page = encoded(kSmallHeader, sample_entries());
+  for (std::size_t cut = 0; cut < page.size(); ++cut) {
     EXPECT_FALSE(decode_leaf_page({page.data(), cut}).has_value()) << "cut " << cut;
   }
 }
 
 TEST(LeafPage, EveryFlippedByteRejected) {
-  // The checksum covers header and payload alike: flipping ANY byte of the
-  // encoded prefix must be caught (this is what makes torn RDMA reads safe).
+  // The checksum covers every byte after it: flipping ANY byte of the
+  // encoded page must be caught (this is what makes torn RDMA reads safe).
   // Both flags and a non-zero successor id are set, so the flip also spans
   // every header field.
-  const auto entries = sample_entries();
-  std::vector<std::byte> page(leaf_page_bytes(entries));
-  ASSERT_TRUE(encode_leaf_page(page, 5, 9, 2, /*next_id=*/6, /*left_shifts=*/3, /*first=*/true,
-                               entries));
+  const LeafPageHeader header{5, 9, 2, /*next_id=*/6, /*left_shifts=*/3, /*first=*/true};
+  const auto page = encoded(header, sample_entries());
   ASSERT_TRUE(decode_leaf_page(page).has_value());
   for (std::size_t i = 0; i < page.size(); ++i) {
     std::vector<std::byte> torn = page;
@@ -472,39 +573,42 @@ TEST(LeafPage, EveryFlippedByteRejected) {
   }
 }
 
-TEST(LeafPage, CountCorruptionNeverWildReads) {
-  // A forged count that implies more payload than present must fail cleanly
-  // (counted before allocation, mirroring the proto codec discipline).
-  const auto entries = sample_entries();
-  std::vector<std::byte> page(leaf_page_bytes(entries));
-  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, 2, 0, false, entries));
-  // Forge count = 0xFFFFFF and redo nothing else; checksum now mismatches
-  // too, but shrink the check: corrupting count alone must already fail.
-  std::vector<std::byte> forged = page;
-  forged[4] = std::byte{0xFF};
-  forged[5] = std::byte{0xFF};
-  forged[6] = std::byte{0xFF};
-  forged[7] = std::byte{0x00};
-  EXPECT_FALSE(decode_leaf_page(forged).has_value());
-}
-
-TEST(LeafPage, UnknownFlagsRejected) {
-  const auto entries = sample_entries();
-  std::vector<std::byte> page(leaf_page_bytes(entries));
-  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, 2, 0, false, entries));
-  // Bits 0 (last) and 1 (first) are defined; every other one is refused
-  // before the checksum is even consulted.
-  for (const std::size_t byte : {36u, 37u, 38u, 39u}) {
-    for (int bit = byte == 36 ? 2 : 0; bit < 8; ++bit) {
-      std::vector<std::byte> forged = page;
-      forged[byte] |= std::byte{static_cast<unsigned char>(1u << bit)};
-      EXPECT_FALSE(decode_leaf_page(forged).has_value()) << "byte " << byte << " bit " << bit;
-    }
+TEST(LeafPage, PoisonZeroesThePrefix) {
+  auto page = encoded(kSmallHeader, sample_entries());
+  const auto before = page;
+  poison_leaf_page(page);
+  EXPECT_FALSE(decode_leaf_page(page).has_value());
+  for (std::size_t i = 0; i < page.size(); ++i) {
+    EXPECT_EQ(page[i], i < kLeafPagePrefixBytes ? std::byte{0} : before[i]) << "byte " << i;
   }
 }
 
-void put_header_u64(std::vector<std::byte>& page, std::size_t at, std::uint64_t v) {
-  std::memcpy(page.data() + at, &v, sizeof v);
+TEST(LeafPage, CountCorruptionNeverWildReads) {
+  // A forged count that implies more entries than the payload can hold must
+  // fail before any allocation (mirroring the proto codec discipline), even
+  // behind a valid checksum.
+  const auto page = encoded(kSmallHeader, sample_entries());
+  for (const std::uint64_t count : {0xFFFFFFULL, 1ULL << 40, ~0ULL}) {
+    const auto body = std::vector<std::byte>(page.begin() + kCountAt + 1, page.end());
+    const auto forged = sealed(cat(varints({count}), body));
+    EXPECT_FALSE(decode_leaf_page(forged).has_value()) << "count " << count;
+  }
+  // A count one past the entries present fails too: the payload runs out.
+  std::vector<std::byte> more = page;
+  more[kCountAt] = std::byte{5};
+  EXPECT_FALSE(decode_leaf_page(resealed(more)).has_value());
+}
+
+TEST(LeafPage, UnknownFlagsRejected) {
+  // Bits 0 (last) and 1 (first) are defined; every other one is refused,
+  // checksum or not.
+  const auto payload = cat(varints({0, 1, 0}), bytes_of("k"));
+  for (int bit = 2; bit < 64; ++bit) {
+    const std::uint64_t flags = std::uint64_t{1} << bit;
+    const auto page = sealed(cat(varints({1, 4, 1, 1, flags, 5, 2, payload.size()}), payload));
+    EXPECT_FALSE(decode_leaf_page(page).has_value()) << "bit " << bit;
+  }
+  ASSERT_TRUE(decode_leaf_page(sealed(cat(middle_header(1, payload.size()), payload))).has_value());
 }
 
 TEST(LeafPage, ForgedChainFieldsFailTheChecksum) {
@@ -512,40 +616,155 @@ TEST(LeafPage, ForgedChainFieldsFailTheChecksum) {
   // flag to start and walk a scan, so none may change without the checksum
   // noticing.
   const auto entries = sample_entries();
-  std::vector<std::byte> page(leaf_page_bytes(entries));
-  ASSERT_TRUE(encode_leaf_page(page, 4, 1, 1, /*next_id=*/5, /*left_shifts=*/2,
-                               /*first=*/false, entries));
+  const auto page = encoded(kSmallHeader, entries);
   ASSERT_TRUE(decode_leaf_page(page).has_value());
 
   std::vector<std::byte> forged = page;
-  put_header_u64(forged, 40, 9);  // another successor
+  forged[kNextAt] = std::byte{9};  // another successor
   EXPECT_FALSE(decode_leaf_page(forged).has_value());
 
   forged = page;
-  put_header_u64(forged, 48, 7);  // a later left-shift stamp
+  forged[kShiftsAt] = std::byte{7};  // a later left-shift stamp
   EXPECT_FALSE(decode_leaf_page(forged).has_value());
 
   forged = page;
-  forged[36] |= std::byte{kLeafPageFlagFirst};  // claims to be the head
+  forged[kFlagsAt] |= static_cast<std::byte>(kLeafPageFlagFirst);  // claims to be the head
   EXPECT_FALSE(decode_leaf_page(forged).has_value());
 
   // The last flag and a zero successor must agree, checksum or not.
-  std::vector<std::byte> last(leaf_page_bytes(entries));
-  ASSERT_TRUE(encode_leaf_page(last, 4, 1, 1, /*next_id=*/0, /*left_shifts=*/2,
-                               /*first=*/false, entries));
-  forged = last;
-  forged[36] &= ~std::byte{kLeafPageFlagLast};
-  EXPECT_FALSE(decode_leaf_page(forged).has_value());
+  LeafPageHeader tail = kSmallHeader;
+  tail.next_id = 0;
+  forged = encoded(tail, entries);
+  ASSERT_TRUE(decode_leaf_page(forged).has_value());
+  forged[kFlagsAt] &= ~static_cast<std::byte>(kLeafPageFlagLast);
+  EXPECT_FALSE(decode_leaf_page(resealed(forged)).has_value());
   forged = page;
-  forged[36] |= std::byte{kLeafPageFlagLast};
-  EXPECT_FALSE(decode_leaf_page(forged).has_value());
+  forged[kFlagsAt] |= static_cast<std::byte>(kLeafPageFlagLast);
+  EXPECT_FALSE(decode_leaf_page(resealed(forged)).has_value());
+}
+
+TEST(LeafPage, MalformedVarintsRejected) {
+  const auto payload = cat(varints({0, 1, 0}), bytes_of("k"));
+  const std::size_t n = payload.size();
+  ASSERT_TRUE(decode_leaf_page(sealed(cat(middle_header(1, n), payload))).has_value());
+  // The leaf id, spelled three wrong ways: 11 bytes (overlong), a 10th
+  // byte carrying bits past 64 (overflow), and a trailing zero group (not
+  // minimal). The count is 1, so the id starts right after it.
+  const std::vector<std::vector<std::byte>> bad_ids = {
+      cat(std::vector<std::byte>(10, std::byte{0x80}), {std::byte{0x00}}),
+      cat(std::vector<std::byte>(9, std::byte{0xFF}), {std::byte{0x02}}),
+      {std::byte{0x84}, std::byte{0x00}},
+  };
+  for (const auto& id : bad_ids) {
+    const auto body = cat(cat(varints({1}), id), varints({1, 1, 0, 5, 2, n}));
+    EXPECT_FALSE(decode_leaf_page(sealed(cat(body, payload))).has_value());
+  }
+  // The same faults inside an entry's length varints.
+  const std::vector<std::vector<std::byte>> bad_entries = {
+      cat(varints({0, 1}), {std::byte{0x80}, std::byte{0x00}}),  // vlen 0, not minimal
+      cat(varints({0}), cat(std::vector<std::byte>(10, std::byte{0x81}), {std::byte{0x01}})),
+      cat(varints({0, 1}), std::vector<std::byte>(10, std::byte{0xFF})),  // runs off the end
+  };
+  for (const auto& lengths : bad_entries) {
+    const auto entry = cat(lengths, bytes_of("k"));
+    EXPECT_FALSE(decode_leaf_page(sealed(cat(middle_header(1, entry.size()), entry))).has_value());
+  }
+  // A 10-byte varint holding 2^64-1 is legal; as a length it overruns.
+  const auto huge = cat(varints({0, ~0ULL, 0}), bytes_of("k"));
+  EXPECT_FALSE(decode_leaf_page(sealed(cat(middle_header(1, huge.size()), huge))).has_value());
+}
+
+TEST(LeafPage, SharedBeyondPreviousKeyRejected) {
+  // The first key has nothing to share.
+  const auto first = cat(varints({1, 1, 0}), bytes_of("k"));
+  EXPECT_FALSE(decode_leaf_page(sealed(cat(middle_header(1, first.size()), first))).has_value());
+  // "ab" then a key sharing 2 bytes decodes; sharing 3 of "ab" does not.
+  for (const std::uint64_t shared : {2u, 3u}) {
+    const auto payload = cat(cat(varints({0, 2, 0}), bytes_of("ab")),
+                             cat(varints({shared, 1, 0}), bytes_of("c")));
+    const auto decoded = decode_leaf_page(sealed(cat(middle_header(2, payload.size()), payload)));
+    EXPECT_EQ(decoded.has_value(), shared == 2) << "shared " << shared;
+    if (decoded.has_value()) {
+      EXPECT_EQ(decoded->entries[1].first, "abc");
+    }
+  }
+}
+
+TEST(LeafPage, TrailingPayloadBytesRejected) {
+  // Payload bytes the entries do not consume are refused, even though the
+  // checksum covers them; slack past the declared payload is not.
+  const auto payload = cat(varints({0, 1, 0}), bytes_of("k"));
+  const auto padded = cat(payload, {std::byte{0}});
+  EXPECT_FALSE(decode_leaf_page(sealed(cat(middle_header(1, padded.size()), padded))).has_value());
+  const auto slack = cat(sealed(cat(middle_header(1, payload.size()), payload)), {std::byte{0}});
+  EXPECT_TRUE(decode_leaf_page(slack).has_value());
+}
+
+TEST(LeafPage, RandomMutationsNeverMisdecode) {
+  // Seeded random pages, mutated by flips, overwrites, cuts, inserts and
+  // deletions and then re-sealed, so the mutations reach the structural
+  // checks behind the checksum. The decoder must never read outside the
+  // page (ASan watches under tier1.sh --asan), and whatever it accepts
+  // must be a page that re-encodes to the same content.
+  Xoshiro256 rng(20260417);
+  std::size_t accepted = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::vector<std::string> keys;
+    for (std::uint64_t i = 0, n = rng.below(12); i < n; ++i) {
+      std::string k;
+      for (std::uint64_t j = 0, len = rng.below(8); j < len; ++j) {
+        k.push_back(static_cast<char>('a' + rng.below(3)));
+      }
+      keys.push_back(std::move(k));
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    std::vector<std::string> values;
+    for (std::size_t i = 0; i < keys.size(); ++i) values.emplace_back(rng.below(6), 'v');
+    LeafPageEntries entries;
+    for (std::size_t i = 0; i < keys.size(); ++i) entries.emplace_back(keys[i], values[i]);
+    auto field = [&rng] { return rng() >> rng.below(64); };
+    LeafPageHeader header{field(), field(), field(), field(), field(), rng.below(2) == 1};
+    if (rng.below(2) == 0) header.next_id = 0;
+    const auto page = encoded(header, entries);
+    ASSERT_TRUE(decode_leaf_page(page).has_value());
+
+    for (int m = 0; m < 40; ++m) {
+      std::vector<std::byte> body(page.begin() + kLeafPagePrefixBytes, page.end());
+      for (std::uint64_t edits = 1 + rng.below(3); edits > 0 && !body.empty(); --edits) {
+        const std::size_t at = rng.below(body.size());
+        switch (rng.below(5)) {
+          case 0: body[at] ^= static_cast<std::byte>(1u << rng.below(8)); break;
+          case 1: body[at] = static_cast<std::byte>(rng.below(256)); break;
+          case 2: body.resize(at); break;
+          case 3: body.insert(body.begin() + static_cast<std::ptrdiff_t>(at),
+                              static_cast<std::byte>(rng.below(256))); break;
+          default: body.erase(body.begin() + static_cast<std::ptrdiff_t>(at)); break;
+        }
+      }
+      const auto forged = sealed(body);
+      const auto decoded = decode_leaf_page(forged);
+      if (!decoded.has_value()) continue;
+      ++accepted;
+      LeafPageEntries again;
+      for (const auto& [k, v] : decoded->entries) again.emplace_back(k, v);
+      EXPECT_LE(leaf_page_bytes(*decoded, again), forged.size());
+      const auto redecoded = decode_leaf_page(encoded(*decoded, again));
+      ASSERT_TRUE(redecoded.has_value());
+      EXPECT_EQ(redecoded->entries, decoded->entries);
+      EXPECT_EQ(redecoded->next_id, decoded->next_id);
+      EXPECT_EQ(redecoded->left_shifts, decoded->left_shifts);
+      EXPECT_EQ(redecoded->first, decoded->first);
+    }
+  }
+  EXPECT_GT(accepted, 0u);  // some mutations (value bytes) stay well-formed
 }
 
 TEST(LeafPage, EmptyPageRoundTrips) {
-  std::vector<std::pair<std::string_view, std::string_view>> none;
-  std::vector<std::byte> page(leaf_page_bytes(none));
-  ASSERT_TRUE(encode_leaf_page(page, 1, 1, 1, /*next_id=*/0, /*left_shifts=*/0,
-                               /*first=*/true, none));
+  const LeafPageHeader head{1, 1, 1, /*next_id=*/0, /*left_shifts=*/0, /*first=*/true};
+  const auto page = encoded(head, {});
+  // The test-side sealer and the encoder agree byte for byte.
+  EXPECT_EQ(page, sealed(varints({0, 1, 1, 1, kLeafPageFlagLast | kLeafPageFlagFirst, 0, 0, 0})));
   const auto decoded = decode_leaf_page(page);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->entries.empty());
