@@ -27,6 +27,10 @@ hydra::db::ClusterOptions cache_options(bool tcp_like) {
   opts.shard_template.max_connections = 16;
   opts.client_template.resp_slot_bytes = 5 << 20;
   opts.client_template.max_shard_connections = 8;
+  // A 4 MB GET must be timed, not timed out: a wave of eight moves 32 MB
+  // through the server NIC (over 6 ms at the RDMA rate, far longer over the
+  // TCP-like link), past the 5 ms default.
+  opts.client_template.request_timeout = 500 * kMillisecond;
   if (tcp_like) {
     // "HydraDB (TCP)": same middleware, interconnect degraded to the
     // kernel stack's latency and effective bandwidth.

@@ -64,8 +64,8 @@ ConnPoint run_conn_point(std::uint32_t clients, bool mux) {
   opts.client_template.request_timeout = 50 * kMillisecond;
   opts.shard_template.msg_slot_bytes = 512;
   opts.shard_template.ring_slots = 1;
-  // Per-QP wiring needs one dedicated ring block per client; mux groups do
-  // not draw from the per-connection budget.
+  // Per-client wiring holds one live connection (a channel of one) per
+  // client a shard serves; mux needs one per client machine.
   opts.shard_template.max_connections = mux ? 256 : clients + 64;
   opts.shard_template.store.arena_bytes = 32ull << 20;
   opts.shard_template.store.min_buckets = 1 << 15;
@@ -217,8 +217,8 @@ int run_conn_sweep(std::vector<std::uint32_t> counts, bool run_perqp, bool run_m
   std::vector<ConnPoint> muxed;
   if (run_perqp) {
     for (const std::uint32_t c : counts) {
-      // Per-client QPs past the cap cost O(clients) dedicated ring blocks
-      // per shard for no extra signal: the knee sits far below it.
+      // Per-client QPs past the cap cost O(clients) rings per shard for no
+      // extra signal: the knee sits far below it.
       if (c > perqp_cap) {
         std::printf("per-qp: skipping %u clients (cap %u)\n", c, perqp_cap);
         continue;

@@ -7,10 +7,12 @@
 # mode picks others: the rest of the suite is a single-threaded simulation.
 #
 # Pass --bench for the BENCH gate instead of the tests: it rebuilds
-# bench_txn, bench_hotkey and bench_ycsb_e, regenerates their JSON into a
-# temporary directory and fails unless each file is byte-identical to the
-# checked-in BENCH_*.json (the simulator is deterministic). On a difference
-# it prints the changed fields (scripts/json_diff.py).
+# bench_txn, bench_hotkey, bench_ycsb_e and bench_fig12_scalability,
+# regenerates their JSON (fig12: the connection-scalability sweep over
+# 1k-50k clients) into a temporary directory and fails unless each file is
+# byte-identical to the checked-in BENCH_*.json (the simulator is
+# deterministic). On a difference it prints the changed fields
+# (scripts/json_diff.py).
 #
 # Pass --txn to run only the transaction-layer suite (ctest label `txn`)
 # with an enlarged seeded-random sweep; --hotkey for the hot-key replication
@@ -116,14 +118,18 @@ fi
 
 if [[ $bench_mode -eq 1 ]]; then
   cmake --preset "$preset"
-  cmake --build --preset "$preset" -j "$(nproc)" --target bench_txn bench_hotkey bench_ycsb_e
+  cmake --build --preset "$preset" -j "$(nproc)" \
+    --target bench_txn bench_hotkey bench_ycsb_e bench_fig12_scalability
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' EXIT
   status=0
-  for pair in txn:bench_txn hotkey:bench_hotkey ycsbE:bench_ycsb_e; do
-    name="BENCH_${pair%%:*}.json"
-    bin="${pair#*:}"
-    if ! "$build_dir/bench/$bin" --json="$out/$name" >"$out/$bin.log" 2>&1; then
+  # name:binary[:arguments]
+  for spec in txn:bench_txn hotkey:bench_hotkey ycsbE:bench_ycsb_e \
+      fig12_conn:bench_fig12_scalability:--clients=1000,2000,5000,10000,50000; do
+    IFS=: read -r short bin args <<<"$spec"
+    name="BENCH_$short.json"
+    # shellcheck disable=SC2086  # args is a word list
+    if ! "$build_dir/bench/$bin" $args --json="$out/$name" >"$out/$bin.log" 2>&1; then
       cat "$out/$bin.log"
       echo "$bin failed"
       status=1

@@ -190,36 +190,30 @@ void Client::leaf_read(NodeId node, fabric::RemoteAddr addr, std::uint32_t len,
 
 Client::TxnWire Client::txn_wire(ShardId shard) {
   TxnWire wire;
-  Conn* conn = connection_to(shard);
+  // The caller posts its lock CASes on this QP right away.
+  Conn* conn = live_connection(shard);
   if (conn == nullptr) return wire;
-  if (conn->wire.mux &&
-      !conn->wire.mux_node->live(shard, conn->wire.mux_generation)) {
-    // Same staleness rule as try_rdma_read: never hand out a QP belonging
-    // to a channel that was reclaimed behind this endpoint's back.
-    salvage_connection(shard);
-    return wire;
-  }
-  if (conn->wire.lock_words == 0) {
-    // Reachable but transactions are off: expose the QP so callers can tell
-    // "arena disabled" (terminal) from "shard unreachable" (retryable).
-    wire.qp = conn->wire.qp;
-    return wire;
-  }
   wire.qp = conn->wire.qp;
-  wire.lock_rkey = conn->wire.lock_rkey;
-  wire.lock_words = conn->wire.lock_words;
+  // Reachable but transactions are off (or Send/Recv): expose the QP so
+  // callers can tell "arena disabled" (terminal) from "shard unreachable"
+  // (retryable). A live channel's wire is the one the endpoint rides.
+  if (conn->wire.send_recv) return wire;
+  const NodeMux::MuxWire& ch = conn->wire.mux_node->peek_channel(conn->wire.channel)->wire;
+  if (ch.lock_words == 0) return wire;
+  wire.lock_rkey = ch.lock_rkey;
+  wire.lock_words = ch.lock_words;
   wire.ok = true;
   return wire;
 }
 
 void Client::invalidate_connection(ShardId shard) {
-  // A closed shared QP indicts the whole mux channel, as a timeout does:
-  // report it, or the next txn_wire() would reattach to the corpse, whose
-  // every post flushes at once (the mux layer is never told a QP died).
+  // A closed QP indicts the whole channel, as a timeout does: report it, or
+  // the next txn_wire() would reattach to the corpse, whose every post
+  // flushes at once (the mux layer is never told a QP died).
   auto it = conns_.find(shard);
-  if (it != conns_.end() && it->second->wire.mux && it->second->wire.mux_node != nullptr &&
-      (it->second->wire.qp == nullptr || !it->second->wire.qp->open())) {
-    it->second->wire.mux_node->report_failure(shard, it->second->wire.mux_generation);
+  if (it != conns_.end() && !it->second->wire.send_recv && !it->second->wire.qp->open()) {
+    it->second->wire.mux_node->report_failure(it->second->wire.channel,
+                                              it->second->wire.mux_generation);
   }
   salvage_connection(shard);
 }
@@ -239,16 +233,7 @@ void Client::txn_commit(std::string routing_key, std::string payload, OpCallback
 
 void Client::try_rdma_read(std::uint64_t key_hash, const proto::RemotePtr& ptr,
                            PendingOp op) {
-  Conn* conn = connection_to(ptr.shard);
-  if (conn != nullptr && conn->wire.mux &&
-      !conn->wire.mux_node->live(ptr.shard, conn->wire.mux_generation)) {
-    // The shared channel this endpoint registered against was reclaimed;
-    // its QP may already carry someone else's traffic. Salvage (not drop):
-    // other slots on this logical connection may still hold in-flight or
-    // queued ops whose callbacks must re-submit, not silently vanish.
-    salvage_connection(ptr.shard);
-    conn = nullptr;
-  }
+  Conn* conn = live_connection(ptr.shard);
   if (conn == nullptr) {
     ++stats_.ptr_misses;
     submit(std::move(op));
@@ -356,6 +341,21 @@ void Client::maybe_auto_renew(const std::string& key, const proto::RemotePtr& pt
 
 // ---------------------------------------------------------------- messaging
 
+Client::Conn* Client::live_connection(ShardId shard) {
+  Conn* conn = connection_to(shard);
+  if (conn == nullptr || conn->wire.send_recv ||
+      conn->wire.mux_node->touch(conn->wire.channel, conn->wire.mux_generation)) {
+    return conn;
+  }
+  // The channel was reclaimed (idle, or failed) behind this endpoint's back:
+  // its QP may already carry someone else's traffic. Salvage (not drop):
+  // other slots on this logical connection may still hold in-flight or
+  // queued ops whose callbacks must re-submit, not silently vanish. The op
+  // at hand, which nothing has posted yet, rides a fresh channel at once.
+  salvage_connection(shard);
+  return connection_to(shard);
+}
+
 Client::Conn* Client::connection_to(ShardId shard) {
   auto it = conns_.find(shard);
   if (it != conns_.end()) return it->second.get();
@@ -371,7 +371,6 @@ Client::Conn* Client::connection_to(ShardId shard) {
   }
   free_blocks_.pop_back();
   block_to_shard_[conn->resp_block] = shard;
-  if (conn->wire.qp != nullptr) conn->qp_generation = conn->wire.qp->generation();
   conn->window = std::clamp<std::uint32_t>(conn->wire.window, 1, cfg_.window);
   conn->slots.resize(conn->window);
 
@@ -398,20 +397,20 @@ void Client::drop_connection(ShardId shard) {
   auto it = conns_.find(shard);
   if (it == conns_.end()) return;
   Conn& conn = *it->second;
-  for (Slot& s : conn.slots) {
-    scheduler().cancel(s.timeout);
-    if (s.busy && s.holds_ring_slot && conn.wire.mux && conn.wire.mux_node != nullptr) {
-      // Return credits still held on a live channel (no-op if the channel
-      // itself died -- teardown already recycled them).
-      conn.wire.mux_node->release(shard, conn.wire.mux_generation, s.mux_ring_slot);
+  for (Slot& s : conn.slots) scheduler().cancel(s.timeout);
+  if (conn.wire.send_recv) {
+    if (conn.wire.close) conn.wire.close();
+  } else {
+    // Return credits still held on a live channel (no-op if the channel
+    // itself died -- teardown already recycled them), then leave it: a
+    // channel of one goes with its endpoint.
+    for (const Slot& s : conn.slots) {
+      if (s.busy && s.holds_ring_slot) {
+        conn.wire.mux_node->release(conn.wire.channel, conn.wire.mux_generation,
+                                    s.mux_ring_slot);
+      }
     }
-  }
-  // A per-QP wire dies with its connection (a mux wire's QP belongs to the
-  // node's channel). The fabric may already have reclaimed it and handed
-  // it to a newer connection: only tear down the incarnation opened here.
-  fabric::QueuePair* qp = conn.wire.qp;
-  if (!conn.wire.mux && qp != nullptr && qp->open() && qp->generation() == conn.qp_generation) {
-    fabric_.disconnect(qp);
+    conn.wire.mux_node->detach(conn.wire.channel, conn.wire.mux_generation);
   }
   // Scrub the response ring so a later connection reusing this block never
   // sees a stale landed frame; its pages go back to the kernel.
@@ -434,7 +433,7 @@ void Client::submit(PendingOp op) {
     complete(op, Status::kDisconnected, {});
     return;
   }
-  Conn* conn = connection_to(shard);
+  Conn* conn = live_connection(shard);
   if (conn == nullptr) {
     // No route right now (mid-failover): retry shortly rather than fail.
     if (++op.retries > cfg_.max_retries) {
@@ -485,31 +484,8 @@ void Client::post_slot(ShardId shard, std::uint32_t slot_idx) {
   Slot& slot = conn.slots[slot_idx];
   const std::uint64_t req_id = slot.op.req.req_id;
 
-  if (conn.wire.mux) {
-    // Mux path: the request travels the node's shared ring, enveloped so
-    // the shard can route the response back to this endpoint's slot.
-    const proto::MuxHeader hdr{conn.wire.endpoint, slot_idx};
-    const auto payload = proto::encode_mux_request(hdr, slot.op.req);
-    const std::size_t framed_size = proto::frame_size(payload.size());
-    if (framed_size > conn.wire.req_slot_bytes) {
-      PendingOp op = std::move(slot.op);
-      slot.busy = false;
-      --conn.in_flight;
-      complete(op, Status::kInvalidArgument, {});
-      return;
-    }
-    std::vector<std::byte> frame(framed_size);
-    proto::encode_frame(frame, payload);
-    schedule_after(cfg_.issue_cost,
-                   [this, shard, slot_idx, req_id, frame = std::move(frame)]() mutable {
-                     post_mux_slot(shard, slot_idx, req_id, std::move(frame));
-                   });
-    return;
-  }
-
-  const auto payload = proto::encode_request(slot.op.req);
-
   if (conn.wire.send_recv) {
+    const auto payload = proto::encode_request(slot.op.req);
     schedule_after(cfg_.issue_cost, [this, shard, slot_idx, req_id, payload] {
       Conn* c = posting_conn(shard, slot_idx, req_id);
       if (c == nullptr) return;
@@ -520,6 +496,10 @@ void Client::post_slot(ShardId shard, std::uint32_t slot_idx) {
     return;
   }
 
+  // The request travels the channel's ring, enveloped so the shard can
+  // route the response back to this endpoint's slot.
+  const proto::MuxHeader hdr{conn.wire.endpoint, slot_idx};
+  const auto payload = proto::encode_mux_request(hdr, slot.op.req);
   const std::size_t framed_size = proto::frame_size(payload.size());
   if (framed_size > conn.wire.req_slot_bytes) {
     PendingOp op = std::move(slot.op);
@@ -530,17 +510,10 @@ void Client::post_slot(ShardId shard, std::uint32_t slot_idx) {
   }
   std::vector<std::byte> frame(framed_size);
   proto::encode_frame(frame, payload);
-  schedule_after(cfg_.issue_cost, [this, shard, slot_idx, req_id, frame = std::move(frame)] {
-    Conn* c = posting_conn(shard, slot_idx, req_id);
-    if (c == nullptr) return;
-    const fabric::RemoteAddr dst{
-        c->wire.req_slot.rkey,
-        c->wire.req_slot.offset +
-            proto::ring_slot_offset(slot_idx, c->wire.req_slot_bytes)};
-    c->wire.qp->post_write(frame, dst);
-    c->slots[slot_idx].timeout =
-        schedule_after(cfg_.request_timeout, [this, shard] { on_timeout(shard); });
-  });
+  schedule_after(cfg_.issue_cost,
+                 [this, shard, slot_idx, req_id, frame = std::move(frame)]() mutable {
+                   post_mux_slot(shard, slot_idx, req_id, std::move(frame));
+                 });
 }
 
 Client::Conn* Client::posting_conn(ShardId shard, std::uint32_t slot_idx,
@@ -556,12 +529,12 @@ void Client::post_mux_slot(ShardId shard, std::uint32_t slot_idx, std::uint64_t 
   Conn* posting = posting_conn(shard, slot_idx, req_id);
   if (posting == nullptr) return;
   Conn& conn = *posting;
-  // Claim a shared-ring credit (SRQ-style flow control). A full ring parks
-  // us on the channel's waiter list; a dead channel hands back nullptr and
-  // the op re-submits through a freshly established channel.
+  // Claim a ring credit (SRQ-style flow control). A full ring parks us on
+  // the channel's waiter list; a dead channel hands back nullptr and the op
+  // re-submits through a freshly established channel.
   NodeMux* mux = conn.wire.mux_node;
   mux->acquire(
-      shard, conn.wire.mux_generation,
+      conn.wire.channel, conn.wire.mux_generation, slot_idx,
       guard([this, mux, shard, slot_idx, req_id, frame = std::move(frame)](
                 NodeMux::Channel* ch, std::uint32_t ring_slot) {
         Conn* live = posting_conn(shard, slot_idx, req_id);
@@ -584,9 +557,8 @@ void Client::post_mux_slot(ShardId shard, std::uint32_t slot_idx, std::uint64_t 
         slot.holds_ring_slot = true;
         slot.mux_ring_slot = ring_slot;
         const fabric::RemoteAddr dst{
-            c.wire.req_slot.rkey,
-            c.wire.req_slot.offset +
-                proto::ring_slot_offset(ring_slot, c.wire.req_slot_bytes)};
+            ch->wire.req_ring.rkey,
+            ch->wire.req_ring.offset + proto::ring_slot_offset(ring_slot, ch->wire.slot_bytes)};
         ch->wire.qp->post_write(frame, dst);
         slot.timeout =
             schedule_after(cfg_.request_timeout, [this, shard] { on_timeout(shard); });
@@ -689,10 +661,11 @@ void Client::handle_response(ShardId shard, Conn& conn, const proto::Response& r
   PendingOp op = std::move(slot.op);
   slot.busy = false;
   if (slot.holds_ring_slot) {
-    // The shard consumed the shared-ring frame before answering: the
-    // credit flows back to the channel (or straight to its oldest waiter).
+    // The shard consumed the ring frame before answering: the credit flows
+    // back to the channel (or straight to its oldest waiter).
     slot.holds_ring_slot = false;
-    conn.wire.mux_node->release(shard, conn.wire.mux_generation, slot.mux_ring_slot);
+    conn.wire.mux_node->release(conn.wire.channel, conn.wire.mux_generation,
+                                slot.mux_ring_slot);
   }
   --conn.in_flight;
 
@@ -758,11 +731,12 @@ void Client::on_timeout(ShardId shard) {
                          it->second->in_flight);
   }
 
-  // A mux timeout indicts the *shared* QP, not just this endpoint: report
-  // it so the channel is torn down and every endpoint re-establishes
+  // A timeout indicts the channel's QP, not just this endpoint: report it
+  // so the channel is torn down and every endpoint riding it re-establishes
   // lazily (their own timeouts salvage their in-flight ops).
-  if (it->second->wire.mux && it->second->wire.mux_node != nullptr) {
-    it->second->wire.mux_node->report_failure(shard, it->second->wire.mux_generation);
+  if (!it->second->wire.send_recv) {
+    it->second->wire.mux_node->report_failure(it->second->wire.channel,
+                                              it->second->wire.mux_generation);
   }
 
   // Salvage every in-flight slot and everything queued on this connection,

@@ -4,7 +4,8 @@
 // RDMA-Write-driven request/response rings (up to `window` outstanding
 // requests per shard connection, each in its own indicator-encapsulated
 // slot, matched to responses by req_id so completions may arrive out of
-// order), and accelerates repeat GETs with cached remote pointers: while
+// order; requests ride a NodeMux channel's ring in MuxHeader envelopes,
+// DESIGN.md §10), and accelerates repeat GETs with cached remote pointers: while
 // the lease holds, the value is fetched by one-sided RDMA Read and
 // validated locally via the guardian word; a dead guardian falls back to
 // the message path and invalidates the cached pointer. Co-located clients
@@ -38,8 +39,6 @@ struct ClientConfig {
   ClientId id = 0;
   /// Remote-pointer caching + RDMA Read GETs (off = "RDMA Write Only").
   bool use_rdma_read = true;
-  /// Two-sided Send/Recv transport instead of RDMA-Write message passing.
-  bool use_send_recv = false;
   /// Fire-and-forget lease renewals when a hit's remaining lease runs low.
   bool auto_renew = true;
   std::uint32_t resp_slot_bytes = 16 * 1024;
@@ -120,29 +119,26 @@ struct CachedPtr {
   std::uint32_t replica_count = 0;
 };
 
-/// Everything the harness hands back when a client connects to a shard.
+/// Everything the harness hands back when a client connects to a shard: an
+/// endpoint riding a NodeMux channel (DESIGN.md §10) -- or, for the Send/Recv
+/// baseline, a QP of its own.
 struct ShardConnection {
-  fabric::QueuePair* qp = nullptr;      ///< client-side endpoint
-  fabric::RemoteAddr req_slot{};        ///< base of the request ring
-  std::uint32_t req_slot_bytes = 0;     ///< per-slot bytes of that ring
-  std::uint32_t arena_rkey = 0;
-  /// Lock-word arena of the shard (DESIGN.md §11); 0/0 = txn disabled.
-  std::uint32_t lock_rkey = 0;
-  std::uint32_t lock_words = 0;
+  fabric::QueuePair* qp = nullptr;   ///< client end of the channel's QP
+  std::uint32_t req_slot_bytes = 0;  ///< per-slot bytes of the channel's ring
   /// Ring depth the shard granted (<= the window the client requested).
   std::uint32_t window = 1;
-  bool send_recv = false;
   /// Owner incarnation (HydraCluster::shard_generation) this connection was
   /// opened under; a routing change that moves past it re-routes the
   /// connection.
   std::uint32_t owner_generation = 0;
-  // QP multiplexing (DESIGN.md §10): this logical connection is an endpoint
-  // riding its node's shared channel to the shard. `req_slot` then names
-  // the *shared* request ring; requests claim a slot of it per issue.
-  bool mux = false;
   std::uint32_t endpoint = 0;        ///< shard-side mux endpoint id
+  ChannelKey channel;                ///< the channel the endpoint rides
   std::uint64_t mux_generation = 0;  ///< channel incarnation registered against
-  NodeMux* mux_node = nullptr;       ///< the node's shared channel pool
+  NodeMux* mux_node = nullptr;       ///< the node's channel pool
+  /// Send/Recv baseline: no channel, two-sided verbs on `qp`, and `close`
+  /// tears that QP down when the client drops the connection.
+  bool send_recv = false;
+  std::function<void()> close;
 };
 
 class Client : public sim::Actor {
@@ -295,17 +291,14 @@ class Client : public sim::Actor {
     bool busy = false;
     PendingOp op;
     sim::EventId timeout{};
-    /// Mux mode: the shared-ring credit this request occupies on the wire
-    /// (claimed at issue, returned when the response lands).
+    /// The channel-ring credit this request occupies on the wire (claimed
+    /// at post, returned when the response lands).
     bool holds_ring_slot = false;
     std::uint32_t mux_ring_slot = 0;
   };
 
   struct Conn {
     ShardConnection wire;
-    /// wire.qp's incarnation at connect; a per-QP wire is disconnected on
-    /// drop only while it is still that incarnation.
-    std::uint32_t qp_generation = 0;
     std::uint32_t resp_block = 0;   ///< index of this conn's resp-ring block
     std::uint32_t window = 1;       ///< granted ring depth (slots.size())
     std::uint32_t in_flight = 0;
@@ -334,6 +327,9 @@ class Client : public sim::Actor {
   void post_slot(ShardId shard, std::uint32_t slot_idx);
   void post_mux_slot(ShardId shard, std::uint32_t slot_idx, std::uint64_t req_id,
                      std::vector<std::byte> frame);
+  /// The connection to `shard` for an op about to ride its channel, which is
+  /// stamped for the idle reaper (and re-established first if reclaimed).
+  Conn* live_connection(ShardId shard);
   /// The connection whose `slot_idx` still carries request `req_id`, or
   /// nullptr. A deferred post checks it: the connection may have been torn
   /// down, or re-routed and rebuilt with the slot holding another request.

@@ -9,16 +9,16 @@ namespace hydra::client {
 NodeMux::NodeMux(sim::Scheduler& sched, NodeId node, NodeMuxConfig cfg)
     : sim::Actor(sched, "mux-" + std::to_string(node)), node_(node), cfg_(cfg) {}
 
-NodeMux::Channel* NodeMux::channel_to(ShardId shard) {
-  auto it = channels_.find(shard);
+NodeMux::Channel* NodeMux::channel_to(ChannelKey key) {
+  auto it = channels_.find(key);
   if (it != channels_.end() && it->second.open) {
     it->second.last_activity = now();
     return &it->second;
   }
   if (!opener_) return nullptr;
-  Channel& ch = channels_[shard];  // keeps its generation across reopens
+  Channel& ch = channels_[key];  // keeps its generation across reopens
   MuxWire wire;
-  if (!opener_(shard, &wire)) return nullptr;
+  if (!opener_(key, &wire)) return nullptr;
   ch.wire = wire;
   ++ch.generation;
   ch.open = true;
@@ -28,7 +28,7 @@ NodeMux::Channel* NodeMux::channel_to(ShardId shard) {
   ch.last_activity = now();
   ++stats_.channels_opened;
   if (obs_ != nullptr) {
-    obs_->trace(now(), node_, obs::TraceKind::kMuxChannelOpened, shard, wire.group);
+    obs_->trace(now(), node_, obs::TraceKind::kMuxChannelOpened, key.shard, wire.group);
   }
   if (!reaper_armed_) {
     reaper_armed_ = true;
@@ -37,21 +37,34 @@ NodeMux::Channel* NodeMux::channel_to(ShardId shard) {
   return &ch;
 }
 
-bool NodeMux::live(ShardId shard, std::uint64_t generation) const {
-  auto it = channels_.find(shard);
-  return it != channels_.end() && it->second.open && it->second.generation == generation;
+NodeMux::Channel* NodeMux::live_channel(ChannelKey key, std::uint64_t generation) {
+  auto it = channels_.find(key);
+  if (it == channels_.end() || !it->second.open || it->second.generation != generation) {
+    return nullptr;
+  }
+  return &it->second;
 }
 
-void NodeMux::acquire(ShardId shard, std::uint64_t generation, SlotCallback cb) {
-  auto it = channels_.find(shard);
-  if (it == channels_.end() || !it->second.open || it->second.generation != generation) {
+bool NodeMux::touch(ChannelKey key, std::uint64_t generation) {
+  Channel* ch = live_channel(key, generation);
+  if (ch != nullptr) ch->last_activity = now();
+  return ch != nullptr;
+}
+
+void NodeMux::acquire(ChannelKey key, std::uint64_t generation, std::uint32_t endpoint_slot,
+                      SlotCallback cb) {
+  Channel* live = live_channel(key, generation);
+  if (live == nullptr) {
     cb(nullptr, 0);
     return;
   }
-  Channel& ch = it->second;
+  Channel& ch = *live;
   ch.last_activity = now();
+  // A channel of one pairs ring slot i with its endpoint's slot i, like a
+  // dedicated ring: that slot is free whenever the endpoint's is.
+  const std::uint32_t first = key.shared() ? ch.next_slot : endpoint_slot;
   for (std::uint32_t i = 0; i < ch.slot_busy.size(); ++i) {
-    const auto s = static_cast<std::uint32_t>((ch.next_slot + i) % ch.slot_busy.size());
+    const auto s = static_cast<std::uint32_t>((first + i) % ch.slot_busy.size());
     if (!ch.slot_busy[s]) {
       ch.slot_busy[s] = true;
       ch.next_slot = (s + 1) % static_cast<std::uint32_t>(ch.slot_busy.size());
@@ -66,12 +79,14 @@ void NodeMux::acquire(ShardId shard, std::uint64_t generation, SlotCallback cb) 
   ch.waiters.push_back(std::move(cb));
 }
 
-void NodeMux::release(ShardId shard, std::uint64_t generation, std::uint32_t slot) {
-  auto it = channels_.find(shard);
-  if (it == channels_.end() || !it->second.open || it->second.generation != generation) {
-    return;  // channel died since; teardown already recycled the credits
-  }
-  recycle(it->second, slot);
+void NodeMux::release(ChannelKey key, std::uint64_t generation, std::uint32_t slot) {
+  // A channel that died since already recycled its credits at teardown.
+  if (Channel* ch = live_channel(key, generation)) recycle(*ch, slot);
+}
+
+void NodeMux::detach(ChannelKey key, std::uint64_t generation) {
+  Channel* ch = live_channel(key, generation);
+  if (ch != nullptr && !key.shared()) close_channel(key, *ch, /*failure=*/false);
 }
 
 void NodeMux::recycle(Channel& ch, std::uint32_t slot) {
@@ -120,18 +135,14 @@ void NodeMux::end_replica_read(NodeId node) {
   ch.last_activity = now();
 }
 
-void NodeMux::report_failure(ShardId shard, std::uint64_t generation) {
-  auto it = channels_.find(shard);
-  if (it == channels_.end() || !it->second.open || it->second.generation != generation) {
-    return;
-  }
-  close_channel(shard, it->second, /*failure=*/true);
+void NodeMux::report_failure(ChannelKey key, std::uint64_t generation) {
+  if (Channel* ch = live_channel(key, generation)) close_channel(key, *ch, /*failure=*/true);
 }
 
-void NodeMux::close_channel(ShardId shard, Channel& ch, bool failure) {
+void NodeMux::close_channel(ChannelKey key, Channel& ch, bool failure) {
   ch.open = false;
   ++ch.generation;  // acquires/releases against the old incarnation no-op
-  if (closer_) closer_(shard, ch.wire);
+  if (closer_) closer_(key, ch.wire);
   ch.wire.qp = nullptr;
   ch.slot_busy.clear();
   ch.in_flight = 0;
@@ -141,7 +152,7 @@ void NodeMux::close_channel(ShardId shard, Channel& ch, bool failure) {
     ++stats_.reclaimed_idle;
   }
   if (obs_ != nullptr) {
-    obs_->trace(now(), node_, obs::TraceKind::kMuxChannelReclaimed, shard, ch.wire.group,
+    obs_->trace(now(), node_, obs::TraceKind::kMuxChannelReclaimed, key.shard, ch.wire.group,
                 failure ? 1 : 0);
   }
   // Waiters never get a credit from this incarnation; they re-establish.
@@ -152,11 +163,11 @@ void NodeMux::close_channel(ShardId shard, Channel& ch, bool failure) {
 
 void NodeMux::reap_loop() {
   bool any_open = false;
-  for (auto& [shard, ch] : channels_) {
+  for (auto& [key, ch] : channels_) {
     if (!ch.open) continue;
     if (ch.in_flight == 0 && ch.waiters.empty() &&
         now() - ch.last_activity >= cfg_.idle_timeout) {
-      close_channel(shard, ch, /*failure=*/false);
+      close_channel(key, ch, /*failure=*/false);
     } else {
       any_open = true;
     }

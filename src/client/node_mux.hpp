@@ -1,13 +1,14 @@
-// Per-client-node QP multiplexer (DESIGN.md §10).
-//
-// Every client process on one node shares a single physical QP (and a
-// single SRQ-style shared request ring) per destination shard, instead of
-// one QP per client: with thousands of co-located clients this is what
-// keeps the server NIC's connection state (and its qp_penalty) bounded.
-// Channels open lazily on first use, hand out shared-ring slots as flow
-// credits (a full ring parks the requester on a waiter list), and are
-// reclaimed when idle -- returning their QPs to the fabric's reuse pool --
-// or torn down on failure so endpoints re-establish and retransmit.
+// Per-client-node connection pool (DESIGN.md §10). A channel is one
+// physical QP plus one request ring on a shard (a mux group) carrying the
+// MuxHeader-enveloped requests of its endpoints (logical client
+// connections). With QP multiplexing all clients on the node share one
+// channel per shard, which keeps the server NIC's connection state (and its
+// qp_penalty) bounded; without it each client gets a channel of one per
+// shard -- the paper's one QP per client per shard. Channels open lazily on
+// first use, hand out ring slots as flow credits (a full ring parks the
+// requester on a waiter list), and are reclaimed when idle -- returning
+// their QPs to the fabric's reuse pool -- or torn down on failure so
+// endpoints re-establish and retransmit.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,17 @@
 
 namespace hydra::client {
 
+inline constexpr ClientId kSharedChannel = ~ClientId{0};
+
+/// Names a channel: the shard it reaches and whose requests it carries --
+/// every client of the node (kSharedChannel) or one client alone.
+struct ChannelKey {
+  ShardId shard = kInvalidShard;
+  ClientId client = kSharedChannel;
+  [[nodiscard]] bool shared() const noexcept { return client == kSharedChannel; }
+  friend auto operator<=>(const ChannelKey&, const ChannelKey&) = default;
+};
+
 struct NodeMuxConfig {
   /// Close a channel with no in-flight credits after this much inactivity.
   Duration idle_timeout = 10 * kMillisecond;
@@ -30,6 +42,7 @@ struct NodeMuxConfig {
 
 struct NodeMuxStats {
   std::uint64_t channels_opened = 0;
+  /// Closed while healthy: idle, or (a channel of one) left by its endpoint.
   std::uint64_t reclaimed_idle = 0;
   std::uint64_t reclaimed_failure = 0;
   std::uint64_t credit_waits = 0;  ///< acquires that parked on a full ring
@@ -43,14 +56,13 @@ struct NodeMuxStats {
 class NodeMux : public sim::Actor {
  public:
   /// What the cluster-side opener fills in when establishing a channel:
-  /// the client end of the shared QP plus the shard's mux-group grant.
+  /// the client end of the channel's QP plus the shard's mux-group grant.
   struct MuxWire {
     fabric::QueuePair* qp = nullptr;
     std::uint32_t group = 0;  ///< shard-side mux-group id
     fabric::RemoteAddr req_ring{};
     std::uint32_t slot_bytes = 0;
     std::uint32_t ring_slots = 0;
-    std::uint32_t arena_rkey = 0;
     /// Lock-word arena of the shard (DESIGN.md §11); 0/0 = txn disabled.
     std::uint32_t lock_rkey = 0;
     std::uint32_t lock_words = 0;
@@ -71,9 +83,11 @@ class NodeMux : public sim::Actor {
     /// rides a channel that died and was re-established behind their back.
     std::uint64_t generation = 0;
     bool open = false;
-    std::vector<bool> slot_busy;  ///< shared-ring credit pool
+    std::vector<bool> slot_busy;  ///< ring credit pool
     std::uint32_t next_slot = 0;
     std::uint32_t in_flight = 0;
+    /// Last credit claimed or returned, or one-sided op posted on wire.qp
+    /// (touch()); the idle reaper measures from here.
     Time last_activity = 0;
     /// Requests parked while the shared ring was full, woken per release.
     std::deque<std::function<void(Channel*, std::uint32_t)>> waiters;
@@ -96,11 +110,11 @@ class NodeMux : public sim::Actor {
     Time last_activity = 0;
   };
 
-  /// Establishes the shared QP + mux group for a shard; false if the shard
-  /// is currently unreachable.
-  using Opener = std::function<bool(ShardId shard, MuxWire* out)>;
-  /// Releases the shard-side group and the shared QP (fabric disconnect).
-  using Closer = std::function<void(ShardId shard, const MuxWire& wire)>;
+  /// Establishes the QP + mux group of channel `key`; false if the shard is
+  /// currently unreachable.
+  using Opener = std::function<bool(ChannelKey key, MuxWire* out)>;
+  /// Releases the shard-side group and the QP (fabric disconnect).
+  using Closer = std::function<void(ChannelKey key, const MuxWire& wire)>;
   /// acquire() continuation: the channel and a claimed ring slot, or
   /// (nullptr, 0) when the channel died before a credit freed up.
   using SlotCallback = std::function<void(Channel*, std::uint32_t slot)>;
@@ -118,30 +132,38 @@ class NodeMux : public sim::Actor {
   void set_read_closer(ReadCloser c) { read_closer_ = std::move(c); }
   void set_obs(obs::Plane* obs) noexcept { obs_ = obs; }
 
-  /// Returns the (lazily opened) channel to `shard`; nullptr when the
-  /// opener fails. The caller snapshots channel->generation.
-  Channel* channel_to(ShardId shard);
+  /// Returns the (lazily opened) channel `key`; nullptr when the opener
+  /// fails. The caller snapshots channel->generation.
+  Channel* channel_to(ChannelKey key);
 
   /// Looks up the channel without establishing one (chaos/test hook);
   /// nullptr when none was ever opened.
-  [[nodiscard]] Channel* peek_channel(ShardId shard) {
-    auto it = channels_.find(shard);
+  [[nodiscard]] Channel* peek_channel(ChannelKey key) {
+    auto it = channels_.find(key);
     return it == channels_.end() ? nullptr : &it->second;
   }
 
-  /// True when the channel the caller registered against (generation
-  /// `generation`) is still the live one.
-  [[nodiscard]] bool live(ShardId shard, std::uint64_t generation) const;
+  /// A one-sided op (pointer-hit read, lock CAS) is about to ride the QP of
+  /// the channel registered against at `generation`: stamps its activity
+  /// for the idle reaper. False when that channel is no longer live.
+  bool touch(ChannelKey key, std::uint64_t generation);
 
-  /// Claims a shared-ring slot on the channel, now or when one frees up.
-  /// The callback fires with (nullptr, 0) if `generation` is stale or the
-  /// channel dies while waiting.
-  void acquire(ShardId shard, std::uint64_t generation, SlotCallback cb);
+  /// Claims a ring slot on the channel, now or when one frees up: the
+  /// endpoint's own slot `endpoint_slot` on a channel of one, the next
+  /// free one round-robin on a shared channel. The callback fires with
+  /// (nullptr, 0) if `generation` is stale or the channel dies while
+  /// waiting.
+  void acquire(ChannelKey key, std::uint64_t generation, std::uint32_t endpoint_slot,
+               SlotCallback cb);
 
   /// Returns a slot claimed by acquire() (response received or request
   /// abandoned). No-op when `generation` is stale -- teardown already
   /// recycled every credit.
-  void release(ShardId shard, std::uint64_t generation, std::uint32_t slot);
+  void release(ChannelKey key, std::uint64_t generation, std::uint32_t slot);
+
+  /// An endpoint left the channel: a channel of one closes with it (QP and
+  /// group go at once), a shared one stays. No-op when `generation` is stale.
+  void detach(ChannelKey key, std::uint64_t generation);
 
   /// Channel-keyed credit give-back for callers holding the Channel* an
   /// acquire() callback handed them (e.g. the logical connection vanished
@@ -164,16 +186,18 @@ class NodeMux : public sim::Actor {
     return it == read_channels_.end() ? nullptr : &it->second;
   }
 
-  /// A client timed out on this channel: the shared QP is presumed dead.
-  /// Tears the channel down (all endpoints re-establish lazily and
-  /// retransmit). No-op when `generation` is stale.
-  void report_failure(ShardId shard, std::uint64_t generation);
+  /// A client timed out on this channel: its QP is presumed dead. Tears the
+  /// channel down (all endpoints re-establish lazily and retransmit). No-op
+  /// when `generation` is stale.
+  void report_failure(ChannelKey key, std::uint64_t generation);
 
   [[nodiscard]] const NodeMuxStats& stats() const noexcept { return stats_; }
   [[nodiscard]] NodeId node() const noexcept { return node_; }
 
  private:
-  void close_channel(ShardId shard, Channel& ch, bool failure);
+  /// The channel `key` at `generation` if it is the live one, else nullptr.
+  Channel* live_channel(ChannelKey key, std::uint64_t generation);
+  void close_channel(ChannelKey key, Channel& ch, bool failure);
   void reap_loop();
 
   NodeId node_;
@@ -183,7 +207,7 @@ class NodeMux : public sim::Actor {
   ReadOpener read_opener_;
   ReadCloser read_closer_;
   obs::Plane* obs_ = nullptr;
-  std::map<ShardId, Channel> channels_;
+  std::map<ChannelKey, Channel> channels_;
   std::map<NodeId, ReadChannel> read_channels_;
   bool reaper_armed_ = false;
   NodeMuxStats stats_;

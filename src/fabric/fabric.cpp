@@ -5,18 +5,15 @@
 namespace hydra::fabric {
 
 MemoryRegion* Node::register_memory(std::span<std::byte> bytes) {
-  regions_.push_back(std::make_unique<MemoryRegion>(id_, next_rkey_++, bytes));
+  const auto rkey = static_cast<std::uint32_t>(regions_.size() + 1);
+  regions_.push_back(std::make_unique<MemoryRegion>(id_, rkey, bytes));
   return regions_.back().get();
 }
 
 MemoryRegion* Node::find_region(std::uint32_t rkey) noexcept {
-  // Linear scan: nodes register a handful of large regions (arena, message
-  // buffers, replication ring), so this is not on any hot path that matters
-  // and keeps rkeys dense and debuggable.
-  for (const auto& mr : regions_) {
-    if (mr->rkey() == rkey) return mr.get();
-  }
-  return nullptr;
+  // regions_ only grows and region i carries rkey i + 1.
+  if (rkey == 0 || rkey > regions_.size()) return nullptr;
+  return regions_[rkey - 1].get();
 }
 
 Node& Fabric::add_node(std::string name) {

@@ -44,7 +44,7 @@ class Node {
   [[nodiscard]] const Nic& nic() const noexcept { return nic_; }
 
   /// Registers caller-owned bytes for remote access; the region handle
-  /// stays valid for the node's lifetime.
+  /// stays valid for the node's lifetime. rkeys count up from 1 per node.
   MemoryRegion* register_memory(std::span<std::byte> bytes);
   [[nodiscard]] MemoryRegion* find_region(std::uint32_t rkey) noexcept;
 
@@ -54,7 +54,6 @@ class Node {
   std::string name_;
   bool alive_ = true;
   Nic nic_;
-  std::uint32_t next_rkey_ = 1;
   std::vector<std::unique_ptr<MemoryRegion>> regions_;
 };
 

@@ -87,69 +87,79 @@ HydraCluster::HydraCluster(ClusterOptions opts)
   // starts a protocol, so it cannot perturb non-migrating histories.
   migration_ = std::make_unique<MigrationManager>(*this);
 
-  // --- QP multiplexing --------------------------------------------------------
-  if (opts_.mux_connections) {
-    for (NodeId node : client_node_ids_) {
-      if (node_muxes_.count(node) != 0) continue;  // colocated dedupe
-      auto mux = std::make_unique<client::NodeMux>(sched_, node, opts_.mux);
-      mux->set_obs(opts_.obs);
-      mux->set_opener([this, node](ShardId shard, client::NodeMux::MuxWire* out) {
-        if (shard >= primaries_.size()) return false;
-        ShardSlot& slot = primaries_[shard];
-        if (slot.primary == nullptr || !slot.primary->alive()) return false;
-        auto [cq, sq] = fabric_.connect(node, slot.node);
-        auto res = slot.primary->accept_mux_group(sq);
-        if (!res.ok) {
-          fabric_.disconnect(cq);
-          return false;
+  // --- connection pools ------------------------------------------------------
+  // Every request ring a client writes into is a channel of its node's pool
+  // (DESIGN.md §10): shared by the node's clients under QP multiplexing,
+  // else one channel per client and shard.
+  for (NodeId node : client_node_ids_) {
+    if (node_muxes_.count(node) != 0) continue;  // colocated dedupe
+    auto mux = std::make_unique<client::NodeMux>(sched_, node, opts_.mux);
+    mux->set_obs(opts_.obs);
+    // connect_client, the only caller, has checked that the shard is up.
+    mux->set_opener([this, node](client::ChannelKey key, client::NodeMux::MuxWire* out) {
+      ShardSlot& slot = primaries_[key.shard];
+      auto [cq, sq] = fabric_.connect(node, slot.node);
+      // A channel of one gets a client's dedicated ring depth, a shared
+      // channel the node's SRQ-sized credit pool.
+      server::Shard::MuxGroupResult res;
+      if (slot.pipelined != nullptr) {
+        res = slot.pipelined->accept_mux_group(sq);
+      } else {
+        const server::ShardConfig& cfg = slot.primary->config();
+        res = slot.primary->accept_mux_group(sq, key.shared() ? cfg.mux_ring_slots
+                                                              : cfg.ring_slots);
+      }
+      if (!res.ok) {
+        fabric_.disconnect(cq);
+        return false;
+      }
+      out->qp = cq;
+      out->group = res.group;
+      out->req_ring = res.req_ring;
+      out->slot_bytes = res.slot_bytes;
+      out->ring_slots = res.ring_slots;
+      out->lock_rkey = res.lock_rkey;
+      out->lock_words = res.lock_words;
+      out->owner_generation = slot.generation;
+      out->qp_generation = cq->generation();
+      return true;
+    });
+    mux->set_closer([this](client::ChannelKey key, const client::NodeMux::MuxWire& wire) {
+      // Only tell the shard to drop the group when it is still the same
+      // incarnation the group was opened against: a promoted replacement
+      // primary hands out its own group ids from zero.
+      ShardSlot& slot = primaries_[key.shard];
+      if (slot.generation == wire.owner_generation) {
+        if (slot.pipelined != nullptr) {
+          slot.pipelined->close_mux_group(wire.group);
+        } else if (slot.primary != nullptr && slot.primary->alive()) {
+          slot.primary->close_mux_group(wire.group);
         }
-        out->qp = cq;
-        out->group = res.group;
-        out->req_ring = res.req_ring;
-        out->slot_bytes = res.slot_bytes;
-        out->ring_slots = res.ring_slots;
-        out->arena_rkey = res.arena_rkey;
-        out->lock_rkey = res.lock_rkey;
-        out->lock_words = res.lock_words;
-        out->owner_generation = slot.generation;
-        out->qp_generation = cq->generation();
-        return true;
-      });
-      mux->set_closer([this](ShardId shard, const client::NodeMux::MuxWire& wire) {
-        // Only tell the shard to drop the group when it is still the same
-        // incarnation the group was opened against: a promoted replacement
-        // primary hands out its own group ids from zero.
-        if (shard < primaries_.size() && primaries_[shard].primary != nullptr &&
-            primaries_[shard].primary->alive() &&
-            primaries_[shard].generation == wire.owner_generation) {
-          primaries_[shard].primary->close_mux_group(wire.group);
-        }
-        // The QP slot may have been reclaimed (chaos async error) and handed
-        // to a *new* connection by the fabric pool before this closer ran:
-        // only tear down the incarnation the channel actually opened.
-        if (wire.qp != nullptr && wire.qp->open() &&
-            wire.qp->generation() == wire.qp_generation) {
-          fabric_.disconnect(wire.qp);
-        }
-      });
-      // One-sided read channels for hot-key replica reads: plain QPs to the
-      // follower's node (no mux group -- the reads target a registered promo
-      // slab, not a shard's request ring), reaped on idle unless pinned.
-      mux->set_read_opener([this, node](NodeId target) -> fabric::QueuePair* {
-        auto [cq, sq] = fabric_.connect(node, target);
-        (void)sq;
-        return cq;
-      });
-      mux->set_read_closer(
-          [this](NodeId, fabric::QueuePair* qp, std::uint32_t qp_generation) {
-            // The fabric pool may already have reused this slot for a newer
-            // connection; only tear down the incarnation we actually opened.
-            if (qp != nullptr && qp->open() && qp->generation() == qp_generation) {
-              fabric_.disconnect(qp);
-            }
-          });
-      node_muxes_[node] = std::move(mux);
-    }
+      }
+      // The QP slot may have been reclaimed (chaos async error) and handed
+      // to a *new* connection by the fabric pool before this closer ran:
+      // only tear down the incarnation the channel actually opened.
+      if (wire.qp != nullptr && wire.qp->open() &&
+          wire.qp->generation() == wire.qp_generation) {
+        fabric_.disconnect(wire.qp);
+      }
+    });
+    // One-sided read channels for hot-key replica and scan-leaf reads: plain
+    // QPs to the target node (no mux group -- the reads target registered
+    // memory, not a shard's request ring), reaped on idle unless pinned.
+    mux->set_read_opener([this, node](NodeId target) -> fabric::QueuePair* {
+      auto [cq, sq] = fabric_.connect(node, target);
+      (void)sq;
+      return cq;
+    });
+    mux->set_read_closer([this](NodeId, fabric::QueuePair* qp, std::uint32_t qp_generation) {
+      // The fabric pool may already have reused this slot for a newer
+      // connection; only tear down the incarnation we actually opened.
+      if (qp != nullptr && qp->open() && qp->generation() == qp_generation) {
+        fabric_.disconnect(qp);
+      }
+    });
+    node_muxes_[node] = std::move(mux);
   }
 
   // --- clients ---------------------------------------------------------------
@@ -161,7 +171,6 @@ HydraCluster::HydraCluster(ClusterOptions opts)
     client::ClientConfig ccfg = opts_.client_template;
     ccfg.id = static_cast<ClientId>(c);
     ccfg.use_rdma_read = opts_.client_rdma_read;
-    ccfg.use_send_recv = opts_.server_mode == server::ServerMode::kSendRecv;
 
     std::shared_ptr<client::Client::RemotePtrCache> cache;
     std::shared_ptr<client::LeafCache> leaves;
@@ -338,7 +347,6 @@ void HydraCluster::spawn_primary(ShardId id, NodeId node,
   ShardSlot& slot = primaries_[id];
   server::ShardConfig cfg = opts_.shard_template;
   cfg.id = id;
-  cfg.mode = opts_.server_mode;
   if (opts_.pipelined_servers) {
     slot.pipelined = std::make_unique<server::PipelinedShard>(
         sched_, fabric_, node, cfg, opts_.pipeline_dispatchers, opts_.pipeline_workers);
@@ -428,34 +436,13 @@ void HydraCluster::wire_client(client::Client& c) {
   // holds is still owned -- and scannable -- at the source), and the commit's
   // epoch bump restarts live cursors against the updated set.
   c.set_shard_lister([this] { return ring_.shards(); });
-  // Channels for one-sided reads of promoted hot-key copies on follower
-  // nodes. In mux mode the node's mux pool owns them (pinned while a read
-  // is in flight so the idle reaper cannot reclaim the QP under it); in
-  // direct mode the cluster keeps one cached QP per node pair.
-  c.set_replica_connector([this, &c](NodeId target) {
+  // Channels for one-sided reads of promoted hot-key copies and scan leaf
+  // pages on other nodes: the node's pool owns them, pinned while a read is
+  // in flight so the idle reaper cannot reclaim the QP under it.
+  c.set_replica_connector([mux = node_muxes_.at(c.node()).get()](NodeId target) {
     client::Client::ReplicaWire wire;
-    if (opts_.mux_connections) {
-      auto it = node_muxes_.find(c.node());
-      if (it == node_muxes_.end()) return wire;
-      client::NodeMux* mux = it->second.get();
-      wire.qp = mux->begin_replica_read(target);
-      if (wire.qp != nullptr) {
-        wire.release = [mux, target] { mux->end_replica_read(target); };
-      }
-      return wire;
-    }
-    const auto key = std::make_pair(c.node(), target);
-    auto it = read_qps_.find(key);
-    if (it != read_qps_.end() && (it->second == nullptr || !it->second->open())) {
-      read_qps_.erase(it);  // died under chaos; reconnect below
-      it = read_qps_.end();
-    }
-    if (it == read_qps_.end()) {
-      auto [cq, sq] = fabric_.connect(c.node(), target);
-      (void)sq;
-      it = read_qps_.emplace(key, cq).first;
-    }
-    wire.qp = it->second;
+    wire.qp = mux->begin_replica_read(target);
+    if (wire.qp != nullptr) wire.release = [mux, target] { mux->end_replica_read(target); };
     return wire;
   });
 }
@@ -478,77 +465,62 @@ bool HydraCluster::connect_client(ShardId shard_id, client::Client& c,
   if (shard_id >= primaries_.size()) return false;
   ShardSlot& slot = primaries_[shard_id];
   out->owner_generation = slot.generation;
-
-  if (slot.pipelined != nullptr) {
-    auto [cq, sq] = fabric_.connect(c.node(), slot.node);
-    auto res = slot.pipelined->accept(sq, resp_slot, resp_bytes, c.id());
-    if (!res.ok) return false;
-    out->qp = cq;
-    out->req_slot = res.req_slot;
-    out->req_slot_bytes = res.slot_bytes;
-    out->arena_rkey = res.arena_rkey;
-    out->window = 1;  // the pipelined comparator keeps the single-slot contract
-    out->send_recv = false;
-    return true;
+  if (slot.pipelined == nullptr && (slot.primary == nullptr || !slot.primary->alive())) {
+    return false;
   }
-  if (slot.primary == nullptr || !slot.primary->alive()) return false;
 
-  if (opts_.mux_connections && opts_.server_mode != server::ServerMode::kSendRecv) {
-    // Endpoint over the node's shared channel: lazily establishes the
-    // shared QP + mux group on first use, then registers this client's
-    // private response ring as one more endpoint riding it.
-    client::NodeMux* mux = node_muxes_[c.node()].get();
-    client::NodeMux::Channel* ch = mux->channel_to(shard_id);
-    if (ch != nullptr && ch->wire.owner_generation != slot.generation) {
-      // The channel was opened against a fallen incarnation: its group id
-      // means nothing to the successor. Close it and open a fresh one.
-      mux->report_failure(shard_id, ch->generation);
-      ch = mux->channel_to(shard_id);
-    }
-    if (ch == nullptr) return false;
-    auto res = slot.primary->accept_mux_endpoint(ch->wire.group, resp_slot, resp_bytes,
-                                                 c.id(), window);
-    if (!res.ok) {
-      // Stale channel (e.g. its primary failed over and the group id means
-      // nothing to the successor): tear it down so the retry reopens fresh.
-      mux->report_failure(shard_id, ch->generation);
+  if (slot.pipelined == nullptr && opts_.server_mode == server::ServerMode::kSendRecv) {
+    // The Fig 10 baseline: a QP of the client's own and two-sided verbs.
+    auto [cq, sq] = fabric_.connect(c.node(), slot.node);
+    if (!slot.primary->accept_send_recv(sq, c.id())) {
+      fabric_.disconnect(cq);
       return false;
     }
-    out->qp = ch->wire.qp;
-    out->req_slot = ch->wire.req_ring;
-    out->req_slot_bytes = ch->wire.slot_bytes;
-    out->arena_rkey = ch->wire.arena_rkey;
-    out->lock_rkey = ch->wire.lock_rkey;
-    out->lock_words = ch->wire.lock_words;
-    out->window = res.window;
-    out->send_recv = false;
-    out->mux = true;
-    out->endpoint = res.endpoint;
-    out->mux_generation = ch->generation;
-    out->mux_node = mux;
+    out->qp = cq;
+    out->window = window;  // Send/Recv has no ring; window just caps in-flight
+    out->send_recv = true;
+    // The fabric may have reclaimed the QP and handed it to a newer
+    // connection by the time the client drops this one: only tear down the
+    // incarnation opened here.
+    out->close = [this, cq, gen = cq->generation()] {
+      if (cq->open() && cq->generation() == gen) fabric_.disconnect(cq);
+    };
     return true;
   }
 
-  auto [cq, sq] = fabric_.connect(c.node(), slot.node);
-  if (opts_.server_mode == server::ServerMode::kSendRecv) {
-    auto res = slot.primary->accept_send_recv(sq, c.id());
-    if (!res.ok) return false;
-    out->qp = cq;
-    out->arena_rkey = res.arena_rkey;
-    out->window = window;  // Send/Recv has no ring; window just caps in-flight
-    out->send_recv = true;
-    return true;
+  // An endpoint on a channel of the client's node: the node's shared
+  // channel to the shard under QP multiplexing, else a channel of one (the
+  // pipelined comparator serves only those). The channel opens lazily on
+  // first use; the endpoint registers this client's private response ring.
+  const bool shared = opts_.mux_connections && slot.pipelined == nullptr;
+  const client::ChannelKey key{shard_id, shared ? client::kSharedChannel : c.id()};
+  client::NodeMux* mux = node_muxes_.at(c.node()).get();
+  client::NodeMux::Channel* ch = mux->channel_to(key);
+  if (ch != nullptr && ch->wire.owner_generation != slot.generation) {
+    // The channel was opened against a fallen incarnation: its group id
+    // means nothing to the successor. Close it and open a fresh one.
+    mux->report_failure(key, ch->generation);
+    ch = mux->channel_to(key);
   }
-  auto res = slot.primary->accept(sq, resp_slot, resp_bytes, c.id(), window);
-  if (!res.ok) return false;
-  out->qp = cq;
-  out->req_slot = res.req_slot;
-  out->req_slot_bytes = res.slot_bytes;
-  out->arena_rkey = res.arena_rkey;
-  out->lock_rkey = res.lock_rkey;
-  out->lock_words = res.lock_words;
+  if (ch == nullptr) return false;
+  const auto res =
+      slot.pipelined != nullptr
+          ? slot.pipelined->accept_mux_endpoint(ch->wire.group, resp_slot, resp_bytes, c.id())
+          : slot.primary->accept_mux_endpoint(ch->wire.group, resp_slot, resp_bytes, c.id(),
+                                              window);
+  if (!res.ok) {
+    // Stale channel (e.g. its primary failed over and the group id means
+    // nothing to the successor): tear it down so the retry reopens fresh.
+    mux->report_failure(key, ch->generation);
+    return false;
+  }
+  out->qp = ch->wire.qp;
+  out->req_slot_bytes = ch->wire.slot_bytes;
   out->window = res.window;
-  out->send_recv = false;
+  out->endpoint = res.endpoint;
+  out->channel = key;
+  out->mux_generation = ch->generation;
+  out->mux_node = mux;
   return true;
 }
 
@@ -568,7 +540,7 @@ client::NodeMux* HydraCluster::node_mux(int client_node_idx) noexcept {
 bool HydraCluster::kill_mux_channel(int client_node_idx, ShardId shard) {
   client::NodeMux* mux = node_mux(client_node_idx);
   if (mux == nullptr) return false;
-  client::NodeMux::Channel* ch = mux->peek_channel(shard);
+  client::NodeMux::Channel* ch = mux->peek_channel({shard});
   if (ch == nullptr || !ch->open || ch->wire.qp == nullptr ||
       !ch->wire.qp->open() || ch->wire.qp->generation() != ch->wire.qp_generation) {
     // Channel gone, or its QP slot was already reclaimed and reused by a
@@ -834,7 +806,12 @@ bool HydraCluster::promote_secondary(ShardId id,
   // as a migration epoch demotes: the re-attached secondaries' slabs were
   // zeroed by reset_stream above, and this records the withdrawal (b=1)
   // after the epoch publish so trace order pins epoch -> demotion.
-  if (fallen != nullptr) fallen->withdraw_promotions(/*reason=*/1);
+  // Its replication links go too: the replicas re-attached to the
+  // successor's own links above.
+  if (fallen != nullptr) {
+    fallen->withdraw_promotions(/*reason=*/1);
+    if (fallen->replicator() != nullptr) fallen->replicator()->disconnect_links();
+  }
   if (slot.crashed_at != 0) {
     if (opts_.obs != nullptr) {
       opts_.obs->metrics()

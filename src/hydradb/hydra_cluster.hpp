@@ -60,10 +60,12 @@ struct ClusterOptions {
   /// 4.2.4) versus exclusive caches per client (the secure-isolation
   /// configuration).
   bool share_pointer_cache = true;
-  /// QP multiplexing (DESIGN.md §10): all clients on one node share a
-  /// single physical QP + SRQ-style shared request ring per destination
-  /// shard, with lazy establishment and idle reclamation -- the connection
-  /// scalability mode. Off = the legacy one-QP-per-client wiring.
+  /// Channel scope (DESIGN.md §10). Every request ring is a channel of the
+  /// client node's NodeMux, opened lazily and reclaimed when idle. On, all
+  /// clients on one node share a single physical QP + SRQ-style shared
+  /// request ring per destination shard -- the connection scalability mode.
+  /// Off, each client gets a channel of one per shard: the paper's one QP
+  /// per client per shard, with a ring of ShardConfig::ring_slots.
   bool mux_connections = false;
   client::NodeMuxConfig mux;
   /// Ordered index + range scans (DESIGN.md §13). Forces
@@ -152,9 +154,9 @@ class HydraCluster {
   /// `client_node_idx`'s mux traffic to `shard`, WITHOUT notifying the mux
   /// layer (models an async QP error). In-flight writes flush; endpoints
   /// notice via timeout, tear the channel down and re-establish lazily.
-  /// False when no live channel exists.
+  /// False when no live shared channel exists.
   bool kill_mux_channel(int client_node_idx, ShardId shard);
-  /// The shared-channel pool of a client node (nullptr when mux is off).
+  /// The channel pool of a client node.
   [[nodiscard]] client::NodeMux* node_mux(int client_node_idx) noexcept;
   /// Mutes a primary's coordinator heartbeats for `d` of virtual time. Past
   /// the session timeout this fences the shard: the next heartbeat tick
@@ -275,11 +277,9 @@ class HydraCluster {
   std::map<NodeId, std::shared_ptr<client::LeafCache>> node_leaf_caches_;
   /// The clients of each client machine (one routing watch per machine).
   std::map<NodeId, std::vector<client::Client*>> node_clients_;
-  /// Per-client-node shared QP channel pools (mux_connections mode).
+  /// Per-client-node channel pools: every write-ring connection and every
+  /// one-sided read channel of the node's clients.
   std::map<NodeId, std::unique_ptr<client::NodeMux>> node_muxes_;
-  /// Cached one-sided read QPs for hot-key replica reads when muxing is
-  /// off: one per (client node, target node), reopened if the pair dies.
-  std::map<std::pair<NodeId, NodeId>, fabric::QueuePair*> read_qps_;
   /// Crashed actors: kept allocated so in-flight fabric ops referencing
   /// their (revoked) regions never touch freed memory.
   std::vector<std::unique_ptr<sim::Actor>> graveyard_;

@@ -29,6 +29,7 @@ void ReplicationPrimary::add_secondary(SecondaryShard& secondary) {
   link->secondary = &secondary;
   auto [primary_qp, secondary_qp] = fabric_.connect(node_, secondary.node());
   link->qp = primary_qp;
+  link->qp_generation = primary_qp->generation();
   link->ring_rkey = secondary.ring_mr()->rkey();
   link->cursor = RingCursor{secondary.ring_mr()->length(), 0};
   link->last_progress = owner_.now();
@@ -54,6 +55,14 @@ void ReplicationPrimary::remove_secondary(SecondaryShard& secondary) {
     if (link->secondary == &secondary) {
       quarantine(*link);
       return;
+    }
+  }
+}
+
+void ReplicationPrimary::disconnect_links() {
+  for (const auto& link : links_) {
+    if (link->qp->open() && link->qp->generation() == link->qp_generation) {
+      fabric_.disconnect(link->qp);
     }
   }
 }

@@ -77,6 +77,12 @@ class ReplicationPrimary {
   /// secondaries.
   void remove_secondary(SecondaryShard& secondary);
 
+  /// Tears down every link's QP pair. Called on a fallen primary once its
+  /// successor took over (the replicas re-attached to the successor's own
+  /// links). A pair the fabric already reclaimed and handed to a newer
+  /// connection is left alone.
+  void disconnect_links();
+
   /// Replicates one record to every live secondary. `done` fires according
   /// to the configured mode (immediately if there are no live secondaries).
   void replicate(proto::RepRecord rec, std::function<void()> done);
@@ -140,6 +146,7 @@ class ReplicationPrimary {
   struct Link {
     SecondaryShard* secondary = nullptr;
     fabric::QueuePair* qp = nullptr;  // primary-side endpoint
+    std::uint32_t qp_generation = 0;  ///< qp's incarnation at connect
     std::uint32_t ring_rkey = 0;
     /// Failover-arena rkey on the secondary (pulse word target); 0 when
     /// pulsing is off.

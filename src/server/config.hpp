@@ -57,7 +57,6 @@ struct CpuModel {
 
 struct ShardConfig {
   ShardId id = 0;
-  ServerMode mode = ServerMode::kRdmaWritePolling;
   core::StoreConfig store;
   CpuModel cpu;
   /// Per-connection message slot; bounds the largest framed request and

@@ -1,5 +1,7 @@
 #include "server/pipelined_shard.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -30,22 +32,45 @@ void PipelinedShard::kill() {
   sim::Actor::kill();
 }
 
-Shard::AcceptResult PipelinedShard::accept(fabric::QueuePair* server_qp,
-                                           fabric::RemoteAddr client_resp_slot,
-                                           std::uint32_t client_resp_bytes,
-                                           ClientId /*client*/) {
-  if (conns_.size() >= cfg_.max_connections) return {};
-  const auto idx = static_cast<std::uint32_t>(conns_.size());
-  conns_.push_back(
-      Connection{server_qp, client_resp_slot, client_resp_bytes, server_qp->generation()});
-  dirty_.add_endpoint();
-  Shard::AcceptResult res;
-  res.req_slot = fabric::RemoteAddr{msg_mr_->rkey(),
+Shard::MuxGroupResult PipelinedShard::accept_mux_group(fabric::QueuePair* qp) {
+  // Reuse a closed group's slot: its QP was disconnected, so nothing still
+  // in flight can land there.
+  const auto idx = static_cast<std::uint32_t>(
+      std::find_if(conns_.begin(), conns_.end(), [](const Connection& c) { return !c.open; }) -
+      conns_.begin());
+  if (idx == conns_.size()) {
+    if (idx >= cfg_.max_connections) return {};
+    conns_.emplace_back();
+    dirty_.add_endpoint();
+  }
+  proto::clear_frame(slot_span(idx));
+  conns_[idx] = Connection{qp, {}, 0, true};
+  Shard::MuxGroupResult res;
+  res.group = idx;
+  res.req_ring = fabric::RemoteAddr{msg_mr_->rkey(),
                                     static_cast<std::uint64_t>(idx) * cfg_.msg_slot_bytes};
   res.slot_bytes = cfg_.msg_slot_bytes;
-  res.arena_rkey = arena_mr_->rkey();
+  res.ring_slots = 1;
   res.ok = true;
   return res;
+}
+
+Shard::MuxEndpointResult PipelinedShard::accept_mux_endpoint(std::uint32_t group,
+                                                            fabric::RemoteAddr client_resp_slot,
+                                                            std::uint32_t client_resp_bytes,
+                                                            ClientId /*client*/) {
+  if (group >= conns_.size() || !conns_[group].open) return {};
+  conns_[group].resp_addr = client_resp_slot;
+  conns_[group].resp_bytes = client_resp_bytes;
+  Shard::MuxEndpointResult res;
+  res.endpoint = group;
+  res.window = 1;
+  res.ok = true;
+  return res;
+}
+
+void PipelinedShard::close_mux_group(std::uint32_t group) {
+  if (group < conns_.size()) conns_[group].open = false;
 }
 
 void PipelinedShard::on_request_write(std::uint64_t offset) {
@@ -71,12 +96,19 @@ void PipelinedShard::dispatcher_loop(std::size_t d) {
     scan_cost += cfg_.cpu.poll_scan;
     const auto slot = slot_span(idx);
     if (!proto::poll_frame(slot).has_value()) continue;
-    auto req = proto::decode_request(proto::frame_payload(slot));
+    // Strip the envelope: it must name this group's endpoint and the one
+    // response slot its window holds.
+    const auto payload = proto::frame_payload(slot);
+    const auto hdr = proto::decode_mux_header(payload);
+    std::optional<proto::Request> req;
+    if (hdr.has_value()) req = proto::decode_request(proto::mux_request_body(payload));
     proto::clear_frame(slot);
-    if (!req.has_value()) {
+    if (!req.has_value() || hdr->endpoint != idx || hdr->resp_slot != 0 ||
+        conns_[idx].resp_bytes == 0) {
       ++stats_.malformed;
       continue;
     }
+    ++stats_.mux_requests;
     if (fabric_.obs() != nullptr) {
       fabric_.obs()->trace(now(), node_, obs::TraceKind::kRingSweep, cfg_.id, 1, idx);
     }
@@ -179,9 +211,7 @@ void PipelinedShard::execute(proto::Request req, std::uint32_t conn_idx, std::si
 
 void PipelinedShard::send_response(const proto::Response& resp, std::uint32_t conn_idx) {
   Connection& conn = conns_[conn_idx];
-  // A client that drops its connection disconnects the QP, which the fabric
-  // may hand to a newer connection.
-  if (conn.qp->generation() != conn.qp_generation) return;
+  if (!conn.open) return;  // the group closed while the request executed
   const auto payload = proto::encode_response(resp);
   const std::size_t framed = proto::frame_size(payload.size());
   if (framed > conn.resp_bytes) return;

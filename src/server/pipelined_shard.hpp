@@ -31,26 +31,32 @@ class PipelinedShard : public sim::Actor {
   PipelinedShard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
                  ShardConfig cfg, int dispatchers = 2, int workers = 2);
 
-  /// Same wire contract as Shard::accept (polling mode only).
-  Shard::AcceptResult accept(fabric::QueuePair* server_qp,
-                             fabric::RemoteAddr client_resp_slot,
-                             std::uint32_t client_resp_bytes, ClientId client);
+  /// The same group/endpoint grant as Shard's (polling mode only), kept to
+  /// the comparator's single-slot contract: every group is a one-slot ring
+  /// with one endpoint (whose id is the group's), and the dispatcher strips
+  /// the MuxHeader envelope. A second endpoint replaces the first.
+  Shard::MuxGroupResult accept_mux_group(fabric::QueuePair* qp);
+  Shard::MuxEndpointResult accept_mux_endpoint(std::uint32_t group,
+                                               fabric::RemoteAddr client_resp_slot,
+                                               std::uint32_t client_resp_bytes,
+                                               ClientId client);
+  /// Frees the group's slot; a response still being computed for it drops.
+  void close_mux_group(std::uint32_t group);
 
   [[nodiscard]] ShardId id() const noexcept { return cfg_.id; }
   [[nodiscard]] core::KVStore& store() noexcept { return *store_; }
   [[nodiscard]] const ShardStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] int core_count() const noexcept {
-    return static_cast<int>(dispatcher_busy_.size() + worker_busy_.size());
-  }
 
   void kill() override;
 
  private:
+  /// One group: the one-slot ring at its index in msg_region_. Closed
+  /// groups' slots are reused.
   struct Connection {
     fabric::QueuePair* qp = nullptr;
-    fabric::RemoteAddr resp_addr{};
-    std::uint32_t resp_bytes = 0;
-    std::uint32_t qp_generation = 0;  ///< qp's incarnation at accept
+    fabric::RemoteAddr resp_addr{};  ///< the endpoint's response slot
+    std::uint32_t resp_bytes = 0;    ///< 0 until the endpoint registers
+    bool open = false;
   };
 
   [[nodiscard]] std::span<std::byte> slot_span(std::uint32_t idx) noexcept {

@@ -21,14 +21,9 @@ Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
       node_(node),
       cfg_(cfg),
       store_(existing_store ? std::move(existing_store)
-                            : std::make_unique<core::KVStore>(cfg.store)),
-      msg_region_(static_cast<std::size_t>(cfg.max_connections) * cfg.ring_slots *
-                  cfg.msg_slot_bytes) {
+                            : std::make_unique<core::KVStore>(cfg.store)) {
   // One region spans every item: this is what remote pointers point into.
   arena_mr_ = fabric_.node(node_).register_memory(store_->arena().bytes());
-  msg_mr_ = fabric_.node(node_).register_memory(msg_region_.bytes());
-  msg_mr_->set_write_hook(
-      guard([this](std::uint64_t offset, std::uint32_t) { on_request_write(offset); }));
   if (cfg_.txn_lock_words > 0) {
     // Registered last and only on demand: a txn-off shard performs exactly
     // the seed's registrations, keeping rkey assignment (and therefore
@@ -76,63 +71,37 @@ Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
 void Shard::kill() {
   // Process death deregisters its regions: in-flight client writes and
   // RDMA reads fail with protection errors rather than touching a corpse.
-  msg_mr_->revoke();
   arena_mr_->revoke();
   if (lock_mr_ != nullptr) lock_mr_->revoke();
   if (leaf_mr_ != nullptr) leaf_mr_->revoke();
   for (Connection& conn : conns_) {
-    if (conn.mux && conn.ring_mr != nullptr && !conn.closed) conn.ring_mr->revoke();
+    if (conn.ring_mr != nullptr && !conn.closed) conn.ring_mr->revoke();
   }
   sim::Actor::kill();
 }
 
-Shard::AcceptResult Shard::accept(fabric::QueuePair* server_qp,
-                                  fabric::RemoteAddr client_resp_slot,
-                                  std::uint32_t client_resp_bytes, ClientId client,
-                                  std::uint32_t window) {
-  if (block_to_conn_.size() >= cfg_.max_connections) return {};
-  const auto idx = static_cast<std::uint32_t>(conns_.size());
-  const auto block = static_cast<std::uint32_t>(block_to_conn_.size());
-  Connection conn;
-  conn.qp = server_qp;
-  conn.qp_generation = server_qp->generation();
-  conn.resp_addr = client_resp_slot;
-  conn.resp_bytes = client_resp_bytes;
-  conn.window = std::clamp<std::uint32_t>(window, 1, cfg_.ring_slots);
-  conn.client = client;
-  conn.region_block = block;
-  conns_.push_back(std::move(conn));
-  block_to_conn_.push_back(idx);
-  dirty_.add_endpoint();
-  AcceptResult res;
-  res.req_slot =
-      fabric::RemoteAddr{msg_mr_->rkey(), static_cast<std::uint64_t>(block) * conn_stride()};
-  res.slot_bytes = cfg_.msg_slot_bytes;
-  res.arena_rkey = arena_mr_->rkey();
-  res.window = conns_.back().window;
-  res.lock_rkey = lock_rkey();
-  res.lock_words = lock_word_count();
-  res.ok = true;
-  return res;
-}
-
-Shard::AcceptResult Shard::accept_send_recv(fabric::QueuePair* server_qp, ClientId client) {
-  if (block_to_conn_.size() >= cfg_.max_connections) return {};
-  const auto idx = static_cast<std::uint32_t>(conns_.size());
-  Connection conn;
-  conn.qp = server_qp;
-  conn.qp_generation = server_qp->generation();
-  conn.client = client;
-  conn.send_recv = true;
-  conn.region_block = static_cast<std::uint32_t>(block_to_conn_.size());
-  conn.recv_bufs.resize(8, std::vector<std::byte>(cfg_.msg_slot_bytes));
-  conns_.push_back(std::move(conn));
-  block_to_conn_.push_back(idx);
-  dirty_.add_endpoint();
-  Connection& c = conns_.back();
+bool Shard::accept_send_recv(fabric::QueuePair* server_qp, ClientId /*client*/) {
+  // A connection whose QP was torn down since its accept is dead (the
+  // client disconnects its QP when it drops the connection): reuse its slot
+  // rather than grow conns_ with every reconnect.
+  const auto dead = std::find_if(conns_.begin(), conns_.end(), [](const Connection& c) {
+    return c.send_recv && c.qp->generation() != c.qp_generation;
+  });
+  const auto idx = static_cast<std::uint32_t>(dead - conns_.begin());
+  if (idx == conns_.size()) {
+    if (live_conns_ >= cfg_.max_connections) return false;
+    ++live_conns_;
+    conns_.emplace_back();
+    dirty_.add_endpoint();
+  }
+  Connection& c = conns_[idx];
+  c.qp = server_qp;
+  c.qp_generation = server_qp->generation();
+  c.send_recv = true;
+  c.recv_bufs.assign(8, std::vector<std::byte>(cfg_.msg_slot_bytes));
   for (std::size_t i = 0; i < c.recv_bufs.size(); ++i) c.qp->post_recv(c.recv_bufs[i], i);
-  c.qp->set_recv_handler(guard([this, idx](const fabric::Completion& wc,
-                                           std::span<std::byte> data) {
+  c.qp->set_recv_handler(guard([this, idx, gen = c.qp_generation](
+                                    const fabric::Completion& wc, std::span<std::byte> data) {
     auto req = proto::decode_request(data.subspan(0, wc.byte_len));
     // Hand the buffer back to the QP immediately (flow control like real
     // verbs apps that repost inside the completion handler).
@@ -142,28 +111,27 @@ Shard::AcceptResult Shard::accept_send_recv(fabric::QueuePair* server_qp, Client
       ++stats_.malformed;
       return;
     }
-    sr_pending_.emplace_back(std::move(*req), idx);
+    sr_pending_.push_back(ReadyReq{std::move(*req), idx, 0, false, gen});
     wake();
   }));
-  AcceptResult res;
-  res.arena_rkey = arena_mr_->rkey();
-  res.slot_bytes = cfg_.msg_slot_bytes;
-  res.ok = true;
-  return res;
+  return true;
 }
 
-Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp) {
-  // Shared channels pass the same admission gate as dedicated connections:
-  // one live group per client node, never unbounded growth across the
-  // failure/reopen cycles the chaos families drive.
-  if (block_to_conn_.size() + live_mux_groups_ >= cfg_.max_connections) return {};
+Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp, std::uint32_t ring_slots) {
+  // Groups pass one admission gate: live connections, never unbounded
+  // growth across the failure/reopen cycles the chaos families drive.
+  if (live_conns_ >= cfg_.max_connections) return {};
+  ring_slots = std::max<std::uint32_t>(1, ring_slots);
   std::uint32_t idx;
-  if (!free_mux_groups_.empty()) {
+  const auto reuse =
+      std::find_if(free_mux_groups_.rbegin(), free_mux_groups_.rend(),
+                   [&](std::uint32_t g) { return conns_[g].ring_slots == ring_slots; });
+  if (reuse != free_mux_groups_.rend()) {
     // Reuse a closed group's conns_ slot: same ring bytes, but a *fresh*
     // registration (new rkey), so straggler writes addressed to the dead
     // incarnation still fault on its revoked region.
-    idx = free_mux_groups_.back();
-    free_mux_groups_.pop_back();
+    idx = *reuse;
+    free_mux_groups_.erase(std::next(reuse).base());
     Connection& c = conns_[idx];
     c.qp = qp;
     c.closed = false;
@@ -173,14 +141,13 @@ Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp) {
     idx = static_cast<std::uint32_t>(conns_.size());
     Connection conn;
     conn.qp = qp;
-    conn.mux = true;
-    conn.ring_slots = std::max<std::uint32_t>(1, cfg_.mux_ring_slots);
-    conn.ring = fabric::RegisteredBuffer(static_cast<std::size_t>(conn.ring_slots) *
+    conn.ring_slots = ring_slots;
+    conn.ring = fabric::RegisteredBuffer(static_cast<std::size_t>(ring_slots) *
                                          cfg_.msg_slot_bytes);
     conns_.push_back(std::move(conn));
     dirty_.add_endpoint();
   }
-  ++live_mux_groups_;
+  ++live_conns_;
   Connection& c = conns_[idx];
   c.ring_mr = fabric_.node(node_).register_memory(c.ring.bytes());
   c.ring_mr->set_write_hook(guard([this, idx](std::uint64_t, std::uint32_t) {
@@ -191,7 +158,6 @@ Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp) {
   res.req_ring = fabric::RemoteAddr{c.ring_mr->rkey(), 0};
   res.slot_bytes = cfg_.msg_slot_bytes;
   res.ring_slots = c.ring_slots;
-  res.arena_rkey = arena_mr_->rkey();
   res.lock_rkey = lock_rkey();
   res.lock_words = lock_word_count();
   res.ok = true;
@@ -201,8 +167,8 @@ Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp) {
 Shard::MuxEndpointResult Shard::accept_mux_endpoint(std::uint32_t group,
                                                     fabric::RemoteAddr client_resp_slot,
                                                     std::uint32_t client_resp_bytes,
-                                                    ClientId client, std::uint32_t window) {
-  if (group >= conns_.size() || !conns_[group].mux || conns_[group].closed) return {};
+                                                    ClientId /*client*/, std::uint32_t window) {
+  if (group >= conns_.size() || conns_[group].send_recv || conns_[group].closed) return {};
   // Live-endpoint admission bound: a runaway (re)registration loop must not
   // grow the table without limit. Deactivated slots below do not count.
   if (endpoints_.size() - free_endpoints_.size() >= cfg_.max_mux_endpoints) return {};
@@ -210,9 +176,8 @@ Shard::MuxEndpointResult Shard::accept_mux_endpoint(std::uint32_t group,
   ep.group = group;
   ep.resp_addr = client_resp_slot;
   ep.resp_bytes = client_resp_bytes;
-  // An endpoint can never hold more slots than the shared ring has.
+  // An endpoint can never hold more slots than the group's ring has.
   ep.window = std::clamp<std::uint32_t>(window, 1, conns_[group].ring_slots);
-  ep.client = client;
   ep.active = true;
   std::uint32_t id;
   if (!free_endpoints_.empty()) {
@@ -231,7 +196,7 @@ Shard::MuxEndpointResult Shard::accept_mux_endpoint(std::uint32_t group,
 }
 
 void Shard::close_mux_group(std::uint32_t group) {
-  if (group >= conns_.size() || !conns_[group].mux || conns_[group].closed) return;
+  if (group >= conns_.size() || conns_[group].send_recv || conns_[group].closed) return;
   Connection& c = conns_[group];
   c.closed = true;
   // Revoking the ring registration makes a straggler client write (issued
@@ -245,7 +210,7 @@ void Shard::close_mux_group(std::uint32_t group) {
     }
   }
   free_mux_groups_.push_back(group);
-  if (live_mux_groups_ > 0) --live_mux_groups_;
+  --live_conns_;
   // Withdraw any queued dirty mark: the revoked ring can never produce a
   // sweepable frame again, so the retired endpoint must not resurface from
   // the scheduler. accept_mux_group's reuse path reactivates the id.
@@ -265,12 +230,6 @@ std::uint64_t Shard::lock_word(std::uint32_t idx) const noexcept {
   return w;
 }
 
-void Shard::on_request_write(std::uint64_t offset) {
-  const auto block = static_cast<std::uint32_t>(offset / conn_stride());
-  if (block >= block_to_conn_.size()) return;
-  if (dirty_.mark(block_to_conn_[block])) wake();
-}
-
 void Shard::wake() {
   if (busy_) return;
   busy_ = true;
@@ -282,9 +241,9 @@ void Shard::wake() {
 void Shard::process_loop() {
   // Send/Recv mode: decoded requests queue up from completion handlers.
   if (!sr_pending_.empty()) {
-    auto [req, idx] = std::move(sr_pending_.front());
+    ReadyReq r = std::move(sr_pending_.front());
     sr_pending_.pop_front();
-    handle(std::move(req), idx, 0, cfg_.cpu.poll_scan, /*batched=*/false);
+    handle(std::move(r.req), r.conn_idx, 0, cfg_.cpu.poll_scan, /*batched=*/false, r.endpoint);
     return;
   }
   // Requests an earlier sweep already decoded execute before new polling.
@@ -294,15 +253,15 @@ void Shard::process_loop() {
     handle(std::move(r.req), r.conn_idx, r.slot, 0, r.batched, r.endpoint);
     return;
   }
-  // Polling mode: round-robin over connections whose rings saw a write;
-  // a dirty connection has all of its occupied slots drained in one sweep.
-  // The scheduler pops exactly the endpoints that saw traffic, so this is
-  // O(active) per wakeup no matter how many connections are registered.
+  // Polling mode: round-robin over groups whose rings saw a write; a dirty
+  // group has all of its occupied slots drained in one sweep. The scheduler
+  // pops exactly the groups that saw traffic, so this is O(active) per
+  // wakeup no matter how many connections are registered.
   Duration scan_cost = 0;
   while (!dirty_.empty()) {
     const std::uint32_t idx = dirty_.pop();
     scan_cost += cfg_.cpu.poll_scan;
-    sweep_connection(idx);
+    sweep_group(idx);
     if (!ready_.empty()) {
       ReadyReq r = std::move(ready_.front());
       ready_.pop_front();
@@ -314,53 +273,15 @@ void Shard::process_loop() {
   busy_ = false;  // idle; the write hook re-arms us
 }
 
-void Shard::sweep_connection(std::uint32_t idx) {
-  if (conns_[idx].mux) {
-    sweep_mux_group(idx);
-    return;
-  }
-  const Connection& conn = conns_[idx];
-  bool first_in_sweep = true;
-  std::uint32_t decoded = 0;
-  for (std::uint32_t slot = 0; slot < conn.window; ++slot) {
-    const auto span = slot_span(conn.region_block, slot);
-    switch (proto::probe_frame(span)) {
-      case proto::FrameState::kEmpty:
-      case proto::FrameState::kPartial:  // still landing; redirtied on commit
-        continue;
-      case proto::FrameState::kMalformed:
-        // Torn or garbage bytes: scrub the whole slot so the ring does not
-        // wedge on a head word that lies about its size.
-        ++stats_.malformed;
-        msg_region_.zero(static_cast<std::size_t>(span.data() - msg_region_.data()),
-                         span.size());
-        continue;
-      case proto::FrameState::kReady:
-        break;
-    }
-    auto req = proto::decode_request(proto::frame_payload(span));
-    proto::clear_frame(span);
-    if (!req.has_value()) {
-      ++stats_.malformed;
-      continue;
-    }
-    ready_.push_back(ReadyReq{std::move(*req), idx, slot, !first_in_sweep});
-    first_in_sweep = false;
-    ++decoded;
-  }
-  if (decoded > 0 && fabric_.obs() != nullptr) {
-    fabric_.obs()->trace(now(), node_, obs::TraceKind::kRingSweep, cfg_.id, decoded, idx);
-  }
-}
-
-void Shard::sweep_mux_group(std::uint32_t idx) {
+void Shard::sweep_group(std::uint32_t idx) {
   Connection& conn = conns_[idx];
   if (conn.closed) return;
   bool first_in_sweep = true;
   std::uint32_t decoded = 0;
-  std::uint32_t occupied = 0;  // SRQ depth at sweep time (ready + landing)
+  std::uint32_t occupied = 0;  // ring depth at sweep time (ready + landing)
   for (std::uint32_t slot = 0; slot < conn.ring_slots; ++slot) {
-    const auto span = mux_slot_span(conn, slot);
+    const std::span<std::byte> span{
+        conn.ring.data() + proto::ring_slot_offset(slot, cfg_.msg_slot_bytes), cfg_.msg_slot_bytes};
     switch (proto::probe_frame(span)) {
       case proto::FrameState::kEmpty:
         continue;
@@ -368,6 +289,8 @@ void Shard::sweep_mux_group(std::uint32_t idx) {
         ++occupied;
         continue;
       case proto::FrameState::kMalformed:
+        // Torn or garbage bytes: scrub the whole slot so the ring does not
+        // wedge on a head word that lies about its size.
         ++stats_.malformed;
         conn.ring.zero(proto::ring_slot_offset(slot, cfg_.msg_slot_bytes), span.size());
         continue;
@@ -852,10 +775,9 @@ void Shard::handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_
 
   // The batch must fit the requester's response slot -- leave margin for the
   // response envelope + frame so send_response never degrades a scan.
-  std::uint32_t resp_bytes = conns_[conn_idx].resp_bytes;
-  if (endpoint != kNoEndpoint && endpoint < endpoints_.size()) {
-    resp_bytes = endpoints_[endpoint].resp_bytes;
-  }
+  // (Send/Recv does not know the client's receive buffers: one entry a batch.)
+  const std::uint32_t resp_bytes =
+      conns_[conn_idx].send_recv ? 0 : endpoints_[endpoint].resp_bytes;
   const std::size_t budget = resp_bytes > 192 ? resp_bytes - 192 : 0;
   const std::uint32_t limit =
       std::min(std::max<std::uint32_t>(sreq->limit, 1), cfg_.scan_max_batch);
@@ -978,31 +900,27 @@ void Shard::release_mirror_page(std::uint64_t offset, std::uint32_t len) {
 void Shard::send_response(const proto::Response& resp, std::uint32_t conn_idx,
                           std::uint32_t slot, bool batched, std::uint32_t endpoint) {
   Connection& conn = conns_[conn_idx];
-  // Mux requests answer into the *endpoint's* private response ring; the
-  // shared group QP carries the write. If the group died while the request
-  // was executing, drop the response -- the endpoint retransmits through a
-  // fresh channel and the (idempotent-at-the-client) retry re-answers.
-  fabric::RemoteAddr resp_base = conn.resp_addr;
-  std::uint32_t resp_bytes = conn.resp_bytes;
-  if (endpoint != kNoEndpoint) {
-    if (conn.closed || endpoint >= endpoints_.size() || !endpoints_[endpoint].active) return;
-    resp_base = endpoints_[endpoint].resp_addr;
-    resp_bytes = endpoints_[endpoint].resp_bytes;
-  } else if (!conn.mux && conn.qp->generation() != conn.qp_generation) {
-    // The client dropped this connection and disconnected its QP, which
-    // the fabric may already have handed to another connection.
-    return;
-  }
-  // The response lands in the resp-ring slot matching the request's slot,
-  // which is exactly what releases that slot pair for reuse at the client.
-  const fabric::RemoteAddr dst{resp_base.rkey,
-                               resp_base.offset + proto::ring_slot_offset(slot, resp_bytes)};
-  const auto payload = proto::encode_response(resp);
   if (conn.send_recv) {
-    conn.qp->post_send(payload);
+    // `endpoint` is the QP incarnation the request arrived on. The client
+    // dropped the connection if it moved since: the fabric may already have
+    // handed the QP, and this slot, to another connection.
+    if (conn.qp->generation() != endpoint) return;
+    conn.qp->post_send(proto::encode_response(resp));
     ++stats_.responses;
     return;
   }
+  // Requests answer into their *endpoint's* private response ring; the
+  // group QP carries the write. If the group died while the request was
+  // executing, drop the response -- the endpoint retransmits through a
+  // fresh channel and the (idempotent-at-the-client) retry re-answers.
+  if (conn.closed || endpoint >= endpoints_.size() || !endpoints_[endpoint].active) return;
+  const MuxEndpoint& ep = endpoints_[endpoint];
+  // The response lands in the resp-ring slot the envelope named, which is
+  // exactly what releases that slot pair for reuse at the client.
+  const std::uint32_t resp_bytes = ep.resp_bytes;
+  const fabric::RemoteAddr dst{ep.resp_addr.rkey,
+                               ep.resp_addr.offset + proto::ring_slot_offset(slot, resp_bytes)};
+  const auto payload = proto::encode_response(resp);
   const std::size_t framed = proto::frame_size(payload.size());
   if (framed > resp_bytes) {
     // Response exceeds the client's slot (value too large for the

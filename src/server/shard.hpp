@@ -1,13 +1,14 @@
 // The shard: HydraDB's server-side unit of execution (paper section 4.1.1).
 //
 // One shard == one core == one partition. A single logical thread detects
-// requests by polling per-connection request rings (filled by client RDMA
-// Writes), executes them against its exclusively-owned KVStore, and answers
-// with an RDMA Write into the matching slot of the client's response ring.
-// A wakeup sweeps every occupied slot of a dirty connection at once, and
-// all responses after the sweep's first share one doorbell (batched WQE
-// cost). There are no locks anywhere on this path. The same class also
-// supports the two-sided Send/Recv mode used as the Figure 10 baseline.
+// requests by polling request rings (filled by client RDMA Writes, one ring
+// per mux group, DESIGN.md §10), executes them against its exclusively-owned
+// KVStore, and answers with an RDMA Write into the slot the request's
+// envelope names in its endpoint's response ring. A wakeup sweeps every
+// occupied slot of a dirty ring at once, and all responses after the
+// sweep's first share one doorbell (batched WQE cost). There are no locks
+// anywhere on this path. The same class also supports the two-sided
+// Send/Recv mode used as the Figure 10 baseline.
 #pragma once
 
 #include <cstdint>
@@ -66,40 +67,17 @@ class Shard : public sim::Actor {
   Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node, ShardConfig cfg,
         std::unique_ptr<core::KVStore> existing_store = nullptr);
 
-  // --- connection management ---------------------------------------------
-  struct AcceptResult {
-    fabric::RemoteAddr req_slot;  ///< base of the client's request ring
-    std::uint32_t slot_bytes = 0;
-    std::uint32_t arena_rkey = 0;  ///< region containing RDMA-readable items
-    /// Granted ring depth: min(client-requested, config ring_slots). Request
-    /// slot i lives at req_slot.offset + i * slot_bytes and its response is
-    /// written to the client's resp ring at the same slot index.
-    std::uint32_t window = 1;
-    /// Lock-word arena (DESIGN.md §11): 0/0 when transactions are disabled.
-    std::uint32_t lock_rkey = 0;
-    std::uint32_t lock_words = 0;
-    bool ok = false;
-  };
-
-  /// Polling-mode accept: the shard dedicates a request-ring of `window`
-  /// slots to this connection and remembers where responses go
-  /// (`client_resp_slot` is the base of an equally deep response ring of
-  /// `client_resp_bytes`-sized slots).
-  AcceptResult accept(fabric::QueuePair* server_qp, fabric::RemoteAddr client_resp_slot,
-                      std::uint32_t client_resp_bytes, ClientId client,
-                      std::uint32_t window = 1);
-
+  // --- connections (DESIGN.md §10) ----------------------------------------
   /// Send/Recv-mode accept (Fig 10 baseline): posts receive buffers and
-  /// answers via post_send.
-  AcceptResult accept_send_recv(fabric::QueuePair* server_qp, ClientId client);
+  /// answers via post_send. The slot of a connection whose QP was torn down
+  /// since is reused; false past max_connections live connections.
+  bool accept_send_recv(fabric::QueuePair* server_qp, ClientId client);
 
-  // --- QP multiplexing (DESIGN.md §10) -------------------------------------
   struct MuxGroupResult {
     std::uint32_t group = 0;      ///< group id, passed to accept_mux_endpoint
-    fabric::RemoteAddr req_ring;  ///< base of the shared request ring
+    fabric::RemoteAddr req_ring;  ///< base of the group's request ring
     std::uint32_t slot_bytes = 0;
-    std::uint32_t ring_slots = 0;  ///< shared ring depth == SRQ credit pool
-    std::uint32_t arena_rkey = 0;
+    std::uint32_t ring_slots = 0;  ///< ring depth == the group's credit pool
     /// Lock-word arena (DESIGN.md §11): 0/0 when transactions are disabled.
     std::uint32_t lock_rkey = 0;
     std::uint32_t lock_words = 0;
@@ -111,23 +89,24 @@ class Shard : public sim::Actor {
     bool ok = false;
   };
 
-  /// Registers one shared request ring ("SRQ") served over `qp`. All
-  /// endpoints of one client node share this ring: frames carry a MuxHeader
-  /// naming the endpoint and its response slot.
-  MuxGroupResult accept_mux_group(fabric::QueuePair* qp);
+  /// Registers a request ring of `ring_slots` slots served over `qp` -- one
+  /// client channel, shared by a node's endpoints ("SRQ") or carrying one.
+  /// Frames carry a MuxHeader naming the endpoint and its response slot.
+  /// Refused past max_connections live connections.
+  MuxGroupResult accept_mux_group(fabric::QueuePair* qp, std::uint32_t ring_slots);
 
   /// Adds a logical client endpoint to an existing mux group. Responses are
   /// RDMA-written into slot MuxHeader::resp_slot of the endpoint's private
   /// response ring at `client_resp_slot` (`window` slots of
-  /// `client_resp_bytes` each).
+  /// `client_resp_bytes` each), the window clamped to the group's depth.
   MuxEndpointResult accept_mux_endpoint(std::uint32_t group,
                                         fabric::RemoteAddr client_resp_slot,
                                         std::uint32_t client_resp_bytes, ClientId client,
                                         std::uint32_t window = 1);
 
-  /// Tears down a mux group (client node reclaimed the shared QP): revokes
-  /// the shared ring's memory registration so in-flight client writes fault
-  /// instead of landing, and deactivates every endpoint riding the group.
+  /// Tears down a mux group (the client side reclaimed its QP): revokes the
+  /// ring's memory registration so in-flight client writes fault instead of
+  /// landing, and deactivates every endpoint riding the group.
   void close_mux_group(std::uint32_t group);
 
   // --- replication ---------------------------------------------------------
@@ -206,31 +185,26 @@ class Shard : public sim::Actor {
   [[nodiscard]] core::KVStore& store() noexcept { return *store_; }
   [[nodiscard]] const ShardStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ShardConfig& config() const noexcept { return cfg_; }
+  /// Connection slots allocated (closed ones are reused).
   [[nodiscard]] std::size_t connection_count() const noexcept { return conns_.size(); }
+  /// Connections counted against max_connections (see live_conns_).
+  [[nodiscard]] std::uint32_t live_connections() const noexcept { return live_conns_; }
 
   void kill() override;
 
  private:
-  static constexpr std::uint32_t kNoEndpoint = 0xffffffffu;
-
+  /// A mux group (a request ring written over `qp`) or, in Send/Recv mode, a
+  /// two-sided connection.
   struct Connection {
     fabric::QueuePair* qp = nullptr;
-    /// qp's incarnation at accept (per-QP connections): a client that drops
-    /// the connection disconnects the QP, and the fabric may hand it to a
-    /// newer connection.
-    std::uint32_t qp_generation = 0;
-    fabric::RemoteAddr resp_addr{};  ///< base of the client's response ring
-    std::uint32_t resp_bytes = 0;    ///< per-slot bytes of that ring
-    std::uint32_t window = 1;        ///< granted ring depth
-    ClientId client = 0;
     bool send_recv = false;
-    std::uint32_t region_block = 0;  ///< this connection's block in msg_region_
+    /// Send/Recv: qp's incarnation at accept. A client that drops the
+    /// connection disconnects the QP and the fabric may hand it to a newer
+    /// connection, so a moved generation marks this one dead.
+    std::uint32_t qp_generation = 0;
     /// Send/Recv mode owns its receive buffers (re-posted after use).
     std::vector<std::vector<std::byte>> recv_bufs;
-    // Mux groups own a shared request ring instead of a block of
-    // msg_region_; frames there carry a MuxHeader for demultiplexing.
-    bool mux = false;
-    bool closed = false;
+    bool closed = false;  ///< mux group torn down; its slot awaits reuse
     std::uint32_t ring_slots = 0;
     fabric::RegisteredBuffer ring;  ///< its bytes stay put when conns_ grows
     fabric::MemoryRegion* ring_mr = nullptr;
@@ -242,44 +216,27 @@ class Shard : public sim::Actor {
     fabric::RemoteAddr resp_addr{};
     std::uint32_t resp_bytes = 0;
     std::uint32_t window = 1;
-    ClientId client = 0;
     bool active = false;
   };
 
   /// A decoded request waiting for the shard core; `batched` marks every
   /// request after the first of one ring sweep, whose response shares the
-  /// sweep's doorbell. `endpoint` is kNoEndpoint on the legacy path and a
-  /// mux endpoint id for requests demultiplexed off a shared ring.
+  /// sweep's doorbell. `slot` and `endpoint` come from the request's
+  /// MuxHeader; a Send/Recv request has no slot, and its `endpoint` holds
+  /// the QP incarnation it arrived on.
   struct ReadyReq {
     proto::Request req;
     std::uint32_t conn_idx = 0;
     std::uint32_t slot = 0;
     bool batched = false;
-    std::uint32_t endpoint = kNoEndpoint;
+    std::uint32_t endpoint = 0;
   };
 
-  /// Bytes one connection's request ring occupies in msg_region_.
-  [[nodiscard]] std::size_t conn_stride() const noexcept {
-    return static_cast<std::size_t>(cfg_.ring_slots) * cfg_.msg_slot_bytes;
-  }
-  [[nodiscard]] std::span<std::byte> slot_span(std::uint32_t block, std::uint32_t slot) noexcept {
-    return {msg_region_.data() + static_cast<std::size_t>(block) * conn_stride() +
-                proto::ring_slot_offset(slot, cfg_.msg_slot_bytes),
-            cfg_.msg_slot_bytes};
-  }
-  [[nodiscard]] std::span<std::byte> mux_slot_span(Connection& conn,
-                                                   std::uint32_t slot) noexcept {
-    return {conn.ring.data() + proto::ring_slot_offset(slot, cfg_.msg_slot_bytes),
-            cfg_.msg_slot_bytes};
-  }
-
-  void on_request_write(std::uint64_t offset);
   void wake();
   void process_loop();
-  void sweep_connection(std::uint32_t idx);
-  void sweep_mux_group(std::uint32_t idx);
+  void sweep_group(std::uint32_t idx);
   void handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
-              Duration cost_so_far, bool batched, std::uint32_t endpoint = kNoEndpoint);
+              Duration cost_so_far, bool batched, std::uint32_t endpoint);
   /// kTxnCommit: validates epoch + ownership + lock words for the whole
   /// group, then applies every op in this one invocation (all-or-nothing;
   /// a mid-group store failure rolls the applied prefix back).
@@ -300,7 +257,7 @@ class Shard : public sim::Actor {
   /// that must move to another size class).
   void release_mirror_page(std::uint64_t offset, std::uint32_t len);
   void send_response(const proto::Response& resp, std::uint32_t conn_idx,
-                     std::uint32_t slot, bool batched, std::uint32_t endpoint = kNoEndpoint);
+                     std::uint32_t slot, bool batched, std::uint32_t endpoint);
   void charge(Duration cost) noexcept { stats_.busy_time += cost; }
   void schedule_gc();
 
@@ -365,9 +322,6 @@ class Shard : public sim::Actor {
   std::unique_ptr<core::KVStore> store_;
   fabric::MemoryRegion* arena_mr_;
 
-  fabric::RegisteredBuffer msg_region_;
-  fabric::MemoryRegion* msg_mr_;
-
   /// 2PL lock words clients CAS one-sidedly; registered only when
   /// cfg_.txn_lock_words > 0 so txn-off runs keep the seed's rkey sequence.
   fabric::RegisteredBuffer lock_region_;
@@ -390,22 +344,20 @@ class Shard : public sim::Actor {
   std::unordered_map<std::uint64_t, MirrorPage> mirror_pages_;  ///< leaf id -> page
 
   std::vector<Connection> conns_;
-  /// Maps msg_region_ block index -> conns_ index for legacy connections
-  /// (identical when no mux groups interleave with accepts).
-  std::vector<std::uint32_t> block_to_conn_;
   DirtyScheduler dirty_;
   std::vector<MuxEndpoint> endpoints_;
   /// conns_ slots of closed mux groups, reused by the next accept_mux_group
-  /// (same ring bytes, fresh registration) so reopen cycles do not grow
-  /// conns_ -- and counted against max_connections while live.
+  /// of the same depth (same ring bytes, fresh registration) so reopen
+  /// cycles do not grow conns_.
   std::vector<std::uint32_t> free_mux_groups_;
-  std::uint32_t live_mux_groups_ = 0;
+  /// Live mux groups plus Send/Recv connections not yet found dead.
+  std::uint32_t live_conns_ = 0;
   /// Deactivated MuxEndpoint slots, reused on the next registration.
   std::vector<std::uint32_t> free_endpoints_;
   /// Requests decoded by a ring sweep, waiting for the shard core.
   std::deque<ReadyReq> ready_;
   /// Send/Recv mode: decoded requests waiting for the shard thread.
-  std::deque<std::pair<proto::Request, std::uint32_t>> sr_pending_;
+  std::deque<ReadyReq> sr_pending_;
   bool busy_ = false;
   bool gc_scheduled_ = false;
 

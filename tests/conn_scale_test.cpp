@@ -1,7 +1,8 @@
 // Connection-scalability tests (DESIGN.md §10): QP multiplexing over shared
-// request rings, lazy channel establishment, idle/failure reclamation, and
-// the index-driven dirty scheduler's O(active)-per-wakeup guarantee with
-// tens of thousands of registered connections.
+// request rings, per-client channels of one, lazy channel establishment,
+// idle/failure reclamation, live-connection admission, and the index-driven
+// dirty scheduler's O(active)-per-wakeup guarantee with tens of thousands of
+// registered connections.
 #include <algorithm>
 #include <cstdint>
 #include <deque>
@@ -188,13 +189,16 @@ MuxRunResult run_fifty_clients(bool mux) {
 }
 
 TEST(ConnScale, MuxSharesOneQpPerNodeShardPair) {
-  const MuxRunResult legacy = run_fifty_clients(false);
+  const MuxRunResult per_client = run_fifty_clients(false);
   const MuxRunResult muxed = run_fifty_clients(true);
 
-  // Legacy wiring: one QP per client per shard it talks to -- at least one
-  // per client. Mux wiring: at most client_nodes x shards shared QPs.
-  EXPECT_GE(legacy.qp_connects, 50u);
-  EXPECT_EQ(legacy.mux_requests, 0u);
+  // Per-client wiring: a channel of one (its own QP) per client per shard
+  // it talks to -- at least one per client -- and every one of the 400
+  // requests rides a group ring in its envelope. Mux wiring: at most
+  // client_nodes x shards shared QPs.
+  EXPECT_GE(per_client.qp_connects, 50u);
+  EXPECT_GE(per_client.channels_opened, 50u);
+  EXPECT_EQ(per_client.mux_requests, 400u);
   EXPECT_LE(muxed.qp_connects, 4u);
   EXPECT_GT(muxed.mux_requests, 0u);
   EXPECT_GE(muxed.channels_opened, 2u);
@@ -233,6 +237,90 @@ TEST(ConnScale, IdleChannelReclaimedAndLazilyReopened) {
   EXPECT_EQ(*got, "v");
   EXPECT_GE(cluster.fabric().stats().qp_slot_reuses, 1u);
   EXPECT_GE(cluster.node_mux(0)->stats().channels_opened, 2u);
+}
+
+// A client whose GETs to a shard are all pointer hits posts only one-sided
+// reads on its channel's QP. Each read stamps the channel, so the idle
+// reaper leaves it be: no reclaim, no flushed read, no message-path GET.
+// Unstamped, the channel would be reaped one idle timeout after warm-up and
+// the next read would find it stale and fall back to a message GET.
+TEST(ConnScale, PointerHitsKeepTheirChannelFromTheReaper) {
+  db::ClusterOptions opts;
+  opts.server_nodes = 1;
+  opts.shards_per_node = 1;
+  opts.client_nodes = 1;
+  opts.clients_per_node = 1;
+  opts.enable_swat = false;
+  opts.mux_connections = true;  // default mux config: 10 ms idle timeout
+  opts.client_template.auto_renew = false;  // renewals would ride the ring
+  opts.shard_template.store.arena_bytes = 8 << 20;
+  db::HydraCluster cluster(opts);
+  auto* c = cluster.clients()[0];
+
+  ASSERT_EQ(cluster.put("k", "v"), Status::kOk);
+  ASSERT_EQ(cluster.get("k"), "v");  // message GET: caches the pointer
+  ASSERT_EQ(cluster.get("k"), "v");  // first pointer hit
+  const std::uint64_t hits = c->stats().ptr_hits;
+  const std::uint64_t misses = c->stats().ptr_misses;
+  ASSERT_EQ(hits, 1u);
+
+  // Three idle timeouts of pointer hits only, one every 100 us.
+  const Duration span = 3 * opts.mux.idle_timeout;
+  const int reads = static_cast<int>(span / (100 * kMicrosecond));
+  for (int i = 0; i < reads; ++i) {
+    cluster.run_for(100 * kMicrosecond);
+    ASSERT_EQ(cluster.get("k"), "v") << i;
+  }
+  EXPECT_EQ(cluster.node_mux(0)->stats().reclaimed_idle, 0u);
+  EXPECT_EQ(c->stats().ptr_misses, misses);
+  EXPECT_EQ(c->stats().ptr_hits, hits + static_cast<std::uint64_t>(reads));
+  EXPECT_EQ(cluster.node_mux(0)->stats().channels_opened, 1u);
+}
+
+// ------------------------------------------------ lifetime connection cap
+
+/// One client reconnects to its shard ten times through
+/// Client::invalidate_connection, half of them after the connection's QP
+/// was killed under it. The shard admits at most four live connections, so
+/// it must free each dropped one: every op completes Ok and never more
+/// than one connection is live. A shard that counted connections ever
+/// accepted would refuse the fifth connect and time its op out.
+void reconnect_ten_times(server::ServerMode mode) {
+  db::ClusterOptions opts;
+  opts.server_nodes = 1;
+  opts.shards_per_node = 1;
+  opts.client_nodes = 1;
+  opts.clients_per_node = 1;
+  opts.enable_swat = false;
+  opts.server_mode = mode;
+  opts.client_template.request_timeout = kMillisecond;
+  opts.shard_template.max_connections = 4;
+  opts.shard_template.store.arena_bytes = 8 << 20;
+  db::HydraCluster cluster(opts);
+  auto* c = cluster.clients()[0];
+
+  ASSERT_EQ(cluster.put("k0", "v0"), Status::kOk);
+  for (int i = 1; i <= 10; ++i) {
+    if (i % 2 == 0) {
+      const client::Client::TxnWire wire = c->txn_wire(0);
+      ASSERT_NE(wire.qp, nullptr) << i;
+      cluster.fabric().disconnect(wire.qp);
+    }
+    c->invalidate_connection(0);
+    const std::string key = "k" + std::to_string(i);
+    ASSERT_EQ(cluster.put(key, "v" + std::to_string(i)), Status::kOk) << i;
+    ASSERT_EQ(cluster.get(key), "v" + std::to_string(i)) << i;
+    EXPECT_LE(cluster.shard(0)->live_connections(), 1u) << i;
+  }
+  EXPECT_EQ(c->stats().failures, 0u);
+}
+
+TEST(ConnScale, ReconnectsNeverExhaustTheConnectionCap) {
+  reconnect_ten_times(server::ServerMode::kRdmaWritePolling);
+}
+
+TEST(ConnScale, SendRecvReconnectsNeverExhaustTheConnectionCap) {
+  reconnect_ten_times(server::ServerMode::kSendRecv);
 }
 
 // -------------------------------------------------- channel death salvage
@@ -309,10 +397,10 @@ TEST(ConnScale, StaleMuxGenerationSalvagesInFlightOps) {
   // bumps underneath this client while its requests are outstanding.
   auto* mux = cluster.node_mux(0);
   ASSERT_NE(mux, nullptr);
-  auto* ch = mux->peek_channel(0);
+  auto* ch = mux->peek_channel({0});
   ASSERT_NE(ch, nullptr);
   ASSERT_TRUE(ch->open);
-  mux->report_failure(0, ch->generation);
+  mux->report_failure({0}, ch->generation);
 
   // The next cached-pointer GET sees the stale generation. It must salvage
   // the connection -- every in-flight PUT retries and completes -- not drop
@@ -335,16 +423,16 @@ TEST(ConnScale, StaleMuxGenerationSalvagesInFlightOps) {
 TEST(ConnScale, RecycleHandsFreedCreditToOldestWaiter) {
   sim::Scheduler sched;
   client::NodeMux mux(sched, 0, client::NodeMuxConfig{});
-  mux.set_opener([](ShardId, client::NodeMux::MuxWire* out) {
+  mux.set_opener([](client::ChannelKey, client::NodeMux::MuxWire* out) {
     out->ring_slots = 1;  // a single credit forces the second acquire to park
     return true;
   });
-  auto* ch = mux.channel_to(0);
+  auto* ch = mux.channel_to({0});
   ASSERT_NE(ch, nullptr);
 
   int grants = 0;
   std::uint32_t first_slot = 99;
-  mux.acquire(0, ch->generation, [&](client::NodeMux::Channel* c, std::uint32_t s) {
+  mux.acquire({0}, ch->generation, 0, [&](client::NodeMux::Channel* c, std::uint32_t s) {
     ASSERT_NE(c, nullptr);
     ++grants;
     first_slot = s;
@@ -353,7 +441,7 @@ TEST(ConnScale, RecycleHandsFreedCreditToOldestWaiter) {
   ASSERT_EQ(first_slot, 0u);
 
   bool waiter_granted = false;
-  mux.acquire(0, ch->generation, [&](client::NodeMux::Channel* c, std::uint32_t s) {
+  mux.acquire({0}, ch->generation, 0, [&](client::NodeMux::Channel* c, std::uint32_t s) {
     waiter_granted = c != nullptr;
     EXPECT_EQ(s, 0u);
   });
@@ -506,13 +594,18 @@ TEST(ConnScale, WakeupIsOActiveAmongTensOfThousandsRegistered) {
   std::vector<std::byte> resp_ring(4096);
   auto* resp_mr = fabric.node(client_node).register_memory(resp_ring);
 
+  // One channel of one per client: a one-slot group with one endpoint.
   constexpr std::uint32_t kConns = 50'000;
   std::vector<fabric::RemoteAddr> req_rings(kConns);
+  std::vector<std::uint32_t> endpoints(kConns);
   for (std::uint32_t i = 0; i < kConns; ++i) {
-    const auto res =
-        shard.accept(sq, resp_mr->addr(0), 4096, static_cast<ClientId>(i), 1);
-    ASSERT_TRUE(res.ok) << i;
-    req_rings[i] = res.req_slot;
+    const auto grp = shard.accept_mux_group(sq, 1);
+    ASSERT_TRUE(grp.ok) << i;
+    const auto ep =
+        shard.accept_mux_endpoint(grp.group, resp_mr->addr(0), 4096, static_cast<ClientId>(i), 1);
+    ASSERT_TRUE(ep.ok) << i;
+    req_rings[i] = grp.req_ring;
+    endpoints[i] = ep.endpoint;
   }
   ASSERT_EQ(shard.connection_count(), kConns);
 
@@ -521,7 +614,7 @@ TEST(ConnScale, WakeupIsOActiveAmongTensOfThousandsRegistered) {
   req.req_id = 1;
   req.client = 37'123;
   req.key = "absent-key";
-  const auto payload = proto::encode_request(req);
+  const auto payload = proto::encode_mux_request(proto::MuxHeader{endpoints[37'123], 0}, req);
   std::vector<std::byte> frame(proto::frame_size(payload.size()));
   proto::encode_frame(frame, payload);
   cq->post_write(frame, req_rings[37'123]);
@@ -555,7 +648,7 @@ TEST(ConnScale, MuxRespSlotPastWindowDroppedAsMalformed) {
   std::vector<std::byte> resp_ring(2 * 256);  // exactly window=2 slots
   auto* resp_mr = fabric.node(client_node).register_memory(resp_ring);
 
-  const auto grp = shard.accept_mux_group(sq);
+  const auto grp = shard.accept_mux_group(sq, cfg.mux_ring_slots);
   ASSERT_TRUE(grp.ok);
   const auto ep = shard.accept_mux_endpoint(grp.group, resp_mr->addr(0), 256, 1, 2);
   ASSERT_TRUE(ep.ok);
@@ -612,7 +705,7 @@ TEST(ConnScale, MuxReopenCyclesReuseSlotsAndObeyCaps) {
   // Repeated open/close cycles reuse one conns_ slot and one endpoint slot.
   std::uint32_t first_group = 0;
   for (int i = 0; i < 10; ++i) {
-    const auto grp = shard.accept_mux_group(sq);
+    const auto grp = shard.accept_mux_group(sq, cfg.mux_ring_slots);
     ASSERT_TRUE(grp.ok) << i;
     if (i == 0) first_group = grp.group;
     EXPECT_EQ(grp.group, first_group) << i;
@@ -625,11 +718,11 @@ TEST(ConnScale, MuxReopenCyclesReuseSlotsAndObeyCaps) {
 
   // Live-group admission cap: with max_connections=2, a third live group is
   // refused until one closes.
-  const auto g1 = shard.accept_mux_group(sq);
-  const auto g2 = shard.accept_mux_group(sq);
+  const auto g1 = shard.accept_mux_group(sq, cfg.mux_ring_slots);
+  const auto g2 = shard.accept_mux_group(sq, cfg.mux_ring_slots);
   ASSERT_TRUE(g1.ok);
   ASSERT_TRUE(g2.ok);
-  EXPECT_FALSE(shard.accept_mux_group(sq).ok);
+  EXPECT_FALSE(shard.accept_mux_group(sq, cfg.mux_ring_slots).ok);
 
   // Live-endpoint cap: slots freed by a group close become available again.
   const auto e1 = shard.accept_mux_endpoint(g1.group, resp_mr->addr(0), 256, 1, 1);
@@ -638,7 +731,7 @@ TEST(ConnScale, MuxReopenCyclesReuseSlotsAndObeyCaps) {
   ASSERT_TRUE(e2.ok);
   EXPECT_FALSE(shard.accept_mux_endpoint(g2.group, resp_mr->addr(0), 256, 3, 1).ok);
   shard.close_mux_group(g1.group);
-  EXPECT_TRUE(shard.accept_mux_group(sq).ok);
+  EXPECT_TRUE(shard.accept_mux_group(sq, cfg.mux_ring_slots).ok);
   EXPECT_TRUE(shard.accept_mux_endpoint(g2.group, resp_mr->addr(0), 256, 3, 1).ok);
 }
 

@@ -533,7 +533,11 @@ TEST(ClientRerouting, DroppedConnectionsReleaseTheirQueuePairs) {
     std::uint64_t reroutes = 0;
   };
   auto run = [](bool crash) {
-    db::HydraCluster cluster(loaded_options(/*mux=*/false));
+    auto opts = loaded_options(/*mux=*/false);
+    // No idle reclaim before the census: every channel still open then is
+    // one a dropped connection failed to release.
+    opts.mux.idle_timeout = kSecond;
+    db::HydraCluster cluster(opts);
     Load load(cluster, 3000);
     load.closed_loop(1);
     cluster.run_for(5 * kMillisecond);
@@ -554,9 +558,9 @@ TEST(ClientRerouting, DroppedConnectionsReleaseTheirQueuePairs) {
   const Run crashed = run(/*crash=*/true);
   ASSERT_EQ(crashed.reroutes, 12u) << "every client re-routes its shard-0 connection once";
   EXPECT_EQ(crashed.client_node_qps, calm.client_node_qps);
-  // The fallen primary's replication links (one per replica) are not
-  // reclaimed yet; every client pair is.
-  EXPECT_LE(crashed.live_qp_pairs, calm.live_qp_pairs + 2);
+  // Every client pair is reclaimed, and so are the fallen primary's
+  // replication links (one per replica).
+  EXPECT_LE(crashed.live_qp_pairs, calm.live_qp_pairs);
 }
 
 TEST(ClientRerouting, MuxEndpointsRerouteAndHandBackSharedRingCredits) {
@@ -590,7 +594,7 @@ TEST(ClientRerouting, MuxEndpointsRerouteAndHandBackSharedRingCredits) {
     ASSERT_NE(mux, nullptr);
     credit_waits += mux->stats().credit_waits;
     for (ShardId s = 0; s < cluster.shard_count(); ++s) {
-      client::NodeMux::Channel* ch = mux->peek_channel(s);
+      client::NodeMux::Channel* ch = mux->peek_channel({s});
       if (ch == nullptr || !ch->open) continue;
       EXPECT_EQ(ch->in_flight, 0u) << "node " << n << " shard " << s;
       EXPECT_TRUE(ch->waiters.empty()) << "node " << n << " shard " << s;

@@ -2,8 +2,9 @@
 // wire contract, slot wraparound, out-of-order response completion,
 // per-slot timeout salvage + retry, and the pipelining/doorbell-batching
 // payoff. The out-of-order and timeout cases use a hand-rolled fake shard
-// (a memory region + QP, no server logic) so the test controls exactly
-// when and in what order responses land.
+// (a channel of one onto a bare memory region, no server logic) so the test
+// controls exactly when and in what order responses land.
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -91,21 +92,24 @@ GoldenResult run_golden(std::uint32_t window) {
 }
 
 // The exact numbers the pre-ring seed produced on this trace (captured by
-// running the identical scenario against the seed build). window=1 must
-// reproduce the closed-loop wire behaviour event-for-event.
+// running the identical scenario against the seed build), moved only by the
+// 8-byte MuxHeader envelope every request now carries (1.6 ns more wire
+// time per request; the seed with its requests padded by 8 bytes gives
+// these same numbers). window=1 must reproduce the closed-loop wire
+// behaviour event-for-event.
 TEST(RequestRing, WindowOneMatchesSeedClosedLoopExactly) {
   const GoldenResult g = run_golden(1);
-  EXPECT_EQ(g.now, 54654u);
+  EXPECT_EQ(g.now, 54678u);
   EXPECT_EQ(g.c0_gets, 16u);
   EXPECT_EQ(g.c0_puts, 8u);
   EXPECT_EQ(g.c1_gets, 16u);
   EXPECT_EQ(g.c1_puts, 8u);
-  EXPECT_DOUBLE_EQ(g.c0_get_mean, 29131.5);
-  EXPECT_DOUBLE_EQ(g.c0_put_mean, 26058.75);
-  EXPECT_DOUBLE_EQ(g.c1_get_mean, 30271.5);
-  EXPECT_DOUBLE_EQ(g.c1_put_mean, 27198.75);
-  EXPECT_EQ(g.c0_get_max, 53514u);
-  EXPECT_EQ(g.c1_get_max, 54654u);
+  EXPECT_DOUBLE_EQ(g.c0_get_mean, 29144.5);
+  EXPECT_DOUBLE_EQ(g.c0_put_mean, 26070.25);
+  EXPECT_DOUBLE_EQ(g.c1_get_mean, 30284.5);
+  EXPECT_DOUBLE_EQ(g.c1_put_mean, 27210.25);
+  EXPECT_EQ(g.c0_get_max, 53538u);
+  EXPECT_EQ(g.c1_get_max, 54678u);
   EXPECT_EQ(g.shard_gets, 32u);
   EXPECT_EQ(g.shard_puts, 16u);
   EXPECT_EQ(g.shard_responses, 48u);
@@ -164,9 +168,11 @@ TEST(RequestRing, SlotsWrapAroundManyTimes) {
 
 // ------------------------------------------------------------ fake shard
 
-/// Test double for the server side of one connection: owns the request
-/// ring, records arriving requests, and lets the test write response
-/// frames into the client's response ring in any order it likes.
+/// Test double for the server side of one connection: grants the client a
+/// channel of one (a request ring behind its own QP, carrying one
+/// endpoint), records arriving requests with the response slot their
+/// envelope names, and lets the test write response frames into the
+/// client's response ring in any order it likes.
 class FakeShard {
  public:
   FakeShard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId server_node)
@@ -174,32 +180,25 @@ class FakeShard {
 
   /// Wires a Client to this fake: grants the full requested window.
   client::Client::Connector connector() {
-    return [this](ShardId, client::Client& self, fabric::RemoteAddr resp_slot,
+    return [this](ShardId shard, client::Client& self, fabric::RemoteAddr resp_slot,
                   std::uint32_t resp_slot_bytes, std::uint32_t window,
                   client::ShardConnection* out) {
       if (refuse_connections) return false;
       ++accepts;
       resp_base_ = resp_slot;
       resp_bytes_ = resp_slot_bytes;
-      ring_.assign(static_cast<std::size_t>(window) * kSlotBytes, std::byte{0});
-      ring_mr_ = fabric_.node(node_).register_memory(ring_);
-      ring_mr_->set_write_hook([this](std::uint64_t offset, std::uint32_t) {
-        const std::uint32_t slot = proto::ring_slot_of(offset, kSlotBytes);
-        const std::span<std::byte> span{ring_.data() + proto::ring_slot_offset(slot, kSlotBytes),
-                                        kSlotBytes};
-        if (proto::probe_frame(span) != proto::FrameState::kReady) return;
-        auto req = proto::decode_request(proto::frame_payload(span));
-        proto::clear_frame(span);
-        ASSERT_TRUE(req.has_value());
-        requests.push_back({*req, slot});
-      });
-      auto [cq, sq] = fabric_.connect(self.node(), node_);
-      sq_ = sq;
-      out->qp = cq;
-      out->req_slot = ring_mr_->addr(0);
-      out->req_slot_bytes = kSlotBytes;
+      window_ = window;
+      if (mux_ == nullptr) open_pool(self.node());
+      const client::ChannelKey key{shard, self.id()};
+      client::NodeMux::Channel* ch = mux_->channel_to(key);
+      if (ch == nullptr) return false;
+      out->qp = ch->wire.qp;
+      out->req_slot_bytes = ch->wire.slot_bytes;
       out->window = window;
-      out->send_recv = false;
+      out->endpoint = kEndpoint;
+      out->channel = key;
+      out->mux_generation = ch->generation;
+      out->mux_node = mux_.get();
       return true;
     };
   }
@@ -222,7 +221,7 @@ class FakeShard {
 
   struct Arrived {
     proto::Request req;
-    std::uint32_t slot = 0;
+    std::uint32_t slot = 0;  ///< the response slot the envelope names
   };
   std::vector<Arrived> requests;
   int accepts = 0;
@@ -230,10 +229,53 @@ class FakeShard {
 
  private:
   static constexpr std::uint32_t kSlotBytes = 4096;
+  static constexpr std::uint32_t kEndpoint = 7;
+
+  /// The client node's channel pool; each channel opens a fresh ring.
+  void open_pool(NodeId client_node) {
+    mux_ = std::make_unique<client::NodeMux>(sched_, client_node, client::NodeMuxConfig{});
+    mux_->set_opener([this, client_node](client::ChannelKey, client::NodeMux::MuxWire* out) {
+      // Rings of closed channels stay allocated under their revoked regions.
+      std::vector<std::byte>& ring = rings_.emplace_back(
+          static_cast<std::size_t>(window_) * kSlotBytes, std::byte{0});
+      ring_mr_ = fabric_.node(node_).register_memory(ring);
+      ring_mr_->set_write_hook([this, &ring](std::uint64_t offset, std::uint32_t) {
+        const std::uint32_t slot = proto::ring_slot_of(offset, kSlotBytes);
+        const std::span<std::byte> span{ring.data() + proto::ring_slot_offset(slot, kSlotBytes),
+                                        kSlotBytes};
+        if (proto::probe_frame(span) != proto::FrameState::kReady) return;
+        const auto payload = proto::frame_payload(span);
+        const auto hdr = proto::decode_mux_header(payload);
+        auto req = proto::decode_request(proto::mux_request_body(payload));
+        proto::clear_frame(span);
+        ASSERT_TRUE(hdr.has_value());
+        ASSERT_TRUE(req.has_value());
+        EXPECT_EQ(hdr->endpoint, kEndpoint);
+        requests.push_back({*req, hdr->resp_slot});
+      });
+      auto [cq, sq] = fabric_.connect(client_node, node_);
+      sq_ = sq;
+      out->qp = cq;
+      out->req_ring = ring_mr_->addr(0);
+      out->slot_bytes = kSlotBytes;
+      out->ring_slots = window_;
+      out->qp_generation = cq->generation();
+      return true;
+    });
+    mux_->set_closer([this](client::ChannelKey, const client::NodeMux::MuxWire& wire) {
+      ring_mr_->revoke();
+      if (wire.qp->open() && wire.qp->generation() == wire.qp_generation) {
+        fabric_.disconnect(wire.qp);
+      }
+    });
+  }
+
   sim::Scheduler& sched_;
   fabric::Fabric& fabric_;
   NodeId node_;
-  std::vector<std::byte> ring_;
+  std::unique_ptr<client::NodeMux> mux_;
+  std::uint32_t window_ = 1;
+  std::deque<std::vector<std::byte>> rings_;
   fabric::MemoryRegion* ring_mr_ = nullptr;
   fabric::QueuePair* sq_ = nullptr;
   fabric::RemoteAddr resp_base_{};

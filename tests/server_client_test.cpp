@@ -35,11 +35,13 @@ class RawShardTest : public ::testing::Test {
     shard = std::make_unique<server::Shard>(sched, fabric, server_node, cfg);
   }
 
-  /// Hand-rolled connection: lets tests write arbitrary bytes into the
+  /// Hand-rolled connection -- a one-slot group with one endpoint, like a
+  /// client's channel of one: lets tests write arbitrary bytes into the
   /// shard's request slot, bypassing the client library.
   struct RawConn {
     fabric::QueuePair* qp;
-    server::Shard::AcceptResult accept;
+    server::Shard::MuxGroupResult group;
+    server::Shard::MuxEndpointResult endpoint;
     std::vector<std::byte> resp_buf;
     fabric::MemoryRegion* resp_mr;
   };
@@ -50,16 +52,19 @@ class RawShardTest : public ::testing::Test {
     conn.resp_mr = fabric.node(client_node).register_memory(conn.resp_buf);
     auto [cq, sq] = fabric.connect(client_node, server_node);
     conn.qp = cq;
-    conn.accept = shard->accept(sq, conn.resp_mr->addr(0),
-                                static_cast<std::uint32_t>(conn.resp_buf.size()), 1);
+    conn.group = shard->accept_mux_group(sq, 1);
+    conn.endpoint = shard->accept_mux_endpoint(
+        conn.group.group, conn.resp_mr->addr(0),
+        static_cast<std::uint32_t>(conn.resp_buf.size()), 1);
     return conn;
   }
 
   void send_request(RawConn& conn, const proto::Request& req) {
-    const auto payload = proto::encode_request(req);
+    const auto payload =
+        proto::encode_mux_request(proto::MuxHeader{conn.endpoint.endpoint, 0}, req);
     std::vector<std::byte> frame(proto::frame_size(payload.size()));
     proto::encode_frame(frame, payload);
-    conn.qp->post_write(frame, conn.accept.req_slot);
+    conn.qp->post_write(frame, conn.group.req_ring);
   }
 
   std::optional<proto::Response> read_response(RawConn& conn) {
@@ -79,25 +84,36 @@ class RawShardTest : public ::testing::Test {
 TEST_F(RawShardTest, AcceptHandsOutDistinctSlots) {
   auto c1 = open_raw();
   auto c2 = open_raw();
-  ASSERT_TRUE(c1.accept.ok);
-  ASSERT_TRUE(c2.accept.ok);
-  EXPECT_EQ(c1.accept.req_slot.rkey, c2.accept.req_slot.rkey);  // same region
-  EXPECT_NE(c1.accept.req_slot.offset, c2.accept.req_slot.offset);
+  ASSERT_TRUE(c1.group.ok);
+  ASSERT_TRUE(c2.group.ok);
+  ASSERT_TRUE(c1.endpoint.ok);
+  ASSERT_TRUE(c2.endpoint.ok);
+  // Each group's ring is a region of its own.
+  EXPECT_NE(c1.group.group, c2.group.group);
+  EXPECT_NE(c1.group.req_ring.rkey, c2.group.req_ring.rkey);
+  EXPECT_NE(c1.endpoint.endpoint, c2.endpoint.endpoint);
   EXPECT_EQ(shard->connection_count(), 2u);
-  EXPECT_NE(c1.accept.arena_rkey, 0u);
+  EXPECT_NE(shard->arena_rkey(), 0u);
 }
 
 TEST_F(RawShardTest, ConnectionLimitIsEnforced) {
   // Fill the table to max_connections; the next accept must fail cleanly.
   const std::uint32_t limit = shard->config().max_connections;
-  for (std::uint32_t i = shard->connection_count(); i < limit; ++i) {
+  std::uint32_t last = 0;
+  for (std::uint32_t i = shard->live_connections(); i < limit; ++i) {
     auto [cq, sq] = fabric.connect(client_node, server_node);
     (void)cq;
-    ASSERT_TRUE(shard->accept(sq, fabric::RemoteAddr{1, 0}, 1024, i).ok);
+    const auto grp = shard->accept_mux_group(sq, 1);
+    ASSERT_TRUE(grp.ok);
+    last = grp.group;
   }
   auto [cq, sq] = fabric.connect(client_node, server_node);
   (void)cq;
-  EXPECT_FALSE(shard->accept(sq, fabric::RemoteAddr{1, 0}, 1024, 999).ok);
+  EXPECT_FALSE(shard->accept_mux_group(sq, 1).ok);
+  // The cap counts live connections, not connections ever accepted.
+  shard->close_mux_group(last);
+  EXPECT_TRUE(shard->accept_mux_group(sq, 1).ok);
+  EXPECT_EQ(shard->connection_count(), limit);
 }
 
 TEST_F(RawShardTest, FullRequestResponseThroughRawFrames) {
@@ -125,7 +141,7 @@ TEST_F(RawShardTest, FullRequestResponseThroughRawFrames) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->value, "raw-value");
   EXPECT_TRUE(resp->remote_ptr.valid());
-  EXPECT_EQ(resp->remote_ptr.rkey, conn.accept.arena_rkey);
+  EXPECT_EQ(resp->remote_ptr.rkey, shard->arena_rkey());
 }
 
 TEST_F(RawShardTest, MalformedPayloadIsCountedAndSkipped) {
@@ -134,7 +150,7 @@ TEST_F(RawShardTest, MalformedPayloadIsCountedAndSkipped) {
   std::vector<std::byte> garbage(24, std::byte{0xEE});
   std::vector<std::byte> frame(proto::frame_size(garbage.size()));
   proto::encode_frame(frame, garbage);
-  conn.qp->post_write(frame, conn.accept.req_slot);
+  conn.qp->post_write(frame, conn.group.req_ring);
   sched.run();
   EXPECT_EQ(shard->stats().malformed, 1u);
   EXPECT_EQ(shard->stats().responses, 0u);
@@ -160,7 +176,7 @@ TEST_F(RawShardTest, TornFrameWithLyingSizeFieldIsScrubbed) {
                              (1u << 20);  // 1 MiB "payload" in a 16 KiB slot
   std::memcpy(torn.data(), &head, 8);
   std::memcpy(torn.data() + 8, &proto::kTailIndicator, 8);
-  conn.qp->post_write(torn, conn.accept.req_slot);
+  conn.qp->post_write(torn, conn.group.req_ring);
   sched.run();
   EXPECT_EQ(shard->stats().malformed, 1u);
   EXPECT_EQ(shard->stats().responses, 0u);
@@ -183,18 +199,25 @@ TEST_F(RawShardTest, RingAcceptGrantsClampedWindow) {
   (void)cq;
   std::vector<std::byte> resp_buf(8 * 16 * 1024);
   auto* mr = fabric.node(client_node).register_memory(resp_buf);
-  // Ask for more than the shard provisions: granted = ring_slots.
-  auto res = shard->accept(sq, mr->addr(0), 16 * 1024, 1, /*window=*/64);
+  // A per-client group is as deep as the shard provisions a connection.
+  const std::uint32_t depth = shard->config().ring_slots;
+  auto grp = shard->accept_mux_group(sq, depth);
+  ASSERT_TRUE(grp.ok);
+  EXPECT_EQ(grp.ring_slots, depth);
+  EXPECT_EQ(grp.slot_bytes, shard->config().msg_slot_bytes);
+  // Ask for more than the ring holds: granted = the ring's depth.
+  auto res = shard->accept_mux_endpoint(grp.group, mr->addr(0), 16 * 1024, 1, /*window=*/64);
   ASSERT_TRUE(res.ok);
-  EXPECT_EQ(res.window, shard->config().ring_slots);
-  // Request slots are laid out ring_slots apart per connection.
-  auto res2 = shard->accept(fabric.connect(client_node, server_node).second,
-                            mr->addr(0), 16 * 1024, 2, /*window=*/2);
+  EXPECT_EQ(res.window, depth);
+  auto grp2 = shard->accept_mux_group(fabric.connect(client_node, server_node).second, depth);
+  ASSERT_TRUE(grp2.ok);
+  auto res2 = shard->accept_mux_endpoint(grp2.group, mr->addr(0), 16 * 1024, 2, /*window=*/2);
   ASSERT_TRUE(res2.ok);
   EXPECT_EQ(res2.window, 2u);
-  EXPECT_EQ(res2.req_slot.offset - res.req_slot.offset,
-            static_cast<std::uint64_t>(shard->config().ring_slots) *
-                shard->config().msg_slot_bytes);
+  // A zero depth still grants one slot.
+  auto grp3 = shard->accept_mux_group(fabric.connect(client_node, server_node).second, 0);
+  ASSERT_TRUE(grp3.ok);
+  EXPECT_EQ(grp3.ring_slots, 1u);
 }
 
 TEST_F(RawShardTest, UnknownMessageTypeRejected) {
