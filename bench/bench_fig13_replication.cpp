@@ -4,14 +4,26 @@
 // Paper shape: strict req/ack consistently ~doubles the no-replication
 // INSERT latency; RDMA logging adds only ~12.3% for one replica and ~41.1%
 // for two, across client counts.
+//
+//   bench_fig13_replication [--json=BENCH_fig13.json]
+//
+// --json writes every configuration's INSERT latency per client count and
+// each paper-shape check as a named boolean (hydradb-obs-v1).
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hydra;
+  std::string json_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
+  }
   bench::ShapeChecker shape;
 
   struct Config {
@@ -30,6 +42,7 @@ int main() {
 
   // avg INSERT latency (us): config -> per client count
   std::map<std::string, std::vector<double>> latency;
+  std::map<std::string, std::vector<obs::LatencySummary>> summaries;
 
   for (const auto& cfg : configs) {
     for (const int clients : client_counts) {
@@ -75,6 +88,7 @@ int main() {
         hist.merge(all[static_cast<std::size_t>(c)]->stats().put_latency);
       }
       latency[cfg.label].push_back(hist.mean() / 1000.0);
+      summaries[cfg.label].push_back(obs::summarize(hist));
     }
   }
 
@@ -95,13 +109,46 @@ int main() {
     const double log1 = latency["rdmalog-1-replica"][i];
     const double log2 = latency["rdmalog-2-replicas"][i];
     const std::string tag = std::to_string(client_counts[i]) + " clients";
+    const std::string key = "clients_" + std::to_string(client_counts[i]) + ".";
     shape.expect(strict1 > 1.6 * base,
-                 tag + ": strict req/ack roughly doubles latency (paper: ~2x)");
+                 tag + ": strict req/ack roughly doubles latency (paper: ~2x)",
+                 key + "strict_doubles");
     shape.expect(log1 < 1.35 * base,
-                 tag + ": RDMA logging adds little for one replica (paper: +12.3%)");
+                 tag + ": RDMA logging adds little for one replica (paper: +12.3%)",
+                 key + "rdmalog_1_cheap");
     shape.expect(log2 < 1.75 * base,
-                 tag + ": two replicas still cheap under RDMA logging (paper: +41.1%)");
-    shape.expect(log1 < strict1, tag + ": relaxed beats strict");
+                 tag + ": two replicas still cheap under RDMA logging (paper: +41.1%)",
+                 key + "rdmalog_2_cheap");
+    shape.expect(log1 < strict1, tag + ": relaxed beats strict", key + "relaxed_beats_strict");
+  }
+
+  if (!json_path.empty()) {
+    std::FILE* f = std::fopen(json_path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      return 1;
+    }
+    std::fprintf(f,
+                 "{\n"
+                 "  \"bench\": \"fig13_replication\",\n"
+                 "  \"schema\": \"hydradb-obs-v1\",\n"
+                 "  \"workload\": \"INSERT-only, 400 inserts per closed-loop client, one "
+                 "primary shard\",\n"
+                 "  \"configs\": [\n");
+    for (std::size_t c = 0; c < std::size(configs); ++c) {
+      const Config& cfg = configs[c];
+      std::fprintf(f, "    {\"replication\": \"%s\", \"replicas\": %d, \"points\": [\n",
+                   cfg.label, cfg.replicas);
+      const auto& pts = summaries[cfg.label];
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        std::fprintf(f, "      {\"clients\": %d, \"insert_latency\": %s}%s\n", client_counts[i],
+                     bench::latency_json(pts[i]).c_str(), i + 1 < pts.size() ? "," : "");
+      }
+      std::fprintf(f, "    ]}%s\n", c + 1 < std::size(configs) ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"paper_shape\": %s\n}\n", shape.json().c_str());
+    std::fclose(f);
+    std::printf("wrote %s\n", json_path.c_str());
   }
   return shape.summarize("fig13_replication");
 }

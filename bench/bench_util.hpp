@@ -12,31 +12,52 @@
 namespace hydra::bench {
 
 /// Collects qualitative assertions ("who wins, by roughly what factor") and
-/// prints a PAPER-SHAPE summary the harness scripts can grep.
+/// prints a PAPER-SHAPE summary the harness scripts can grep. A check given
+/// a `name` also appears in json() as a named boolean.
 class ShapeChecker {
  public:
-  void expect(bool condition, const std::string& claim) {
-    checks_.emplace_back(condition, claim);
+  void expect(bool condition, const std::string& claim, std::string name = {}) {
+    checks_.push_back(Check{condition, claim, std::move(name)});
     if (!condition) ok_ = false;
   }
 
   int summarize(const char* bench_name) const {
     std::printf("\n");
-    for (const auto& [cond, claim] : checks_) {
-      std::printf("  [%s] %s\n", cond ? "ok" : "MISMATCH", claim.c_str());
+    for (const Check& c : checks_) {
+      std::printf("  [%s] %s\n", c.ok ? "ok" : "MISMATCH", c.claim.c_str());
     }
     std::printf("PAPER-SHAPE %s: %s (%zu/%zu checks)\n", bench_name,
                 ok_ ? "REPRODUCED" : "DIVERGED", passed(), checks_.size());
     return ok_ ? 0 : 1;
   }
 
+  /// {"reproduced": .., "passed": .., "total": .., "checks": {name: ok, ..}}
+  /// over the named checks, in the order they were made.
+  [[nodiscard]] std::string json() const {
+    std::string out = std::string("{\"reproduced\": ") + (ok_ ? "true" : "false") +
+                      ", \"passed\": " + std::to_string(passed()) +
+                      ", \"total\": " + std::to_string(checks_.size()) + ", \"checks\": {";
+    bool first = true;
+    for (const Check& c : checks_) {
+      if (c.name.empty()) continue;
+      out += (first ? "\"" : ", \"") + c.name + "\": " + (c.ok ? "true" : "false");
+      first = false;
+    }
+    return out + "}}";
+  }
+
  private:
+  struct Check {
+    bool ok = false;
+    std::string claim;
+    std::string name;
+  };
   [[nodiscard]] std::size_t passed() const {
     std::size_t n = 0;
-    for (const auto& [cond, _] : checks_) n += cond;
+    for (const Check& c : checks_) n += c.ok;
     return n;
   }
-  std::vector<std::pair<bool, std::string>> checks_;
+  std::vector<Check> checks_;
   bool ok_ = true;
 };
 

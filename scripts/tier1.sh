@@ -7,9 +7,9 @@
 # mode picks others: the rest of the suite is a single-threaded simulation.
 #
 # Pass --bench for the BENCH gate instead of the tests: it rebuilds
-# bench_txn, bench_hotkey, bench_ycsb_e and bench_fig12_scalability,
-# regenerates their JSON (fig12: the connection-scalability sweep over
-# 1k-50k clients) into a temporary directory and fails unless each file is
+# bench_txn, bench_hotkey, bench_ycsb_e, bench_fig12_scalability and
+# bench_fig13_replication, regenerates their JSON (fig12: the
+# connection-scalability sweep over 1k-50k clients) into a temporary directory and fails unless each file is
 # byte-identical to the checked-in BENCH_*.json (the simulator is
 # deterministic). On a difference it prints the changed fields
 # (scripts/json_diff.py).
@@ -119,13 +119,15 @@ fi
 if [[ $bench_mode -eq 1 ]]; then
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$(nproc)" \
-    --target bench_txn bench_hotkey bench_ycsb_e bench_fig12_scalability
+    --target bench_txn bench_hotkey bench_ycsb_e bench_fig12_scalability \
+    bench_fig13_replication
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' EXIT
   status=0
   # name:binary[:arguments]
   for spec in txn:bench_txn hotkey:bench_hotkey ycsbE:bench_ycsb_e \
-      fig12_conn:bench_fig12_scalability:--clients=1000,2000,5000,10000,50000; do
+      fig12_conn:bench_fig12_scalability:--clients=1000,2000,5000,10000,50000 \
+      fig13:bench_fig13_replication; do
     IFS=: read -r short bin args <<<"$spec"
     name="BENCH_$short.json"
     # shellcheck disable=SC2086  # args is a word list

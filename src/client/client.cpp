@@ -397,18 +397,24 @@ void Client::drop_connection(ShardId shard) {
   auto it = conns_.find(shard);
   if (it == conns_.end()) return;
   Conn& conn = *it->second;
-  for (Slot& s : conn.slots) scheduler().cancel(s.timeout);
+  // Free every slot before any credit goes back: a released credit can wake
+  // a credit request this very connection parked, which must find its slot
+  // gone (and recycle the credit) rather than post into the dying
+  // connection and arm a timeout nothing would cancel.
+  std::vector<std::uint32_t> credits;
+  for (Slot& s : conn.slots) {
+    scheduler().cancel(s.timeout);
+    if (s.busy && s.holds_ring_slot) credits.push_back(s.mux_ring_slot);
+    s.busy = false;
+  }
   if (conn.wire.send_recv) {
     if (conn.wire.close) conn.wire.close();
   } else {
     // Return credits still held on a live channel (no-op if the channel
     // itself died -- teardown already recycled them), then leave it: a
     // channel of one goes with its endpoint.
-    for (const Slot& s : conn.slots) {
-      if (s.busy && s.holds_ring_slot) {
-        conn.wire.mux_node->release(conn.wire.channel, conn.wire.mux_generation,
-                                    s.mux_ring_slot);
-      }
+    for (const std::uint32_t credit : credits) {
+      conn.wire.mux_node->release(conn.wire.channel, conn.wire.mux_generation, credit);
     }
     conn.wire.mux_node->detach(conn.wire.channel, conn.wire.mux_generation);
   }

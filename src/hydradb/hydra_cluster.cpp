@@ -106,8 +106,8 @@ HydraCluster::HydraCluster(ClusterOptions opts)
         res = slot.pipelined->accept_mux_group(sq);
       } else {
         const server::ShardConfig& cfg = slot.primary->config();
-        res = slot.primary->accept_mux_group(sq, key.shared() ? cfg.mux_ring_slots
-                                                              : cfg.ring_slots);
+        res = slot.primary->accept_mux_group(
+            sq, key.shared() ? cfg.mux_ring_slots : cfg.ring_slots, key.shared());
       }
       if (!res.ok) {
         fabric_.disconnect(cq);
@@ -279,6 +279,7 @@ void HydraCluster::export_metrics() {
       reg.counter(p + "rep.torn_acks").set(rep.torn_acks());
       reg.counter(p + "rep.ack_probes").set(rep.ack_probes());
       reg.counter(p + "rep.resends").set(rep.resends());
+      reg.counter(p + "rep.doorbells").set(rep.doorbells());
       reg.counter(p + "rep.acks_received").set(rep.acks_received());
       reg.counter(p + "rep.quarantined").set(rep.quarantined());
       reg.gauge(p + "rep.secondaries").set(

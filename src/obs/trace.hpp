@@ -30,7 +30,8 @@ enum class TraceKind : std::uint8_t {
   kReadCompleted,    ///< RDMA Read completion at the initiator (a=size)
   kSendPosted,       ///< two-sided Send posted (a=size)
   kSendDelivered,    ///< Send consumed a posted Receive (a=bytes delivered)
-  kDoorbellBatched,  ///< write shared its sweep's doorbell (a=size)
+  kDoorbellBatched,  ///< write rode the doorbell of the WQE before it: a sweep's
+                     ///< response or a replication run's record (a=size, b=dst rkey)
   kQpReused,         ///< connect() recycled a reclaimed QP slot (a=qp id, b=pool size)
   kQpReclaimed,      ///< disconnect() released a QP pair (a=qp id, b=live pairs)
   // Replication crash path.
@@ -45,7 +46,8 @@ enum class TraceKind : std::uint8_t {
   kRingSweep,        ///< shard sweep decoded occupied slots (a=count, b=conn)
   kClientTimeout,    ///< client request timeout salvage (shard=target)
   // Connection multiplexing (SRQ-style shared rings, DESIGN.md §10).
-  kSrqDepth,             ///< occupied slots found in a shared-ring sweep (a=depth, b=group)
+  kSrqDepth,             ///< occupied slots found in a shared-ring sweep (a=depth, b=group);
+                         ///< mux groups only, not channels of one
   kMuxChannelOpened,     ///< client-node<->shard mux channel established (a=group)
   kMuxChannelReclaimed,  ///< mux channel torn down (a=group, b=0 idle / 1 failure)
   // Failover lifecycle.

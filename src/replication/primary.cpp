@@ -92,13 +92,15 @@ std::vector<std::uint32_t> ReplicationPrimary::ack_rkeys() const {
   return keys;
 }
 
-void ReplicationPrimary::replicate(proto::RepRecord rec, std::function<void()> done) {
+void ReplicationPrimary::replicate(proto::RepRecord rec, std::function<void()> done,
+                                   bool hold) {
   const std::size_t live = secondary_count();
   if (live == 0 || cfg_.mode == ReplicationMode::kNone) {
     if (done) done();
     return;
   }
   rec.seq = assign_seq();
+  hold = hold && cfg_.mode == ReplicationMode::kLogRelaxed;
 
   if (cfg_.mode == ReplicationMode::kStrictAck) {
     strict_waiters_.emplace(rec.seq, std::move(done));
@@ -116,14 +118,45 @@ void ReplicationPrimary::replicate(proto::RepRecord rec, std::function<void()> d
   for (auto& link : links_) {
     if (link->dead) continue;
     link->pending.push_back(PendingRecord{rec, 0});
+    // A record not held joins a held run as its last; with none held it
+    // posts alone.
+    holding_ = hold || !link->held.empty();
     if (!link->backlog.empty() || !write_record(*link, rec, on_write)) {
       link->backlog.push_back(rec);
       ++backlogged_;
       // on_write stays owed; flush_backlog settles it when space frees.
       link->backlog_completions.push_back(on_write);
     }
+    holding_ = false;
+    if (!hold) ring(*link);
     arm_ack_timer(*link);
   }
+}
+
+bool ReplicationPrimary::can_hold() const noexcept {
+  if (cfg_.mode != ReplicationMode::kLogRelaxed) return false;
+  const std::uint32_t longest = std::min(cfg_.ack_interval, kMaxRunRecords);
+  return std::none_of(links_.begin(), links_.end(), [longest](const auto& link) {
+    return !link->dead && link->run_records + 1 >= longest;
+  });
+}
+
+std::size_t ReplicationPrimary::ring() {
+  std::size_t rung = 0;
+  for (auto& link : links_) rung += ring(*link) ? 1 : 0;
+  return rung;
+}
+
+bool ReplicationPrimary::ring(Link& link) {
+  if (link.held.empty()) return false;
+  auto run = std::exchange(link.held, {});
+  link.run_records = 0;
+  bool batched = false;
+  for (HeldFrame& f : run) {
+    post_attempt(link, std::move(f.frame), f.at, f.seq, f.id, 1, batched);
+    batched = true;
+  }
+  return true;
 }
 
 bool ReplicationPrimary::write_record(Link& link, const proto::RepRecord& rec,
@@ -159,6 +192,7 @@ bool ReplicationPrimary::write_record(Link& link, const proto::RepRecord& rec,
 
   const std::uint64_t at = link.cursor.place(framed_size);
   link.used_bytes += framed_size + waste;
+  if (holding_) ++link.run_records;
   // Record the ring footprint on the pending entry so the ack can free it.
   for (auto it = link.pending.rbegin(); it != link.pending.rend(); ++it) {
     if (it->rec.seq == rec.seq) {
@@ -205,12 +239,17 @@ void ReplicationPrimary::post_frame(Link& link, std::vector<std::byte> frame,
                                     std::function<void()> settle) {
   const std::uint64_t id = link.landing_base + link.landing.size();
   link.landing.push_back(Landing{false, std::move(settle)});
-  post_attempt(link, std::move(frame), at, seq, id, 1);
+  if (holding_) {
+    link.held.push_back(HeldFrame{std::move(frame), at, seq, id});
+    return;
+  }
+  ring(link);  // a post that does not extend the run keeps ring order
+  post_attempt(link, std::move(frame), at, seq, id, 1, /*batched=*/false);
 }
 
 void ReplicationPrimary::post_attempt(Link& link, std::vector<std::byte> frame,
                                       std::uint64_t at, std::uint64_t seq, std::uint64_t id,
-                                      int attempt) {
+                                      int attempt, bool batched) {
   // The completion owns the frame bytes so a torn or dropped delivery can be
   // retransmitted to the *same* offset: the consumer never advances past an
   // incomplete frame, so rewriting in place is race-free (RC retransmit).
@@ -229,10 +268,12 @@ void ReplicationPrimary::post_attempt(Link& link, std::vector<std::byte> frame,
           settle();
         }
       });
+  if (!batched) ++doorbells_;
   link.qp->post_write(span, fabric::RemoteAddr{link.ring_rkey, at}, seq,
                       [handler = std::move(handler)](const fabric::Completion& wc) mutable {
                         handler(wc);
-                      });
+                      },
+                      batched);
 }
 
 void ReplicationPrimary::land(Link& link, std::uint64_t id) {
@@ -270,7 +311,8 @@ void ReplicationPrimary::on_write_error(Link& link, std::vector<std::byte> frame
       fabric_.obs()->trace(owner_.now(), node_, obs::TraceKind::kRetransmit, obs::kNoShard, at,
                            static_cast<std::uint64_t>(attempt));
     }
-    post_attempt(link, std::move(frame), at, seq, id, attempt + 1);
+    ring(link);  // the retransmit is a post of its own: ring the held run first
+    post_attempt(link, std::move(frame), at, seq, id, attempt + 1, /*batched=*/false);
     return;
   }
   // Settle now: quarantine (or the fence) fires everything owed.
@@ -407,12 +449,18 @@ void ReplicationPrimary::quarantine(Link& link) {
   // path must never wedge behind a corpse. If the owning shard itself has
   // crashed (promotion pruning a dead primary's links), the completions die
   // with it instead -- crash semantics, same as every guarded callback.
-  // Frames that landed behind one that never did are owed too; those still
-  // in flight settle with their own completion.
+  // Frames that landed behind one that never did are owed too, and so are
+  // held frames; those still in flight settle with their own completion.
   std::deque<std::function<void()>> owed;
   for (Landing& l : link.landing) {
     if (l.landed && l.settle) owed.push_back(std::exchange(l.settle, {}));
   }
+  // Held frames were never posted, so no completion will settle them.
+  for (const HeldFrame& f : link.held) {
+    if (auto settle = take_settle(link, f.id)) owed.push_back(std::move(settle));
+  }
+  link.held.clear();
+  link.run_records = 0;
   for (auto& fn : link.backlog_completions) owed.push_back(std::move(fn));
   link.backlog_completions.clear();
   link.backlog.clear();
@@ -494,6 +542,7 @@ void ReplicationPrimary::on_pulse_timer() {
     if (link->dead || link->arena_rkey == 0) continue;
     any_pulsed = true;
     Link* raw = link.get();
+    ring(*raw);  // the pulse shares the link's QP: ring the held run first
     raw->qp->post_write(
         std::span<const std::byte>(pulse_buf_),
         fabric::RemoteAddr{raw->arena_rkey, SecondaryShard::kPulseOffset}, 0,

@@ -14,6 +14,13 @@
 // On an ack reporting a failed record, the primary rolls back to that
 // record and resends it and everything after it.
 //
+// Doorbell runs (relaxed mode, DESIGN.md §4 "Replication doorbell runs"):
+// a caller that knows more records follow can *hold* a record. Its frames
+// are placed in the ring at once but posted later, with the next record
+// not held: the first WQE rings the doorbell and the rest ride it
+// (batched). Post order per link stays ring order: any other post on a
+// link rings its held run first.
+//
 // Crash handling: a link whose secondary has died is *quarantined* -- it is
 // marked dead, every completion owed through it is settled, and it stops
 // counting toward strict-ack barriers -- so a replica crash can never wedge
@@ -85,7 +92,25 @@ class ReplicationPrimary {
 
   /// Replicates one record to every live secondary. `done` fires according
   /// to the configured mode (immediately if there are no live secondaries).
-  void replicate(proto::RepRecord rec, std::function<void()> done);
+  /// `hold` places the record in the held run (relaxed mode only); a record
+  /// not held is posted together with any held run, under one doorbell.
+  void replicate(proto::RepRecord rec, std::function<void()> done, bool hold = false);
+
+  /// Longest doorbell run, in records. A held record's response waits for
+  /// every later write of its run, so run length trades shard CPU for update
+  /// latency: on perfbench `failover`, runs of up to 4 keep ~+9% throughput
+  /// with every latency percentile at or below unbatched posting, while runs
+  /// up to ack_interval (32) add ~10% to update p50 (EXPERIMENTS.md).
+  static constexpr std::uint32_t kMaxRunRecords = 4;
+
+  /// Whether one more record may join the held run: relaxed mode, and no
+  /// live link's run would reach min(ack_interval, kMaxRunRecords) records
+  /// without its last.
+  [[nodiscard]] bool can_hold() const noexcept;
+
+  /// Posts every link's held run (first WQE rings the doorbell, the rest
+  /// ride it). Returns the doorbells rung: one per link that held frames.
+  std::size_t ring();
 
   /// Assigns the next sequence number (incremented per replicated record).
   [[nodiscard]] std::uint64_t assign_seq() noexcept { return next_seq_++; }
@@ -109,6 +134,9 @@ class ReplicationPrimary {
       const std::function<void(SecondaryShard&, fabric::QueuePair&)>& fn);
 
   [[nodiscard]] std::uint64_t resends() const noexcept { return resends_; }
+  /// Doorbells rung on ring frames: every WQE posted unbatched (first
+  /// attempts and retransmits). Frames posted / doorbells is the batching.
+  [[nodiscard]] std::uint64_t doorbells() const noexcept { return doorbells_; }
   [[nodiscard]] std::uint64_t acks_received() const noexcept { return acks_received_; }
   [[nodiscard]] std::uint64_t backlogged() const noexcept { return backlogged_; }
   [[nodiscard]] std::uint64_t torn_acks() const noexcept { return torn_acks_; }
@@ -143,6 +171,15 @@ class ReplicationPrimary {
     std::function<void()> settle;
   };
 
+  /// A frame placed in the ring (cursor advanced, landing id taken) whose
+  /// WQE waits for its run's doorbell.
+  struct HeldFrame {
+    std::vector<std::byte> frame;
+    std::uint64_t at = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t id = 0;
+  };
+
   struct Link {
     SecondaryShard* secondary = nullptr;
     fabric::QueuePair* qp = nullptr;  // primary-side endpoint
@@ -164,6 +201,8 @@ class ReplicationPrimary {
     std::deque<std::function<void()>> backlog_completions;
     std::deque<Landing> landing;      ///< posted frames, in ring order
     std::uint64_t landing_base = 0;   ///< id of landing.front()
+    std::vector<HeldFrame> held;      ///< the held run, in ring order
+    std::uint32_t run_records = 0;    ///< records (not wrap markers) in held
     std::vector<std::byte> ack_buf;
     fabric::MemoryRegion* ack_mr = nullptr;
   };
@@ -179,11 +218,16 @@ class ReplicationPrimary {
   /// a torn or dropped delivery is rewritten to the same offset (the
   /// consumer never advances past an incomplete frame). `settle` fires once
   /// the frame and every frame posted before it on the link have landed.
+  /// While `holding_`, the frame joins the link's held run instead; any
+  /// other post rings the held run first.
   void post_frame(Link& link, std::vector<std::byte> frame, std::uint64_t at,
                   std::uint64_t seq, std::function<void()> settle);
+  /// Posts the link's held run with one doorbell; true if it held frames.
+  bool ring(Link& link);
   /// One delivery attempt of landing entry `id`; retries ride the chain.
+  /// `batched` rides the doorbell of the WQE posted just before it.
   void post_attempt(Link& link, std::vector<std::byte> frame, std::uint64_t at,
-                    std::uint64_t seq, std::uint64_t id, int attempt);
+                    std::uint64_t seq, std::uint64_t id, int attempt, bool batched);
   void on_write_error(Link& link, std::vector<std::byte> frame, std::uint64_t at,
                       std::uint64_t seq, std::uint64_t id, int attempt,
                       fabric::WcStatus status);
@@ -215,7 +259,10 @@ class ReplicationPrimary {
   std::vector<std::unique_ptr<Link>> links_;
   /// Strict-mode waiters keyed by sequence number.
   std::map<std::uint64_t, std::function<void()>> strict_waiters_;
+  /// Set while replicate() places a record that joins a held run.
+  bool holding_ = false;
   std::uint64_t resends_ = 0;
+  std::uint64_t doorbells_ = 0;
   std::uint64_t acks_received_ = 0;
   std::uint64_t backlogged_ = 0;
   std::uint64_t torn_acks_ = 0;

@@ -13,6 +13,15 @@
 #include "obs/plane.hpp"
 
 namespace hydra::server {
+namespace {
+
+/// Requests that, applied, hand the replicator exactly one record.
+bool is_single_key_write(proto::MsgType t) noexcept {
+  return t == proto::MsgType::kInsert || t == proto::MsgType::kUpdate ||
+         t == proto::MsgType::kPut || t == proto::MsgType::kRemove;
+}
+
+}  // namespace
 
 Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
              ShardConfig cfg, std::unique_ptr<core::KVStore> existing_store)
@@ -117,7 +126,8 @@ bool Shard::accept_send_recv(fabric::QueuePair* server_qp, ClientId /*client*/) 
   return true;
 }
 
-Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp, std::uint32_t ring_slots) {
+Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp, std::uint32_t ring_slots,
+                                              bool shared) {
   // Groups pass one admission gate: live connections, never unbounded
   // growth across the failure/reopen cycles the chaos families drive.
   if (live_conns_ >= cfg_.max_connections) return {};
@@ -149,6 +159,7 @@ Shard::MuxGroupResult Shard::accept_mux_group(fabric::QueuePair* qp, std::uint32
   }
   ++live_conns_;
   Connection& c = conns_[idx];
+  c.shared = shared;
   c.ring_mr = fabric_.node(node_).register_memory(c.ring.bytes());
   c.ring_mr->set_write_hook(guard([this, idx](std::uint64_t, std::uint32_t) {
     if (dirty_.mark(idx)) wake();
@@ -246,31 +257,45 @@ void Shard::process_loop() {
     handle(std::move(r.req), r.conn_idx, 0, cfg_.cpu.poll_scan, /*batched=*/false, r.endpoint);
     return;
   }
-  // Requests an earlier sweep already decoded execute before new polling.
-  if (!ready_.empty()) {
-    ReadyReq r = std::move(ready_.front());
-    ready_.pop_front();
-    handle(std::move(r.req), r.conn_idx, r.slot, 0, r.batched, r.endpoint);
+  // Requests an earlier sweep already decoded execute before new polling;
+  // a sweep made ahead (next_is_write) charges its scan to the first of them.
+  Duration scan_cost = std::exchange(ahead_scan_cost_, 0);
+  if (ready_.empty()) scan_cost += sweep_dirty();
+  if (ready_.empty()) {
+    charge(scan_cost);
+    busy_ = false;  // idle; the write hook re-arms us
     return;
   }
+  ReadyReq r = std::move(ready_.front());
+  ready_.pop_front();
+  handle(std::move(r.req), r.conn_idx, r.slot, scan_cost, r.batched, r.endpoint);
+}
+
+Duration Shard::sweep_dirty() {
   // Polling mode: round-robin over groups whose rings saw a write; a dirty
   // group has all of its occupied slots drained in one sweep. The scheduler
   // pops exactly the groups that saw traffic, so this is O(active) per
   // wakeup no matter how many connections are registered.
   Duration scan_cost = 0;
-  while (!dirty_.empty()) {
-    const std::uint32_t idx = dirty_.pop();
+  while (ready_.empty() && !dirty_.empty()) {
     scan_cost += cfg_.cpu.poll_scan;
-    sweep_group(idx);
-    if (!ready_.empty()) {
-      ReadyReq r = std::move(ready_.front());
-      ready_.pop_front();
-      handle(std::move(r.req), r.conn_idx, r.slot, scan_cost, r.batched, r.endpoint);
-      return;
-    }
+    sweep_group(dirty_.pop());
   }
-  charge(scan_cost);
-  busy_ = false;  // idle; the write hook re-arms us
+  return scan_cost;
+}
+
+bool Shard::next_is_write() {
+  const std::deque<ReadyReq>* next = &sr_pending_;
+  if (next->empty()) {
+    if (ready_.empty()) ahead_scan_cost_ += sweep_dirty();
+    next = &ready_;
+  }
+  return !next->empty() && is_single_key_write(next->front().req.type);
+}
+
+Duration Shard::ring_held_run() {
+  if (replicator_ == nullptr) return 0;
+  return doorbell_cpu() * static_cast<Duration>(replicator_->ring());
 }
 
 void Shard::sweep_group(std::uint32_t idx) {
@@ -323,12 +348,19 @@ void Shard::sweep_group(std::uint32_t idx) {
     if (decoded > 0) {
       fabric_.obs()->trace(now(), node_, obs::TraceKind::kRingSweep, cfg_.id, decoded, idx);
     }
-    fabric_.obs()->trace(now(), node_, obs::TraceKind::kSrqDepth, cfg_.id, occupied, idx);
+    // Only a shared ring has a depth worth tracing: on a channel of one it
+    // is just that client's in-flight count, traced on every sweep.
+    if (conn.shared) {
+      fabric_.obs()->trace(now(), node_, obs::TraceKind::kSrqDepth, cfg_.id, occupied, idx);
+    }
   }
 }
 
 void Shard::handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
                    Duration cost_so_far, bool batched, std::uint32_t endpoint) {
+  // A request that will not hand the replicator a record rings the held
+  // run as it starts (a failed or refused write rings below).
+  if (!is_single_key_write(req.type)) cost_so_far += ring_held_run();
   if (req.type == proto::MsgType::kScan) {
     // Scans dispatch before the per-key owner filter: the request's key is a
     // range position, not an owned key, and the handler runs its own epoch
@@ -350,6 +382,7 @@ void Shard::handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slo
     // split ownership with the range's new home.
     ++stats_.wrong_owner;
     resp.status = Status::kWrongOwner;
+    cost += ring_held_run();
     cost += batched ? cpu.post_response_batched : cpu.post_response;
     charge(cost);
     schedule_after(cost, [this, resp = std::move(resp), conn_idx, slot, batched, endpoint] {
@@ -442,6 +475,7 @@ void Shard::handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slo
 
   cost += batched ? cpu.post_response_batched : cpu.post_response;
   schedule_gc();
+  if (!replicate) cost += ring_held_run();
 
   if (replicate && migration_forward_ && forward_moving_(key_hash)) {
     // Dual ownership: the write landed in a range currently being migrated
@@ -466,7 +500,13 @@ void Shard::handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slo
   const int kills = promo != nullptr ? static_cast<int>(promo->targets.size()) : 0;
 
   if (replicate && replicator_ != nullptr && replicator_->secondary_count() > 0) {
+    // Doorbell run (DESIGN.md §4): when the next request is a write too,
+    // this record's WQEs wait for it, and the run's last write posts them
+    // all with one doorbell. A held record costs the shard its WQE build
+    // without the doorbell.
+    const bool hold = replicator_->can_hold() && next_is_write();
     cost += replicator_->post_cost();
+    if (hold) cost -= doorbell_cpu() * static_cast<Duration>(replicator_->secondary_count());
     proto::RepRecord rec;
     rec.op = req.type == proto::MsgType::kRemove ? proto::MsgType::kRemove : proto::MsgType::kPut;
     rec.op_time = now();
@@ -488,7 +528,7 @@ void Shard::handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slo
           if (blocking) process_loop();
         });
     if (promo != nullptr) post_promotion_kills(promo, arm);
-    replicator_->replicate(std::move(rec), arm);
+    replicator_->replicate(std::move(rec), arm, hold);
     charge(cost);
     schedule_after(cost, [this, arm, blocking] {
       arm();

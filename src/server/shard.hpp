@@ -90,10 +90,11 @@ class Shard : public sim::Actor {
   };
 
   /// Registers a request ring of `ring_slots` slots served over `qp` -- one
-  /// client channel, shared by a node's endpoints ("SRQ") or carrying one.
-  /// Frames carry a MuxHeader naming the endpoint and its response slot.
-  /// Refused past max_connections live connections.
-  MuxGroupResult accept_mux_group(fabric::QueuePair* qp, std::uint32_t ring_slots);
+  /// client channel, shared by a node's endpoints ("SRQ", `shared`) or
+  /// carrying one. Frames carry a MuxHeader naming the endpoint and its
+  /// response slot. Refused past max_connections live connections.
+  MuxGroupResult accept_mux_group(fabric::QueuePair* qp, std::uint32_t ring_slots,
+                                  bool shared = true);
 
   /// Adds a logical client endpoint to an existing mux group. Responses are
   /// RDMA-written into slot MuxHeader::resp_slot of the endpoint's private
@@ -205,6 +206,7 @@ class Shard : public sim::Actor {
     /// Send/Recv mode owns its receive buffers (re-posted after use).
     std::vector<std::vector<std::byte>> recv_bufs;
     bool closed = false;  ///< mux group torn down; its slot awaits reuse
+    bool shared = false;  ///< a node's shared ring, not a channel of one
     std::uint32_t ring_slots = 0;
     fabric::RegisteredBuffer ring;  ///< its bytes stay put when conns_ grows
     fabric::MemoryRegion* ring_mr = nullptr;
@@ -234,7 +236,21 @@ class Shard : public sim::Actor {
 
   void wake();
   void process_loop();
+  /// Sweeps dirty groups until one yields a request; returns their poll_scan.
+  Duration sweep_dirty();
   void sweep_group(std::uint32_t idx);
+  /// Whether the request the core executes next is a single-key write, so a
+  /// relaxed write's record may wait for it in the replication run. With
+  /// nothing decoded it sweeps ahead; that scan is charged to the next
+  /// request, as if swept when it was picked up.
+  bool next_is_write();
+  /// Rings the replicator's held run; returns the CPU of the doorbells rung,
+  /// 0 when nothing was held.
+  Duration ring_held_run();
+  /// CPU a WQE saves by riding an already-rung doorbell.
+  [[nodiscard]] Duration doorbell_cpu() const noexcept {
+    return cfg_.cpu.post_response - cfg_.cpu.post_response_batched;
+  }
   void handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
               Duration cost_so_far, bool batched, std::uint32_t endpoint);
   /// kTxnCommit: validates epoch + ownership + lock words for the whole
@@ -356,6 +372,8 @@ class Shard : public sim::Actor {
   std::vector<std::uint32_t> free_endpoints_;
   /// Requests decoded by a ring sweep, waiting for the shard core.
   std::deque<ReadyReq> ready_;
+  /// poll_scan of sweeps made ahead by next_is_write, not yet charged.
+  Duration ahead_scan_cost_ = 0;
   /// Send/Recv mode: decoded requests waiting for the shard thread.
   std::deque<ReadyReq> sr_pending_;
   bool busy_ = false;

@@ -697,6 +697,36 @@ TEST(ClientRerouting, PostPendingAcrossTheRerouteExecutesOnce) {
   EXPECT_EQ(*cluster.get("k"), "v1");
 }
 
+// Dropping a connection hands its ring credits back to the shared channel,
+// and a credit can go straight to a request this same connection parked.
+// That request was drained with the connection, so it must recycle the
+// credit rather than post its stale frame (the op runs again once
+// re-submitted) and arm a timeout that nothing cancels.
+TEST(ClientRerouting, DroppedConnectionRecyclesCreditsItsOwnRequestsWaitOn) {
+  auto opts = loaded_options(/*mux=*/true);
+  opts.client_nodes = 1;
+  opts.clients_per_node = 2;
+  opts.shard_template.mux_ring_slots = 2;  // two credits, three requests
+  db::HydraCluster cluster(opts);
+  Load load(cluster, 300);
+  client::Client& c = *cluster.clients()[1];
+  server::Shard& shard = *cluster.shard(0);
+  const std::uint64_t puts = shard.stats().puts;
+  const std::vector<std::string>& keys = load.keys_of[0];
+  load.update(0, keys[0], /*loop=*/false);  // takes the first credit
+  load.update(1, keys[1], /*loop=*/false);  // takes the second
+  load.update(1, keys[2], /*loop=*/false);  // parks on the channel
+  cluster.run_for(c.config().issue_cost + 10);
+  ASSERT_EQ(cluster.node_mux(0)->peek_channel({0})->waiters.size(), 1u);
+  c.reroute(0);
+  cluster.run_for(20 * kMillisecond);
+
+  for (const Load::Op& op : load.ops) EXPECT_EQ(op.answers, 1);
+  EXPECT_EQ(shard.stats().puts - puts, 3u) << "a drained update ran twice";
+  EXPECT_EQ(c.stats().reroutes, 2u);
+  EXPECT_EQ(c.stats().timeouts, 0u);
+}
+
 TEST(ClientRerouting, MigrationEpochPublishWithNoOwnerChangeReroutesNothing) {
   db::ClusterOptions opts;
   opts.server_nodes = 2;

@@ -294,6 +294,75 @@ TEST(GoldenDeterminism, PromotionLatencyDerivableFromChaosTraceAlone) {
   FAIL() << "no scripted schedule kills a primary";
 }
 
+// ------------------------------------------------- exported shard metrics
+
+/// One shard with two relaxed replicas and `clients` clients on one machine.
+db::ClusterOptions one_shard_options(int clients, bool mux, obs::Plane* plane) {
+  db::ClusterOptions opts;
+  opts.server_nodes = 3;
+  opts.shards_per_node = 1;
+  opts.total_shards = 1;
+  opts.client_nodes = 1;
+  opts.clients_per_node = clients;
+  opts.replicas = 2;
+  opts.enable_swat = false;
+  opts.mux_connections = mux;
+  opts.obs = plane;
+  opts.shard_template.store.arena_bytes = 8 << 20;
+  opts.shard_template.store.min_buckets = 1 << 10;
+  return opts;
+}
+
+// A shared (mux) ring's depth is worth a kSrqDepth record per sweep; a
+// channel of one's "depth" is just its client's in-flight count, so those
+// sweeps trace none.
+TEST(ShardTrace, SrqDepthTracedOnlyForSharedRings) {
+  for (const bool mux : {false, true}) {
+    obs::Plane plane;
+    db::HydraCluster cluster(one_shard_options(4, mux, &plane));
+    for (int i = 0; i < 20; ++i) {
+      const auto k = static_cast<std::uint64_t>(i);
+      ASSERT_EQ(cluster.put(format_key(k), synth_value(k)), Status::kOk);
+    }
+    const obs::TraceQuery q = plane.query();
+    EXPECT_GT(q.count(obs::TraceKind::kRingSweep), 0u) << "mux=" << mux;
+    if (mux) {
+      EXPECT_GT(q.count(obs::TraceKind::kSrqDepth), 0u);
+    } else {
+      EXPECT_EQ(q.count(obs::TraceKind::kSrqDepth), 0u);
+    }
+  }
+}
+
+// rep.doorbells counts the doorbells a shard's replicator rang: one per
+// replica for a write posted alone, one per replica for a whole run.
+TEST(ShardMetrics, RepDoorbellsCountsDoorbellsPerReplica) {
+  obs::Plane plane;
+  db::HydraCluster cluster(one_shard_options(4, false, &plane));
+  auto doorbells = [&] {
+    plane.collect();
+    return plane.metrics().counters().at("shard.0.rep.doorbells").value();
+  };
+  // Sequential writes: each one's record posts alone, on both replicas.
+  for (int i = 0; i < 10; ++i) {
+    const auto k = static_cast<std::uint64_t>(i);
+    ASSERT_EQ(cluster.put(format_key(k), synth_value(k)), Status::kOk);
+  }
+  EXPECT_EQ(doorbells(), 20u);
+  EXPECT_EQ(doorbells(), cluster.shard(0)->replicator()->doorbells());
+
+  // Four writes at once: the first posts alone, the three that queue behind
+  // it form one run (posted alone, the four would ring 8).
+  int done = 0;
+  for (int c = 0; c < 4; ++c) {
+    cluster.clients()[static_cast<std::size_t>(c)]->update(
+        format_key(static_cast<std::uint64_t>(c)), "fresh", [&](Status) { ++done; });
+  }
+  cluster.run_for(100 * kMicrosecond);
+  ASSERT_EQ(done, 4);
+  EXPECT_EQ(doorbells(), 24u);
+}
+
 TEST(Plane, JsonCarriesSchemaAndTrace) {
   obs::Plane plane;
   plane.metrics().counter("x").add(5);

@@ -1,5 +1,7 @@
 // Tests for RDMA logging replication: log delivery, relaxed vs strict acks,
-// failure injection with rollback/resend, ring wrap-around, multi-secondary.
+// failure injection with rollback/resend, ring wrap-around, multi-secondary,
+// and doorbell runs (held records posted under one doorbell), both on the
+// bare engine and through a shard's request loop.
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,6 +10,8 @@
 
 #include "common/keygen.hpp"
 #include "fabric/fabric.hpp"
+#include "hydradb/hydra_cluster.hpp"
+#include "obs/plane.hpp"
 #include "replication/primary.hpp"
 #include "replication/secondary.hpp"
 #include "sim/scheduler.hpp"
@@ -19,6 +23,7 @@ namespace {
 struct Rig {
   void build(int secondaries, ReplicationMode mode, std::uint32_t ack_interval = 32,
              std::uint32_t ring_bytes = 1 << 20) {
+    fabric.set_obs(&plane);
     primary_node = fabric.add_node("primary").id();
     owner = std::make_unique<sim::Actor>(sched, "primary-shard");
     PrimaryConfig cfg;
@@ -45,7 +50,28 @@ struct Rig {
     return rec;
   }
 
+  /// Ring-frame WQEs the primary posted: the ones that rang a doorbell
+  /// (kWritePosted) and the ones that rode one (kDoorbellBatched). Rkeys
+  /// number per node and every secondary registers alike, so one ring rkey
+  /// names every secondary's ring.
+  struct Posts {
+    int rung = 0;
+    int batched = 0;
+  };
+  Posts ring_posts() const {
+    Posts p;
+    const std::uint32_t rkey = secs.front()->ring_mr()->rkey();
+    const obs::TraceQuery q = plane.query();
+    for (const obs::TraceRecord& r : q.all()) {
+      if (r.node != primary_node || r.b != rkey) continue;
+      if (r.kind == obs::TraceKind::kWritePosted) ++p.rung;
+      if (r.kind == obs::TraceKind::kDoorbellBatched) ++p.batched;
+    }
+    return p;
+  }
+
   sim::Scheduler sched;
+  obs::Plane plane;
   fabric::Fabric fabric{sched};
   NodeId primary_node = 0;
   std::unique_ptr<sim::Actor> owner;
@@ -233,6 +259,305 @@ TEST_F(ReplicationTest, ResetStreamSupportsNewPrimary) {
   // Old data survives (the store is the same replica), new data arrives.
   EXPECT_TRUE(secs[0]->store().get("old", sched.now(), false).ok());
   EXPECT_TRUE(secs[0]->store().get("new", sched.now(), false).ok());
+}
+
+// ------------------------------------------------------------ doorbell runs
+
+/// Holds `held` records, then ends the run with one more; counts callbacks.
+void replicate_run(Rig& rig, int held, int* fired) {
+  for (int i = 0; i <= held; ++i) {
+    rig.primary->replicate(rig.make_put(format_key(static_cast<std::uint64_t>(i)),
+                                        synth_value(static_cast<std::uint64_t>(i))),
+                           [fired] { ++*fired; },
+                           /*hold=*/i < held);
+  }
+}
+
+TEST_F(ReplicationTest, RunOfQueuedWritesRingsOneDoorbellPerSecondary) {
+  build(2, ReplicationMode::kLogRelaxed);
+  constexpr int kRun = static_cast<int>(ReplicationPrimary::kMaxRunRecords);
+  int fired = 0;
+  for (int i = 0; i < kRun - 1; ++i) {
+    ASSERT_TRUE(primary->can_hold()) << i;
+    primary->replicate(make_put(format_key(static_cast<std::uint64_t>(i)), "v"),
+                       [&] { ++fired; }, /*hold=*/true);
+  }
+  // Held records are placed but not posted.
+  EXPECT_EQ(ring_posts().rung + ring_posts().batched, 0);
+  EXPECT_EQ(primary->doorbells(), 0u);
+  primary->replicate(make_put("last", "v"), [&] { ++fired; });
+  // Well inside the 1 ms ack deadline, so no ack probe adds a doorbell.
+  sched.run_for(100 * kMicrosecond);
+  EXPECT_EQ(fired, kRun);
+  // Each of the two secondaries: one WQE rang the doorbell, K-1 rode it.
+  EXPECT_EQ(ring_posts().rung, 2);
+  EXPECT_EQ(ring_posts().batched, 2 * (kRun - 1));
+  EXPECT_EQ(primary->doorbells(), 2u);
+  for (const auto& sec : secs) {
+    EXPECT_EQ(sec->applied_seq(), static_cast<std::uint64_t>(kRun));
+    EXPECT_EQ(sec->store().size(), static_cast<std::size_t>(kRun));
+  }
+}
+
+TEST_F(ReplicationTest, StrictModeNeverHolds) {
+  // A strict-mode record waits for its own ack, so holding its WQE would
+  // only delay it: a held record posts on its own doorbell.
+  build(1, ReplicationMode::kStrictAck);
+  EXPECT_FALSE(primary->can_hold());
+  int fired = 0;
+  replicate_run(*this, 2, &fired);
+  sched.run_for(100 * kMicrosecond);
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(ring_posts().rung, 3);
+  EXPECT_EQ(ring_posts().batched, 0);
+}
+
+TEST_F(ReplicationTest, RunNeverExceedsAckInterval) {
+  build(1, ReplicationMode::kLogRelaxed, /*ack_interval=*/3);
+  int fired = 0;
+  ASSERT_TRUE(primary->can_hold());
+  primary->replicate(make_put("a", "v"), [&] { ++fired; }, /*hold=*/true);
+  ASSERT_TRUE(primary->can_hold());
+  primary->replicate(make_put("b", "v"), [&] { ++fired; }, /*hold=*/true);
+  // A third record must end the run: runs hold at most ack_interval records.
+  EXPECT_FALSE(primary->can_hold());
+  primary->replicate(make_put("c", "v"), [&] { ++fired; });
+  EXPECT_TRUE(primary->can_hold());
+  sched.run_for(100 * kMicrosecond);
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(ring_posts().rung, 1);
+  EXPECT_EQ(ring_posts().batched, 2);
+
+  // With the default ack_interval the run stops at kMaxRunRecords.
+  Rig wide;
+  wide.build(1, ReplicationMode::kLogRelaxed);
+  for (std::uint32_t i = 0; i + 1 < ReplicationPrimary::kMaxRunRecords; ++i) {
+    ASSERT_TRUE(wide.primary->can_hold());
+    wide.primary->replicate(wide.make_put(format_key(i), "v"), nullptr, /*hold=*/true);
+  }
+  EXPECT_FALSE(wide.primary->can_hold());
+}
+
+TEST_F(ReplicationTest, AckProbeRingsTheHeldRunFirst) {
+  // With nothing else posted, the ack deadline's probe (a control frame)
+  // is what carries the held records out, and they go ahead of it.
+  build(1, ReplicationMode::kLogRelaxed);
+  int fired = 0;
+  primary->replicate(make_put("a", "1"), [&] { ++fired; }, /*hold=*/true);
+  primary->replicate(make_put("b", "2"), [&] { ++fired; }, /*hold=*/true);
+  sched.run_for(3 * kMillisecond);
+  EXPECT_EQ(fired, 2);
+  EXPECT_GE(primary->ack_probes(), 1u);
+  EXPECT_EQ(secs[0]->applied_seq(), 2u);
+  const obs::TraceQuery q = plane.query();
+  std::vector<obs::TraceKind> posts;
+  for (const obs::TraceRecord& r : q.all()) {
+    if (r.node != primary_node || r.b != secs[0]->ring_mr()->rkey()) continue;
+    if (r.kind == obs::TraceKind::kWritePosted || r.kind == obs::TraceKind::kDoorbellBatched) {
+      posts.push_back(r.kind);
+    }
+  }
+  // Held pair (rung + batched), then the probe on a doorbell of its own.
+  ASSERT_EQ(posts.size(), 3u);
+  EXPECT_EQ(posts[0], obs::TraceKind::kWritePosted);
+  EXPECT_EQ(posts[1], obs::TraceKind::kDoorbellBatched);
+  EXPECT_EQ(posts[2], obs::TraceKind::kWritePosted);
+}
+
+TEST_F(ReplicationTest, RetransmitRingsTheHeldRunFirst) {
+  // Record A is dropped once; B is held behind it. A's retransmit is a post
+  // of its own, so it rings B first, and both land in ring order.
+  build(1, ReplicationMode::kLogRelaxed);
+  int faults = 0;
+  fabric.set_write_fault_hook([&](NodeId, NodeId, const fabric::RemoteAddr& addr, std::uint32_t) {
+    fabric::WriteFault f;
+    if (addr.rkey == secs[0]->ring_mr()->rkey() && faults++ == 0) {
+      f.kind = fabric::WriteFault::Kind::kDrop;
+    }
+    return f;
+  });
+  int fired = 0;
+  primary->replicate(make_put("a", "1"), [&] { ++fired; });
+  primary->replicate(make_put("b", "2"), [&] { ++fired; }, /*hold=*/true);
+  // The drop surfaces after the 500 us retransmission timeout; stop short
+  // of the ack deadline's probe.
+  sched.run_for(900 * kMicrosecond);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(primary->write_retries(), 1u);
+  EXPECT_EQ(secs[0]->applied_seq(), 2u);
+  // A (rung), then B rung by the retransmit, then A's retransmit.
+  EXPECT_EQ(ring_posts().rung, 3);
+  EXPECT_EQ(ring_posts().batched, 0);
+}
+
+// ------------------------------------------------- doorbell runs under faults
+
+TEST_F(ReplicationTest, TornOrDroppedBatchedWqeRetransmitsInPlace) {
+  for (const auto kind : {fabric::WriteFault::Kind::kTorn, fabric::WriteFault::Kind::kDrop}) {
+    Rig rig;
+    rig.build(1, ReplicationMode::kLogRelaxed);
+    // Fault the first delivery of the run's second (batched) WQE.
+    int ring_writes = 0;
+    std::uint64_t faulted_at = ~std::uint64_t{0};
+    rig.fabric.set_write_fault_hook(
+        [&](NodeId, NodeId, const fabric::RemoteAddr& addr, std::uint32_t size) {
+          fabric::WriteFault f;
+          if (addr.rkey != rig.secs[0]->ring_mr()->rkey() || ++ring_writes != 2) return f;
+          faulted_at = addr.offset;
+          f.kind = kind;
+          f.torn_bytes = size / 2;
+          return f;
+        });
+    int fired = 0;
+    replicate_run(rig, 2, &fired);
+    rig.sched.run();
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(rig.primary->write_retries(), 1u);
+    EXPECT_EQ(rig.primary->quarantined(), 0u);
+    // The retransmit rewrote the same ring offset.
+    const auto retx = rig.plane.query().first(obs::TraceKind::kRetransmit);
+    ASSERT_TRUE(retx.has_value());
+    EXPECT_EQ(retx->a, faulted_at);
+    EXPECT_EQ(rig.secs[0]->applied_seq(), 3u);
+    for (int i = 0; i < 3; ++i) {
+      const auto k = static_cast<std::uint64_t>(i);
+      auto r = rig.secs[0]->store().get(format_key(k), rig.sched.now(), false);
+      ASSERT_TRUE(r.ok()) << i;
+      EXPECT_EQ(r.value().value, synth_value(k));
+    }
+  }
+}
+
+TEST_F(ReplicationTest, QuarantineSettlesHeldRecords) {
+  build(2, ReplicationMode::kLogRelaxed);
+  int fired = 0;
+  primary->replicate(make_put("a", "1"), [&] { ++fired; }, /*hold=*/true);
+  primary->replicate(make_put("b", "2"), [&] { ++fired; }, /*hold=*/true);
+  // One replica dies with the run held: its link settles what it owes, and
+  // the survivor's post completes each record.
+  secs[1]->kill();
+  primary->remove_secondary(*secs[1]);
+  primary->replicate(make_put("c", "3"), [&] { ++fired; });
+  sched.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(secs[0]->applied_seq(), 3u);
+
+  // Both replicas gone while records are held: nothing will ever ring the
+  // run, so the quarantine sweep itself must settle each waiter.
+  Rig rig;
+  rig.build(1, ReplicationMode::kLogRelaxed);
+  int settled = 0;
+  rig.primary->replicate(rig.make_put("a", "1"), [&] { ++settled; }, /*hold=*/true);
+  rig.primary->replicate(rig.make_put("b", "2"), [&] { ++settled; }, /*hold=*/true);
+  rig.primary->remove_secondary(*rig.secs[0]);
+  EXPECT_EQ(settled, 2);
+  rig.sched.run();
+  EXPECT_EQ(settled, 2);
+  EXPECT_EQ(rig.ring_posts().rung + rig.ring_posts().batched, 0);
+}
+
+TEST_F(ReplicationTest, RkeyFenceSettlesHeldRecordsThroughTheFenceHandler) {
+  build(1, ReplicationMode::kLogRelaxed);
+  int fenced = 0;
+  primary->set_fence_handler([&] { ++fenced; });
+  int fired = 0;
+  primary->replicate(make_put("a", "1"), [&] { ++fired; }, /*hold=*/true);
+  primary->replicate(make_put("b", "2"), [&] { ++fired; }, /*hold=*/true);
+  // The replica revokes our ring rkey (the failover plane fencing us); the
+  // held run is then rung and every WQE of it fails kProtectionError.
+  secs[0]->ring_mr()->revoke();
+  primary->replicate(make_put("c", "3"), [&] { ++fired; });
+  sched.run();
+  EXPECT_EQ(fenced, 1);
+  EXPECT_EQ(primary->fence_errors(), 1u);
+  EXPECT_EQ(primary->quarantined(), 1u);
+  EXPECT_EQ(fired, 3);  // no fence handler killed the owner: all settle
+  EXPECT_EQ(secs[0]->applied_seq(), 0u);
+}
+
+TEST_F(ReplicationTest, PrimaryCrashDropsHeldRecordsWithoutWedging) {
+  build(2, ReplicationMode::kLogRelaxed);
+  int fired = 0;
+  primary->replicate(make_put("a", "1"), [&] { ++fired; });
+  sched.run();
+  ASSERT_EQ(fired, 1);
+  primary->replicate(make_put("b", "2"), [&] { ++fired; }, /*hold=*/true);
+  primary->replicate(make_put("c", "3"), [&] { ++fired; }, /*hold=*/true);
+  // The owning shard crashes with the run held: the records never left, so
+  // no write they carry was acknowledged, and nothing fires or hangs.
+  owner->kill();
+  sched.run();
+  EXPECT_EQ(fired, 1);
+  for (const auto& sec : secs) EXPECT_EQ(sec->applied_seq(), 1u);
+}
+
+// --------------------------------------- doorbell runs through the shard loop
+
+/// One shard with two relaxed replicas; `writers` clients on one machine.
+db::ClusterOptions run_cluster_options(int writers, obs::Plane* plane) {
+  db::ClusterOptions o;
+  o.server_nodes = 3;
+  o.shards_per_node = 1;
+  o.total_shards = 1;
+  o.client_nodes = 1;
+  o.clients_per_node = writers;
+  o.replicas = 2;
+  o.enable_swat = false;
+  o.obs = plane;
+  o.shard_template.store.arena_bytes = 8 << 20;
+  o.shard_template.store.min_buckets = 1 << 10;
+  return o;
+}
+
+/// Issues one update per client at the same instant and runs 100 us (short
+/// of the 1 ms replication ack deadline); returns each latency, 0 if none.
+std::vector<Duration> concurrent_updates(db::HydraCluster& cluster,
+                                         const std::vector<std::string>& keys) {
+  std::vector<Duration> lat(keys.size(), 0);
+  const Time start = cluster.scheduler().now();
+  for (std::size_t c = 0; c < keys.size(); ++c) {
+    cluster.clients()[c]->update(keys[c], "fresh", [&, c, start](Status) {
+      lat[c] = cluster.scheduler().now() - start;
+    });
+  }
+  cluster.run_for(100 * kMicrosecond);
+  return lat;
+}
+
+TEST(DoorbellRuns, QueuedWritesShareOneDoorbellPerSecondary) {
+  db::HydraCluster cluster(run_cluster_options(4, nullptr));
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4; ++i) {
+    keys.push_back(format_key(static_cast<std::uint64_t>(i)));
+    ASSERT_EQ(cluster.put(keys.back(), "v"), Status::kOk);
+  }
+  const auto* rep = cluster.shard(0)->replicator();
+  const std::uint64_t before = rep->doorbells();
+  // The first update finds the shard idle and its peers still on the wire,
+  // so it posts alone. The other three queue up behind it: each looks one
+  // request ahead, finds another write, and holds; the third rings the run.
+  const auto lat = concurrent_updates(cluster, keys);
+  for (const Duration d : lat) EXPECT_GT(d, 0u);
+  EXPECT_EQ(rep->doorbells() - before, 2u * 2u);
+  EXPECT_EQ(cluster.shard(0)->stats().puts, 8u);
+}
+
+TEST(DoorbellRuns, WriteWithoutARecordRingsTheHeldRun) {
+  // "present" holds its record for the write queued behind it, which fails
+  // (its key does not exist) and so never hands the replicator a record:
+  // it must ring the held run as it starts, or "present" would wait for
+  // the replication ack deadline (1 ms) to carry its record out.
+  db::HydraCluster cluster(run_cluster_options(3, nullptr));
+  ASSERT_EQ(cluster.put("first", "v"), Status::kOk);
+  ASSERT_EQ(cluster.put("present", "v"), Status::kOk);
+  const auto* rep = cluster.shard(0)->replicator();
+  const std::uint64_t before = rep->doorbells();
+  const auto lat = concurrent_updates(cluster, {"first", "present", "missing"});
+  ASSERT_GT(lat[1], 0u);
+  EXPECT_LT(lat[1], 20 * kMicrosecond);
+  EXPECT_GT(lat[2], 0u);
+  // "first" alone, then "present" rung by the failed write: two per replica.
+  EXPECT_EQ(rep->doorbells() - before, 2u * 2u);
 }
 
 }  // namespace
