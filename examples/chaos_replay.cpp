@@ -2,27 +2,62 @@
 // command every sweep prints next to a failure (DESIGN.md §7).
 //
 //   chaos_replay <family> <schedule-name|random> <seed>
+//   chaos_replay <family> all <n>
 //
-// family: chaos, migration, failover, hotkey, scan, txn or cross. Prints
-// the run's history (violations included) and exits 1 on any violation.
+// family: chaos, migration, failover, hotkey, scan, txn or cross. The first
+// form prints the run's history (violations included) and exits 1 on any
+// violation. The second sweeps every scripted schedule of the family at
+// seeds 1..n, then random schedules at seeds 1..n, printing one line per
+// run -- schedule, seed, end time, verdict and a 64-bit hash of the history
+// -- so two builds that must not move virtual time can be compared with
+// diff. It exits 1 if any run failed.
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <string>
 
 #include "chaos/harness.hpp"
+#include "common/hash.hpp"
+
+namespace {
+
+using namespace hydra::chaos;
+
+/// Runs `schedule` at `seed` and prints its one-line summary.
+bool sweep_line(const Schedule& schedule, std::uint64_t seed) {
+  const Report report = run(schedule, seed);
+  std::printf("%s %" PRIu64 " end_time=%" PRIu64 " %s history=%016" PRIx64 "\n",
+              schedule.name.c_str(), seed, static_cast<std::uint64_t>(report.end_time),
+              report.passed() ? "PASS" : "FAIL",
+              hydra::hash_bytes(report.history.data(), report.history.size()));
+  return report.passed();
+}
+
+int sweep(Family family, std::uint64_t n) {
+  bool passed = true;
+  for (const Schedule& schedule : Schedule::scripted(family)) {
+    for (std::uint64_t seed = 1; seed <= n; ++seed) passed &= sweep_line(schedule, seed);
+  }
+  for (std::uint64_t seed = 1; seed <= n; ++seed) {
+    passed &= sweep_line(Schedule::random(family, seed), seed);
+  }
+  return passed ? 0 : 1;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  using namespace hydra::chaos;
   const auto family = argc == 4 ? family_named(argv[1]) : std::nullopt;
   if (!family.has_value()) {
     std::fprintf(stderr,
                  "usage: %s <chaos|migration|failover|hotkey|scan|txn|cross> "
-                 "<schedule-name|random> <seed>\n",
+                 "<schedule-name|random|all> <seed|n>\n",
                  argv[0]);
     return 2;
   }
   const std::uint64_t seed = std::strtoull(argv[3], nullptr, 10);
+  if (std::string(argv[2]) == "all") return sweep(*family, seed);
   Schedule schedule;
   try {
     schedule = std::string(argv[2]) == "random" ? Schedule::random(*family, seed)

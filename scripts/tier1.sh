@@ -14,6 +14,13 @@
 # deterministic). On a difference it prints the changed fields
 # (scripts/json_diff.py).
 #
+# The chaos counterpart for a change that must not move virtual time:
+# `build/examples/chaos_replay <family> all <n>` prints one line per run
+# (every scripted schedule and random schedules at seeds 1..n) with its end
+# time, verdict and a 64-bit hash of its history; run it for each of the
+# seven families (chaos, migration, failover, hotkey, scan, txn, cross) at
+# the change and at its parent and `diff` the outputs (DESIGN.md §7).
+#
 # Pass --txn to run only the transaction-layer suite (ctest label `txn`)
 # with an enlarged seeded-random sweep; --hotkey for the hot-key replication
 # plane suite (ctest label `hotkey`, DESIGN.md §12) likewise widened;

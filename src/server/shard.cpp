@@ -21,6 +21,16 @@ bool is_single_key_write(proto::MsgType t) noexcept {
          t == proto::MsgType::kPut || t == proto::MsgType::kRemove;
 }
 
+/// The replication record of one applied write (any put flavour is a kPut).
+proto::RepRecord make_record(proto::MsgType op, std::string key, std::string value, Time at) {
+  proto::RepRecord rec;
+  rec.op = op == proto::MsgType::kRemove ? proto::MsgType::kRemove : proto::MsgType::kPut;
+  rec.op_time = at;
+  rec.key = std::move(key);
+  rec.value = std::move(value);
+  return rec;
+}
+
 }  // namespace
 
 Shard::Shard(sim::Scheduler& sched, fabric::Fabric& fabric, NodeId node,
@@ -120,7 +130,7 @@ bool Shard::accept_send_recv(fabric::QueuePair* server_qp, ClientId /*client*/) 
       ++stats_.malformed;
       return;
     }
-    sr_pending_.push_back(ReadyReq{std::move(*req), idx, 0, false, gen});
+    sr_pending_.push_back(ReadyReq{std::move(*req), {.conn_idx = idx, .qp_generation = gen}});
     wake();
   }));
   return true;
@@ -254,7 +264,7 @@ void Shard::process_loop() {
   if (!sr_pending_.empty()) {
     ReadyReq r = std::move(sr_pending_.front());
     sr_pending_.pop_front();
-    handle(std::move(r.req), r.conn_idx, 0, cfg_.cpu.poll_scan, /*batched=*/false, r.endpoint);
+    handle(std::move(r.req), r.reply, cfg_.cpu.poll_scan);
     return;
   }
   // Requests an earlier sweep already decoded execute before new polling;
@@ -268,7 +278,7 @@ void Shard::process_loop() {
   }
   ReadyReq r = std::move(ready_.front());
   ready_.pop_front();
-  handle(std::move(r.req), r.conn_idx, r.slot, scan_cost, r.batched, r.endpoint);
+  handle(std::move(r.req), r.reply, scan_cost);
 }
 
 Duration Shard::sweep_dirty() {
@@ -338,8 +348,9 @@ void Shard::sweep_group(std::uint32_t idx) {
       ++stats_.malformed;
       continue;
     }
-    ready_.push_back(ReadyReq{std::move(*req), idx, hdr->resp_slot, !first_in_sweep,
-                              hdr->endpoint});
+    ready_.push_back(ReadyReq{std::move(*req),
+                              {.conn_idx = idx, .endpoint = hdr->endpoint,
+                               .slot = hdr->resp_slot, .batched = !first_in_sweep}});
     first_in_sweep = false;
     ++decoded;
     ++stats_.mux_requests;
@@ -356,42 +367,32 @@ void Shard::sweep_group(std::uint32_t idx) {
   }
 }
 
-void Shard::handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
-                   Duration cost_so_far, bool batched, std::uint32_t endpoint) {
+void Shard::handle(proto::Request req, const Reply& to, Duration cost) {
   // A request that will not hand the replicator a record rings the held
-  // run as it starts (a failed or refused write rings below).
-  if (!is_single_key_write(req.type)) cost_so_far += ring_held_run();
+  // run as it starts (a failed or refused write rings in commit()).
+  if (!is_single_key_write(req.type)) cost += ring_held_run();
   if (req.type == proto::MsgType::kScan) {
     // Scans dispatch before the per-key owner filter: the request's key is a
     // range position, not an owned key, and the handler runs its own epoch
     // fence against the continuation token.
-    handle_scan(std::move(req), conn_idx, slot, cost_so_far, batched, endpoint);
+    handle_scan(std::move(req), to, cost);
     return;
   }
   const CpuModel& cpu = cfg_.cpu;
   proto::Response resp;
   resp.req_id = req.req_id;
-  Duration cost = cost_so_far;
-  bool replicate = false;
 
-  const std::uint64_t key_hash =
-      (owner_filter_ || migration_forward_) ? hash_key(req.key) : 0;
-  if (owner_filter_ && !owner_filter_(key_hash)) {
+  if (owner_filter_ && !owner_filter_(hash_key(req.key))) {
     // Epoch fencing: this shard no longer (or does not yet) own the key's
     // range. Answer without touching the store -- serving the request would
     // split ownership with the range's new home.
     ++stats_.wrong_owner;
     resp.status = Status::kWrongOwner;
-    cost += ring_held_run();
-    cost += batched ? cpu.post_response_batched : cpu.post_response;
-    charge(cost);
-    schedule_after(cost, [this, resp = std::move(resp), conn_idx, slot, batched, endpoint] {
-      send_response(resp, conn_idx, slot, batched, endpoint);
-      process_loop();
-    });
+    commit(std::move(resp), to, cost);
     return;
   }
 
+  bool applied = false;  // a write the replicator must carry
   switch (req.type) {
     case proto::MsgType::kGet: {
       cost += cpu.base_get;
@@ -402,14 +403,7 @@ void Shard::handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slo
         resp.value.assign(view.value);
         resp.version = view.version;
         cost += static_cast<Duration>(cpu.per_value_byte * static_cast<double>(view.value.size()));
-        if (cfg_.grant_remote_pointers) {
-          resp.remote_ptr.rkey = arena_mr_->rkey();
-          resp.remote_ptr.offset = view.offset;
-          resp.remote_ptr.total_len = view.total_len;
-          resp.remote_ptr.lease_expiry = view.lease_expiry;
-          resp.remote_ptr.version = view.version;
-          resp.remote_ptr.shard = cfg_.id;
-        }
+        if (cfg_.grant_remote_pointers) grant_pointer(resp, view);
       }
       ++stats_.gets;
       if (hotkey_ != nullptr && r.ok()) hotkey_note_get(req.key, resp.version, resp);
@@ -427,14 +421,14 @@ void Shard::handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slo
       } else {
         resp.status = store_->put(req.key, req.value, now());
       }
-      replicate = resp.status == Status::kOk;
+      applied = resp.status == Status::kOk;
       ++stats_.puts;
       break;
     }
     case proto::MsgType::kRemove: {
       cost += cpu.base_remove;
       resp.status = store_->remove(req.key, now());
-      replicate = resp.status == Status::kOk;
+      applied = resp.status == Status::kOk;
       ++stats_.removes;
       break;
     }
@@ -446,12 +440,7 @@ void Shard::handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slo
         // the extended lease term.
         auto r = store_->get(req.key, now(), /*grant_lease=*/false);
         if (r.ok()) {
-          resp.remote_ptr.rkey = arena_mr_->rkey();
-          resp.remote_ptr.offset = r.value().offset;
-          resp.remote_ptr.total_len = r.value().total_len;
-          resp.remote_ptr.lease_expiry = r.value().lease_expiry;
-          resp.remote_ptr.version = r.value().version;
-          resp.remote_ptr.shard = cfg_.id;
+          grant_pointer(resp, r.value());
           // Renewals are the hot-key tracker's only visibility into
           // one-sided read traffic (RDMA GETs never reach this handler), so
           // they count as reads -- and the refreshed cache entry must carry
@@ -464,118 +453,114 @@ void Shard::handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slo
     }
     case proto::MsgType::kTxnCommit:
       // Multi-key commit group: validated and applied all-or-nothing in its
-      // own handler (which also owns the replication barrier).
-      handle_txn_commit(std::move(req), conn_idx, slot, cost, batched, endpoint);
+      // own handler, which ends in the same commit tail.
+      handle_txn_commit(std::move(req), to, cost);
       return;
     default:
       ++stats_.malformed;
       resp.status = Status::kInvalidArgument;
       break;
   }
-
-  cost += batched ? cpu.post_response_batched : cpu.post_response;
   schedule_gc();
-  if (!replicate) cost += ring_held_run();
+  std::vector<proto::RepRecord> records;
+  if (applied) {
+    records.push_back(make_record(req.type, std::move(req.key), std::move(req.value), now()));
+  }
+  commit(std::move(resp), to, cost, std::move(records), /*may_hold=*/true);
+}
 
-  if (replicate && migration_forward_ && forward_moving_(key_hash)) {
-    // Dual ownership: the write landed in a range currently being migrated
-    // away, so it also rides the migration flow's record ring. Copied
-    // before the replicator below moves the key/value out of the request.
-    proto::RepRecord fwd;
-    fwd.op = req.type == proto::MsgType::kRemove ? proto::MsgType::kRemove
-                                                 : proto::MsgType::kPut;
-    fwd.op_time = now();
-    fwd.key = req.key;
-    fwd.value = req.value;
-    ++stats_.forwarded;
-    migration_forward_(key_hash, std::move(fwd));
+void Shard::commit(proto::Response resp, const Reply& to, Duration cost,
+                   std::vector<proto::RepRecord> records, bool may_hold) {
+  cost += to.batched ? cfg_.cpu.post_response_batched : cfg_.cpu.post_response;
+  if (records.empty()) cost += ring_held_run();
+
+  // Dual ownership: a write that landed in a range currently being migrated
+  // away also rides the migration flow's record ring.
+  if (migration_forward_) {
+    for (const proto::RepRecord& rec : records) {
+      const std::uint64_t key_hash = hash_key(rec.key);
+      if (!forward_moving_(key_hash)) continue;
+      ++stats_.forwarded;
+      migration_forward_(key_hash, rec);
+    }
   }
 
   // Hot-key invalidation: a write to a promoted key must flip every follower
   // copy's guardian to DEAD *before* the ack leaves, or a client could read
   // the superseded value from a follower after observing the write
   // acknowledged. The kill completions therefore join the ack barrier.
-  std::shared_ptr<Promotion> promo;
-  if (hotkey_ != nullptr && replicate) promo = take_promotion_for_write(req.key);
-  const int kills = promo != nullptr ? static_cast<int>(promo->targets.size()) : 0;
-
-  if (replicate && replicator_ != nullptr && replicator_->secondary_count() > 0) {
-    // Doorbell run (DESIGN.md §4): when the next request is a write too,
-    // this record's WQEs wait for it, and the run's last write posts them
-    // all with one doorbell. A held record costs the shard its WQE build
-    // without the doorbell.
-    const bool hold = replicator_->can_hold() && next_is_write();
-    cost += replicator_->post_cost();
-    if (hold) cost -= doorbell_cpu() * static_cast<Duration>(replicator_->secondary_count());
-    proto::RepRecord rec;
-    rec.op = req.type == proto::MsgType::kRemove ? proto::MsgType::kRemove : proto::MsgType::kPut;
-    rec.op_time = now();
-    rec.key = std::move(req.key);
-    rec.value = std::move(req.value);
-
-    // The response leaves once BOTH the shard's CPU work is done and the
-    // replication policy is satisfied. Under the relaxed log protocol the
-    // shard polls the next request as soon as the records are posted (the
-    // overlap Fig 13 credits); the conventional strict protocol serializes:
-    // the shard cannot move on until the secondary acknowledged.
-    const bool blocking =
-        replicator_->config().mode == replication::ReplicationMode::kStrictAck;
-    auto barrier = std::make_shared<int>(2 + kills);
-    std::function<void()> arm =
-        guard([this, resp, conn_idx, slot, batched, endpoint, barrier, blocking] {
-          if (--*barrier > 0) return;
-          send_response(resp, conn_idx, slot, batched, endpoint);
-          if (blocking) process_loop();
-        });
-    if (promo != nullptr) post_promotion_kills(promo, arm);
-    replicator_->replicate(std::move(rec), arm, hold);
-    charge(cost);
-    schedule_after(cost, [this, arm, blocking] {
-      arm();
-      if (!blocking) process_loop();
-    });
-    return;
+  std::vector<std::shared_ptr<Promotion>> promos;
+  int kills = 0;
+  if (hotkey_ != nullptr) {
+    for (const proto::RepRecord& rec : records) {
+      if (auto p = take_promotion_for_write(rec.key)) {
+        kills += static_cast<int>(p->targets.size());
+        promos.push_back(std::move(p));
+      }
+    }
   }
 
-  if (kills > 0) {
-    // No replication stream to wait on, but the advertised copies still
-    // must die before the ack: same barrier shape, CPU + kill completions.
-    auto barrier = std::make_shared<int>(1 + kills);
-    std::function<void()> arm =
-        guard([this, resp, conn_idx, slot, batched, endpoint, barrier] {
-          if (--*barrier > 0) return;
-          send_response(resp, conn_idx, slot, batched, endpoint);
-        });
-    post_promotion_kills(promo, arm);
+  const bool replicate =
+      !records.empty() && replicator_ != nullptr && replicator_->secondary_count() > 0;
+  if (!replicate && kills == 0) {
     charge(cost);
-    schedule_after(cost, [this, arm] {
-      arm();
+    schedule_after(cost, [this, resp = std::move(resp), to] {
+      send_response(resp, to);
       process_loop();
     });
     return;
   }
 
+  // The response leaves once the shard's CPU work is done, every record rode
+  // the replication ring and every kill settled. Every op of a commit group
+  // joins the barrier, so an acked commit survives a primary kill in its
+  // entirety, never as a partial group. Under the relaxed log protocol the
+  // shard polls the next request as soon as the records are posted (the
+  // overlap Fig 13 credits); the conventional strict protocol serializes:
+  // the shard cannot move on until the secondary acknowledged.
+  bool hold = false;
+  bool blocking = false;
+  if (replicate) {
+    // Doorbell run (DESIGN.md §4): when the next request is a write too, a
+    // single-key write's record WQEs wait for it, and the run's last write
+    // posts them all with one doorbell. A held record costs the shard its
+    // WQE build without the doorbell.
+    hold = may_hold && replicator_->can_hold() && next_is_write();
+    cost += replicator_->post_cost() * records.size();
+    if (hold) cost -= doorbell_cpu() * static_cast<Duration>(replicator_->secondary_count());
+    blocking = replicator_->config().mode == replication::ReplicationMode::kStrictAck;
+  }
+  auto barrier =
+      std::make_shared<int>((replicate ? static_cast<int>(records.size()) : 0) + 1 + kills);
+  std::function<void()> arm = guard([this, resp = std::move(resp), to, barrier, blocking] {
+    if (--*barrier > 0) return;
+    send_response(resp, to);
+    if (blocking) process_loop();
+  });
+  for (const auto& p : promos) post_promotion_kills(p, arm);
+  if (replicate) {
+    for (proto::RepRecord& rec : records) replicator_->replicate(std::move(rec), arm, hold);
+  }
   charge(cost);
-  schedule_after(cost, [this, resp = std::move(resp), conn_idx, slot, batched, endpoint] {
-    send_response(resp, conn_idx, slot, batched, endpoint);
-    process_loop();
+  schedule_after(cost, [this, arm, blocking] {
+    arm();
+    if (!blocking) process_loop();
   });
 }
 
-void Shard::handle_txn_commit(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
-                              Duration cost, bool batched, std::uint32_t endpoint) {
-  const CpuModel& cpu = cfg_.cpu;
+void Shard::grant_pointer(proto::Response& resp, const core::GetView& view) const {
+  resp.remote_ptr.rkey = arena_mr_->rkey();
+  resp.remote_ptr.offset = view.offset;
+  resp.remote_ptr.total_len = view.total_len;
+  resp.remote_ptr.lease_expiry = view.lease_expiry;
+  resp.remote_ptr.version = view.version;
+  resp.remote_ptr.shard = cfg_.id;
+}
+
+void Shard::handle_txn_commit(proto::Request req, const Reply& to, Duration cost) {
   proto::Response resp;
   resp.req_id = req.req_id;
-  cost += cpu.base_txn_commit;
-
-  auto respond = [this, conn_idx, slot, batched, endpoint](proto::Response r, Duration c) {
-    charge(c);
-    schedule_after(c, [this, r = std::move(r), conn_idx, slot, batched, endpoint] {
-      send_response(r, conn_idx, slot, batched, endpoint);
-      process_loop();
-    });
-  };
+  cost += cfg_.cpu.base_txn_commit;
 
   const auto* value_bytes = reinterpret_cast<const std::byte*>(req.value.data());
   auto txn = proto::decode_txn_commit({value_bytes, req.value.size()});
@@ -584,53 +569,58 @@ void Shard::handle_txn_commit(proto::Request req, std::uint32_t conn_idx, std::u
     // never provisioned lock words: refuse before touching anything.
     ++stats_.malformed;
     resp.status = Status::kInvalidArgument;
-    cost += batched ? cpu.post_response_batched : cpu.post_response;
-    respond(std::move(resp), cost);
+    commit(std::move(resp), to, cost);
     return;
   }
 
-  const std::uint64_t txn_id = txn->hdr.txn_id;
-  auto reject = [&](Status why) {
-    if (why == Status::kWrongOwner) {
+  resp.status = apply_txn_group(*txn, cost);
+  if (resp.status != Status::kOk) {
+    if (resp.status == Status::kWrongOwner) {
       ++stats_.wrong_owner;
     } else {
       ++stats_.txn_conflicts;
     }
     if (fabric_.obs() != nullptr) {
-      fabric_.obs()->trace(now(), node_, obs::TraceKind::kTxnCommitRejected, cfg_.id, txn_id,
-                           static_cast<std::uint64_t>(why));
+      fabric_.obs()->trace(now(), node_, obs::TraceKind::kTxnCommitRejected, cfg_.id,
+                           txn->hdr.txn_id, static_cast<std::uint64_t>(resp.status));
     }
-    resp.status = why;
-    cost += batched ? cpu.post_response_batched : cpu.post_response;
-    respond(std::move(resp), cost);
-  };
+    commit(std::move(resp), to, cost);
+    return;
+  }
 
+  ++stats_.txn_commits;
+  if (fabric_.obs() != nullptr) {
+    fabric_.obs()->trace(now(), node_, obs::TraceKind::kTxnCommitApplied, cfg_.id,
+                         txn->hdr.txn_id, txn->ops.size());
+  }
+  schedule_gc();
+  std::vector<proto::RepRecord> records;
+  records.reserve(txn->ops.size());
+  for (proto::TxnOp& op : txn->ops) {
+    records.push_back(make_record(op.op, std::move(op.key), std::move(op.value), now()));
+  }
+  commit(std::move(resp), to, cost, std::move(records));
+}
+
+Status Shard::apply_txn_group(const proto::TxnCommit& txn, Duration& cost) {
+  const CpuModel& cpu = cfg_.cpu;
   // Validation order: epoch fence first (a promotion/migration the client
   // has not seen invalidates its whole lock set), then per-key ownership,
   // then every lock word. Nothing applies unless all three pass for the
   // entire group -- the all-or-nothing half of the invariant.
-  if (epoch_source_ && txn->hdr.epoch != epoch_source_()) {
-    reject(Status::kTxnConflict);
-    return;
-  }
+  if (epoch_source_ && txn.hdr.epoch != epoch_source_()) return Status::kTxnConflict;
   std::vector<std::uint64_t> hashes;
-  hashes.reserve(txn->ops.size());
-  for (const auto& op : txn->ops) hashes.push_back(hash_key(op.key));
+  hashes.reserve(txn.ops.size());
+  for (const auto& op : txn.ops) hashes.push_back(hash_key(op.key));
   if (owner_filter_) {
     for (const std::uint64_t h : hashes) {
-      if (!owner_filter_(h)) {
-        reject(Status::kWrongOwner);
-        return;
-      }
+      if (!owner_filter_(h)) return Status::kWrongOwner;
     }
   }
   const std::uint64_t held = std::uint64_t{1} << 63;
   for (const std::uint64_t h : hashes) {
     const auto widx = static_cast<std::uint32_t>(h % cfg_.txn_lock_words);
-    if (lock_word(widx) != (held | txn_id)) {
-      reject(Status::kTxnConflict);
-      return;
-    }
+    if (lock_word(widx) != (held | txn.hdr.txn_id)) return Status::kTxnConflict;
   }
 
   // Apply the whole group in this single invocation: the shard is one
@@ -643,9 +633,8 @@ void Shard::handle_txn_commit(proto::Request req, std::uint32_t conn_idx, std::u
     std::string old_value;
   };
   std::vector<Undo> undo;
-  undo.reserve(txn->ops.size());
-  Status fail = Status::kOk;
-  for (const auto& op : txn->ops) {
+  undo.reserve(txn.ops.size());
+  for (const auto& op : txn.ops) {
     Undo u;
     u.key = op.key;
     auto cur = store_->get(op.key, now(), /*grant_lease=*/false);
@@ -664,125 +653,25 @@ void Shard::handle_txn_commit(proto::Request req, std::uint32_t conn_idx, std::u
       st = store_->put(op.key, op.value, now());
     }
     if (st != Status::kOk) {
-      fail = st;
-      break;
+      for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+        if (it->existed) {
+          store_->put(it->key, it->old_value, now());
+        } else {
+          store_->remove(it->key, now());
+        }
+      }
+      return st;
     }
     undo.push_back(std::move(u));
   }
-  if (fail != Status::kOk) {
-    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-      if (it->existed) {
-        store_->put(it->key, it->old_value, now());
-      } else {
-        store_->remove(it->key, now());
-      }
-    }
-    reject(fail);
-    return;
-  }
-
-  ++stats_.txn_commits;
-  if (fabric_.obs() != nullptr) {
-    fabric_.obs()->trace(now(), node_, obs::TraceKind::kTxnCommitApplied, cfg_.id, txn_id,
-                         txn->ops.size());
-  }
-  resp.status = Status::kOk;
-  cost += batched ? cpu.post_response_batched : cpu.post_response;
-  schedule_gc();
-
-  // Dual-ownership catch-up, per op, exactly as the single-key PUT path.
-  if (migration_forward_) {
-    for (std::size_t i = 0; i < txn->ops.size(); ++i) {
-      if (!forward_moving_(hashes[i])) continue;
-      proto::RepRecord fwd;
-      fwd.op = txn->ops[i].op == proto::MsgType::kRemove ? proto::MsgType::kRemove
-                                                         : proto::MsgType::kPut;
-      fwd.op_time = now();
-      fwd.key = txn->ops[i].key;
-      fwd.value = txn->ops[i].value;
-      ++stats_.forwarded;
-      migration_forward_(hashes[i], std::move(fwd));
-    }
-  }
-
-  // Hot-key invalidation across the whole group: every promoted key the
-  // commit touched loses its follower copies before the commit ack leaves
-  // (same pre-ack guardian-kill rule as the single-key write path).
-  std::vector<std::shared_ptr<Promotion>> promos;
-  int kills = 0;
-  if (hotkey_ != nullptr) {
-    for (const auto& op : txn->ops) {
-      if (auto p = take_promotion_for_write(op.key)) {
-        kills += static_cast<int>(p->targets.size());
-        promos.push_back(std::move(p));
-      }
-    }
-  }
-
-  if (replicator_ != nullptr && replicator_->secondary_count() > 0) {
-    // Every op of the group rides the replication ring before the ack
-    // leaves (group-sized barrier): an acked commit therefore survives a
-    // primary kill in its entirety, never as a partial group.
-    cost += replicator_->post_cost() * txn->ops.size();
-    const bool blocking =
-        replicator_->config().mode == replication::ReplicationMode::kStrictAck;
-    auto barrier = std::make_shared<int>(static_cast<int>(txn->ops.size()) + 1 + kills);
-    std::function<void()> arm =
-        guard([this, resp, conn_idx, slot, batched, endpoint, barrier, blocking] {
-          if (--*barrier > 0) return;
-          send_response(resp, conn_idx, slot, batched, endpoint);
-          if (blocking) process_loop();
-        });
-    for (const auto& p : promos) post_promotion_kills(p, arm);
-    for (auto& op : txn->ops) {
-      proto::RepRecord rec;
-      rec.op = op.op == proto::MsgType::kRemove ? proto::MsgType::kRemove : proto::MsgType::kPut;
-      rec.op_time = now();
-      rec.key = std::move(op.key);
-      rec.value = std::move(op.value);
-      replicator_->replicate(std::move(rec), arm);
-    }
-    charge(cost);
-    schedule_after(cost, [this, arm, blocking] {
-      arm();
-      if (!blocking) process_loop();
-    });
-    return;
-  }
-
-  if (kills > 0) {
-    auto barrier = std::make_shared<int>(1 + kills);
-    std::function<void()> arm =
-        guard([this, resp, conn_idx, slot, batched, endpoint, barrier] {
-          if (--*barrier > 0) return;
-          send_response(resp, conn_idx, slot, batched, endpoint);
-        });
-    for (const auto& p : promos) post_promotion_kills(p, arm);
-    charge(cost);
-    schedule_after(cost, [this, arm] {
-      arm();
-      process_loop();
-    });
-    return;
-  }
-
-  respond(std::move(resp), cost);
+  return Status::kOk;
 }
 
-void Shard::handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
-                        Duration cost, bool batched, std::uint32_t endpoint) {
+void Shard::handle_scan(proto::Request req, const Reply& to, Duration cost) {
   const CpuModel& cpu = cfg_.cpu;
   proto::Response resp;
   resp.req_id = req.req_id;
   cost += cpu.base_scan;
-
-  auto respond = [this, conn_idx, slot, batched, endpoint](proto::Response r, Duration c) {
-    charge(c);
-    schedule_after(c, [this, r = std::move(r), conn_idx, slot, batched, endpoint] {
-      send_response(r, conn_idx, slot, batched, endpoint);
-      process_loop();
-    });
-  };
 
   const auto* value_bytes = reinterpret_cast<const std::byte*>(req.value.data());
   const auto sreq = proto::decode_scan_req({value_bytes, req.value.size()});
@@ -792,8 +681,7 @@ void Shard::handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_
     // refuse before touching anything (mirrors the kTxnCommit discipline).
     ++stats_.malformed;
     resp.status = Status::kInvalidArgument;
-    cost += batched ? cpu.post_response_batched : cpu.post_response;
-    respond(std::move(resp), cost);
+    commit(std::move(resp), to, cost);
     return;
   }
 
@@ -808,8 +696,7 @@ void Shard::handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_
                            sreq->epoch, live_epoch);
     }
     resp.status = Status::kWrongOwner;
-    cost += batched ? cpu.post_response_batched : cpu.post_response;
-    respond(std::move(resp), cost);
+    commit(std::move(resp), to, cost);
     return;
   }
 
@@ -817,7 +704,7 @@ void Shard::handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_
   // response envelope + frame so send_response never degrades a scan.
   // (Send/Recv does not know the client's receive buffers: one entry a batch.)
   const std::uint32_t resp_bytes =
-      conns_[conn_idx].send_recv ? 0 : endpoints_[endpoint].resp_bytes;
+      conns_[to.conn_idx].send_recv ? 0 : endpoints_[to.endpoint].resp_bytes;
   const std::size_t budget = resp_bytes > 192 ? resp_bytes - 192 : 0;
   const std::uint32_t limit =
       std::min(std::max<std::uint32_t>(sreq->limit, 1), cfg_.scan_max_batch);
@@ -887,8 +774,7 @@ void Shard::handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_
   const auto enc = proto::encode_scan_resp(body);
   resp.status = Status::kOk;
   resp.value.assign(reinterpret_cast<const char*>(enc.data()), enc.size());
-  cost += batched ? cpu.post_response_batched : cpu.post_response;
-  respond(std::move(resp), cost);
+  commit(std::move(resp), to, cost);
 }
 
 std::optional<proto::ScanLeafHint> Shard::refresh_leaf_mirror(
@@ -937,14 +823,13 @@ void Shard::release_mirror_page(std::uint64_t offset, std::uint32_t len) {
   leaf_arena_->deallocate(offset, len);
 }
 
-void Shard::send_response(const proto::Response& resp, std::uint32_t conn_idx,
-                          std::uint32_t slot, bool batched, std::uint32_t endpoint) {
-  Connection& conn = conns_[conn_idx];
+void Shard::send_response(const proto::Response& resp, const Reply& to) {
+  Connection& conn = conns_[to.conn_idx];
   if (conn.send_recv) {
-    // `endpoint` is the QP incarnation the request arrived on. The client
-    // dropped the connection if it moved since: the fabric may already have
-    // handed the QP, and this slot, to another connection.
-    if (conn.qp->generation() != endpoint) return;
+    // The client dropped the connection if the QP's incarnation moved since
+    // the request arrived: the fabric may already have handed the QP, and
+    // this slot, to another connection.
+    if (conn.qp->generation() != to.qp_generation) return;
     conn.qp->post_send(proto::encode_response(resp));
     ++stats_.responses;
     return;
@@ -953,13 +838,15 @@ void Shard::send_response(const proto::Response& resp, std::uint32_t conn_idx,
   // group QP carries the write. If the group died while the request was
   // executing, drop the response -- the endpoint retransmits through a
   // fresh channel and the (idempotent-at-the-client) retry re-answers.
-  if (conn.closed || endpoint >= endpoints_.size() || !endpoints_[endpoint].active) return;
-  const MuxEndpoint& ep = endpoints_[endpoint];
+  if (conn.closed || to.endpoint >= endpoints_.size() || !endpoints_[to.endpoint].active) {
+    return;
+  }
+  const MuxEndpoint& ep = endpoints_[to.endpoint];
   // The response lands in the resp-ring slot the envelope named, which is
   // exactly what releases that slot pair for reuse at the client.
   const std::uint32_t resp_bytes = ep.resp_bytes;
   const fabric::RemoteAddr dst{ep.resp_addr.rkey,
-                               ep.resp_addr.offset + proto::ring_slot_offset(slot, resp_bytes)};
+                               ep.resp_addr.offset + proto::ring_slot_offset(to.slot, resp_bytes)};
   const auto payload = proto::encode_response(resp);
   const std::size_t framed = proto::frame_size(payload.size());
   if (framed > resp_bytes) {
@@ -971,16 +858,16 @@ void Shard::send_response(const proto::Response& resp, std::uint32_t conn_idx,
     const auto err_payload = proto::encode_response(err);
     std::vector<std::byte> frame(proto::frame_size(err_payload.size()));
     proto::encode_frame(frame, err_payload);
-    conn.qp->post_write(frame, dst, 0, nullptr, batched);
+    conn.qp->post_write(frame, dst, 0, nullptr, to.batched);
     ++stats_.responses;
-    if (batched) ++stats_.batched_responses;
+    if (to.batched) ++stats_.batched_responses;
     return;
   }
   std::vector<std::byte> frame(framed);
   proto::encode_frame(frame, payload);
-  conn.qp->post_write(frame, dst, 0, nullptr, batched);
+  conn.qp->post_write(frame, dst, 0, nullptr, to.batched);
   ++stats_.responses;
-  if (batched) ++stats_.batched_responses;
+  if (to.batched) ++stats_.batched_responses;
 }
 
 // --- hot-key replication plane (DESIGN.md §12) -----------------------------
@@ -1140,16 +1027,8 @@ void Shard::promote_key(const std::string& key) {
 }
 
 void Shard::withdraw_promotions(std::uint64_t reason) {
-  for (const auto& [key, p] : promotions_) {
-    if (p->retired) continue;  // already traced its own demotion
-    p->retired = true;
-    p->live = false;
-    ++stats_.hotkey_demotions;
-    if (fabric_.obs() != nullptr) {
-      fabric_.obs()->trace(now(), node_, obs::TraceKind::kHotKeyDemoted, cfg_.id,
-                           p->key_hash, reason);
-    }
-  }
+  // A promotion already retired traced its own demotion.
+  for (const auto& [key, p] : promotions_) mark_retired(*p, reason);
   promotions_.clear();
 }
 
@@ -1160,15 +1039,20 @@ void Shard::demote_all(std::uint64_t reason) {
   for (const auto& p : all) retire_promotion(p, reason);
 }
 
-void Shard::retire_promotion(const std::shared_ptr<Promotion>& p, std::uint64_t reason) {
-  if (p->retired) return;
-  p->retired = true;
-  p->live = false;
+bool Shard::mark_retired(Promotion& p, std::uint64_t reason) {
+  if (p.retired) return false;
+  p.retired = true;
+  p.live = false;
   ++stats_.hotkey_demotions;
   if (fabric_.obs() != nullptr) {
-    fabric_.obs()->trace(now(), node_, obs::TraceKind::kHotKeyDemoted, cfg_.id, p->key_hash,
+    fabric_.obs()->trace(now(), node_, obs::TraceKind::kHotKeyDemoted, cfg_.id, p.key_hash,
                          reason);
   }
+  return true;
+}
+
+void Shard::retire_promotion(const std::shared_ptr<Promotion>& p, std::uint64_t reason) {
+  if (!mark_retired(*p, reason)) return;
   if (!p->targets.empty()) {
     // Clients keep the advertisement until their lease expires, so the
     // copies must fail closed before the slot can be reused -- otherwise a
@@ -1190,22 +1074,13 @@ std::shared_ptr<Shard::Promotion> Shard::take_promotion_for_write(const std::str
   const auto it = promotions_.find(key);
   if (it == promotions_.end()) return nullptr;
   std::shared_ptr<Promotion> p = it->second;
-  if (p->retired) {
-    // A cooldown/epoch demotion already posted guardian kills that are
-    // still in flight. The write still must not ack before the copies are
-    // dead: the caller posts one more (idempotent) kill per target, whose
-    // completion orders after the in-flight one on the same QP.
-    return p->targets.empty() ? nullptr : p;
-  }
-  p->retired = true;
-  p->live = false;
-  ++stats_.hotkey_demotions;
-  if (fabric_.obs() != nullptr) {
-    fabric_.obs()->trace(now(), node_, obs::TraceKind::kHotKeyDemoted, cfg_.id, p->key_hash,
-                         /*reason=*/0);
-  }
+  // A promotion a cooldown/epoch demotion already retired has guardian
+  // kills still in flight. The write still must not ack before the copies
+  // are dead: the caller posts one more (idempotent) kill per target, whose
+  // completion orders after the in-flight one on the same QP.
+  const bool fresh = mark_retired(*p, /*reason=*/0);
   if (p->targets.empty()) {
-    if (p->pending == 0) release_promo_slot(p);
+    if (fresh && p->pending == 0) release_promo_slot(p);
     return nullptr;
   }
   // Live or not, a copy may sit alive in a slot some client holds an

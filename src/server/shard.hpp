@@ -221,17 +221,22 @@ class Shard : public sim::Actor {
     bool active = false;
   };
 
-  /// A decoded request waiting for the shard core; `batched` marks every
-  /// request after the first of one ring sweep, whose response shares the
-  /// sweep's doorbell. `slot` and `endpoint` come from the request's
-  /// MuxHeader; a Send/Recv request has no slot, and its `endpoint` holds
-  /// the QP incarnation it arrived on.
-  struct ReadyReq {
-    proto::Request req;
+  /// Where a request's response goes. `batched` marks every request after
+  /// the first of one ring sweep, whose response shares the sweep's
+  /// doorbell; `endpoint` and `slot` come from a mux request's MuxHeader.
+  struct Reply {
     std::uint32_t conn_idx = 0;
+    std::uint32_t endpoint = 0;
     std::uint32_t slot = 0;
     bool batched = false;
-    std::uint32_t endpoint = 0;
+    /// Send/Recv: the QP incarnation the request arrived on.
+    std::uint32_t qp_generation = 0;
+  };
+
+  /// A decoded request waiting for the shard core.
+  struct ReadyReq {
+    proto::Request req;
+    Reply reply;
   };
 
   void wake();
@@ -251,19 +256,29 @@ class Shard : public sim::Actor {
   [[nodiscard]] Duration doorbell_cpu() const noexcept {
     return cfg_.cpu.post_response - cfg_.cpu.post_response_batched;
   }
-  void handle(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
-              Duration cost_so_far, bool batched, std::uint32_t endpoint);
+  void handle(proto::Request req, const Reply& to, Duration cost);
   /// kTxnCommit: validates epoch + ownership + lock words for the whole
   /// group, then applies every op in this one invocation (all-or-nothing;
   /// a mid-group store failure rolls the applied prefix back).
-  void handle_txn_commit(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
-                         Duration cost, bool batched, std::uint32_t endpoint);
+  void handle_txn_commit(proto::Request req, const Reply& to, Duration cost);
+  /// Validates and applies a decoded commit group, adding its CPU to
+  /// `cost`; anything but kOk means nothing applied.
+  Status apply_txn_group(const proto::TxnCommit& txn, Duration& cost);
   /// kScan: validates the continuation token's epoch against the live
   /// routing epoch, walks the ordered index from the resume key, and -- when
   /// more entries remain -- advertises the mirror pages of the continuation
   /// leaf and its successors, until they cover what the scan still wants.
-  void handle_scan(proto::Request req, std::uint32_t conn_idx, std::uint32_t slot,
-                   Duration cost, bool batched, std::uint32_t endpoint);
+  void handle_scan(proto::Request req, const Reply& to, Duration cost);
+  /// The one commit tail every handler ends in (DESIGN.md §4): answers
+  /// `resp` once the shard's CPU work (`cost` plus the response post) is
+  /// done, the replication policy holds every applied record in `records`
+  /// (none for reads, scans and refusals; one per op of a commit group),
+  /// and every guardian kill those writes owe a promoted key has settled.
+  /// `may_hold` lets a single-key write's record wait in the doorbell run.
+  void commit(proto::Response resp, const Reply& to, Duration cost,
+              std::vector<proto::RepRecord> records = {}, bool may_hold = false);
+  /// Fills the one-sided pointer a GET or lease renewal grants for `view`.
+  void grant_pointer(proto::Response& resp, const core::GetView& view) const;
   /// Gives `leaf` its mirror page on first use and re-serializes it when its
   /// (version, epoch) stamp moved; returns the advertisement, or nullopt when
   /// the page arena cannot hold it.
@@ -272,8 +287,7 @@ class Shard : public sim::Actor {
   /// Poisons and frees a leaf's mirror page (merged-away leaf, or a page
   /// that must move to another size class).
   void release_mirror_page(std::uint64_t offset, std::uint32_t len);
-  void send_response(const proto::Response& resp, std::uint32_t conn_idx,
-                     std::uint32_t slot, bool batched, std::uint32_t endpoint);
+  void send_response(const proto::Response& resp, const Reply& to);
   void charge(Duration cost) noexcept { stats_.busy_time += cost; }
   void schedule_gc();
 
@@ -331,6 +345,9 @@ class Shard : public sim::Actor {
   void promotion_op_done(const std::shared_ptr<Promotion>& p);
   void release_promo_slot(const std::shared_ptr<Promotion>& p);
   void retire_promotion(const std::shared_ptr<Promotion>& p, std::uint64_t reason);
+  /// Marks `p` retired (no longer advertised) and traces its demotion;
+  /// false when it already was.
+  bool mark_retired(Promotion& p, std::uint64_t reason);
 
   fabric::Fabric& fabric_;
   NodeId node_;

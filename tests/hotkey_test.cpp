@@ -3,6 +3,7 @@
 // invalidation, epoch-bump demotion, the client pointer-cache epoch sweep,
 // and the hotkey chaos families.
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "hydradb/hydra_cluster.hpp"
 #include "obs/plane.hpp"
 #include "server/hotkey.hpp"
+#include "txn/txn.hpp"
 
 namespace hydra {
 namespace {
@@ -156,6 +158,46 @@ TEST(HotKeyPlane, WriteInvalidatesCopiesBeforeAck) {
   }
   EXPECT_GT(cluster.shard(owner)->stats().hotkey_invalidations, 0u)
       << "writes never found a live promotion to invalidate";
+}
+
+// The commit-group twin of WriteInvalidatesCopiesBeforeAck: a transaction
+// that writes a promoted key owes the same pre-ack guardian kills, so no
+// GET after the commit ack may return the value the group replaced.
+TEST(HotKeyPlane, TxnCommitInvalidatesCopiesBeforeAck) {
+  auto opts = hot_opts();
+  opts.shard_template.txn_lock_words = 64;
+  db::HydraCluster cluster(opts);
+  ASSERT_EQ(cluster.put("hot", "v0"), Status::kOk);
+  const ShardId owner = cluster.owner_of("hot");
+
+  int spins = 0;
+  while (total_replica_hits(cluster) == 0 && spins++ < 600) {
+    ASSERT_TRUE(cluster.get("hot", spins % 2).has_value());
+  }
+  ASSERT_GT(total_replica_hits(cluster), 0u) << "plane never engaged";
+
+  txn::TxnClient txc(cluster.scheduler(), *cluster.clients()[0], txn::TxnOptions{},
+                     txn::TxnClient::make_id_source());
+  txc.set_resolver([&](std::uint64_t h) { return cluster.ring().owner(h); });
+  txc.set_epoch_source([&] { return cluster.routing_epoch(); });
+  const std::uint64_t kills_before = cluster.shard(owner)->stats().hotkey_invalidations;
+  for (int round = 1; round <= 5; ++round) {
+    const std::string want = "t" + std::to_string(round);
+    std::optional<Status> status;
+    txc.run({{proto::MsgType::kPut, "hot", want},
+             {proto::MsgType::kPut, "cold-" + std::to_string(round), want}},
+            [&](Status s, std::vector<std::string>) { status = s; });
+    while (!status.has_value() && cluster.scheduler().step()) {
+    }
+    ASSERT_EQ(status, Status::kOk) << round;
+    for (int i = 0; i < 40; ++i) {
+      auto got = cluster.get("hot", i % 2);
+      ASSERT_TRUE(got.has_value()) << round << ":" << i;
+      EXPECT_EQ(*got, want) << "stale replica read after commit ack";
+    }
+  }
+  EXPECT_GT(cluster.shard(owner)->stats().hotkey_invalidations, kills_before)
+      << "commits never found a live promotion to invalidate";
 }
 
 // A promotion retired before it went live -- its copies still in flight, or

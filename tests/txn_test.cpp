@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
 #include "hydradb/hydra_cluster.hpp"
 #include "proto/messages.hpp"
 #include "txn/txn.hpp"
@@ -219,6 +220,59 @@ TEST(TxnClientUnit, TxnOffClustersRegisterNoArena) {
     EXPECT_EQ(cluster.shard(id)->lock_word_count(), 0u);
   }
   EXPECT_EQ(cluster.fabric().stats().rdma_atomics, 0u);
+}
+
+// Under kStrictAck every op of a commit group joins the shard's ack
+// barrier, not just one record: when the commit ack reaches the client, the
+// secondary's store already holds the whole group. A secondary applies a
+// record slower than the primary applies an op, so with 16 ops it is still
+// applying when a barrier that waited for one record would ack. The test
+// takes the lock words itself and sends the commit, so the check runs on the
+// ack's arrival rather than after the txn layer's unlock round.
+TEST(TxnClientUnit, StrictAckCommitWaitsForEveryOpOnTheSecondary) {
+  db::ClusterOptions opts = TxnHarness::make_opts(/*lock_words=*/64, /*shards=*/2);
+  opts.replication.mode = replication::ReplicationMode::kStrictAck;
+  db::HydraCluster cluster(opts);
+  const ShardId owner = cluster.owner_of("strict-0");
+  proto::TxnCommit group;
+  group.hdr.txn_id = 7;
+  group.hdr.epoch = cluster.routing_epoch();
+  for (int i = 0; group.ops.size() < 16; ++i) {
+    std::string key = "strict-" + std::to_string(i);
+    if (cluster.owner_of(key) != owner) continue;
+    group.ops.push_back({proto::MsgType::kPut, std::move(key), "v" + std::to_string(i)});
+  }
+  group.hdr.op_count = static_cast<std::uint32_t>(group.ops.size());
+
+  client::Client& data = *cluster.clients()[0];
+  const client::Client::TxnWire wire = data.txn_wire(owner);
+  ASSERT_TRUE(wire.ok);
+  const std::uint64_t held = txn::kLockHeldBit | group.hdr.txn_id;
+  std::vector<std::uint32_t> words;
+  for (const auto& op : group.ops) {
+    words.push_back(static_cast<std::uint32_t>(hash_key(op.key) % wire.lock_words));
+    wire.qp->post_cas({wire.lock_rkey, std::uint64_t{words.back()} * 8}, 0, held);
+  }
+  cluster.run_for(100 * kMicrosecond);
+  for (const std::uint32_t w : words) ASSERT_EQ(cluster.shard(owner)->lock_word(w), held);
+
+  replication::SecondaryShard* sec = cluster.secondaries_of(owner).front();
+  const auto enc = proto::encode_txn_commit(group);
+  std::optional<Status> status;
+  std::size_t on_secondary = 0;
+  data.txn_commit(group.ops.front().key,
+                  std::string(reinterpret_cast<const char*>(enc.data()), enc.size()),
+                  [&](Status s) {
+                    status = s;
+                    for (const auto& op : group.ops) {
+                      auto r = sec->store().get(op.key, cluster.scheduler().now(), false);
+                      if (r.ok() && r.value().value == op.value) ++on_secondary;
+                    }
+                  });
+  while (!status.has_value() && cluster.scheduler().step()) {
+  }
+  ASSERT_EQ(status, Status::kOk);
+  EXPECT_EQ(on_secondary, group.ops.size()) << "commit acked before the whole group replicated";
 }
 
 // --------------------------------------------------------------- the sweep
