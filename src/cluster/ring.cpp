@@ -22,33 +22,28 @@ void ConsistentHashRing::add_shard(ShardId shard) {
   if (shards_.contains(shard)) return;
   shards_[shard] = vnodes_;
   for (int i = 0; i < vnodes_; ++i) {
-    std::vector<ShardId>& at = points_[point(shard, i)];
-    // Ascending insert keeps the tie-break (lowest ShardId wins) an
-    // invariant of the structure rather than a lookup-time decision.
-    at.insert(std::upper_bound(at.begin(), at.end(), shard), shard);
+    // Sorted insert keeps the tie-break (lowest ShardId wins) an invariant
+    // of the structure rather than a lookup-time decision.
+    const std::pair<std::uint64_t, ShardId> vnode{point(shard, i), shard};
+    points_.insert(std::upper_bound(points_.begin(), points_.end(), vnode), vnode);
   }
   ++version_;
 }
 
 void ConsistentHashRing::remove_shard(ShardId shard) {
   if (shards_.erase(shard) == 0) return;
-  for (int i = 0; i < vnodes_; ++i) {
-    auto it = points_.find(point(shard, i));
-    if (it == points_.end()) continue;
-    std::vector<ShardId>& at = it->second;
-    at.erase(std::remove(at.begin(), at.end(), shard), at.end());
-    // A collision runner-up (next-lowest ShardId) inherits the point; the
-    // point disappears only when no shard hashes there anymore.
-    if (at.empty()) points_.erase(it);
-  }
+  // A collision runner-up (next-lowest ShardId) inherits each contested
+  // point; a point disappears only when no shard hashes there anymore.
+  std::erase_if(points_, [shard](const auto& vnode) { return vnode.second == shard; });
   ++version_;
 }
 
 ShardId ConsistentHashRing::owner(std::uint64_t key_hash) const noexcept {
   if (points_.empty()) return kInvalidShard;
-  auto it = points_.lower_bound(key_hash);
+  auto it = std::lower_bound(points_.begin(), points_.end(), key_hash,
+                             [](const auto& vnode, std::uint64_t h) { return vnode.first < h; });
   if (it == points_.end()) it = points_.begin();  // wrap around
-  return it->second.front();
+  return it->second;
 }
 
 bool ConsistentHashRing::contains(ShardId shard) const noexcept {

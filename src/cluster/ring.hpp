@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -45,8 +46,10 @@ class ConsistentHashRing {
 
   int vnodes_;
   PointFn point_fn_;
-  /// Shards hashing to each point, ascending: front() serves the point.
-  std::map<std::uint64_t, std::vector<ShardId>> points_;
+  /// Every shard's vnodes as (point, shard), sorted: the first entry at or
+  /// after a key hash serves it, and a contested point's lowest ShardId
+  /// sorts first.
+  std::vector<std::pair<std::uint64_t, ShardId>> points_;
   std::map<ShardId, int> shards_;
   std::uint64_t version_ = 0;
 };

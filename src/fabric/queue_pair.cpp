@@ -18,7 +18,8 @@ Duration scaled(Duration base, double penalty) noexcept {
 }  // namespace
 
 void QueuePair::post_write(std::span<const std::byte> src, RemoteAddr dst,
-                           std::uint64_t wr_id, CompletionFn on_done, bool batched) {
+                           std::uint64_t wr_id, CompletionFn on_done, bool batched,
+                           std::uint32_t frames) {
   if (!open_) {
     flush_completion(WcOp::kWrite, wr_id, static_cast<std::uint32_t>(src.size()),
                      std::move(on_done));
@@ -36,7 +37,7 @@ void QueuePair::post_write(std::span<const std::byte> src, RemoteAddr dst,
   if (f.obs_) {
     f.obs_->trace(sched.now(), local_,
                   batched ? obs::TraceKind::kDoorbellBatched : obs::TraceKind::kWritePosted,
-                  obs::kNoShard, size, dst.rkey);
+                  obs::kNoShard, size, obs::posted_write_b(dst.rkey, frames));
   }
 
   // Initiator NIC send engine: WQE processing plus wire serialization.

@@ -86,10 +86,11 @@ class QueuePair {
   /// message passing where the response buffer is the acknowledgement).
   /// `batched` marks a WQE posted in the same doorbell batch as the
   /// initiator's previous post: it pays the reduced per-WQE overhead of the
-  /// cost model's doorbell-batching discount.
+  /// cost model's doorbell-batching discount. `frames` counts the
+  /// replication ring frames the write carries, for its trace only.
   void post_write(std::span<const std::byte> src, RemoteAddr dst,
                   std::uint64_t wr_id = 0, CompletionFn on_done = nullptr,
-                  bool batched = false);
+                  bool batched = false, std::uint32_t frames = 0);
 
   /// One-sided read of `dst.size()` bytes from the peer's (rkey, offset).
   void post_read(std::span<std::byte> dst, RemoteAddr src,

@@ -280,6 +280,7 @@ void HydraCluster::export_metrics() {
       reg.counter(p + "rep.ack_probes").set(rep.ack_probes());
       reg.counter(p + "rep.resends").set(rep.resends());
       reg.counter(p + "rep.doorbells").set(rep.doorbells());
+      reg.counter(p + "rep.ring_writes").set(rep.ring_writes());
       reg.counter(p + "rep.acks_received").set(rep.acks_received());
       reg.counter(p + "rep.quarantined").set(rep.quarantined());
       reg.gauge(p + "rep.secondaries").set(

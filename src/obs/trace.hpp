@@ -22,7 +22,7 @@ namespace hydra::obs {
 /// the failover phases the chaos harness and timeline tests assert on.
 enum class TraceKind : std::uint8_t {
   // Fabric data plane.
-  kWritePosted,      ///< RDMA Write posted (a=size, b=dst rkey)
+  kWritePosted,      ///< RDMA Write posted (a=size, b=posted_write_b(dst rkey, ring frames))
   kWriteCommitted,   ///< RDMA Write bytes landed at the target (a=size, b=rkey)
   kWriteFaulted,     ///< chaos-injected torn/dropped write (a=committed, b=rkey)
   kWriteDeadPeer,    ///< write toward a crashed node (a=size)
@@ -31,7 +31,8 @@ enum class TraceKind : std::uint8_t {
   kSendPosted,       ///< two-sided Send posted (a=size)
   kSendDelivered,    ///< Send consumed a posted Receive (a=bytes delivered)
   kDoorbellBatched,  ///< write rode the doorbell of the WQE before it: a sweep's
-                     ///< response or a replication run's record (a=size, b=dst rkey)
+                     ///< response, or a replication run's span after its ring wrapped
+                     ///< (a=size, b as for kWritePosted)
   kQpReused,         ///< connect() recycled a reclaimed QP slot (a=qp id, b=pool size)
   kQpReclaimed,      ///< disconnect() released a QP pair (a=qp id, b=live pairs)
   // Replication crash path.
@@ -100,6 +101,12 @@ enum class TraceKind : std::uint8_t {
 [[nodiscard]] const char* to_string(TraceKind kind) noexcept;
 
 inline constexpr std::uint64_t kNoShard = ~std::uint64_t{0};
+
+/// `b` of a posted write: the target rkey in the low 32 bits and, for a
+/// replication ring write, the frames it carries in the high 32 (0 else).
+constexpr std::uint64_t posted_write_b(std::uint32_t rkey, std::uint32_t frames) noexcept {
+  return (static_cast<std::uint64_t>(frames) << 32) | rkey;
+}
 
 struct TraceRecord {
   Time at = 0;           ///< virtual time, supplied by the caller

@@ -11,6 +11,10 @@ std::uint64_t make_head(std::uint16_t flags, std::uint32_t size) noexcept {
          (static_cast<std::uint64_t>(flags) << 32) | size;
 }
 
+/// The tail echoes the head's flags; a flag-less frame's tail is the bare
+/// indicator.
+std::uint64_t make_tail(std::uint16_t flags) noexcept { return kTailIndicator ^ flags; }
+
 std::uint64_t load_word(const std::byte* p) noexcept {
   std::uint64_t v;
   std::memcpy(&v, p, sizeof(v));
@@ -29,7 +33,8 @@ std::size_t encode_frame(std::span<std::byte> dst, std::span<const std::byte> pa
   if (!payload.empty()) std::memcpy(dst.data() + 8, payload.data(), payload.size());
   const std::size_t pad = align8_sz(payload.size()) - payload.size();
   if (pad != 0) std::memset(dst.data() + 8 + payload.size(), 0, pad);
-  std::memcpy(dst.data() + 8 + align8_sz(payload.size()), &kTailIndicator, 8);
+  const std::uint64_t tail = make_tail(flags);
+  std::memcpy(dst.data() + 8 + align8_sz(payload.size()), &tail, 8);
   return framed;
 }
 
@@ -40,7 +45,8 @@ std::optional<std::uint32_t> poll_frame(std::span<const std::byte> buf) {
   const auto size = static_cast<std::uint32_t>(head & 0xFFFFFFFFu);
   if (frame_size(size) > buf.size()) return std::nullopt;  // corrupt size field
   const std::uint64_t tail = load_word(buf.data() + 8 + align8_sz(size));
-  if (tail != kTailIndicator) return std::nullopt;  // payload still streaming
+  const auto flags = static_cast<std::uint16_t>((head >> 32) & 0xFFFF);
+  if (tail != make_tail(flags)) return std::nullopt;  // payload still streaming
   return size;
 }
 
@@ -52,7 +58,8 @@ FrameState probe_frame(std::span<const std::byte> buf) {
   const auto size = static_cast<std::uint32_t>(head & 0xFFFFFFFFu);
   if (frame_size(size) > buf.size()) return FrameState::kMalformed;  // lying size field
   const std::uint64_t tail = load_word(buf.data() + 8 + align8_sz(size));
-  if (tail == kTailIndicator) return FrameState::kReady;
+  const auto flags = static_cast<std::uint16_t>((head >> 32) & 0xFFFF);
+  if (tail == make_tail(flags)) return FrameState::kReady;
   // A zero tail is a frame mid-delivery (head commits before tail on RC);
   // any other value means the payload overran into the tail word.
   return tail == 0 ? FrameState::kPartial : FrameState::kMalformed;

@@ -6,11 +6,13 @@
 //
 //   word 0 : [16-bit magic | 16-bit flags | 32-bit payload size]   (head)
 //   ...    : payload, padded to 8 bytes
-//   last   : tail indicator word                                   (tail)
+//   last   : tail indicator word, echoing the head's flags         (tail)
 //
 // The receiver polls word 0; a set head guarantees the size field is
 // consistent, so it skips payload-size bytes and polls the tail word. Only
-// when the tail is also set is the whole frame known to have landed. After
+// when the tail is also set, with the head's flags, is the whole frame known
+// to have landed: a head paired with the tail of an older frame of another
+// flag set (a torn write over stale bytes) never reads as complete. After
 // processing, the receiver zeroes the frame region so the buffer can signal
 // the next arrival.
 #pragma once

@@ -92,15 +92,17 @@ std::vector<std::uint32_t> ReplicationPrimary::ack_rkeys() const {
   return keys;
 }
 
-void ReplicationPrimary::replicate(proto::RepRecord rec, std::function<void()> done,
-                                   bool hold) {
+std::size_t ReplicationPrimary::replicate(proto::RepRecord rec, std::function<void()> done,
+                                          bool hold) {
   const std::size_t live = secondary_count();
   if (live == 0 || cfg_.mode == ReplicationMode::kNone) {
     if (done) done();
-    return;
+    return 0;
   }
   rec.seq = assign_seq();
   hold = hold && cfg_.mode == ReplicationMode::kLogRelaxed;
+  const EncodedRecord encoded{
+      rec.seq, std::make_shared<const std::vector<std::byte>>(proto::encode_rep_record(rec))};
 
   if (cfg_.mode == ReplicationMode::kStrictAck) {
     strict_waiters_.emplace(rec.seq, std::move(done));
@@ -117,12 +119,12 @@ void ReplicationPrimary::replicate(proto::RepRecord rec, std::function<void()> d
 
   for (auto& link : links_) {
     if (link->dead) continue;
-    link->pending.push_back(PendingRecord{rec, 0});
+    link->pending.push_back(PendingRecord{encoded});
     // A record not held joins a held run as its last; with none held it
     // posts alone.
     holding_ = hold || !link->held.empty();
-    if (!link->backlog.empty() || !write_record(*link, rec, on_write)) {
-      link->backlog.push_back(rec);
+    if (!link->backlog.empty() || !write_record(*link, encoded, on_write)) {
+      link->backlog.push_back(encoded);
       ++backlogged_;
       // on_write stays owed; flush_backlog settles it when space frees.
       link->backlog_completions.push_back(on_write);
@@ -131,6 +133,7 @@ void ReplicationPrimary::replicate(proto::RepRecord rec, std::function<void()> d
     if (!hold) ring(*link);
     arm_ack_timer(*link);
   }
+  return proto::frame_size(encoded.payload->size());
 }
 
 bool ReplicationPrimary::can_hold() const noexcept {
@@ -152,17 +155,16 @@ bool ReplicationPrimary::ring(Link& link) {
   auto run = std::exchange(link.held, {});
   link.run_records = 0;
   bool batched = false;
-  for (HeldFrame& f : run) {
-    post_attempt(link, std::move(f.frame), f.at, f.seq, f.id, 1, batched);
-    batched = true;
+  for (RingWrite& write : run) {
+    post_attempt(link, std::move(write), 1, batched);
+    batched = true;  // the span after a wrap rides the same doorbell
   }
   return true;
 }
 
-bool ReplicationPrimary::write_record(Link& link, const proto::RepRecord& rec,
+bool ReplicationPrimary::write_record(Link& link, const EncodedRecord& rec,
                                       std::function<void()> on_write_complete) {
-  const auto payload = proto::encode_rep_record(rec);
-  const std::uint64_t framed_size = proto::frame_size(payload.size());
+  const std::uint64_t framed_size = proto::frame_size(rec.payload->size());
   std::uint64_t waste = 0;
 
   if (link.cursor.needs_wrap(framed_size)) {
@@ -172,9 +174,7 @@ bool ReplicationPrimary::write_record(Link& link, const proto::RepRecord& rec,
       return false;
     }
     // Wrap marker tells the consumer to jump to offset 0.
-    std::vector<std::byte> marker(kWrapMarkerBytes);
-    proto::encode_frame(marker, {}, kFlagWrap);
-    post_frame(link, std::move(marker), link.cursor.offset, 0, {});
+    post_frame(link, link.cursor.offset, {}, kFlagWrap, {});
     link.cursor.wrap();
   } else if (link.used_bytes + framed_size > link.cursor.ring_size) {
     link.awaiting_space = true;
@@ -193,17 +193,16 @@ bool ReplicationPrimary::write_record(Link& link, const proto::RepRecord& rec,
   const std::uint64_t at = link.cursor.place(framed_size);
   link.used_bytes += framed_size + waste;
   if (holding_) ++link.run_records;
+  const std::uint64_t id =
+      post_frame(link, at, *rec.payload, flags, std::move(on_write_complete));
   // Record the ring footprint on the pending entry so the ack can free it.
   for (auto it = link.pending.rbegin(); it != link.pending.rend(); ++it) {
     if (it->rec.seq == rec.seq) {
       it->footprint += framed_size + waste;
+      it->last_id = id;
       break;
     }
   }
-
-  std::vector<std::byte> frame(framed_size);
-  proto::encode_frame(frame, payload, flags);
-  post_frame(link, std::move(frame), at, rec.seq, std::move(on_write_complete));
   return true;
 }
 
@@ -213,9 +212,7 @@ bool ReplicationPrimary::write_control_frame(Link& link, std::uint16_t flags) {
   if (link.cursor.needs_wrap(framed_size)) {
     waste = link.cursor.wrap_waste();
     if (link.used_bytes + framed_size + waste > link.cursor.ring_size) return false;
-    std::vector<std::byte> marker(kWrapMarkerBytes);
-    proto::encode_frame(marker, {}, kFlagWrap);
-    post_frame(link, std::move(marker), link.cursor.offset, 0, {});
+    post_frame(link, link.cursor.offset, {}, kFlagWrap, {});
     link.cursor.wrap();
   } else if (link.used_bytes + framed_size > link.cursor.ring_size) {
     return false;
@@ -227,77 +224,101 @@ bool ReplicationPrimary::write_control_frame(Link& link, std::uint16_t flags) {
   // cumulative ack frees its bytes (callers only probe while records are
   // outstanding).
   if (!link.pending.empty()) link.pending.front().footprint += framed_size + waste;
-
-  std::vector<std::byte> frame(framed_size);
-  proto::encode_frame(frame, {}, flags);
-  post_frame(link, std::move(frame), at, 0, {});
+  post_frame(link, at, {}, flags, {});
   return true;
 }
 
-void ReplicationPrimary::post_frame(Link& link, std::vector<std::byte> frame,
-                                    std::uint64_t at, std::uint64_t seq,
-                                    std::function<void()> settle) {
+std::uint64_t ReplicationPrimary::post_frame(Link& link, std::uint64_t at,
+                                             std::span<const std::byte> payload,
+                                             std::uint16_t flags, std::function<void()> settle) {
+  if (!holding_) ring(link);  // a post that does not extend the run keeps ring order
   const std::uint64_t id = link.landing_base + link.landing.size();
   link.landing.push_back(Landing{false, std::move(settle)});
-  if (holding_) {
-    link.held.push_back(HeldFrame{std::move(frame), at, seq, id});
-    return;
+  if (link.held.empty() || link.held.back().at + link.held.back().bytes.size() != at) {
+    link.held.push_back(RingWrite{{}, at, id, 0});
   }
-  ring(link);  // a post that does not extend the run keeps ring order
-  post_attempt(link, std::move(frame), at, seq, id, 1, /*batched=*/false);
+  RingWrite& write = link.held.back();
+  const std::size_t offset = write.bytes.size();
+  write.bytes.resize(offset + proto::frame_size(payload.size()));
+  proto::encode_frame(std::span(write.bytes).subspan(offset), payload,
+                      flags | link.cursor.lap_flag());
+  ++write.frames;
+  if (!holding_) ring(link);
+  return id;
 }
 
-void ReplicationPrimary::post_attempt(Link& link, std::vector<std::byte> frame,
-                                      std::uint64_t at, std::uint64_t seq, std::uint64_t id,
-                                      int attempt, bool batched) {
-  // The completion owns the frame bytes so a torn or dropped delivery can be
-  // retransmitted to the *same* offset: the consumer never advances past an
-  // incomplete frame, so rewriting in place is race-free (RC retransmit).
-  auto span = std::span<const std::byte>(frame);
+void ReplicationPrimary::post_attempt(Link& link, RingWrite write, int attempt, bool batched) {
+  // The completion owns the staged bytes so a torn or dropped delivery can
+  // be retransmitted to the *same* span (RC retransmit). The consumer never
+  // advances past an incomplete frame, and frames it already took come back
+  // carrying their lap's flag, so rewriting in place is race-free.
+  const auto span = std::span<const std::byte>(write.bytes);
+  const fabric::RemoteAddr dst{link.ring_rkey, write.at};
+  const std::uint32_t frames = write.frames;
   auto handler = owner_.guard(
-      [this, lp = &link, frame = std::move(frame), at, seq, id,
-       attempt](const fabric::Completion& wc) mutable {
+      [this, lp = &link, write = std::move(write), attempt](const fabric::Completion& wc) mutable {
         if (wc.status != fabric::WcStatus::kSuccess) {
-          on_write_error(*lp, std::move(frame), at, seq, id, attempt, wc.status);
+          on_write_error(*lp, std::move(write), attempt, wc.status);
           return;
         }
         lp->last_progress = owner_.now();
         if (!lp->dead) {
-          land(*lp, id);
-        } else if (auto settle = take_settle(*lp, id)) {
-          settle();
+          land(*lp, write);
+          return;
         }
+        for (auto& settle : take_settles(*lp, write)) settle();
       });
+  ++ring_writes_;
   if (!batched) ++doorbells_;
-  link.qp->post_write(span, fabric::RemoteAddr{link.ring_rkey, at}, seq,
+  link.qp->post_write(span, dst, 0,
                       [handler = std::move(handler)](const fabric::Completion& wc) mutable {
                         handler(wc);
                       },
-                      batched);
+                      batched, frames);
 }
 
-void ReplicationPrimary::land(Link& link, std::uint64_t id) {
-  link.landing[id - link.landing_base].landed = true;
+void ReplicationPrimary::land(Link& link, const RingWrite& write) {
+  for (std::uint32_t i = 0; i < write.frames; ++i) {
+    link.landing[write.first_id + i - link.landing_base].landed = true;
+  }
   while (!link.landing.empty() && link.landing.front().landed) {
     auto settle = std::move(link.landing.front().settle);
     link.landing.pop_front();
     ++link.landing_base;
     if (settle) settle();
   }
+  if (release(link) && !link.backlog.empty()) flush_backlog(link);
 }
 
-std::function<void()> ReplicationPrimary::take_settle(Link& link, std::uint64_t id) {
-  if (id < link.landing_base) return {};
-  return std::exchange(link.landing[id - link.landing_base].settle, {});
+std::vector<std::function<void()>> ReplicationPrimary::take_settles(Link& link,
+                                                                     const RingWrite& write) {
+  std::vector<std::function<void()>> out;
+  for (std::uint64_t id = std::max(write.first_id, link.landing_base);
+       id < write.first_id + write.frames; ++id) {
+    if (auto& settle = link.landing[id - link.landing_base].settle) {
+      out.push_back(std::exchange(settle, {}));
+    }
+  }
+  return out;
 }
 
-void ReplicationPrimary::on_write_error(Link& link, std::vector<std::byte> frame,
-                                        std::uint64_t at, std::uint64_t seq, std::uint64_t id,
-                                        int attempt, fabric::WcStatus status) {
+bool ReplicationPrimary::release(Link& link) {
+  bool freed = false;
+  while (!link.pending.empty() && link.pending.front().rec.seq <= link.acked_seq &&
+         link.pending.front().last_id < link.landing_base) {
+    link.used_bytes -= std::min(link.used_bytes, link.pending.front().footprint);
+    link.pending.pop_front();
+    freed = true;
+  }
+  return freed;
+}
+
+void ReplicationPrimary::on_write_error(Link& link, RingWrite write, int attempt,
+                                        fabric::WcStatus status) {
   if (link.dead) {
     // Already quarantined; the caller was settled by the quarantine sweep --
-    // but this frame's settle travelled with the retry chain, so fire it.
-    if (auto settle = take_settle(link, id)) settle();
+    // but this write's settles travelled with the retry chain, so fire them.
+    for (auto& settle : take_settles(link, write)) settle();
     return;
   }
   const bool live = link.secondary != nullptr && link.secondary->alive();
@@ -308,23 +329,25 @@ void ReplicationPrimary::on_write_error(Link& link, std::vector<std::byte> frame
   if (live && status != fabric::WcStatus::kProtectionError && attempt < kMaxWriteAttempts) {
     ++write_retries_;
     if (fabric_.obs() != nullptr) {
-      fabric_.obs()->trace(owner_.now(), node_, obs::TraceKind::kRetransmit, obs::kNoShard, at,
-                           static_cast<std::uint64_t>(attempt));
+      fabric_.obs()->trace(owner_.now(), node_, obs::TraceKind::kRetransmit, obs::kNoShard,
+                           write.at, static_cast<std::uint64_t>(attempt));
     }
     ring(link);  // the retransmit is a post of its own: ring the held run first
-    post_attempt(link, std::move(frame), at, seq, id, attempt + 1, /*batched=*/false);
+    post_attempt(link, std::move(write), attempt + 1, /*batched=*/false);
     return;
   }
   // Settle now: quarantine (or the fence) fires everything owed.
-  if (auto settle = take_settle(link, id)) link.backlog_completions.push_back(std::move(settle));
+  for (auto& settle : take_settles(link, write)) {
+    link.backlog_completions.push_back(std::move(settle));
+  }
   if (live && status == fabric::WcStatus::kProtectionError) {
     fenced_by_replica(link);
     return;
   }
   if (live) {
-    HYDRA_WARN("replication: frame at offset %llu refused to land after %d attempts "
+    HYDRA_WARN("replication: ring write at offset %llu refused to land after %d attempts "
                "(status %d); quarantining link to %s",
-               static_cast<unsigned long long>(at), attempt, static_cast<int>(status),
+               static_cast<unsigned long long>(write.at), attempt, static_cast<int>(status),
                link.secondary->name().c_str());
   }
   quarantine(link);
@@ -333,7 +356,7 @@ void ReplicationPrimary::on_write_error(Link& link, std::vector<std::byte> frame
 void ReplicationPrimary::flush_backlog(Link& link) {
   link.awaiting_space = false;
   while (!link.backlog.empty()) {
-    const proto::RepRecord rec = link.backlog.front();
+    const EncodedRecord rec = link.backlog.front();
     auto cb = link.backlog_completions.empty() ? std::function<void()>{}
                                                : link.backlog_completions.front();
     if (!write_record(link, rec, cb)) return;  // still no space
@@ -383,10 +406,7 @@ void ReplicationPrimary::on_ack(Link& link) {
   }
 
   link.acked_seq = std::max(link.acked_seq, ack->acked_seq);
-  while (!link.pending.empty() && link.pending.front().rec.seq <= link.acked_seq) {
-    link.used_bytes -= std::min(link.used_bytes, link.pending.front().footprint);
-    link.pending.pop_front();
-  }
+  release(link);
 
   if (ack->first_failed_seq != 0 && ack->first_failed_seq > link.acked_seq) {
     resend_from(link, ack->first_failed_seq);
@@ -456,8 +476,8 @@ void ReplicationPrimary::quarantine(Link& link) {
     if (l.landed && l.settle) owed.push_back(std::exchange(l.settle, {}));
   }
   // Held frames were never posted, so no completion will settle them.
-  for (const HeldFrame& f : link.held) {
-    if (auto settle = take_settle(link, f.id)) owed.push_back(std::move(settle));
+  for (const RingWrite& write : link.held) {
+    for (auto& settle : take_settles(link, write)) owed.push_back(std::move(settle));
   }
   link.held.clear();
   link.run_records = 0;

@@ -15,11 +15,12 @@
 // record and resends it and everything after it.
 //
 // Doorbell runs (relaxed mode, DESIGN.md §4 "Replication doorbell runs"):
-// a caller that knows more records follow can *hold* a record. Its frames
-// are placed in the ring at once but posted later, with the next record
-// not held: the first WQE rings the doorbell and the rest ride it
-// (batched). Post order per link stays ring order: any other post on a
-// link rings its held run first.
+// a caller that knows more records follow can *hold* a record. Its frame
+// is placed in the ring and staged at once, but posted later, with the
+// next record not held: each link posts its run's frames as one RDMA Write
+// (split only where the link's ring wraps) under one doorbell. Post order
+// per link stays ring order: any other post on a link rings its held run
+// first.
 //
 // Crash handling: a link whose secondary has died is *quarantined* -- it is
 // marked dead, every completion owed through it is settled, and it stops
@@ -33,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fabric/fabric.hpp"
@@ -93,14 +95,16 @@ class ReplicationPrimary {
   /// Replicates one record to every live secondary. `done` fires according
   /// to the configured mode (immediately if there are no live secondaries).
   /// `hold` places the record in the held run (relaxed mode only); a record
-  /// not held is posted together with any held run, under one doorbell.
-  void replicate(proto::RepRecord rec, std::function<void()> done, bool hold = false);
+  /// not held is posted together with any held run, in one write per link.
+  /// The record is encoded once for every link. Returns its framed size:
+  /// the bytes a held record's staging copy moves.
+  std::size_t replicate(proto::RepRecord rec, std::function<void()> done, bool hold = false);
 
   /// Longest doorbell run, in records. A held record's response waits for
   /// every later write of its run, so run length trades shard CPU for update
-  /// latency: on perfbench `failover`, runs of up to 4 keep ~+9% throughput
-  /// with every latency percentile at or below unbatched posting, while runs
-  /// up to ack_interval (32) add ~10% to update p50 (EXPERIMENTS.md).
+  /// latency: on perfbench `failover`, update p50 is lowest at runs of 3-4
+  /// and climbs past them while the throughput gained levels off
+  /// (EXPERIMENTS.md).
   static constexpr std::uint32_t kMaxRunRecords = 4;
 
   /// Whether one more record may join the held run: relaxed mode, and no
@@ -108,8 +112,8 @@ class ReplicationPrimary {
   /// without its last.
   [[nodiscard]] bool can_hold() const noexcept;
 
-  /// Posts every link's held run (first WQE rings the doorbell, the rest
-  /// ride it). Returns the doorbells rung: one per link that held frames.
+  /// Posts every link's held run as one ring write per link. Returns the
+  /// doorbells rung: one per link that held frames.
   std::size_t ring();
 
   /// Assigns the next sequence number (incremented per replicated record).
@@ -134,9 +138,13 @@ class ReplicationPrimary {
       const std::function<void(SecondaryShard&, fabric::QueuePair&)>& fn);
 
   [[nodiscard]] std::uint64_t resends() const noexcept { return resends_; }
-  /// Doorbells rung on ring frames: every WQE posted unbatched (first
-  /// attempts and retransmits). Frames posted / doorbells is the batching.
+  /// Doorbells rung on ring writes: every WQE posted unbatched (first
+  /// attempts and retransmits).
   [[nodiscard]] std::uint64_t doorbells() const noexcept { return doorbells_; }
+  /// Ring WQEs posted (first attempts and retransmits): one per doorbell
+  /// run and link, plus one where a run wraps the link's ring. Frames per
+  /// ring write is the coalescing (each write's trace carries its count).
+  [[nodiscard]] std::uint64_t ring_writes() const noexcept { return ring_writes_; }
   [[nodiscard]] std::uint64_t acks_received() const noexcept { return acks_received_; }
   [[nodiscard]] std::uint64_t backlogged() const noexcept { return backlogged_; }
   [[nodiscard]] std::uint64_t torn_acks() const noexcept { return torn_acks_; }
@@ -158,9 +166,16 @@ class ReplicationPrimary {
   }
 
  private:
+  /// A record encoded once, its bytes shared by every link that carries it.
+  struct EncodedRecord {
+    std::uint64_t seq = 0;
+    std::shared_ptr<const std::vector<std::byte>> payload;
+  };
+
   struct PendingRecord {
-    proto::RepRecord rec;
-    std::uint64_t footprint = 0;  ///< ring bytes charged until acked
+    EncodedRecord rec;
+    std::uint64_t footprint = 0;  ///< ring bytes charged until acked and landed
+    std::uint64_t last_id = 0;    ///< landing id of its latest frame
   };
 
   /// A posted frame's completion, held until every frame posted before it
@@ -171,13 +186,14 @@ class ReplicationPrimary {
     std::function<void()> settle;
   };
 
-  /// A frame placed in the ring (cursor advanced, landing id taken) whose
-  /// WQE waits for its run's doorbell.
-  struct HeldFrame {
-    std::vector<std::byte> frame;
-    std::uint64_t at = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t id = 0;
+  /// Frames contiguous in a link's ring, staged in ring order and posted
+  /// (and retransmitted in place) as one RDMA Write: a doorbell run up to
+  /// the ring's end, or a frame posted alone.
+  struct RingWrite {
+    std::vector<std::byte> bytes;
+    std::uint64_t at = 0;        ///< ring offset of the first frame
+    std::uint64_t first_id = 0;  ///< landing id of the first frame
+    std::uint32_t frames = 0;
   };
 
   struct Link {
@@ -197,11 +213,13 @@ class ReplicationPrimary {
     bool ack_timer_armed = false;
     Time last_progress = 0;  ///< last ack or successful write completion
     std::deque<PendingRecord> pending;
-    std::deque<proto::RepRecord> backlog;  // ring-full overflow
+    std::deque<EncodedRecord> backlog;  // ring-full overflow
     std::deque<std::function<void()>> backlog_completions;
     std::deque<Landing> landing;      ///< posted frames, in ring order
     std::uint64_t landing_base = 0;   ///< id of landing.front()
-    std::vector<HeldFrame> held;      ///< the held run, in ring order
+    /// The held run, staged: one write per contiguous span (two when the
+    /// run wraps the ring).
+    std::vector<RingWrite> held;
     std::uint32_t run_records = 0;    ///< records (not wrap markers) in held
     std::vector<std::byte> ack_buf;
     fabric::MemoryRegion* ack_mr = nullptr;
@@ -209,32 +227,36 @@ class ReplicationPrimary {
 
   /// Writes one record into the link's ring; returns false when the ring
   /// is out of space (caller backlogs).
-  bool write_record(Link& link, const proto::RepRecord& rec,
+  bool write_record(Link& link, const EncodedRecord& rec,
                     std::function<void()> on_write_complete);
   /// Writes a zero-payload control frame (wrap already handled inside);
   /// returns false when the ring is out of space.
   bool write_control_frame(Link& link, std::uint16_t flags);
-  /// Posts `frame` at ring offset `at` with retransmit-in-place semantics:
-  /// a torn or dropped delivery is rewritten to the same offset (the
-  /// consumer never advances past an incomplete frame). `settle` fires once
-  /// the frame and every frame posted before it on the link have landed.
-  /// While `holding_`, the frame joins the link's held run instead; any
-  /// other post rings the held run first.
-  void post_frame(Link& link, std::vector<std::byte> frame, std::uint64_t at,
-                  std::uint64_t seq, std::function<void()> settle);
-  /// Posts the link's held run with one doorbell; true if it held frames.
+  /// Stages a frame at ring offset `at` (tagged with the cursor's lap) and
+  /// returns its landing id. While `holding_` the frame joins the link's
+  /// held run; otherwise the held run is rung first and the frame is then
+  /// posted alone. `settle` fires once the frame and every frame posted
+  /// before it on the link have landed.
+  std::uint64_t post_frame(Link& link, std::uint64_t at, std::span<const std::byte> payload,
+                           std::uint16_t flags, std::function<void()> settle);
+  /// Posts the link's held run, one write per span under one doorbell;
+  /// true if it held frames.
   bool ring(Link& link);
-  /// One delivery attempt of landing entry `id`; retries ride the chain.
-  /// `batched` rides the doorbell of the WQE posted just before it.
-  void post_attempt(Link& link, std::vector<std::byte> frame, std::uint64_t at,
-                    std::uint64_t seq, std::uint64_t id, int attempt, bool batched);
-  void on_write_error(Link& link, std::vector<std::byte> frame, std::uint64_t at,
-                      std::uint64_t seq, std::uint64_t id, int attempt,
-                      fabric::WcStatus status);
-  /// Marks entry `id` landed and settles the landed prefix of the link.
-  void land(Link& link, std::uint64_t id);
-  /// Takes entry `id`'s settle out of line (empty once taken or settled).
-  std::function<void()> take_settle(Link& link, std::uint64_t id);
+  /// One delivery attempt of `write`, with retransmit-in-place semantics: a
+  /// torn or dropped delivery rewrites the same span. `batched` rides the
+  /// doorbell of the write posted just before it.
+  void post_attempt(Link& link, RingWrite write, int attempt, bool batched);
+  void on_write_error(Link& link, RingWrite write, int attempt, fabric::WcStatus status);
+  /// Marks `write`'s frames landed, settles the landed prefix of the link
+  /// and releases the ring bytes that became free.
+  void land(Link& link, const RingWrite& write);
+  /// Takes the settles still owed for `write`'s frames out of line.
+  std::vector<std::function<void()>> take_settles(Link& link, const RingWrite& write);
+  /// Frees the ring bytes of every record both acked and landed; true if
+  /// any came back. A write still owed a retransmit rewrites its whole
+  /// span, frames the secondary already consumed included, so its bytes
+  /// must not be reused before it lands.
+  bool release(Link& link);
   void flush_backlog(Link& link);
   void on_ack(Link& link);
   void resend_from(Link& link, std::uint64_t first_failed_seq);
@@ -263,6 +285,7 @@ class ReplicationPrimary {
   bool holding_ = false;
   std::uint64_t resends_ = 0;
   std::uint64_t doorbells_ = 0;
+  std::uint64_t ring_writes_ = 0;
   std::uint64_t acks_received_ = 0;
   std::uint64_t backlogged_ = 0;
   std::uint64_t torn_acks_ = 0;

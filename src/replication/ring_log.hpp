@@ -22,12 +22,20 @@ inline constexpr std::uint16_t kFlagWrap = 1 << 1;
 /// it carries no record and does not advance the sequence stream.
 inline constexpr std::uint16_t kFlagAckProbe = 1 << 2;
 
+/// Flag on every frame placed in an odd lap of the ring. The consumer takes
+/// a complete frame only from its own lap: a frame of the other lap is a
+/// copy a retransmit rewrote behind the cursor after the consumer had taken
+/// it, and reads as not yet landed (DESIGN.md §4, "Replication doorbell
+/// runs").
+inline constexpr std::uint16_t kFlagOddLap = 1 << 3;
+
 /// Size of the wrap-marker frame.
 inline constexpr std::uint64_t kWrapMarkerBytes = proto::frame_size(0);
 
 struct RingCursor {
   std::uint64_t ring_size = 0;
   std::uint64_t offset = 0;
+  std::uint64_t lap = 0;  ///< wraps taken
 
   /// Whether a frame of `framed` bytes placed next would wrap. A data frame
   /// must always leave room for a subsequent wrap marker.
@@ -38,7 +46,15 @@ struct RingCursor {
   /// Bytes dead at the end of the ring if we wrap now (marker + slack).
   [[nodiscard]] std::uint64_t wrap_waste() const noexcept { return ring_size - offset; }
 
-  void wrap() noexcept { offset = 0; }
+  void wrap() noexcept {
+    offset = 0;
+    ++lap;
+  }
+
+  /// The lap flag a frame placed now carries.
+  [[nodiscard]] std::uint16_t lap_flag() const noexcept {
+    return (lap & 1) != 0 ? kFlagOddLap : 0;
+  }
 
   /// Places a frame of `framed` bytes at the current offset and advances.
   std::uint64_t place(std::uint64_t framed) noexcept {

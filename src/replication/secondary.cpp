@@ -86,7 +86,7 @@ void SecondaryShard::drain_ring() {
   if (store_ == nullptr) return;
   while (true) {
     std::span<std::byte> at{ring_.data() + cursor_.offset, ring_.size() - cursor_.offset};
-    if (!proto::poll_frame(at).has_value()) break;
+    if (!frame_landed(at)) break;
     consume_frame(at);
   }
   if (fabric_.obs() != nullptr) {
@@ -142,10 +142,14 @@ void SecondaryShard::on_ring_write() {
   schedule_after(cfg_.poll_backoff, [this] { poll_loop(); });
 }
 
+bool SecondaryShard::frame_landed(std::span<const std::byte> at) const {
+  return proto::poll_frame(at).has_value() &&
+         (proto::frame_flags(at) & kFlagOddLap) == cursor_.lap_flag();
+}
+
 void SecondaryShard::poll_loop() {
   std::span<std::byte> at{ring_.data() + cursor_.offset, ring_.size() - cursor_.offset};
-  const auto size = proto::poll_frame(at);
-  if (!size.has_value()) {
+  if (!frame_landed(at)) {
     polling_ = false;  // go idle; the write hook re-arms us
     return;
   }
@@ -159,7 +163,11 @@ Duration SecondaryShard::consume_frame(std::span<std::byte> frame) {
   const std::uint64_t framed = proto::frame_size(payload.size());
 
   if (flags & kFlagWrap) {
-    proto::clear_frame(frame);
+    // Zero the marker and the slack behind it: a later lap may place a frame
+    // boundary inside the slack, where a stale frame from two laps back
+    // would carry that lap's flag. Every write to these bytes landed before
+    // the marker did (ring bytes are reused only once their write landed).
+    ring_.zero(cursor_.offset, ring_.size() - cursor_.offset);
     cursor_.wrap();
     return cfg_.poll_backoff;  // nominal cost to jump
   }

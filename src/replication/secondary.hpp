@@ -104,6 +104,8 @@ class SecondaryShard : public sim::Actor {
   void note_liveness();
   void suspicion_tick();
   void arm_suspicion_tick();
+  /// Whether a complete frame of the cursor's lap sits at `at`.
+  [[nodiscard]] bool frame_landed(std::span<const std::byte> at) const;
   void poll_loop();
   /// Processes one complete frame at the cursor; returns CPU charged.
   Duration consume_frame(std::span<std::byte> frame);

@@ -305,7 +305,7 @@ bool Shard::next_is_write() {
 
 Duration Shard::ring_held_run() {
   if (replicator_ == nullptr) return 0;
-  return doorbell_cpu() * static_cast<Duration>(replicator_->ring());
+  return replicator_->config().record_post_cost * static_cast<Duration>(replicator_->ring());
 }
 
 void Shard::sweep_group(std::uint32_t idx) {
@@ -522,12 +522,9 @@ void Shard::commit(proto::Response resp, const Reply& to, Duration cost,
   bool blocking = false;
   if (replicate) {
     // Doorbell run (DESIGN.md §4): when the next request is a write too, a
-    // single-key write's record WQEs wait for it, and the run's last write
-    // posts them all with one doorbell. A held record costs the shard its
-    // WQE build without the doorbell.
+    // single-key write's record waits for it, and the run's last write
+    // posts the whole run as one ring write per link.
     hold = may_hold && replicator_->can_hold() && next_is_write();
-    cost += replicator_->post_cost() * records.size();
-    if (hold) cost -= doorbell_cpu() * static_cast<Duration>(replicator_->secondary_count());
     blocking = replicator_->config().mode == replication::ReplicationMode::kStrictAck;
   }
   auto barrier =
@@ -539,7 +536,14 @@ void Shard::commit(proto::Response resp, const Reply& to, Duration cost,
   });
   for (const auto& p : promos) post_promotion_kills(p, arm);
   if (replicate) {
-    for (proto::RepRecord& rec : records) replicator_->replicate(std::move(rec), arm, hold);
+    // A held record rides its run's write, so it costs only its staging
+    // copy, once for every link; a record that posts builds each link's WQE.
+    const Duration wqe_cost = replicator_->post_cost();
+    for (proto::RepRecord& rec : records) {
+      const std::size_t framed = replicator_->replicate(std::move(rec), arm, hold);
+      cost += hold ? static_cast<Duration>(cfg_.cpu.per_value_byte * static_cast<double>(framed))
+                   : wqe_cost;
+    }
   }
   charge(cost);
   schedule_after(cost, [this, arm, blocking] {

@@ -249,13 +249,9 @@ class Shard : public sim::Actor {
   /// nothing decoded it sweeps ahead; that scan is charged to the next
   /// request, as if swept when it was picked up.
   bool next_is_write();
-  /// Rings the replicator's held run; returns the CPU of the doorbells rung,
-  /// 0 when nothing was held.
+  /// Rings the replicator's held run; returns the CPU of the ring writes
+  /// posted (one WQE per link), 0 when nothing was held.
   Duration ring_held_run();
-  /// CPU a WQE saves by riding an already-rung doorbell.
-  [[nodiscard]] Duration doorbell_cpu() const noexcept {
-    return cfg_.cpu.post_response - cfg_.cpu.post_response_batched;
-  }
   void handle(proto::Request req, const Reply& to, Duration cost);
   /// kTxnCommit: validates epoch + ownership + lock words for the whole
   /// group, then applies every op in this one invocation (all-or-nothing;

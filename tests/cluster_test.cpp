@@ -9,6 +9,7 @@
 #include "cluster/ring.hpp"
 #include "common/hash.hpp"
 #include "common/keygen.hpp"
+#include "common/rng.hpp"
 
 namespace hydra::cluster {
 namespace {
@@ -114,6 +115,59 @@ TEST(Ring, VnodeCollisionTieBreakIsLowestShardId) {
   EXPECT_EQ(mixed.owner(900), 5u);  // runner-up inherits
   mixed.remove_shard(5);
   EXPECT_EQ(mixed.owner(900), 7u);  // wrap to the sole survivor
+}
+
+// The flat sorted vnode vector answers exactly as the structure it replaced:
+// a map from ring point to the shards hashing there, lowest ShardId serving.
+// Random add/remove sequences over random hashes, with points drawn from a
+// small range so collisions are frequent.
+TEST(Ring, OwnerMatchesAReferenceMapUnderCollisions) {
+  constexpr int kVnodes = 8;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    // Odd seeds spread points over 64 bits; even seeds squeeze them into 64
+    // values, so most points are contested.
+    const std::uint64_t range = seed % 2 == 0 ? 64 : 0;
+    const ConsistentHashRing::PointFn point = [range](ShardId shard, int replica) {
+      const std::uint64_t p =
+          mix64((static_cast<std::uint64_t>(shard) << 8) ^ static_cast<std::uint64_t>(replica));
+      return range == 0 ? p : p % range;
+    };
+    Xoshiro256 rng(seed);
+    ConsistentHashRing ring(kVnodes, point);
+    std::map<std::uint64_t, std::set<ShardId>> reference;
+    std::set<ShardId> members;
+    for (int step = 0; step < 60; ++step) {
+      const auto shard = static_cast<ShardId>(rng.below(12));
+      if (members.contains(shard)) {
+        ring.remove_shard(shard);
+        members.erase(shard);
+        for (int r = 0; r < kVnodes; ++r) {
+          auto it = reference.find(point(shard, r));
+          if (it == reference.end()) continue;
+          it->second.erase(shard);
+          if (it->second.empty()) reference.erase(it);
+        }
+      } else {
+        ring.add_shard(shard);
+        members.insert(shard);
+        for (int r = 0; r < kVnodes; ++r) reference[point(shard, r)].insert(shard);
+      }
+      for (int probe = 0; probe < 50; ++probe) {
+        // Every point and its neighbours first, then random hashes.
+        std::uint64_t h = range == 0 ? rng() : rng.below(range + 8);
+        if (probe < static_cast<int>(reference.size())) {
+          h = std::next(reference.begin(), probe)->first + static_cast<std::uint64_t>(probe % 3) - 1;
+        }
+        ShardId want = kInvalidShard;
+        if (!reference.empty()) {
+          auto it = reference.lower_bound(h);
+          if (it == reference.end()) it = reference.begin();
+          want = *it->second.begin();
+        }
+        ASSERT_EQ(ring.owner(h), want) << "seed " << seed << " step " << step << " hash " << h;
+      }
+    }
+  }
 }
 
 // The consistent-hashing contract the migration plan relies on: growing

@@ -363,6 +363,46 @@ TEST(ShardMetrics, RepDoorbellsCountsDoorbellsPerReplica) {
   EXPECT_EQ(doorbells(), 24u);
 }
 
+// rep.ring_writes counts ring WQEs: a run of K records goes out as one
+// write of K frames per replica, and its kWritePosted trace carries K.
+TEST(ShardMetrics, RepRingWritesCarryARunOfKAsOneWritePerReplica) {
+  obs::Plane plane;
+  db::HydraCluster cluster(one_shard_options(4, false, &plane));
+  auto ring_writes = [&] {
+    plane.collect();
+    return plane.metrics().counters().at("shard.0.rep.ring_writes").value();
+  };
+  for (int i = 0; i < 4; ++i) {
+    const auto k = static_cast<std::uint64_t>(i);
+    ASSERT_EQ(cluster.put(format_key(k), synth_value(k)), Status::kOk);
+  }
+  EXPECT_EQ(ring_writes(), 8u);  // each write alone, on both replicas
+  const std::size_t traced = plane.query().all().size();
+
+  // Four writes at once: the first posts alone, the three queued behind it
+  // form a run of K = 3.
+  int done = 0;
+  for (int c = 0; c < 4; ++c) {
+    cluster.clients()[static_cast<std::size_t>(c)]->update(
+        format_key(static_cast<std::uint64_t>(c)), "fresh", [&](Status) { ++done; });
+  }
+  cluster.run_for(100 * kMicrosecond);
+  ASSERT_EQ(done, 4);
+  EXPECT_EQ(ring_writes(), 8u + 2u * 2u);
+  EXPECT_EQ(ring_writes(), cluster.shard(0)->replicator()->ring_writes());
+  // Per replica, in post order: the lone record's write, then the run's.
+  const NodeId primary = cluster.shard(0)->node();
+  std::vector<std::uint64_t> frames;
+  const std::vector<obs::TraceRecord> records = plane.query().all();
+  for (std::size_t i = traced; i < records.size(); ++i) {
+    const obs::TraceRecord& r = records[i];
+    if (r.node == primary && r.kind == obs::TraceKind::kWritePosted && (r.b >> 32) != 0) {
+      frames.push_back(r.b >> 32);
+    }
+  }
+  EXPECT_EQ(frames, (std::vector<std::uint64_t>{1, 1, 3, 3}));
+}
+
 TEST(Plane, JsonCarriesSchemaAndTrace) {
   obs::Plane plane;
   plane.metrics().counter("x").add(5);

@@ -50,22 +50,30 @@ struct Rig {
     return rec;
   }
 
-  /// Ring-frame WQEs the primary posted: the ones that rang a doorbell
-  /// (kWritePosted) and the ones that rode one (kDoorbellBatched). Rkeys
-  /// number per node and every secondary registers alike, so one ring rkey
-  /// names every secondary's ring.
+  /// Ring WQEs the primary posted: the ones that rang a doorbell
+  /// (kWritePosted) and the ones that rode one (kDoorbellBatched), and the
+  /// frames each carried, in post order. Rkeys number per node and every
+  /// secondary registers alike, so one ring rkey names every secondary's
+  /// ring.
   struct Posts {
     int rung = 0;
     int batched = 0;
+    std::vector<std::uint32_t> frames;
   };
   Posts ring_posts() const {
     Posts p;
     const std::uint32_t rkey = secs.front()->ring_mr()->rkey();
     const obs::TraceQuery q = plane.query();
     for (const obs::TraceRecord& r : q.all()) {
-      if (r.node != primary_node || r.b != rkey) continue;
-      if (r.kind == obs::TraceKind::kWritePosted) ++p.rung;
-      if (r.kind == obs::TraceKind::kDoorbellBatched) ++p.batched;
+      if (r.node != primary_node || static_cast<std::uint32_t>(r.b) != rkey) continue;
+      if (r.kind == obs::TraceKind::kWritePosted) {
+        ++p.rung;
+      } else if (r.kind == obs::TraceKind::kDoorbellBatched) {
+        ++p.batched;
+      } else {
+        continue;
+      }
+      p.frames.push_back(static_cast<std::uint32_t>(r.b >> 32));
     }
     return p;
   }
@@ -289,10 +297,15 @@ TEST_F(ReplicationTest, RunOfQueuedWritesRingsOneDoorbellPerSecondary) {
   // Well inside the 1 ms ack deadline, so no ack probe adds a doorbell.
   sched.run_for(100 * kMicrosecond);
   EXPECT_EQ(fired, kRun);
-  // Each of the two secondaries: one WQE rang the doorbell, K-1 rode it.
+  // Each of the two secondaries: one ring write carrying all K frames, on
+  // one doorbell.
   EXPECT_EQ(ring_posts().rung, 2);
-  EXPECT_EQ(ring_posts().batched, 2 * (kRun - 1));
+  EXPECT_EQ(ring_posts().batched, 0);
+  EXPECT_EQ(ring_posts().frames,
+            (std::vector<std::uint32_t>{static_cast<std::uint32_t>(kRun),
+                                        static_cast<std::uint32_t>(kRun)}));
   EXPECT_EQ(primary->doorbells(), 2u);
+  EXPECT_EQ(primary->ring_writes(), 2u);
   for (const auto& sec : secs) {
     EXPECT_EQ(sec->applied_seq(), static_cast<std::uint64_t>(kRun));
     EXPECT_EQ(sec->store().size(), static_cast<std::size_t>(kRun));
@@ -326,7 +339,8 @@ TEST_F(ReplicationTest, RunNeverExceedsAckInterval) {
   sched.run_for(100 * kMicrosecond);
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(ring_posts().rung, 1);
-  EXPECT_EQ(ring_posts().batched, 2);
+  EXPECT_EQ(ring_posts().batched, 0);
+  EXPECT_EQ(ring_posts().frames, std::vector<std::uint32_t>{3});
 
   // With the default ack_interval the run stops at kMaxRunRecords.
   Rig wide;
@@ -349,19 +363,10 @@ TEST_F(ReplicationTest, AckProbeRingsTheHeldRunFirst) {
   EXPECT_EQ(fired, 2);
   EXPECT_GE(primary->ack_probes(), 1u);
   EXPECT_EQ(secs[0]->applied_seq(), 2u);
-  const obs::TraceQuery q = plane.query();
-  std::vector<obs::TraceKind> posts;
-  for (const obs::TraceRecord& r : q.all()) {
-    if (r.node != primary_node || r.b != secs[0]->ring_mr()->rkey()) continue;
-    if (r.kind == obs::TraceKind::kWritePosted || r.kind == obs::TraceKind::kDoorbellBatched) {
-      posts.push_back(r.kind);
-    }
-  }
-  // Held pair (rung + batched), then the probe on a doorbell of its own.
-  ASSERT_EQ(posts.size(), 3u);
-  EXPECT_EQ(posts[0], obs::TraceKind::kWritePosted);
-  EXPECT_EQ(posts[1], obs::TraceKind::kDoorbellBatched);
-  EXPECT_EQ(posts[2], obs::TraceKind::kWritePosted);
+  // The held pair as one write, then the probe in a write of its own.
+  EXPECT_EQ(ring_posts().rung, 2);
+  EXPECT_EQ(ring_posts().batched, 0);
+  EXPECT_EQ(ring_posts().frames, (std::vector<std::uint32_t>{2, 1}));
 }
 
 TEST_F(ReplicationTest, RetransmitRingsTheHeldRunFirst) {
@@ -396,13 +401,13 @@ TEST_F(ReplicationTest, TornOrDroppedBatchedWqeRetransmitsInPlace) {
   for (const auto kind : {fabric::WriteFault::Kind::kTorn, fabric::WriteFault::Kind::kDrop}) {
     Rig rig;
     rig.build(1, ReplicationMode::kLogRelaxed);
-    // Fault the first delivery of the run's second (batched) WQE.
+    // Fault the first delivery of the run's one ring write, mid-run.
     int ring_writes = 0;
     std::uint64_t faulted_at = ~std::uint64_t{0};
     rig.fabric.set_write_fault_hook(
         [&](NodeId, NodeId, const fabric::RemoteAddr& addr, std::uint32_t size) {
           fabric::WriteFault f;
-          if (addr.rkey != rig.secs[0]->ring_mr()->rkey() || ++ring_writes != 2) return f;
+          if (addr.rkey != rig.secs[0]->ring_mr()->rkey() || ++ring_writes != 1) return f;
           faulted_at = addr.offset;
           f.kind = kind;
           f.torn_bytes = size / 2;
@@ -414,11 +419,16 @@ TEST_F(ReplicationTest, TornOrDroppedBatchedWqeRetransmitsInPlace) {
     EXPECT_EQ(fired, 3);
     EXPECT_EQ(rig.primary->write_retries(), 1u);
     EXPECT_EQ(rig.primary->quarantined(), 0u);
-    // The retransmit rewrote the same ring offset.
+    // The retransmit rewrote the whole run's span at the same ring offset.
     const auto retx = rig.plane.query().first(obs::TraceKind::kRetransmit);
     ASSERT_TRUE(retx.has_value());
     EXPECT_EQ(retx->a, faulted_at);
+    const auto posts = rig.ring_posts();
+    ASSERT_GE(posts.frames.size(), 2u);
+    EXPECT_EQ(posts.frames[0], 3u);
+    EXPECT_EQ(posts.frames[1], 3u);
     EXPECT_EQ(rig.secs[0]->applied_seq(), 3u);
+    EXPECT_EQ(rig.secs[0]->discarded_records(), 0u);
     for (int i = 0; i < 3; ++i) {
       const auto k = static_cast<std::uint64_t>(i);
       auto r = rig.secs[0]->store().get(format_key(k), rig.sched.now(), false);
@@ -491,6 +501,166 @@ TEST_F(ReplicationTest, PrimaryCrashDropsHeldRecordsWithoutWedging) {
   for (const auto& sec : secs) EXPECT_EQ(sec->applied_seq(), 1u);
 }
 
+// ------------------------------- retransmits over frames already consumed
+
+/// A coalesced run write torn after some of its frames landed: the secondary
+/// takes and zeroes those frames, then the retransmit rewrites the whole span
+/// behind its cursor. Records are equal-size, so every lap lays its frames at
+/// the same offsets and the stale copies sit exactly where next-lap frames
+/// go. The secondary must apply every seq once, in order, and stay aligned.
+struct LapCase {
+  std::uint32_t run = 1;         ///< records per doorbell run
+  std::uint32_t torn_bytes = 0;  ///< bytes of the torn run write that land
+  /// Burst of kLapFrames + the torn run's frame index, then a pause: the
+  /// secondary meets the stale copies before any next-lap frame lands there.
+  bool pause = false;
+  /// Also tear the next lap's first write over the stale copies, mid-frame.
+  bool tear_next_lap = false;
+};
+
+constexpr std::uint32_t kLapFrames = 8;
+
+::testing::AssertionResult run_lap_case(const LapCase& c) {
+  Rig rig;
+  const std::uint64_t framed =
+      proto::frame_size(proto::encode_rep_record(rig.make_put(format_key(0), synth_value(0))).size());
+  rig.build(1, ReplicationMode::kLogRelaxed, /*ack_interval=*/4,
+            static_cast<std::uint32_t>(kLapFrames * framed + kWrapMarkerBytes));
+  // The run starting at or before frame 4: its frames are placed with the
+  // ring at least half full, so each asks for an ack and the frames taken
+  // before the tear are acked while its retransmit is pending.
+  const std::uint64_t torn_at = (4 / c.run) * c.run * framed;
+  int covering = 0;
+  rig.fabric.set_write_fault_hook(
+      [&](NodeId, NodeId, const fabric::RemoteAddr& addr, std::uint32_t size) {
+        fabric::WriteFault f;
+        if (addr.rkey != rig.secs[0]->ring_mr()->rkey() || addr.offset > torn_at ||
+            torn_at >= addr.offset + size) {
+          return f;
+        }
+        // Writes covering torn_at: the run's first delivery, its retransmit,
+        // then the next lap's write.
+        ++covering;
+        if (covering == 1) {
+          f.kind = fabric::WriteFault::Kind::kTorn;
+          f.torn_bytes = c.torn_bytes;
+        } else if (covering == 3 && c.tear_next_lap) {
+          f.kind = fabric::WriteFault::Kind::kTorn;
+          f.torn_bytes = static_cast<std::uint32_t>(torn_at - addr.offset + framed / 2);
+        }
+        return f;
+      });
+  std::uint32_t issued = 0;
+  auto burst = [&](std::uint32_t records) {
+    for (std::uint32_t i = 0; i < records; ++i, ++issued) {
+      const bool last_of_run = (issued + 1) % c.run == 0 || i + 1 == records;
+      rig.primary->replicate(rig.make_put(format_key(issued), synth_value(issued)), nullptr,
+                             /*hold=*/!last_of_run);
+    }
+  };
+  burst(c.pause ? kLapFrames + static_cast<std::uint32_t>(torn_at / framed) : 2 * kLapFrames);
+  rig.sched.run_for(3 * kMillisecond);
+  burst(kLapFrames);  // the following lap
+  rig.sched.run_for(20 * kMillisecond);
+
+  const SecondaryShard& sec = *rig.secs[0];
+  if (sec.applied_seq() != issued || sec.applied_records() != issued ||
+      sec.discarded_records() != 0 || rig.primary->resends() != 0 ||
+      rig.primary->quarantined() != 0) {
+    return ::testing::AssertionFailure()
+           << "applied_seq " << sec.applied_seq() << " applied " << sec.applied_records()
+           << " discarded " << sec.discarded_records() << " of " << issued << " (resends "
+           << rig.primary->resends() << ", quarantined " << rig.primary->quarantined() << ")";
+  }
+  for (std::uint32_t i = 0; i < issued; ++i) {
+    auto r = rig.secs[0]->store().get(format_key(i), rig.sched.now(), false);
+    if (!r.ok() || r.value().value != synth_value(i)) {
+      return ::testing::AssertionFailure() << "key " << i << " missing or stale";
+    }
+  }
+  if (rig.primary->write_retries() < (c.tear_next_lap ? 2u : 1u)) {
+    return ::testing::AssertionFailure() << "the fault missed the run write";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(LapTaggedRing, RetransmitOverConsumedFramesAppliesEachSeqOnce) {
+  Rig probe;
+  const auto framed = static_cast<std::uint32_t>(
+      proto::frame_size(proto::encode_rep_record(probe.make_put(format_key(0), synth_value(0))).size()));
+  for (std::uint32_t run = 1; run <= ReplicationPrimary::kMaxRunRecords; ++run) {
+    // Every frame boundary of the run write, +-1.
+    std::vector<std::uint32_t> tears;
+    for (std::uint32_t b = 0; b <= run; ++b) {
+      for (const std::uint32_t t : {b * framed - 1, b * framed, b * framed + 1}) {
+        if (t <= run * framed) tears.push_back(t);  // b = 0 wraps b - 1 away
+      }
+    }
+    for (const std::uint32_t t : tears) {
+      for (const bool pause : {false, true}) {
+        for (const bool tear_next_lap : {false, true}) {
+          if (pause && tear_next_lap) continue;
+          EXPECT_TRUE(run_lap_case({run, t, pause, tear_next_lap}))
+              << "run " << run << " torn_bytes " << t << " pause " << pause
+              << " tear_next_lap " << tear_next_lap;
+        }
+      }
+    }
+  }
+}
+
+// A consumed wrap marker zeroes the slack behind it. Lap 0's run at frame 6
+// is torn after both its frames landed, so the retransmit leaves stale
+// copies of frames 6 and 7. Lap 1's records are three frames long: its wrap
+// marker falls on frame 6 and frame 7's copy sits in the slack. Lap 2 puts a
+// frame boundary at frame 7 again, and with lap 0's parity, so the
+// secondary would take the copy there before the primary wrote that frame.
+TEST(LapTaggedRing, WrapMarkerZeroesTheSlackBehindIt) {
+  Rig rig;
+  const std::string big = synth_value(0, 231);
+  const std::uint64_t framed =
+      proto::frame_size(proto::encode_rep_record(rig.make_put(format_key(0), synth_value(0))).size());
+  ASSERT_EQ(proto::frame_size(proto::encode_rep_record(rig.make_put(format_key(0), big)).size()),
+            3 * framed);
+  rig.build(1, ReplicationMode::kLogRelaxed, /*ack_interval=*/4,
+            static_cast<std::uint32_t>(kLapFrames * framed + kWrapMarkerBytes));
+  const std::uint64_t torn_at = 6 * framed;
+  bool torn = false;
+  rig.fabric.set_write_fault_hook(
+      [&](NodeId, NodeId, const fabric::RemoteAddr& addr, std::uint32_t size) {
+        fabric::WriteFault f;
+        if (!torn && addr.rkey == rig.secs[0]->ring_mr()->rkey() && addr.offset == torn_at) {
+          torn = true;
+          f.kind = fabric::WriteFault::Kind::kTorn;
+          f.torn_bytes = size;  // every byte lands, yet the write reports failure
+        }
+        return f;
+      });
+  std::vector<std::string> values;
+  auto put = [&](const std::string& value, bool hold) {
+    rig.primary->replicate(rig.make_put(format_key(values.size()), value), nullptr, hold);
+    values.push_back(value);
+  };
+  for (std::uint64_t i = 0; i < kLapFrames; ++i) put(synth_value(i), i % 2 == 0);  // runs of 2
+  rig.sched.run_for(3 * kMillisecond);
+  for (int i = 0; i < 3; ++i) put(big, false);  // lap 1: two big frames, wrap, lap 2 opens big
+  for (std::uint64_t i = 0; i < 4; ++i) put(synth_value(i), false);  // frames 3..6 of lap 2
+  rig.sched.run_for(3 * kMillisecond);
+  put(synth_value(7), false);  // frame 7 of lap 2
+  rig.sched.run_for(3 * kMillisecond);
+
+  ASSERT_TRUE(torn);
+  const SecondaryShard& sec = *rig.secs[0];
+  EXPECT_EQ(sec.applied_seq(), values.size());
+  EXPECT_EQ(sec.applied_records(), values.size());
+  EXPECT_EQ(sec.discarded_records(), 0u);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    auto r = rig.secs[0]->store().get(format_key(i), rig.sched.now(), false);
+    ASSERT_TRUE(r.ok()) << i;
+    EXPECT_EQ(r.value().value, values[i]) << i;
+  }
+}
+
 // --------------------------------------- doorbell runs through the shard loop
 
 /// One shard with two relaxed replicas; `writers` clients on one machine.
@@ -533,13 +703,45 @@ TEST(DoorbellRuns, QueuedWritesShareOneDoorbellPerSecondary) {
   }
   const auto* rep = cluster.shard(0)->replicator();
   const std::uint64_t before = rep->doorbells();
+  const std::uint64_t writes_before = rep->ring_writes();
   // The first update finds the shard idle and its peers still on the wire,
   // so it posts alone. The other three queue up behind it: each looks one
-  // request ahead, finds another write, and holds; the third rings the run.
+  // request ahead, finds another write, and holds; the third rings the run,
+  // one ring write per secondary.
   const auto lat = concurrent_updates(cluster, keys);
   for (const Duration d : lat) EXPECT_GT(d, 0u);
   EXPECT_EQ(rep->doorbells() - before, 2u * 2u);
+  EXPECT_EQ(rep->ring_writes() - writes_before, 2u * 2u);
   EXPECT_EQ(cluster.shard(0)->stats().puts, 8u);
+}
+
+// A held record rides its run's one write per link, so its shard CPU is its
+// staging copy, charged once whatever the replica count; only the records
+// that post pay record_post_cost per replica. Four writes at once: the
+// first posts alone, then a run of three (two held, one that posts).
+TEST(DoorbellRuns, HeldRecordsCostOnlyTheirStagingCopy) {
+  std::vector<Duration> busy;
+  std::vector<std::uint64_t> ring_writes;
+  for (const int replicas : {1, 2}) {
+    db::ClusterOptions o = run_cluster_options(4, nullptr);
+    o.replicas = replicas;
+    db::HydraCluster cluster(o);
+    std::vector<std::string> keys;
+    for (int i = 0; i < 4; ++i) {
+      keys.push_back(format_key(static_cast<std::uint64_t>(i)));
+      ASSERT_EQ(cluster.put(keys.back(), "v"), Status::kOk);
+    }
+    const Duration busy_before = cluster.shard(0)->stats().busy_time;
+    const std::uint64_t writes_before = cluster.shard(0)->replicator()->ring_writes();
+    for (const Duration d : concurrent_updates(cluster, keys)) ASSERT_GT(d, 0u);
+    busy.push_back(cluster.shard(0)->stats().busy_time - busy_before);
+    ring_writes.push_back(cluster.shard(0)->replicator()->ring_writes() - writes_before);
+  }
+  EXPECT_EQ(ring_writes, (std::vector<std::uint64_t>{2, 4}));
+  // The second replica adds one WQE to each of the two records that post
+  // (a held record charged per replica would add to the two held ones too).
+  const Duration wqe = replication::PrimaryConfig{}.record_post_cost;
+  EXPECT_EQ(busy[1] - busy[0], 2 * wqe);
 }
 
 TEST(DoorbellRuns, WriteWithoutARecordRingsTheHeldRun) {
