@@ -351,6 +351,14 @@ class Client : public sim::Actor {
   /// path, a missing route falls back to the primary read.
   void try_replica_read(std::uint64_t key_hash, const CachedPtr& entry,
                         std::uint32_t replica_idx, PendingOp op);
+  /// The one-sided item read both paths share: posts a read of `len` bytes
+  /// at `addr` over `qp` and completes `op` from the image when it
+  /// validates (renewing `lease` when due; `on_hit` first), else erases the
+  /// cached entry and resubmits `op` as a message. `release` runs first on
+  /// completion.
+  void read_item(fabric::QueuePair& qp, fabric::RemoteAddr addr, std::uint32_t len,
+                 std::uint64_t key_hash, const proto::RemotePtr& lease, PendingOp op,
+                 std::function<void()> release, std::function<void()> on_hit);
   void maybe_auto_renew(const std::string& key, const proto::RemotePtr& ptr);
   [[nodiscard]] std::uint64_t current_epoch() const {
     return epoch_source_ ? epoch_source_() : 0;

@@ -1,12 +1,14 @@
 #include "hydradb/hydra_cluster.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "hydradb/swat.hpp"
+#include "server/pipelined_shard.hpp"
 
 namespace hydra::db {
 namespace {
@@ -15,6 +17,11 @@ constexpr std::uint64_t kSyncStepLimit = 50'000'000;  // safety net for sync hel
 
 HydraCluster::HydraCluster(ClusterOptions opts)
     : opts_(std::move(opts)), fabric_(sched_, opts_.cost) {
+  // The comparator's workers take requests from their handoff queue only;
+  // a replicated write's doorbell run would sweep the next one past them.
+  if (opts_.server_mode == server::ServerMode::kPipelined && opts_.replicas > 0) {
+    throw std::invalid_argument("the pipelined comparator runs without replicas");
+  }
   // Ordered-index opt-in fans out through the shard template so primaries,
   // secondaries (whose stores may be promoted), and migration-spawned shards
   // all agree on whether the index exists.
@@ -101,14 +108,9 @@ HydraCluster::HydraCluster(ClusterOptions opts)
       auto [cq, sq] = fabric_.connect(node, slot.node);
       // A channel of one gets a client's dedicated ring depth, a shared
       // channel the node's SRQ-sized credit pool.
-      server::Shard::MuxGroupResult res;
-      if (slot.pipelined != nullptr) {
-        res = slot.pipelined->accept_mux_group(sq);
-      } else {
-        const server::ShardConfig& cfg = slot.primary->config();
-        res = slot.primary->accept_mux_group(
-            sq, key.shared() ? cfg.mux_ring_slots : cfg.ring_slots, key.shared());
-      }
+      const server::ShardConfig& cfg = slot.primary->config();
+      const auto res = slot.primary->accept_mux_group(
+          sq, key.shared() ? cfg.mux_ring_slots : cfg.ring_slots, key.shared());
       if (!res.ok) {
         fabric_.disconnect(cq);
         return false;
@@ -129,12 +131,9 @@ HydraCluster::HydraCluster(ClusterOptions opts)
       // incarnation the group was opened against: a promoted replacement
       // primary hands out its own group ids from zero.
       ShardSlot& slot = primaries_[key.shard];
-      if (slot.generation == wire.owner_generation) {
-        if (slot.pipelined != nullptr) {
-          slot.pipelined->close_mux_group(wire.group);
-        } else if (slot.primary != nullptr && slot.primary->alive()) {
-          slot.primary->close_mux_group(wire.group);
-        }
+      if (slot.generation == wire.owner_generation && slot.primary != nullptr &&
+          slot.primary->alive()) {
+        slot.primary->close_mux_group(wire.group);
       }
       // The QP slot may have been reclaimed (chaos async error) and handed
       // to a *new* connection by the fabric pool before this closer ran:
@@ -244,13 +243,8 @@ void HydraCluster::export_metrics() {
   }
   for (std::size_t s = 0; s < primaries_.size(); ++s) {
     const std::string p = "shard." + std::to_string(s) + ".";
-    const server::ShardStats* st = nullptr;
-    if (primaries_[s].primary != nullptr) {
-      st = &primaries_[s].primary->stats();
-    } else if (primaries_[s].pipelined != nullptr) {
-      st = &primaries_[s].pipelined->stats();
-    }
-    if (st == nullptr) continue;
+    if (primaries_[s].primary == nullptr) continue;
+    const server::ShardStats* st = &primaries_[s].primary->stats();
     reg.counter(p + "gets").set(st->gets);
     reg.counter(p + "puts").set(st->puts);
     reg.counter(p + "removes").set(st->removes);
@@ -349,35 +343,37 @@ void HydraCluster::spawn_primary(ShardId id, NodeId node,
   ShardSlot& slot = primaries_[id];
   server::ShardConfig cfg = opts_.shard_template;
   cfg.id = id;
-  if (opts_.pipelined_servers) {
-    slot.pipelined = std::make_unique<server::PipelinedShard>(
-        sched_, fabric_, node, cfg, opts_.pipeline_dispatchers, opts_.pipeline_workers);
+  if (opts_.server_mode == server::ServerMode::kPipelined) {
+    // "Pipeline + RDMA Write": the comparator grants no remote pointers.
+    cfg.grant_remote_pointers = false;
+    slot.primary =
+        std::make_unique<server::PipelinedShard>(sched_, fabric_, node, cfg, std::move(store));
   } else {
     slot.primary =
         std::make_unique<server::Shard>(sched_, fabric_, node, cfg, std::move(store));
-    slot.primary->enable_replication(opts_.replication);
-    if (opts_.fast_failover && slot.primary->replicator() != nullptr) {
-      // Self-fencing on revocation: the first kProtectionError from a live
-      // replica means the failover plane revoked our rkeys. The handler runs
-      // before the fenced link's owed completions settle, so killing the
-      // shard here guarantees no acknowledgement ever escapes a fenced
-      // primary (clients re-route to the successor when its epoch publishes).
-      server::Shard* raw = slot.primary.get();
-      slot.primary->replicator()->set_fence_handler([this, id, raw] {
-        if (!raw->alive()) return;
-        HYDRA_WARN("shard %u: replica revoked our ring rkey; self-fencing", id);
-        raw->kill();
-      });
-    }
-    // Epoch fencing at the message path: every request is checked against
-    // the *live* ring, so a client routed by stale metadata is redirected
-    // instead of silently served by a shard that lost the range.
-    slot.primary->set_owner_filter(
-        [this, id](std::uint64_t key_hash) { return shard_owns(id, key_hash); });
-    // Commit-time epoch fence for the transaction layer: a multi-key commit
-    // whose header predates the live routing epoch is refused whole.
-    slot.primary->set_epoch_source([this] { return routing_epoch_; });
   }
+  slot.primary->enable_replication(opts_.replication);
+  if (opts_.fast_failover && slot.primary->replicator() != nullptr) {
+    // Self-fencing on revocation: the first kProtectionError from a live
+    // replica means the failover plane revoked our rkeys. The handler runs
+    // before the fenced link's owed completions settle, so killing the
+    // shard here guarantees no acknowledgement ever escapes a fenced
+    // primary (clients re-route to the successor when its epoch publishes).
+    server::Shard* raw = slot.primary.get();
+    slot.primary->replicator()->set_fence_handler([this, id, raw] {
+      if (!raw->alive()) return;
+      HYDRA_WARN("shard %u: replica revoked our ring rkey; self-fencing", id);
+      raw->kill();
+    });
+  }
+  // Epoch fencing at the message path: every request is checked against
+  // the *live* ring, so a client routed by stale metadata is redirected
+  // instead of silently served by a shard that lost the range.
+  slot.primary->set_owner_filter(
+      [this, id](std::uint64_t key_hash) { return shard_owns(id, key_hash); });
+  // Commit-time epoch fence for the transaction layer: a multi-key commit
+  // whose header predates the live routing epoch is refused whole.
+  slot.primary->set_epoch_source([this] { return routing_epoch_; });
   slot.node = node;
   ++slot.generation;
   start_heartbeat(id);
@@ -385,7 +381,6 @@ void HydraCluster::spawn_primary(ShardId id, NodeId node,
 
 void HydraCluster::start_heartbeat(ShardId id) {
   ShardSlot& slot = primaries_[id];
-  if (slot.primary == nullptr) return;  // pipelined comparator runs without HA
   slot.session = coordinator_->open_session("shard-" + std::to_string(id));
   const std::string path = "/shards/" + std::to_string(id) + "/primary";
   if (coordinator_->exists(path)) {
@@ -467,11 +462,9 @@ bool HydraCluster::connect_client(ShardId shard_id, client::Client& c,
   if (shard_id >= primaries_.size()) return false;
   ShardSlot& slot = primaries_[shard_id];
   out->owner_generation = slot.generation;
-  if (slot.pipelined == nullptr && (slot.primary == nullptr || !slot.primary->alive())) {
-    return false;
-  }
+  if (slot.primary == nullptr || !slot.primary->alive()) return false;
 
-  if (slot.pipelined == nullptr && opts_.server_mode == server::ServerMode::kSendRecv) {
+  if (opts_.server_mode == server::ServerMode::kSendRecv) {
     // The Fig 10 baseline: a QP of the client's own and two-sided verbs.
     auto [cq, sq] = fabric_.connect(c.node(), slot.node);
     if (!slot.primary->accept_send_recv(sq, c.id())) {
@@ -491,11 +484,11 @@ bool HydraCluster::connect_client(ShardId shard_id, client::Client& c,
   }
 
   // An endpoint on a channel of the client's node: the node's shared
-  // channel to the shard under QP multiplexing, else a channel of one (the
-  // pipelined comparator serves only those). The channel opens lazily on
-  // first use; the endpoint registers this client's private response ring.
-  const bool shared = opts_.mux_connections && slot.pipelined == nullptr;
-  const client::ChannelKey key{shard_id, shared ? client::kSharedChannel : c.id()};
+  // channel to the shard under QP multiplexing, else a channel of one. The
+  // channel opens lazily on first use; the endpoint registers this client's
+  // private response ring.
+  const client::ChannelKey key{shard_id,
+                               opts_.mux_connections ? client::kSharedChannel : c.id()};
   client::NodeMux* mux = node_muxes_.at(c.node()).get();
   client::NodeMux::Channel* ch = mux->channel_to(key);
   if (ch != nullptr && ch->wire.owner_generation != slot.generation) {
@@ -506,10 +499,7 @@ bool HydraCluster::connect_client(ShardId shard_id, client::Client& c,
   }
   if (ch == nullptr) return false;
   const auto res =
-      slot.pipelined != nullptr
-          ? slot.pipelined->accept_mux_endpoint(ch->wire.group, resp_slot, resp_bytes, c.id())
-          : slot.primary->accept_mux_endpoint(ch->wire.group, resp_slot, resp_bytes, c.id(),
-                                              window);
+      slot.primary->accept_mux_endpoint(ch->wire.group, resp_slot, resp_bytes, c.id(), window);
   if (!res.ok) {
     // Stale channel (e.g. its primary failed over and the group id means
     // nothing to the successor): tear it down so the retry reopens fresh.
@@ -639,10 +629,6 @@ void HydraCluster::direct_load(std::string_view key, std::string_view value) {
   const std::uint64_t hash = hash_key(key);
   ShardSlot& slot = primaries_[ring_.owner(hash)];
   const auto each_copy = [&slot](auto&& fn) {
-    if (slot.pipelined != nullptr) {
-      fn(slot.pipelined->store());
-      return;
-    }
     fn(slot.primary->store());
     for (auto& sec : slot.secondaries) fn(sec->store());
   };
@@ -872,7 +858,9 @@ bool HydraCluster::shard_owns(ShardId id, std::uint64_t key_hash) const {
 }
 
 ShardId HydraCluster::add_shard_live() {
-  if (opts_.pipelined_servers || migration_->active()) return kInvalidShard;
+  if (opts_.server_mode == server::ServerMode::kPipelined || migration_->active()) {
+    return kInvalidShard;
+  }
   const auto id = static_cast<ShardId>(primaries_.size());
   // Elastic scale-out: the newcomer gets its own fresh machine, like a node
   // joining the paper's testbed.
@@ -891,7 +879,9 @@ ShardId HydraCluster::add_shard_live() {
 }
 
 bool HydraCluster::drain_shard_live(ShardId victim) {
-  if (opts_.pipelined_servers || migration_->active()) return false;
+  if (opts_.server_mode == server::ServerMode::kPipelined || migration_->active()) {
+    return false;
+  }
   if (victim >= primaries_.size() || primaries_[victim].retired) return false;
   return migration_->begin_drain(victim);
 }

@@ -24,7 +24,6 @@
 #include "obs/plane.hpp"
 #include "replication/primary.hpp"
 #include "replication/secondary.hpp"
-#include "server/pipelined_shard.hpp"
 #include "server/shard.hpp"
 #include "sim/scheduler.hpp"
 
@@ -51,10 +50,8 @@ struct ClusterOptions {
   int swat_members = 2;
 
   // Execution-model variants (Fig 10).
+  /// kPipelined takes no replicas (the constructor throws otherwise).
   server::ServerMode server_mode = server::ServerMode::kRdmaWritePolling;
-  bool pipelined_servers = false;
-  int pipeline_dispatchers = 2;
-  int pipeline_workers = 2;
   bool client_rdma_read = true;
   /// One shared pointer cache and leaf-page cache per client node (section
   /// 4.2.4) versus exclusive caches per client (the secure-isolation
@@ -218,7 +215,6 @@ class HydraCluster {
 
   struct ShardSlot {
     std::unique_ptr<server::Shard> primary;
-    std::unique_ptr<server::PipelinedShard> pipelined;
     NodeId node = kInvalidNode;
     std::vector<std::unique_ptr<replication::SecondaryShard>> secondaries;
     cluster::SessionId session = 0;

@@ -15,6 +15,10 @@ enum class ServerMode : std::uint8_t {
   kRdmaWritePolling,
   /// Baseline: two-sided verbs Send/Recv for both directions.
   kSendRecv,
+  /// Comparator: kRdmaWritePolling's rings, served by 2 dispatcher + 2
+  /// worker threads instead of one core (PipelinedShard), without remote
+  /// pointers ("Pipeline + RDMA Write").
+  kPipelined,
 };
 
 /// CPU time the shard charges per operation, calibrated so a server-handled

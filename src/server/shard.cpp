@@ -267,18 +267,25 @@ void Shard::process_loop() {
     handle(std::move(r.req), r.reply, cfg_.cpu.poll_scan);
     return;
   }
-  // Requests an earlier sweep already decoded execute before new polling;
-  // a sweep made ahead (next_is_write) charges its scan to the first of them.
+  // A sweep made ahead (next_is_write) charges its scan to the request
+  // picked up next.
   Duration scan_cost = std::exchange(ahead_scan_cost_, 0);
-  if (ready_.empty()) scan_cost += sweep_dirty();
-  if (ready_.empty()) {
+  ReadyReq r;
+  if (!next_swept(r, scan_cost)) {
     charge(scan_cost);
     busy_ = false;  // idle; the write hook re-arms us
     return;
   }
-  ReadyReq r = std::move(ready_.front());
-  ready_.pop_front();
   handle(std::move(r.req), r.reply, scan_cost);
+}
+
+bool Shard::next_swept(ReadyReq& out, Duration& scan_cost) {
+  // Requests an earlier sweep already decoded go before new polling.
+  if (ready_.empty()) scan_cost += sweep_dirty();
+  if (ready_.empty()) return false;
+  out = std::move(ready_.front());
+  ready_.pop_front();
+  return true;
 }
 
 Duration Shard::sweep_dirty() {

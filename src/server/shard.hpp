@@ -8,7 +8,9 @@
 // occupied slot of a dirty ring at once, and all responses after the
 // sweep's first share one doorbell (batched WQE cost). There are no locks
 // anywhere on this path. The same class also supports the two-sided
-// Send/Recv mode used as the Figure 10 baseline.
+// Send/Recv mode used as the Figure 10 baseline, and PipelinedShard
+// (pipelined_shard.hpp) reschedules it as Fig 10's dispatcher/worker
+// comparator.
 #pragma once
 
 #include <cstdint>
@@ -193,6 +195,39 @@ class Shard : public sim::Actor {
 
   void kill() override;
 
+ protected:
+  /// Where a request's response goes. `batched` marks every request after
+  /// the first of one ring sweep, whose response shares the sweep's
+  /// doorbell; `endpoint` and `slot` come from a mux request's MuxHeader.
+  struct Reply {
+    std::uint32_t conn_idx = 0;
+    std::uint32_t endpoint = 0;
+    std::uint32_t slot = 0;
+    bool batched = false;
+    /// Send/Recv: the QP incarnation the request arrived on.
+    std::uint32_t qp_generation = 0;
+  };
+
+  /// A decoded request waiting for the shard core.
+  struct ReadyReq {
+    proto::Request req;
+    Reply reply;
+  };
+
+  // --- scheduling: the only part PipelinedShard overrides -----------------
+  /// A request ring saw a write (or a Send/Recv message arrived): the idle
+  /// core starts polling after one idle backoff.
+  virtual void wake();
+  /// The core is free: it executes the next request, or goes idle. Every
+  /// handler's commit tail ends here.
+  virtual void process_loop();
+  /// Pops the next decoded mux request into `out`, sweeping dirty groups
+  /// when none is waiting (their poll_scan adds to `scan_cost`); false when
+  /// no group holds one.
+  bool next_swept(ReadyReq& out, Duration& scan_cost);
+  void handle(proto::Request req, const Reply& to, Duration cost);
+  void charge(Duration cost) noexcept { stats_.busy_time += cost; }
+
  private:
   /// A mux group (a request ring written over `qp`) or, in Send/Recv mode, a
   /// two-sided connection.
@@ -221,26 +256,6 @@ class Shard : public sim::Actor {
     bool active = false;
   };
 
-  /// Where a request's response goes. `batched` marks every request after
-  /// the first of one ring sweep, whose response shares the sweep's
-  /// doorbell; `endpoint` and `slot` come from a mux request's MuxHeader.
-  struct Reply {
-    std::uint32_t conn_idx = 0;
-    std::uint32_t endpoint = 0;
-    std::uint32_t slot = 0;
-    bool batched = false;
-    /// Send/Recv: the QP incarnation the request arrived on.
-    std::uint32_t qp_generation = 0;
-  };
-
-  /// A decoded request waiting for the shard core.
-  struct ReadyReq {
-    proto::Request req;
-    Reply reply;
-  };
-
-  void wake();
-  void process_loop();
   /// Sweeps dirty groups until one yields a request; returns their poll_scan.
   Duration sweep_dirty();
   void sweep_group(std::uint32_t idx);
@@ -252,7 +267,6 @@ class Shard : public sim::Actor {
   /// Rings the replicator's held run; returns the CPU of the ring writes
   /// posted (one WQE per link), 0 when nothing was held.
   Duration ring_held_run();
-  void handle(proto::Request req, const Reply& to, Duration cost);
   /// kTxnCommit: validates epoch + ownership + lock words for the whole
   /// group, then applies every op in this one invocation (all-or-nothing;
   /// a mid-group store failure rolls the applied prefix back).
@@ -284,7 +298,6 @@ class Shard : public sim::Actor {
   /// that must move to another size class).
   void release_mirror_page(std::uint64_t offset, std::uint32_t len);
   void send_response(const proto::Response& resp, const Reply& to);
-  void charge(Duration cost) noexcept { stats_.busy_time += cost; }
   void schedule_gc();
 
   // --- hot-key replication plane (DESIGN.md §12) ---------------------------

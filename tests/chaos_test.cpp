@@ -22,7 +22,7 @@ Report run_scripted(const char* name, std::uint64_t seed, obs::Plane* plane = nu
 
 // ---------------------------------------------------------------- the sweep
 
-// 8 scripted families x 10 seeds = 80 combos.
+// 9 scripted schedules x 10 seeds = 90 combos.
 TEST(ChaosSweep, ScriptedFamilies) {
   for (const auto& schedule : Schedule::scripted(Family::kChaos)) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -172,6 +172,21 @@ TEST(ChaosRegression, RelaxedAckWaitsForTheFramesAhead) {
       chaos::scripted_by_name(Family::kCross, "cross-relaxed-ack-behind-torn-record"), 1);
   EXPECT_TRUE(r.passed()) << describe(r);
   EXPECT_GE(r.failovers, 1u) << describe(r);
+}
+
+// Concurrent writers on one shard form replication doorbell runs, which a
+// single closed-loop stream never does; a torn and a dropped run write must
+// heal without losing an acked record. Runs formed: the stream posted fewer
+// ring writes (retransmits included) than it carried records.
+TEST(ChaosRegression, TornAndDroppedDoorbellRunsHeal) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    obs::Plane plane;
+    const Report r = run_scripted("torn-and-dropped-doorbell-run", seed, &plane);
+    EXPECT_TRUE(r.passed()) << describe(r);
+    EXPECT_EQ(r.faults_applied, 2u) << describe(r);
+    EXPECT_EQ(r.acked, 80u) << describe(r);
+    EXPECT_LT(plane.metrics().counters().at("shard.0.rep.ring_writes").value(), r.acked);
+  }
 }
 
 // Bug: SWAT parsed "/shards/<id>/primary" with a bare std::stoul -- any

@@ -738,8 +738,9 @@ TEST(ConnScale, MuxReopenCyclesReuseSlotsAndObeyCaps) {
 // -------------------------------------------- pipelined comparator guards
 
 // The elastic-membership plane refuses to run over the pipelined comparator
-// (its shards have no replication/migration hooks); the guard must hold on
-// both entry points and leave the cluster serving.
+// (a Fig 10 throughput comparator, kept off migration as it is kept off
+// replication); the guard must hold on both entry points and leave the
+// cluster serving.
 TEST(ConnScale, PipelinedComparatorRefusesLiveMigration) {
   db::ClusterOptions opts;
   opts.server_nodes = 2;
@@ -747,7 +748,7 @@ TEST(ConnScale, PipelinedComparatorRefusesLiveMigration) {
   opts.client_nodes = 1;
   opts.clients_per_node = 1;
   opts.enable_swat = false;
-  opts.pipelined_servers = true;
+  opts.server_mode = server::ServerMode::kPipelined;
   opts.shard_template.store.arena_bytes = 8 << 20;
   db::HydraCluster cluster(opts);
 

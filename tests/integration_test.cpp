@@ -4,6 +4,7 @@
 // mode variants, replication and the YCSB runner.
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -169,12 +170,61 @@ TEST(Integration, SendRecvModeWorksEndToEnd) {
 
 TEST(Integration, PipelinedModeWorksEndToEnd) {
   auto opts = small_options();
-  opts.pipelined_servers = true;
+  opts.server_mode = server::ServerMode::kPipelined;
   opts.client_rdma_read = false;
   opts.enable_swat = false;
   db::HydraCluster cluster(opts);
   EXPECT_EQ(cluster.put("k", "v"), Status::kOk);
   EXPECT_EQ(*cluster.get("k"), "v");
+}
+
+// The comparator's workers serve only their handoff queue, so a replicated
+// write (whose doorbell run sweeps the next request ahead) has no place on
+// it: the cluster refuses the combination up front.
+TEST(Integration, PipelinedModeRejectsReplicas) {
+  auto opts = small_options();
+  opts.server_nodes = 2;
+  opts.server_mode = server::ServerMode::kPipelined;
+  opts.replicas = 1;
+  EXPECT_THROW(db::HydraCluster{opts}, std::invalid_argument);
+}
+
+// The comparator's cost model, pinned: one GET on an idle pipelined shard
+// charges one ring scan, the dispatch, the handoff and the worker's GET plus
+// its response post -- and two GETs arriving together overlap on the two
+// workers instead of queueing behind one.
+TEST(Integration, PipelinedShardChargesDispatchAndHandoff) {
+  auto opts = small_options();
+  opts.shards_per_node = 1;
+  opts.server_mode = server::ServerMode::kPipelined;
+  opts.client_rdma_read = false;
+  db::HydraCluster cluster(opts);
+  const std::string value(100, 'v');
+  ASSERT_EQ(cluster.put("a", value, 0), Status::kOk);
+  ASSERT_EQ(cluster.put("b", value, 1), Status::kOk);
+  cluster.run_for(kMillisecond);
+
+  const server::CpuModel& cpu = opts.shard_template.cpu;
+  const Duration worker = cpu.handoff_sync + cpu.base_get +
+                          static_cast<Duration>(cpu.per_value_byte * 100.0) +
+                          cpu.post_response;
+  const server::ShardStats& st = cluster.shard(0)->stats();
+  const Duration before = st.busy_time;
+  ASSERT_EQ(cluster.get("a"), value);
+  EXPECT_EQ(st.busy_time - before, cpu.poll_scan + cpu.dispatch_cost + worker);
+  cluster.run_for(kMillisecond);
+
+  std::vector<Time> done;
+  for (int c = 0; c < 2; ++c) {
+    cluster.clients()[static_cast<std::size_t>(c)]->get(
+        c == 0 ? "a" : "b", [&](Status s, std::string_view) {
+          EXPECT_EQ(s, Status::kOk);
+          done.push_back(cluster.scheduler().now());
+        });
+  }
+  cluster.run_for(kMillisecond);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_LT(done[1] - done[0], worker);
 }
 
 TEST(Integration, ReplicationKeepsSecondariesInSync) {
