@@ -1,13 +1,10 @@
-// Index-driven dirty-ring scheduler shared by both shard variants.
+// Index-driven dirty-ring scheduler of the shard (one class; PipelinedShard
+// only reschedules who runs what its sweep yields).
 //
 // The shard's wakeup path must do O(active) work per wakeup no matter how
 // many endpoints are registered: a write hook marks its endpoint dirty in
 // O(1) (a flag suppresses duplicates, an index ring preserves FIFO sweep
 // order), and the poll loop pops exactly the endpoints that saw traffic.
-// Before this existed, Shard and PipelinedShard each carried a copy-pasted
-// dirty_flag_/dirty_ pair that could (and did) drift; both now share this
-// one implementation, so the legacy single-ring path and the SRQ-style
-// mux-group path schedule identically.
 //
 // Fairness guarantee (DESIGN.md §10): endpoints are swept in the order they
 // became dirty (FIFO), and an endpoint re-marked while queued is not
@@ -36,8 +33,8 @@ class DirtyScheduler {
 
   /// Marks an endpoint dirty. Returns true when it was newly marked (the
   /// caller wakes the poll loop); false for duplicates, out-of-range ids
-  /// (a write landing past the registered endpoints is ignored, exactly as
-  /// the pre-refactor bound check did) and deregistered endpoints.
+  /// (a write landing past the registered endpoints is ignored) and
+  /// deregistered endpoints.
   bool mark(std::uint32_t id) {
     if (id >= flags_.size() || flags_[id] || dead_[id]) return false;
     flags_[id] = true;
