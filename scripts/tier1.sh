@@ -8,11 +8,12 @@
 #
 # Pass --bench for the BENCH gate instead of the tests: it rebuilds
 # bench_txn, bench_hotkey, bench_ycsb_e, bench_fig12_scalability,
-# bench_fig13_replication and bench_fig10_design, regenerates their JSON
-# (fig12: the connection-scalability sweep over 1k-50k clients) into a
-# temporary directory and fails unless each file is byte-identical to
-# the checked-in BENCH_*.json (the simulator is deterministic). On a
-# difference it prints the changed fields (scripts/json_diff.py).
+# bench_fig13_replication, bench_fig10_design and bench_fig11_hits,
+# regenerates their JSON (fig12: the connection-scalability sweep over
+# 1k-50k clients) into a temporary directory and fails unless each file is
+# byte-identical to the checked-in BENCH_*.json (the simulator is
+# deterministic). On a difference it prints the changed fields
+# (scripts/json_diff.py).
 #
 # The chaos counterpart for a change that must not move virtual time:
 # `build/examples/chaos_replay <family> all <n>` prints one line per run
@@ -127,14 +128,14 @@ if [[ $bench_mode -eq 1 ]]; then
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$(nproc)" \
     --target bench_txn bench_hotkey bench_ycsb_e bench_fig12_scalability \
-    bench_fig13_replication bench_fig10_design
+    bench_fig13_replication bench_fig10_design bench_fig11_hits
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' EXIT
   status=0
   # name:binary[:arguments]
   for spec in txn:bench_txn hotkey:bench_hotkey ycsbE:bench_ycsb_e \
       fig12_conn:bench_fig12_scalability:--clients=1000,2000,5000,10000,50000 \
-      fig13:bench_fig13_replication fig10:bench_fig10_design; do
+      fig13:bench_fig13_replication fig10:bench_fig10_design fig11:bench_fig11_hits; do
     IFS=: read -r short bin args <<<"$spec"
     name="BENCH_$short.json"
     # shellcheck disable=SC2086  # args is a word list
