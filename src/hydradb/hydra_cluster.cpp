@@ -39,12 +39,8 @@ HydraCluster::HydraCluster(ClusterOptions opts)
   for (int n = 0; n < opts_.server_nodes; ++n) {
     server_node_ids_.push_back(fabric_.add_node("server-" + std::to_string(n)).id());
   }
-  if (opts_.colocate_clients) {
-    client_node_ids_ = server_node_ids_;
-  } else {
-    for (int n = 0; n < opts_.client_nodes; ++n) {
-      client_node_ids_.push_back(fabric_.add_node("client-" + std::to_string(n)).id());
-    }
+  for (int n = 0; n < opts_.client_nodes; ++n) {
+    client_node_ids_.push_back(fabric_.add_node("client-" + std::to_string(n)).id());
   }
   fabric_.add_node("coordination");  // the ZooKeeper/SWAT machines
   coordinator_ = std::make_unique<cluster::Coordinator>(sched_, opts_.coordinator);
@@ -99,7 +95,6 @@ HydraCluster::HydraCluster(ClusterOptions opts)
   // (DESIGN.md §10): shared by the node's clients under QP multiplexing,
   // else one channel per client and shard.
   for (NodeId node : client_node_ids_) {
-    if (node_muxes_.count(node) != 0) continue;  // colocated dedupe
     auto mux = std::make_unique<client::NodeMux>(sched_, node, opts_.mux);
     mux->set_obs(opts_.obs);
     // connect_client, the only caller, has checked that the shard is up.

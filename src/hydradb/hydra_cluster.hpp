@@ -39,9 +39,6 @@ struct ClusterOptions {
   int total_shards = -1;
   int client_nodes = 5;
   int clients_per_node = 10;
-  /// Place client processes on the server nodes instead of dedicated ones
-  /// (the colocated setup of the Fig 12 scale-out experiment).
-  bool colocate_clients = false;
 
   // Replication / HA.
   int replicas = 0;  ///< secondaries per primary shard
