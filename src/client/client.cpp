@@ -657,9 +657,11 @@ void Client::handle_response(ShardId shard, Conn& conn, const proto::Response& r
   }
   --conn.in_flight;
 
-  // Cache/refresh the granted remote pointer (GET and lease-renew paths),
-  // stamped with the epoch it was leased under so a later epoch bump
-  // invalidates it before the next one-sided read.
+  // Cache the granted remote pointer, stamped with the epoch it was leased
+  // under so a later epoch bump invalidates it before the next one-sided
+  // read. A GET or lease renewal caches it outright. A write's grant only
+  // refreshes an entry the node already holds at an older version: keys
+  // the node never read take no slot.
   if (cfg_.use_rdma_read && resp.remote_ptr.valid()) {
     CachedPtr entry;
     entry.primary = resp.remote_ptr;
@@ -672,7 +674,14 @@ void Client::handle_response(ShardId shard, Conn& conn, const proto::Response& r
       if (!rp.valid()) continue;
       entry.replicas[entry.replica_count++] = rp;
     }
-    cache_->put(hash_key(op.req.key), entry);
+    const std::uint64_t h = hash_key(op.req.key);
+    if (op.req.type == proto::MsgType::kGet || op.req.type == proto::MsgType::kRenewLease) {
+      cache_->put(h, entry);
+    } else {
+      cache_->refresh(h, entry, [&entry](const CachedPtr& cached) {
+        return cached.primary.version < entry.primary.version;
+      });
+    }
   }
 
   // Refill the ring from the overflow queue before running the callback.

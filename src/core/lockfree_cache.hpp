@@ -77,6 +77,27 @@ class LockFreeCache {
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// Replaces key's entry with `value` if the key is present and
+  /// `newer(cached)` holds for the entry it would replace; returns whether
+  /// it did. Never claims an empty slot and never evicts, so keys nobody
+  /// cached take no room. Lock-free.
+  template <typename Newer>
+  bool refresh(std::uint64_t key, const Value& value, Newer&& newer) {
+    const std::size_t start = mix64(key) & mask_;
+    for (std::size_t i = 0; i < kProbeWindow; ++i) {
+      Slot& s = slots_[(start + i) & mask_];
+      if (key_of(s).load(std::memory_order_acquire) != key) continue;
+      begin_write(s);
+      // Re-checked under the seqlock: an erase or eviction may have raced.
+      const bool replace =
+          key_of(s).load(std::memory_order_relaxed) == key && newer(load_value(s));
+      if (replace) store_value(s, value);
+      end_write(s);
+      return replace;
+    }
+    return false;
+  }
+
   /// Wait-free lookup; returns true and fills *out on hit.
   bool get(std::uint64_t key, Value* out) const {
     const std::size_t start = mix64(key) & mask_;

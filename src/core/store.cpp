@@ -52,17 +52,21 @@ Result<GetView> KVStore::get(std::string_view key, Time now, bool grant_lease) {
     ++stats_.get_misses;
     return Status::kNotFound;
   }
-  ItemView item(arena_.at(offset));
-  ItemHeader& h = item.header();
   if (grant_lease) {
+    ItemHeader& h = ItemView(arena_.at(offset)).header();
     if (h.access_count != ~std::uint32_t{0}) ++h.access_count;
     h.lease_expiry = std::max<Time>(h.lease_expiry, now + lease_term(h.access_count));
   }
+  return view_at(offset);
+}
+
+GetView KVStore::view_at(std::uint64_t offset) {
+  ItemView item(arena_.at(offset));
   GetView view;
   view.offset = offset;
   view.total_len = static_cast<std::uint32_t>(item.total_size());
-  view.version = h.version;
-  view.lease_expiry = h.lease_expiry;
+  view.version = item.header().version;
+  view.lease_expiry = item.header().lease_expiry;
   view.value = item.value();
   return view;
 }
@@ -71,36 +75,41 @@ bool KVStore::accepts(std::string_view key, std::string_view value) const noexce
   return !key.empty() && key.size() <= config_.max_key_len && value.size() <= config_.max_val_len;
 }
 
-Status KVStore::insert(std::string_view key, std::string_view value, Time now) {
+Status KVStore::insert(std::string_view key, std::string_view value, Time now,
+                       GetView* written) {
   if (!accepts(key, value)) return Status::kInvalidArgument;
   const std::uint64_t hash = hash_key(key);
   const CompactHashTable::Probe probe = table_.probe(hash, key);
   if (probe.found()) return Status::kExists;
-  return insert_at(probe, hash, key, value, now);
+  return insert_at(probe, hash, key, value, now, written);
 }
 
-Status KVStore::update(std::string_view key, std::string_view value, Time now) {
+Status KVStore::update(std::string_view key, std::string_view value, Time now,
+                       GetView* written) {
   if (!accepts(key, value)) return Status::kInvalidArgument;
   const std::uint64_t hash = hash_key(key);
   const CompactHashTable::Probe probe = table_.probe(hash, key);
   if (!probe.found()) return Status::kNotFound;
-  return update_at(probe, hash, key, value, now);
+  return update_at(probe, hash, key, value, now, written);
 }
 
-Status KVStore::put(std::string_view key, std::string_view value, Time now) {
-  return put(hash_key(key), key, value, now);
+Status KVStore::put(std::string_view key, std::string_view value, Time now,
+                    GetView* written) {
+  return put(hash_key(key), key, value, now, written);
 }
 
-Status KVStore::put(std::uint64_t hash, std::string_view key, std::string_view value, Time now) {
+Status KVStore::put(std::uint64_t hash, std::string_view key, std::string_view value, Time now,
+                    GetView* written) {
   assert(hash == hash_key(key));
   if (!accepts(key, value)) return Status::kInvalidArgument;
   const CompactHashTable::Probe probe = table_.probe(hash, key);
-  return probe.found() ? update_at(probe, hash, key, value, now)
-                       : insert_at(probe, hash, key, value, now);
+  return probe.found() ? update_at(probe, hash, key, value, now, written)
+                       : insert_at(probe, hash, key, value, now, written);
 }
 
 Status KVStore::insert_at(const CompactHashTable::Probe& probe, std::uint64_t hash,
-                          std::string_view key, std::string_view value, Time now) {
+                          std::string_view key, std::string_view value, Time now,
+                          GetView* written) {
   const std::uint64_t offset = make_item(key, value, /*version=*/1, now);
   if (offset == kNullOffset) return Status::kOutOfMemory;
   if (table_.insert_at(probe, hash, offset) == CompactHashTable::InsertResult::kNoMemory) {
@@ -110,11 +119,13 @@ Status KVStore::insert_at(const CompactHashTable::Probe& probe, std::uint64_t ha
   }
   if (index_) index_->insert_or_assign(key, offset);
   ++stats_.inserts;
+  if (written != nullptr) *written = view_at(offset);
   return Status::kOk;
 }
 
 Status KVStore::update_at(const CompactHashTable::Probe& probe, std::uint64_t hash,
-                          std::string_view key, std::string_view value, Time now) {
+                          std::string_view key, std::string_view value, Time now,
+                          GetView* written) {
   const std::uint64_t old_offset = CompactHashTable::offset_at(probe);
   ItemView old(arena_.at(old_offset));
   const std::uint64_t new_version = old.header().version + 1;
@@ -134,6 +145,7 @@ Status KVStore::update_at(const CompactHashTable::Probe& probe, std::uint64_t ha
   table_.replace_at(probe, hash, new_offset);
   if (index_) index_->insert_or_assign(key, new_offset);
   ++stats_.updates;
+  if (written != nullptr) *written = view_at(new_offset);
   return Status::kOk;
 }
 

@@ -50,6 +50,7 @@ struct StoreStats {
 
 /// What a server-handled GET returns: enough for the response message *and*
 /// for minting a remote pointer (offset/len within the registered arena).
+/// A successful write reports the same view of the item it just created.
 struct GetView {
   std::uint64_t offset = kNullOffset;
   std::uint32_t total_len = 0;
@@ -69,15 +70,23 @@ class KVStore {
   /// item's lease from `now` (the server-aware GET path, section 4.2.3).
   Result<GetView> get(std::string_view key, Time now, bool grant_lease = true);
 
+  // The writes below fill `*written` (when non-null) with the new item's
+  // view on success, so the caller can mint a pointer to it without a
+  // second probe and without the popularity bump of a GET.
+
   /// Fails with kExists when the key is present.
-  Status insert(std::string_view key, std::string_view value, Time now);
+  Status insert(std::string_view key, std::string_view value, Time now,
+                GetView* written = nullptr);
   /// Fails with kNotFound when absent; otherwise an out-of-place update.
-  Status update(std::string_view key, std::string_view value, Time now);
+  Status update(std::string_view key, std::string_view value, Time now,
+                GetView* written = nullptr);
   /// Upsert: insert or out-of-place update, with one probe of the table.
-  Status put(std::string_view key, std::string_view value, Time now);
+  Status put(std::string_view key, std::string_view value, Time now,
+             GetView* written = nullptr);
   /// put() for a caller that already holds `hash` == hash_key(key), such as
   /// a preload writing every replica of one record.
-  Status put(std::uint64_t hash, std::string_view key, std::string_view value, Time now);
+  Status put(std::uint64_t hash, std::string_view key, std::string_view value, Time now,
+             GetView* written = nullptr);
   /// Flips the guardian and defers reclamation until the lease expires.
   Status remove(std::string_view key, Time now);
 
@@ -137,9 +146,13 @@ class KVStore {
   [[nodiscard]] bool accepts(std::string_view key, std::string_view value) const noexcept;
   /// Inserts a key `probe` missed / out-of-place updates the item it found.
   Status insert_at(const CompactHashTable::Probe& probe, std::uint64_t hash,
-                   std::string_view key, std::string_view value, Time now);
+                   std::string_view key, std::string_view value, Time now,
+                   GetView* written);
   Status update_at(const CompactHashTable::Probe& probe, std::uint64_t hash,
-                   std::string_view key, std::string_view value, Time now);
+                   std::string_view key, std::string_view value, Time now,
+                   GetView* written);
+  /// The view of the live item at `offset`.
+  [[nodiscard]] GetView view_at(std::uint64_t offset);
   /// Allocates + initializes a fresh item; kNullOffset on OOM.
   std::uint64_t make_item(std::string_view key, std::string_view value,
                           std::uint64_t version, Time now);

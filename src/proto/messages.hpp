@@ -79,7 +79,7 @@ struct Response {
   std::uint64_t req_id = 0;
   Status status = Status::kOk;
   std::uint64_t version = 0;
-  RemotePtr remote_ptr;  ///< granted on successful GETs
+  RemotePtr remote_ptr;  ///< granted on successful GETs, renewals and writes
   std::string value;
   /// Promotion advertisement: replicas the client may spread one-sided
   /// reads across. Encoded as a trailing optional block -- responses with

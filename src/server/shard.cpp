@@ -421,14 +421,18 @@ void Shard::handle(proto::Request req, const Reply& to, Duration cost) {
     case proto::MsgType::kPut: {
       cost += cpu.base_put +
               static_cast<Duration>(cpu.per_value_byte * static_cast<double>(req.value.size()));
+      core::GetView written;
       if (req.type == proto::MsgType::kInsert) {
-        resp.status = store_->insert(req.key, req.value, now());
+        resp.status = store_->insert(req.key, req.value, now(), &written);
       } else if (req.type == proto::MsgType::kUpdate) {
-        resp.status = store_->update(req.key, req.value, now());
+        resp.status = store_->update(req.key, req.value, now(), &written);
       } else {
-        resp.status = store_->put(req.key, req.value, now());
+        resp.status = store_->put(req.key, req.value, now(), &written);
       }
       applied = resp.status == Status::kOk;
+      // The writer's node refreshes its cached pointer with the new item's,
+      // so its next GET need not read the item this write just killed.
+      if (applied && cfg_.grant_remote_pointers) grant_pointer(resp, written);
       ++stats_.puts;
       break;
     }

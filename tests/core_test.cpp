@@ -509,6 +509,36 @@ TEST(Store, PutUpsertsBothWays) {
   EXPECT_EQ(store.put("", "v", 0), Status::kInvalidArgument);
 }
 
+TEST(Store, WritesReportTheNewItemWithoutAGet) {
+  KVStore store;
+  GetView written;
+  ASSERT_EQ(store.insert("k", "v1", 0, &written), Status::kOk);
+  EXPECT_EQ(written.version, 1u);
+  EXPECT_EQ(written.value, "v1");
+  EXPECT_EQ(written.lease_expiry, store.lease_term(1));
+  // One probe per write, and neither a GET nor a popularity bump.
+  const std::uint64_t lookups = store.table().lookups();
+  ASSERT_EQ(store.update("k", "v2", 10, &written), Status::kOk);
+  ASSERT_EQ(store.put("k", "v3", 20, &written), Status::kOk);
+  EXPECT_EQ(store.table().lookups() - lookups, 2u);
+  EXPECT_EQ(store.stats().gets, 0u);
+  ItemView item(store.arena().at(written.offset));
+  EXPECT_TRUE(item.live());
+  EXPECT_EQ(item.header().access_count, 1u);
+  EXPECT_EQ(written.version, 3u);
+  EXPECT_EQ(written.value, "v3");
+  EXPECT_EQ(written.total_len, item.total_size());
+  EXPECT_EQ(written.lease_expiry, item.header().lease_expiry);
+
+  const GetView before = written;
+  EXPECT_EQ(store.update("missing", "v", 30, &written), Status::kNotFound);
+  EXPECT_EQ(store.insert("k", "v", 30, &written), Status::kExists);
+  EXPECT_EQ(written.offset, before.offset) << "a failed write reported a view";
+  const auto got = store.get("k", 30, /*grant_lease=*/false).value();
+  EXPECT_EQ(got.offset, before.offset);
+  EXPECT_EQ(got.version, before.version);
+}
+
 TEST(Store, RemoveFlipsGuardianAndDefersReclaim) {
   KVStore store;
   store.insert("k", "v", 0);
@@ -723,6 +753,62 @@ TEST(LockFreeCache, PutGetEraseSingleThread) {
   EXPECT_FALSE(cache.get(42, &out));
   EXPECT_EQ(cache.size(), 0u);
   cache.erase(42);  // double erase is a no-op
+}
+
+// A write's pointer grant only refreshes what the node already caches
+// (client.cpp): refresh() replaces present keys and nothing else.
+TEST(LockFreeCache, RefreshReplacesOnlyPresentKeys) {
+  LockFreeCache<FakePtr> cache(256);
+  const auto always = [](const FakePtr&) { return true; };
+  FakePtr out{};
+  EXPECT_FALSE(cache.refresh(42, FakePtr{100, ~100ULL}, always));
+  EXPECT_FALSE(cache.get(42, &out)) << "refresh claimed a slot";
+  EXPECT_EQ(cache.size(), 0u);
+
+  cache.put(42, FakePtr{100, ~100ULL});
+  EXPECT_TRUE(cache.refresh(42, FakePtr{200, ~200ULL}, always));
+  ASSERT_TRUE(cache.get(42, &out));
+  EXPECT_EQ(out.addr, 200u);
+  EXPECT_EQ(cache.size(), 1u);
+
+  cache.erase(42);
+  EXPECT_FALSE(cache.refresh(42, FakePtr{300, ~300ULL}, always));
+  EXPECT_FALSE(cache.get(42, &out));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(LockFreeCache, RefreshNeverClaimsOrEvicts) {
+  const auto always = [](const FakePtr&) { return true; };
+  LockFreeCache<FakePtr> cache(64);
+  for (std::uint64_t k = 1; k <= 1000; ++k) cache.put(k, FakePtr{k, ~k});
+  const std::size_t size = cache.size();
+  const std::uint64_t evictions = cache.evictions();
+  ASSERT_GT(evictions, 0u) << "the window never filled";
+  for (std::uint64_t k = 1001; k <= 2000; ++k) {
+    EXPECT_FALSE(cache.refresh(k, FakePtr{k, ~k}, always)) << k;
+  }
+  EXPECT_EQ(cache.size(), size);
+  EXPECT_EQ(cache.evictions(), evictions);
+  FakePtr out{};
+  for (std::uint64_t k = 1001; k <= 2000; ++k) ASSERT_FALSE(cache.get(k, &out)) << k;
+}
+
+TEST(LockFreeCache, RefreshVersionGateRejectsOlderPointer) {
+  // addr stands in for the pointer's item version.
+  const auto newer_than = [](std::uint64_t version) {
+    return [version](const FakePtr& cached) { return cached.addr < version; };
+  };
+  LockFreeCache<FakePtr> cache(64);
+  cache.put(7, FakePtr{5, ~5ULL});
+  FakePtr out{};
+  EXPECT_FALSE(cache.refresh(7, FakePtr{3, ~3ULL}, newer_than(3)));
+  EXPECT_FALSE(cache.refresh(7, FakePtr{5, ~5ULL}, newer_than(5))) << "equal is not newer";
+  ASSERT_TRUE(cache.get(7, &out));
+  EXPECT_EQ(out.addr, 5u);
+  EXPECT_TRUE(cache.refresh(7, FakePtr{9, ~9ULL}, newer_than(9)));
+  ASSERT_TRUE(cache.get(7, &out));
+  EXPECT_EQ(out.addr, 9u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(LockFreeCache, ManyKeysWithinCapacity) {

@@ -160,6 +160,38 @@ TEST(HotKeyPlane, WriteInvalidatesCopiesBeforeAck) {
       << "writes never found a live promotion to invalidate";
 }
 
+// A write to a promoted key retires its copies, and the pointer it grants
+// advertises none: the writer node's refreshed entry reads the primary
+// until the key is promoted again and a later answer re-advertises.
+TEST(HotKeyPlane, WriteRefreshDropsFollowersUntilReadvertised) {
+  db::HydraCluster cluster(hot_opts());
+  ASSERT_EQ(cluster.put("hot", "v0"), Status::kOk);
+  auto& cache = cluster.clients()[0]->pointer_cache();
+  const std::uint64_t h = hash_key("hot");
+  client::CachedPtr advert;
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(cluster.get("hot", i % 2).has_value());
+    if (cache.get(h, &advert) && advert.replica_count > 0) break;
+  }
+  ASSERT_GT(advert.replica_count, 0u) << "plane never advertised the key";
+
+  ASSERT_EQ(cluster.put("hot", "v1"), Status::kOk);
+  client::CachedPtr refreshed;
+  ASSERT_TRUE(cache.get(h, &refreshed));
+  EXPECT_GT(refreshed.primary.version, advert.primary.version) << "the write did not refresh";
+  EXPECT_EQ(refreshed.replica_count, 0u) << "the refresh kept the retired copies";
+
+  client::CachedPtr entry;
+  for (int i = 0; i < 600; ++i) {
+    auto got = cluster.get("hot", i % 2);
+    ASSERT_TRUE(got.has_value()) << i;
+    EXPECT_EQ(*got, "v1") << i;
+    if (cache.get(h, &entry) && entry.replica_count > 0) break;
+  }
+  EXPECT_GT(entry.replica_count, 0u) << "the followers were never advertised again";
+  EXPECT_EQ(entry.primary.version, refreshed.primary.version);
+}
+
 // The commit-group twin of WriteInvalidatesCopiesBeforeAck: a transaction
 // that writes a promoted key owes the same pre-ack guardian kills, so no
 // GET after the commit ack may return the value the group replaced.

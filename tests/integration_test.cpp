@@ -2,6 +2,7 @@
 // paths through the HydraCluster harness, covering message passing, remote
 // pointer caching, guardian invalidation, leases, pointer sharing, server
 // mode variants, replication and the YCSB runner.
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include <malloc.h>
 #endif
 
+#include "common/hash.hpp"
 #include "common/keygen.hpp"
 #include "hydradb/hydra_cluster.hpp"
 #include "ycsb/runner.hpp"
@@ -95,17 +97,106 @@ TEST(Integration, SecondGetUsesRdmaReadAndBypassesServer) {
 }
 
 TEST(Integration, UpdateInvalidatesCachedPointerViaGuardian) {
-  db::HydraCluster cluster(small_options());
+  auto opts = small_options();
+  opts.client_nodes = 2;  // the writer, client 1, runs on another node
+  opts.clients_per_node = 1;
+  db::HydraCluster cluster(opts);
+  auto* reader = cluster.clients()[0];
+  ASSERT_NE(cluster.clients()[1]->node(), reader->node());
   cluster.put("k", "old");
   ASSERT_TRUE(cluster.get("k").has_value());  // cache pointer
   ASSERT_EQ(*cluster.get("k"), "old");        // RDMA read hit
 
-  cluster.put("k", "new");  // out-of-place update flips the guardian
-  auto* client = cluster.clients()[0];
-  const std::uint64_t invalid_before = client->stats().invalid_hits;
+  // The out-of-place update flips the guardian; the reader's node was not
+  // told of the new item.
+  cluster.put("k", "new", /*client_idx=*/1);
+  const std::uint64_t invalid_before = reader->stats().invalid_hits;
   // Next read-by-pointer sees the dead guardian and falls back.
   ASSERT_EQ(*cluster.get("k"), "new");
-  EXPECT_EQ(client->stats().invalid_hits, invalid_before + 1);
+  EXPECT_EQ(reader->stats().invalid_hits, invalid_before + 1);
+}
+
+// A write answers with the new item's pointer, and the writer's node
+// refreshes its cached entry: the next GET there reads the new item
+// one-sidedly instead of reading the dead one and asking the shard.
+TEST(Integration, WriteRefreshesWriterNodePointer) {
+  db::HydraCluster cluster(small_options());
+  auto* reader = cluster.clients()[0];
+  auto* writer = cluster.clients()[1];  // same node, shared pointer cache
+  ASSERT_EQ(writer->node(), reader->node());
+  const auto& shard_stats = cluster.shard(cluster.owner_of("k"))->stats();
+  cluster.put("k", "v0");
+  ASSERT_EQ(*cluster.get("k"), "v0");  // caches the pointer
+
+  int round = 0;
+  for (const auto type : {proto::MsgType::kPut, proto::MsgType::kUpdate}) {
+    const std::string want = "v" + std::to_string(++round);
+    std::optional<Status> status;
+    const auto done = [&status](Status s) { status = s; };
+    if (type == proto::MsgType::kPut) {
+      writer->put("k", want, done);
+    } else {
+      writer->update("k", want, done);
+    }
+    while (!status.has_value() && cluster.scheduler().step()) {
+    }
+    ASSERT_EQ(status, Status::kOk) << round;
+
+    const std::uint64_t hits = reader->stats().ptr_hits;
+    const std::uint64_t invalid = reader->stats().invalid_hits;
+    const std::uint64_t gets = shard_stats.gets;
+    ASSERT_EQ(*cluster.get("k"), want) << round;
+    EXPECT_EQ(reader->stats().ptr_hits, hits + 1) << round;
+    EXPECT_EQ(reader->stats().invalid_hits, invalid) << round;
+    EXPECT_EQ(shard_stats.gets, gets) << round << ": the GET reached the shard";
+  }
+}
+
+// The refresh never allocates: writes to keys the node never read leave
+// its cache as it was, while the one key it did read is refreshed.
+TEST(Integration, WriteDoesNotAllocatePointerCacheEntries) {
+  db::HydraCluster cluster(small_options());
+  auto* client = cluster.clients()[0];
+  auto& cache = client->pointer_cache();
+  constexpr int kKeys = 64;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(cluster.put(format_key(static_cast<std::uint64_t>(i)), "v0"), Status::kOk);
+  }
+  const std::string seen = format_key(0);
+  ASSERT_EQ(*cluster.get(seen), "v0");
+  const std::size_t size = cache.size();
+  ASSERT_EQ(size, 1u);
+
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(cluster.put(format_key(static_cast<std::uint64_t>(i)), "v1"), Status::kOk);
+  }
+  EXPECT_EQ(cache.size(), size) << "a write claimed a cache slot";
+  EXPECT_EQ(cache.evictions(), 0u);
+  client::CachedPtr entry;
+  ASSERT_TRUE(cache.get(hash_key(seen), &entry));
+  EXPECT_EQ(entry.primary.version, 2u) << "the read key's entry was not refreshed";
+}
+
+// The refresh is gated on the item version, which a re-inserted key
+// restarts at 1: the node keeps the entry for the removed item, and its
+// next GET pays one invalid hit before the message path re-caches.
+TEST(Integration, WriteRefreshNeverLowersTheCachedVersion) {
+  db::HydraCluster cluster(small_options());
+  auto* client = cluster.clients()[0];
+  cluster.put("k", "v1");
+  cluster.put("k", "v2");
+  ASSERT_EQ(*cluster.get("k"), "v2");  // caches version 2
+  ASSERT_EQ(cluster.remove("k"), Status::kOk);
+  ASSERT_EQ(cluster.insert("k", "v3"), Status::kOk);  // version 1 again
+  client::CachedPtr entry;
+  ASSERT_TRUE(client->pointer_cache().get(hash_key("k"), &entry));
+  EXPECT_EQ(entry.primary.version, 2u) << "a lower version replaced the entry";
+
+  const std::uint64_t invalid = client->stats().invalid_hits;
+  ASSERT_EQ(*cluster.get("k"), "v3");
+  EXPECT_EQ(client->stats().invalid_hits, invalid + 1);
+  ASSERT_TRUE(client->pointer_cache().get(hash_key("k"), &entry));
+  EXPECT_EQ(entry.primary.version, 1u);
 }
 
 TEST(Integration, RemoveInvalidatesCachedPointer) {
