@@ -74,6 +74,9 @@ class NodeMux : public sim::Actor {
     /// reused, so the closer must no-op when the pointer now carries a
     /// different (later-established) connection.
     std::uint32_t qp_generation = 0;
+    /// Frames travel as two-sided Sends into the ring's slots, and responses
+    /// come back as Sends (Fig 10's Send/Recv baseline), not RDMA Writes.
+    bool two_sided = false;
   };
 
   struct Channel {

@@ -22,6 +22,11 @@ HydraCluster::HydraCluster(ClusterOptions opts)
   if (opts_.server_mode == server::ServerMode::kPipelined && opts_.replicas > 0) {
     throw std::invalid_argument("the pipelined comparator runs without replicas");
   }
+  // A two-sided channel's receive buffers are its one endpoint's response
+  // ring, so the Send/Recv baseline cannot share a channel between clients.
+  if (opts_.server_mode == server::ServerMode::kSendRecv && opts_.mux_connections) {
+    throw std::invalid_argument("the Send/Recv baseline runs without QP multiplexing");
+  }
   // Ordered-index opt-in fans out through the shard template so primaries,
   // secondaries (whose stores may be promoted), and migration-spawned shards
   // all agree on whether the index exists.
@@ -102,10 +107,12 @@ HydraCluster::HydraCluster(ClusterOptions opts)
       ShardSlot& slot = primaries_[key.shard];
       auto [cq, sq] = fabric_.connect(node, slot.node);
       // A channel of one gets a client's dedicated ring depth, a shared
-      // channel the node's SRQ-sized credit pool.
+      // channel the node's SRQ-sized credit pool. The Send/Recv baseline
+      // carries the same frames as two-sided Sends.
       const server::ShardConfig& cfg = slot.primary->config();
+      const bool two_sided = opts_.server_mode == server::ServerMode::kSendRecv;
       const auto res = slot.primary->accept_mux_group(
-          sq, key.shared() ? cfg.mux_ring_slots : cfg.ring_slots, key.shared());
+          sq, key.shared() ? cfg.mux_ring_slots : cfg.ring_slots, key.shared(), two_sided);
       if (!res.ok) {
         fabric_.disconnect(cq);
         return false;
@@ -119,6 +126,7 @@ HydraCluster::HydraCluster(ClusterOptions opts)
       out->lock_words = res.lock_words;
       out->owner_generation = slot.generation;
       out->qp_generation = cq->generation();
+      out->two_sided = two_sided;
       return true;
     });
     mux->set_closer([this](client::ChannelKey key, const client::NodeMux::MuxWire& wire) {
@@ -458,25 +466,6 @@ bool HydraCluster::connect_client(ShardId shard_id, client::Client& c,
   ShardSlot& slot = primaries_[shard_id];
   out->owner_generation = slot.generation;
   if (slot.primary == nullptr || !slot.primary->alive()) return false;
-
-  if (opts_.server_mode == server::ServerMode::kSendRecv) {
-    // The Fig 10 baseline: a QP of the client's own and two-sided verbs.
-    auto [cq, sq] = fabric_.connect(c.node(), slot.node);
-    if (!slot.primary->accept_send_recv(sq, c.id())) {
-      fabric_.disconnect(cq);
-      return false;
-    }
-    out->qp = cq;
-    out->window = window;  // Send/Recv has no ring; window just caps in-flight
-    out->send_recv = true;
-    // The fabric may have reclaimed the QP and handed it to a newer
-    // connection by the time the client drops this one: only tear down the
-    // incarnation opened here.
-    out->close = [this, cq, gen = cq->generation()] {
-      if (cq->open() && cq->generation() == gen) fabric_.disconnect(cq);
-    };
-    return true;
-  }
 
   // An endpoint on a channel of the client's node: the node's shared
   // channel to the shard under QP multiplexing, else a channel of one. The

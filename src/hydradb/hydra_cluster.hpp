@@ -47,7 +47,8 @@ struct ClusterOptions {
   int swat_members = 2;
 
   // Execution-model variants (Fig 10).
-  /// kPipelined takes no replicas (the constructor throws otherwise).
+  /// kPipelined takes no replicas, and kSendRecv no mux_connections (the
+  /// constructor throws otherwise).
   server::ServerMode server_mode = server::ServerMode::kRdmaWritePolling;
   bool client_rdma_read = true;
   /// One shared pointer cache and leaf-page cache per client node (section

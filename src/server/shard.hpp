@@ -7,10 +7,10 @@
 // envelope names in its endpoint's response ring. A wakeup sweeps every
 // occupied slot of a dirty ring at once, and all responses after the
 // sweep's first share one doorbell (batched WQE cost). There are no locks
-// anywhere on this path. The same class also supports the two-sided
-// Send/Recv mode used as the Figure 10 baseline, and PipelinedShard
-// (pipelined_shard.hpp) reschedules it as Fig 10's dispatcher/worker
-// comparator.
+// anywhere on this path. Figure 10's Send/Recv baseline is the same path
+// over a two-sided wire: the ring's slots are the QP's receive buffers and
+// responses go out as Sends. PipelinedShard (pipelined_shard.hpp)
+// reschedules the class as Fig 10's dispatcher/worker comparator.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +70,6 @@ class Shard : public sim::Actor {
         std::unique_ptr<core::KVStore> existing_store = nullptr);
 
   // --- connections (DESIGN.md §10) ----------------------------------------
-  /// Send/Recv-mode accept (Fig 10 baseline): posts receive buffers and
-  /// answers via post_send. The slot of a connection whose QP was torn down
-  /// since is reused; false past max_connections live connections.
-  bool accept_send_recv(fabric::QueuePair* server_qp, ClientId client);
-
   struct MuxGroupResult {
     std::uint32_t group = 0;      ///< group id, passed to accept_mux_endpoint
     fabric::RemoteAddr req_ring;  ///< base of the group's request ring
@@ -94,12 +89,15 @@ class Shard : public sim::Actor {
   /// Registers a request ring of `ring_slots` slots served over `qp` -- one
   /// client channel, shared by a node's endpoints ("SRQ", `shared`) or
   /// carrying one. Frames carry a MuxHeader naming the endpoint and its
-  /// response slot. Refused past max_connections live connections.
+  /// response slot. A `two_sided` wire (Fig 10's Send/Recv baseline)
+  /// receives its frames as Sends into the ring's slots and answers with
+  /// Sends. Refused past max_connections live connections.
   MuxGroupResult accept_mux_group(fabric::QueuePair* qp, std::uint32_t ring_slots,
-                                  bool shared = true);
+                                  bool shared = true, bool two_sided = false);
 
   /// Adds a logical client endpoint to an existing mux group. Responses are
-  /// RDMA-written into slot MuxHeader::resp_slot of the endpoint's private
+  /// RDMA-written (sent, on a two-sided wire) into slot MuxHeader::resp_slot
+  /// of the endpoint's private
   /// response ring at `client_resp_slot` (`window` slots of
   /// `client_resp_bytes` each), the window clamped to the group's depth.
   MuxEndpointResult accept_mux_endpoint(std::uint32_t group,
@@ -204,8 +202,6 @@ class Shard : public sim::Actor {
     std::uint32_t endpoint = 0;
     std::uint32_t slot = 0;
     bool batched = false;
-    /// Send/Recv: the QP incarnation the request arrived on.
-    std::uint32_t qp_generation = 0;
   };
 
   /// A decoded request waiting for the shard core.
@@ -215,8 +211,8 @@ class Shard : public sim::Actor {
   };
 
   // --- scheduling: the only part PipelinedShard overrides -----------------
-  /// A request ring saw a write (or a Send/Recv message arrived): the idle
-  /// core starts polling after one idle backoff.
+  /// A request ring saw a write (or, on a two-sided wire, a receive): the
+  /// idle core starts polling after one idle backoff.
   virtual void wake();
   /// The core is free: it executes the next request, or goes idle. Every
   /// handler's commit tail ends here.
@@ -229,19 +225,14 @@ class Shard : public sim::Actor {
   void charge(Duration cost) noexcept { stats_.busy_time += cost; }
 
  private:
-  /// A mux group (a request ring written over `qp`) or, in Send/Recv mode, a
-  /// two-sided connection.
+  /// A mux group: a request ring filled over `qp`.
   struct Connection {
     fabric::QueuePair* qp = nullptr;
-    bool send_recv = false;
-    /// Send/Recv: qp's incarnation at accept. A client that drops the
-    /// connection disconnects the QP and the fabric may hand it to a newer
-    /// connection, so a moved generation marks this one dead.
-    std::uint32_t qp_generation = 0;
-    /// Send/Recv mode owns its receive buffers (re-posted after use).
-    std::vector<std::vector<std::byte>> recv_bufs;
     bool closed = false;  ///< mux group torn down; its slot awaits reuse
     bool shared = false;  ///< a node's shared ring, not a channel of one
+    /// Requests arrive as Sends into the ring's slots and responses leave
+    /// as Sends (the Send/Recv baseline), not as RDMA Writes.
+    bool two_sided = false;
     std::uint32_t ring_slots = 0;
     fabric::RegisteredBuffer ring;  ///< its bytes stay put when conns_ grows
     fabric::MemoryRegion* ring_mr = nullptr;
@@ -392,7 +383,7 @@ class Shard : public sim::Actor {
   /// of the same depth (same ring bytes, fresh registration) so reopen
   /// cycles do not grow conns_.
   std::vector<std::uint32_t> free_mux_groups_;
-  /// Live mux groups plus Send/Recv connections not yet found dead.
+  /// Live mux groups.
   std::uint32_t live_conns_ = 0;
   /// Deactivated MuxEndpoint slots, reused on the next registration.
   std::vector<std::uint32_t> free_endpoints_;
@@ -400,8 +391,6 @@ class Shard : public sim::Actor {
   std::deque<ReadyReq> ready_;
   /// poll_scan of sweeps made ahead by next_is_write, not yet charged.
   Duration ahead_scan_cost_ = 0;
-  /// Send/Recv mode: decoded requests waiting for the shard thread.
-  std::deque<ReadyReq> sr_pending_;
   bool busy_ = false;
   bool gc_scheduled_ = false;
 

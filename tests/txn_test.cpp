@@ -105,16 +105,20 @@ struct TxnHarness {
   TxnClient client;
 
   explicit TxnHarness(TxnOptions opts = {}, std::uint32_t lock_words = 64,
-                      int shards = 2)
-      : cluster(make_opts(lock_words, shards)),
+                      int shards = 2,
+                      server::ServerMode mode = server::ServerMode::kRdmaWritePolling)
+      : cluster(make_opts(lock_words, shards, mode)),
         client(cluster.scheduler(), *cluster.clients()[0], opts,
                TxnClient::make_id_source()) {
     client.set_resolver([this](std::uint64_t h) { return cluster.ring().owner(h); });
     client.set_epoch_source([this] { return cluster.routing_epoch(); });
   }
 
-  static db::ClusterOptions make_opts(std::uint32_t lock_words, int shards) {
+  static db::ClusterOptions make_opts(
+      std::uint32_t lock_words, int shards,
+      server::ServerMode mode = server::ServerMode::kRdmaWritePolling) {
     db::ClusterOptions opts;
+    opts.server_mode = mode;
     opts.server_nodes = shards;
     opts.shards_per_node = 1;
     opts.total_shards = shards;
@@ -163,6 +167,23 @@ TEST(TxnClientUnit, MultiKeyCommitIsFullyVisible) {
   h.expect_no_held_locks();
   EXPECT_EQ(h.client.stats().committed, 1u);
   EXPECT_GT(h.client.stats().lock_cas, 0u);
+}
+
+// The Send/Recv baseline's channel carries the lock arena's coordinates like
+// any other, so its lock CASes and commit group ride the same QP.
+TEST(TxnClientUnit, SendRecvMultiKeyCommitIsFullyVisible) {
+  TxnHarness h(TxnOptions{}, 64, 2, server::ServerMode::kSendRecv);
+  auto [status, reads] = h.run({{proto::MsgType::kPut, "txn-a", "1"},
+                                {proto::MsgType::kPut, "txn-b", "2"},
+                                {proto::MsgType::kRemove, "txn-c", ""}});
+  EXPECT_EQ(status, Status::kOk);
+  EXPECT_EQ(*h.cluster.get("txn-a"), "1");
+  EXPECT_EQ(*h.cluster.get("txn-b"), "2");
+  EXPECT_FALSE(h.cluster.get("txn-c").has_value());
+  h.expect_no_held_locks();
+  EXPECT_EQ(h.client.stats().committed, 1u);
+  EXPECT_GT(h.client.stats().lock_cas, 0u);
+  EXPECT_GT(h.cluster.fabric().stats().sends, 0u);
 }
 
 TEST(TxnClientUnit, ReadSetAlignsWithGetOpsAndRemoveApplies) {
