@@ -7,6 +7,13 @@
 #include "obs/plane.hpp"
 
 namespace hydra::client {
+namespace {
+
+/// Cursor-level restarts (epoch bumps, drained shards) before a scan gives
+/// up with kTimeout.
+constexpr int kMaxScanRestarts = 32;
+
+}  // namespace
 
 void Client::scan(std::string start_key, std::uint32_t limit, ScanResultFn cb) {
   ScanCursor::start(*this, std::move(start_key), limit, std::move(cb));
@@ -57,7 +64,7 @@ void ScanCursor::begin() {
 void ScanCursor::restart() {
   if (finished_) return;
   ++client_.mutable_stats().scan_restarts;
-  if (++restarts_ > client_.config().max_scan_restarts) {
+  if (++restarts_ > kMaxScanRestarts) {
     finish(Status::kTimeout);
     return;
   }

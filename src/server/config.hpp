@@ -8,12 +8,17 @@
 
 namespace hydra::server {
 
+/// Follower promo-slab slot size (DESIGN.md §12); bounds the largest
+/// promotable item (header + key + value + guardian, see core/item.hpp).
+inline constexpr std::uint32_t kHotKeySlotBytes = 256;
+
 /// How the shard detects and answers requests (Fig 5 / Fig 10 variants).
 enum class ServerMode : std::uint8_t {
   /// Paper design: one thread polls per-connection request buffers written
   /// by client RDMA Writes and answers with RDMA Writes.
   kRdmaWritePolling,
-  /// Baseline: two-sided verbs Send/Recv for both directions.
+  /// Baseline: kRdmaWritePolling's rings over a two-sided wire -- requests
+  /// and responses travel as Sends into the same slots (Fig 10's Send/Recv).
   kSendRecv,
   /// Comparator: kRdmaWritePolling's rings, served by 2 dispatcher + 2
   /// worker threads instead of one core (PipelinedShard), without remote
@@ -105,9 +110,6 @@ struct ShardConfig {
   /// Promotion scan cadence: each tick promotes the interval's top-k and
   /// restarts the counting window.
   Duration hotkey_scan_interval = 2 * kMillisecond;
-  /// Follower promo-slab slot size; bounds the largest promotable item
-  /// (header + key + value + guardian, see core/item.hpp).
-  std::uint32_t hotkey_slot_bytes = 256;
   /// Cap on entries returned per kScan batch (responses are additionally
   /// bounded by the connection's response-slot byte budget).
   std::uint32_t scan_max_batch = 32;
