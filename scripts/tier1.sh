@@ -10,10 +10,11 @@
 # bench_txn, bench_hotkey, bench_ycsb_e, bench_fig12_scalability,
 # bench_fig13_replication, bench_fig10_design and bench_fig11_hits,
 # regenerates their JSON (fig12: the connection-scalability sweep over
-# 1k-50k clients) into a temporary directory and fails unless each file is
+# 1k-50k clients) into a temporary directory, running the benches as
+# parallel jobs (at most nproc at a time), and fails unless each file is
 # byte-identical to the checked-in BENCH_*.json (the simulator is
 # deterministic). On a difference it prints the changed fields
-# (scripts/json_diff.py).
+# (scripts/json_diff.py). It ends by printing the gate's wall time.
 #
 # The chaos counterpart for a change that must not move virtual time:
 # `build/examples/chaos_replay <family> all <n>` prints one line per run
@@ -131,16 +132,32 @@ if [[ $bench_mode -eq 1 ]]; then
     bench_fig13_replication bench_fig10_design bench_fig11_hits
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' EXIT
+  # name:binary[:arguments], longest first so the parallel jobs pack well.
+  specs=(fig10:bench_fig10_design
+         fig12_conn:bench_fig12_scalability:--clients=1000,2000,5000,10000,50000
+         ycsbE:bench_ycsb_e fig11:bench_fig11_hits hotkey:bench_hotkey
+         fig13:bench_fig13_replication txn:bench_txn)
+  # Every bench runs as its own job, at most nproc at a time; each records
+  # its exit status next to its log.
+  max_jobs="$(nproc)"
+  started=$EPOCHREALTIME
+  for spec in "${specs[@]}"; do
+    IFS=: read -r short bin args <<<"$spec"
+    while [[ $(jobs -rp | wc -l) -ge $max_jobs ]]; do wait -n || true; done
+    # shellcheck disable=SC2086  # args is a word list
+    ( rc=0
+      "$build_dir/bench/$bin" $args --json="$out/BENCH_$short.json" >"$out/$short.log" 2>&1 ||
+        rc=$?
+      echo "$rc" >"$out/$short.rc" ) &
+  done
+  wait
+  wall=$(awk -v a="$started" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f", b - a }')
   status=0
-  # name:binary[:arguments]
-  for spec in txn:bench_txn hotkey:bench_hotkey ycsbE:bench_ycsb_e \
-      fig12_conn:bench_fig12_scalability:--clients=1000,2000,5000,10000,50000 \
-      fig13:bench_fig13_replication fig10:bench_fig10_design fig11:bench_fig11_hits; do
+  for spec in "${specs[@]}"; do
     IFS=: read -r short bin args <<<"$spec"
     name="BENCH_$short.json"
-    # shellcheck disable=SC2086  # args is a word list
-    if ! "$build_dir/bench/$bin" $args --json="$out/$name" >"$out/$bin.log" 2>&1; then
-      cat "$out/$bin.log"
+    if [[ "$(cat "$out/$short.rc")" != 0 ]]; then
+      cat "$out/$short.log"
       echo "$bin failed"
       status=1
     elif cmp "$name" "$out/$name"; then
@@ -153,6 +170,7 @@ if [[ $bench_mode -eq 1 ]]; then
       status=1
     fi
   done
+  echo "BENCH gate: ${#specs[@]} benches in ${wall} s wall (up to $max_jobs at a time)"
   exit $status
 fi
 
