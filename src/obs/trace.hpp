@@ -25,7 +25,7 @@ enum class TraceKind : std::uint8_t {
   kWritePosted,      ///< RDMA Write posted (a=size, b=posted_write_b(dst rkey, ring frames))
   kWriteCommitted,   ///< RDMA Write bytes landed at the target (a=size, b=rkey)
   kWriteFaulted,     ///< chaos-injected torn/dropped write (a=committed, b=rkey)
-  kWriteDeadPeer,    ///< write toward a crashed node (a=size)
+  kWriteDeadPeer,    ///< write, atomic or send toward a crashed node (a=size)
   kReadPosted,       ///< RDMA Read posted (a=size, b=src rkey)
   kReadCompleted,    ///< RDMA Read completion at the initiator (a=size)
   kSendPosted,       ///< two-sided Send posted (a=size)
