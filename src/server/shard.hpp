@@ -234,6 +234,10 @@ class Shard : public sim::Actor {
     /// as Sends (the Send/Recv baseline), not as RDMA Writes.
     bool two_sided = false;
     std::uint32_t ring_slots = 0;
+    /// Where the next sweep starts: the slot after the last one consumed.
+    /// Clients fill slots round-robin, so sweeping from here decodes a
+    /// wrapped ring in issue order.
+    std::uint32_t next_slot = 0;
     fabric::RegisteredBuffer ring;  ///< its bytes stay put when conns_ grows
     fabric::MemoryRegion* ring_mr = nullptr;
   };

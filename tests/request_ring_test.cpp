@@ -166,6 +166,49 @@ TEST(RequestRing, SlotsWrapAroundManyTimes) {
   }
 }
 
+TEST(RequestRing, OneConnectionExecutesInIssueOrderAcrossRingWraps) {
+  // Eleven back-to-back PUTs of one key through a window of 8 wrap the
+  // request ring mid-burst. The shard must still execute them in issue
+  // order, so a GET after the last ack reads the eleventh value.
+  db::ClusterOptions opts;
+  opts.server_nodes = 1;
+  opts.shards_per_node = 1;
+  opts.client_nodes = 1;
+  opts.clients_per_node = 1;
+  opts.enable_swat = false;
+  opts.client_rdma_read = false;
+  opts.client_template.window = 8;
+  opts.shard_template.store.arena_bytes = 8 << 20;
+  db::HydraCluster cluster(opts);
+  sim::Scheduler& sched = cluster.scheduler();
+
+  auto* c = cluster.clients()[0];
+  constexpr int kPuts = 11;
+  int stale = 0;
+  for (int k = 0; k < 20; ++k) {
+    const std::string key = format_key(static_cast<std::uint64_t>(k));
+    int acked = 0;
+    for (int i = 0; i < kPuts; ++i) {
+      c->put(key, "v" + std::to_string(i), [&](Status s) {
+        EXPECT_EQ(s, Status::kOk);
+        ++acked;
+      });
+    }
+    while (acked < kPuts && sched.step()) {
+    }
+    std::string got;
+    bool done = false;
+    c->get(key, [&](Status, std::string_view v) {
+      got = v;
+      done = true;
+    });
+    while (!done && sched.step()) {
+    }
+    if (got != "v" + std::to_string(kPuts - 1)) ++stale;
+  }
+  EXPECT_EQ(stale, 0);
+}
+
 // ------------------------------------------------------------ fake shard
 
 /// Test double for the server side of one connection: grants the client a
