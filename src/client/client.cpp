@@ -63,7 +63,7 @@ void Client::get(std::string key, GetCallback cb) {
                 return v.primary.epoch != epoch;
               });
         }
-      } else if (entry.primary.lease_expiry > now() + cfg_.lease_safety_margin) {
+      } else if (entry.primary.lease_expiry > now() + kLeaseSafetyMargin) {
         // Strict >: a lease expiring exactly at the assumed read-completion
         // time (now + margin) counts as expired and takes the message path.
         if (replica_connector_ && entry.replica_count > 0) {

@@ -37,6 +37,10 @@
 
 namespace hydra::client {
 
+/// A one-sided read is issued only while the cached pointer's lease has more
+/// than this margin left.
+inline constexpr Duration kLeaseSafetyMargin = 50 * kMicrosecond;
+
 struct ClientConfig {
   ClientId id = 0;
   /// Remote-pointer caching + RDMA Read GETs (off = "RDMA Write Only").
@@ -53,8 +57,6 @@ struct ClientConfig {
   Duration decode_cost = 120;   ///< parsing a response / validating a read
   Duration request_timeout = 5 * kMillisecond;
   int max_retries = 8;
-  /// Do not RDMA-read when the lease has less than this margin remaining.
-  Duration lease_safety_margin = 50 * kMicrosecond;
   /// Range scans (DESIGN.md §13): follow shard-advertised leaf-page hints
   /// with one-sided RDMA Reads (off = every continuation rides the message
   /// path; the paper's "RDMA Write only" analogue for scans).

@@ -5,6 +5,12 @@
 #include "obs/plane.hpp"
 
 namespace hydra::client {
+namespace {
+
+/// How often the reaper scans for idle channels.
+constexpr Duration kReapInterval = 5 * kMillisecond;
+
+}  // namespace
 
 NodeMux::NodeMux(sim::Scheduler& sched, NodeId node, NodeMuxConfig cfg)
     : sim::Actor(sched, "mux-" + std::to_string(node)), node_(node), cfg_(cfg) {}
@@ -32,7 +38,7 @@ NodeMux::Channel* NodeMux::channel_to(ChannelKey key) {
   }
   if (!reaper_armed_) {
     reaper_armed_ = true;
-    schedule_after(cfg_.reap_interval, [this] { reap_loop(); });
+    schedule_after(kReapInterval, [this] { reap_loop(); });
   }
   return &ch;
 }
@@ -118,7 +124,7 @@ fabric::QueuePair* NodeMux::begin_replica_read(NodeId node) {
     it = read_channels_.find(node);
     if (!reaper_armed_) {
       reaper_armed_ = true;
-      schedule_after(cfg_.reap_interval, [this] { reap_loop(); });
+      schedule_after(kReapInterval, [this] { reap_loop(); });
     }
   }
   ReadChannel& ch = it->second;
@@ -192,7 +198,7 @@ void NodeMux::reap_loop() {
     ++stats_.reclaimed_read_idle;
   }
   if (any_open) {
-    schedule_after(cfg_.reap_interval, [this] { reap_loop(); });
+    schedule_after(kReapInterval, [this] { reap_loop(); });
   } else {
     reaper_armed_ = false;  // channel_to re-arms on the next open
   }

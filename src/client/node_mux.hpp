@@ -36,8 +36,6 @@ struct ChannelKey {
 struct NodeMuxConfig {
   /// Close a channel with no in-flight credits after this much inactivity.
   Duration idle_timeout = 10 * kMillisecond;
-  /// How often the reaper scans for idle channels.
-  Duration reap_interval = 5 * kMillisecond;
 };
 
 struct NodeMuxStats {

@@ -72,7 +72,7 @@ GetView KVStore::view_at(std::uint64_t offset) {
 }
 
 bool KVStore::accepts(std::string_view key, std::string_view value) const noexcept {
-  return !key.empty() && key.size() <= config_.max_key_len && value.size() <= config_.max_val_len;
+  return !key.empty() && key.size() <= kMaxKeyLen && value.size() <= kMaxValLen;
 }
 
 Status KVStore::insert(std::string_view key, std::string_view value, Time now,

@@ -22,6 +22,10 @@
 
 namespace hydra::core {
 
+/// Longest key and value the store accepts (KVStore::accepts).
+inline constexpr std::size_t kMaxKeyLen = 64 * 1024;
+inline constexpr std::size_t kMaxValLen = 4ull << 20;
+
 struct StoreConfig {
   std::size_t arena_bytes = 64ull << 20;
   std::size_t min_buckets = 1 << 16;
@@ -29,8 +33,6 @@ struct StoreConfig {
   /// according to the approximate popularity of such key").
   Duration min_lease = 1 * kSecond;
   Duration max_lease = 64 * kSecond;
-  std::size_t max_key_len = 64 * 1024;
-  std::size_t max_val_len = 4ull << 20;
   /// Maintain a B+-tree over the user keys for ordered range scans
   /// (DESIGN.md §13). Default off: with the index disabled the store (and
   /// every layer above it) behaves byte-identically to pre-index builds.

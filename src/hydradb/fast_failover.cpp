@@ -5,13 +5,22 @@
 #include "hydradb/swat.hpp"
 
 namespace hydra::db {
+namespace {
+
+/// Ring-write suspicion deadline = pulse_interval * kMissedPulses.
+constexpr int kMissedPulses = 4;
+/// Unconfirmed revocations retried this many times before the round aborts
+/// and the legacy session-timeout path takes over.
+constexpr int kMaxRevokeAttempts = 3;
+
+}  // namespace
 
 FastFailover::FastFailover(HydraCluster& cluster, FastFailoverConfig cfg)
     : cluster_(cluster), cfg_(cfg) {}
 
 void FastFailover::attach_secondary(ShardId id, replication::SecondaryShard& sec) {
   const Duration deadline =
-      cfg_.pulse_interval * static_cast<Duration>(cfg_.missed_pulses);
+      cfg_.pulse_interval * static_cast<Duration>(kMissedPulses);
   sec.enable_suspicion(
       deadline, [this, id](replication::SecondaryShard& s) { on_suspect(id, s); });
 }
@@ -64,7 +73,7 @@ void FastFailover::revoke_target(const std::shared_ptr<Round>& r,
           one_revocation_done(r);
           return;
         }
-        if (attempt >= cfg_.max_revoke_attempts) {
+        if (attempt >= kMaxRevokeAttempts) {
           // A live ring we cannot confirm fenced: promotion would risk a
           // not-actually-fenced primary acking writes behind our back.
           // Abort; the legacy session-timeout path remains armed.

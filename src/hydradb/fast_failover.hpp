@@ -28,13 +28,8 @@ class HydraCluster;
 struct FastFailoverConfig {
   /// Primary liveness pulse period (fans into PrimaryConfig::pulse_interval).
   Duration pulse_interval = 50 * kMicrosecond;
-  /// Ring-write deadline = pulse_interval * missed_pulses.
-  int missed_pulses = 4;
   /// One-way latency of the MR-permission revocation verb.
   Duration revoke_latency = 3 * kMicrosecond;
-  /// Unconfirmed revocations retried this many times before the round
-  /// aborts and the legacy session-timeout path takes over.
-  int max_revoke_attempts = 3;
 };
 
 /// Per-cluster manager: arms suspicion deadlines on every secondary and runs

@@ -9,12 +9,17 @@
 #include "obs/plane.hpp"
 
 namespace hydra::db {
+namespace {
+
+constexpr Duration kTick = 200 * kMicrosecond;  ///< protocol pump interval
+constexpr int kCopyBatch = 16;                  ///< snapshot records posted per tick
+/// Abort when no flow makes observable progress for this long.
+constexpr Duration kStallTimeout = 30 * kSecond;
+
+}  // namespace
 
 MigrationManager::MigrationManager(HydraCluster& cluster)
-    : MigrationManager(cluster, Config{}) {}
-
-MigrationManager::MigrationManager(HydraCluster& cluster, Config cfg)
-    : sim::Actor(cluster.scheduler(), "migration-mgr"), cluster_(cluster), cfg_(cfg) {}
+    : sim::Actor(cluster.scheduler(), "migration-mgr"), cluster_(cluster) {}
 
 void MigrationManager::trace(obs::TraceKind kind, std::uint64_t shard, std::uint64_t a,
                              std::uint64_t b) {
@@ -58,7 +63,7 @@ bool MigrationManager::begin(cluster::MigrationPlan plan) {
              plan_.subject, flows_.size());
   trace(obs::TraceKind::kMigrationStart, plan_.subject,
         plan_.kind == cluster::MigrationKind::kAdd ? 0 : 1, flows_.size());
-  schedule_after(cfg_.tick, [this] { tick(); });
+  schedule_after(kTick, [this] { tick(); });
   return true;
 }
 
@@ -136,9 +141,9 @@ void MigrationManager::pump_flow(Flow& flow) {
   server::Shard* src = cluster_.shard(flow.src);
   // Self-throttle on write completions so the sink ring backlog stays
   // bounded no matter how large the snapshot is.
-  int budget = cfg_.copy_batch;
+  int budget = kCopyBatch;
   while (budget > 0 && flow.next < flow.keys.size() &&
-         *flow.inflight < 2u * static_cast<std::uint32_t>(cfg_.copy_batch)) {
+         *flow.inflight < 2u * static_cast<std::uint32_t>(kCopyBatch)) {
     const std::string& key = flow.keys[flow.next++];
     // Re-read at post time: the source kept serving writes, so the snapshot
     // is a key list, not a value list (last writer wins at the sink).
@@ -218,7 +223,7 @@ void MigrationManager::tick() {
   if (phase_ == Phase::kIdle) return;  // finalize/abort ended the migration
 
   // Stall detection: the signature folds in every monotonic counter a
-  // healthy migration advances; when none moves for stall_timeout, no
+  // healthy migration advances; when none moves for kStallTimeout, no
   // promotion or ack is coming (e.g. a source with no promotable replica).
   std::uint64_t sig = static_cast<std::uint64_t>(phase_) ^ (stats_.flow_restarts << 8);
   for (const Flow& flow : flows_) {
@@ -226,7 +231,7 @@ void MigrationManager::tick() {
           (flow.sink ? flow.sink->applied_seq() : 0) + (flow.started ? 1 : 0);
   }
   if (sig == progress_sig_) {
-    if (++stalled_ticks_ * cfg_.tick >= cfg_.stall_timeout) {
+    if (++stalled_ticks_ * kTick >= kStallTimeout) {
       abort(1);
       return;
     }
@@ -234,7 +239,7 @@ void MigrationManager::tick() {
     progress_sig_ = sig;
     stalled_ticks_ = 0;
   }
-  schedule_after(cfg_.tick, [this] { tick(); });
+  schedule_after(kTick, [this] { tick(); });
 }
 
 void MigrationManager::seal() {

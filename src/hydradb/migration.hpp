@@ -64,15 +64,7 @@ struct MigrationStats {
 
 class MigrationManager : public sim::Actor {
  public:
-  struct Config {
-    Duration tick = 200 * kMicrosecond;  ///< protocol pump interval
-    int copy_batch = 16;                 ///< snapshot records posted per tick
-    /// Abort when no flow makes observable progress for this long.
-    Duration stall_timeout = 30 * kSecond;
-  };
-
   explicit MigrationManager(HydraCluster& cluster);
-  MigrationManager(HydraCluster& cluster, Config cfg);
 
   /// Starts migrating ~1/N of every existing shard's keys toward `subject`
   /// (already spawned, not yet in the ring). False if a migration is active.
@@ -128,7 +120,6 @@ class MigrationManager : public sim::Actor {
              std::uint64_t b = 0);
 
   HydraCluster& cluster_;
-  Config cfg_;
   Phase phase_ = Phase::kIdle;
   bool sealed_ = false;
   cluster::MigrationPlan plan_;

@@ -15,6 +15,12 @@ namespace {
 /// by quarantining the link when a frame refuses to land.
 constexpr int kMaxWriteAttempts = 8;
 
+/// Ack-progress deadline: while records are pending and no ack (or write
+/// completion) has arrived for this long, the primary writes an ack-probe
+/// frame to re-solicit the secondary's cumulative ack. This is the recovery
+/// path for torn/lost acks and the liveness probe for stalled replicas.
+constexpr Duration kAckTimeout = 1 * kMillisecond;
+
 }  // namespace
 
 ReplicationPrimary::ReplicationPrimary(sim::Actor& owner, fabric::Fabric& fabric,
@@ -506,16 +512,16 @@ void ReplicationPrimary::solicit_ack(Link& link) {
 }
 
 void ReplicationPrimary::arm_ack_timer(Link& link) {
-  if (link.ack_timer_armed || cfg_.ack_timeout == 0) return;
+  if (link.ack_timer_armed) return;
   link.ack_timer_armed = true;
   Link* raw = &link;
-  owner_.schedule_after(cfg_.ack_timeout, [this, raw] { on_ack_timer(*raw); });
+  owner_.schedule_after(kAckTimeout, [this, raw] { on_ack_timer(*raw); });
 }
 
 void ReplicationPrimary::on_ack_timer(Link& link) {
   link.ack_timer_armed = false;
   if (link.dead || link.pending.empty()) return;  // nothing outstanding
-  if (owner_.now() - link.last_progress >= cfg_.ack_timeout) {
+  if (owner_.now() - link.last_progress >= kAckTimeout) {
     if (link.secondary == nullptr || !link.secondary->alive()) {
       // Dead replica discovered by the deadline probe (it died while we had
       // no writes in flight to observe the failure on).

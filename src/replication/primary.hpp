@@ -53,12 +53,6 @@ struct PrimaryConfig {
   std::uint32_t ack_interval = 32;
   /// CPU the owning shard burns per secondary per record (WQE build).
   Duration record_post_cost = 220;
-  /// Ack-progress deadline: while records are pending and no ack (or write
-  /// completion) has arrived for this long, the primary writes an ack-probe
-  /// frame to re-solicit the secondary's cumulative ack. This is the
-  /// recovery path for torn/lost acks and the liveness probe for stalled
-  /// replicas; 0 disables it.
-  Duration ack_timeout = 1 * kMillisecond;
   /// Fast-failover liveness pulses (DESIGN.md §14): while positive, the
   /// primary RDMA-Writes an incrementing heartbeat word into each live
   /// secondary's failover arena every pulse_interval, so replicas can run

@@ -110,9 +110,6 @@ struct ShardConfig {
   /// Promotion scan cadence: each tick promotes the interval's top-k and
   /// restarts the counting window.
   Duration hotkey_scan_interval = 2 * kMillisecond;
-  /// Cap on entries returned per kScan batch (responses are additionally
-  /// bounded by the connection's response-slot byte budget).
-  std::uint32_t scan_max_batch = 32;
   /// Whether GET responses mint remote pointers (disabled to measure the
   /// "RDMA Write only" rows of Fig 10).
   bool grant_remote_pointers = true;

@@ -619,9 +619,9 @@ TEST(Store, NextReclaimDueTracksQueue) {
 TEST(Store, RejectsInvalidArguments) {
   KVStore store;
   EXPECT_EQ(store.insert("", "v", 0), Status::kInvalidArgument);
-  const std::string huge(store.config().max_val_len + 1, 'x');
+  const std::string huge(kMaxValLen + 1, 'x');
   EXPECT_EQ(store.insert("k", huge, 0), Status::kInvalidArgument);
-  const std::string long_key(store.config().max_key_len + 1, 'k');
+  const std::string long_key(kMaxKeyLen + 1, 'k');
   EXPECT_EQ(store.insert(long_key, "v", 0), Status::kInvalidArgument);
 }
 

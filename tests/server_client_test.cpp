@@ -411,7 +411,7 @@ TEST(ClientUnit, RenewLeaseRefreshesCachedPointer) {
 }
 
 // Boundary audit of the lease check guarding one-sided reads. The client
-// assumes a read takes up to lease_safety_margin to complete, so the
+// assumes a read takes up to kLeaseSafetyMargin to complete, so the
 // contract is strict: a lease with expiry > now + margin may be read; one
 // expiring EXACTLY at now + margin counts as expired (the read could land
 // at the instant the server reclaims the item) and must take the message
@@ -421,7 +421,7 @@ TEST(ClientUnit, LeaseExpiringExactlyAtMarginTakesMessagePath) {
   opts.client_template.auto_renew = false;  // nothing may silently extend leases
   db::HydraCluster cluster(opts);
   auto* c = cluster.clients()[0];
-  const Duration margin = opts.client_template.lease_safety_margin;
+  const Duration margin = client::kLeaseSafetyMargin;
 
   // --- one tick inside the boundary: the read is allowed -------------------
   cluster.put("k", "v");
