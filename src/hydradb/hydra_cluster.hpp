@@ -229,8 +229,9 @@ class HydraCluster {
   void spawn_primary(ShardId id, NodeId node, std::unique_ptr<core::KVStore> store);
   /// Mirrors live actor stats into the obs registry (exporter body).
   void export_metrics();
-  /// Spawns one replacement secondary for `id`, attaches it to the current
-  /// primary's log stream and bootstrap-copies the primary's store into it.
+  /// Spawns one secondary for `id` (initial, scale-out or replacement),
+  /// attaches it to the current primary's log stream and bootstrap-copies
+  /// the primary's store into it.
   void spawn_secondary(ShardId id);
   void start_heartbeat(ShardId id);
   void wire_client(client::Client& c);
