@@ -17,11 +17,12 @@
 # (scripts/json_diff.py). It ends by printing the gate's wall time.
 #
 # The chaos counterpart for a change that must not move virtual time:
-# `build/examples/chaos_replay <family> all <n>` prints one line per run
-# (every scripted schedule and random schedules at seeds 1..n) with its end
-# time, verdict and a 64-bit hash of its history; run it for each of the
-# seven families (chaos, migration, failover, hotkey, scan, txn, cross) at
-# the change and at its parent and `diff` the outputs (DESIGN.md §7).
+# `build/examples/chaos_replay all all <n>` prints one line per run of all
+# seven families (chaos, migration, failover, hotkey, scan, txn, cross):
+# every scripted schedule and random schedules at seeds 1..n, each with its
+# family, end time, verdict and a 64-bit hash of its history. Run it at the
+# change and at its parent and `diff` the outputs (DESIGN.md §7);
+# `chaos_replay <family> all <n>` sweeps one family.
 #
 # Pass --txn to run only the transaction-layer suite (ctest label `txn`)
 # with an enlarged seeded-random sweep; --hotkey for the hot-key replication
